@@ -128,6 +128,20 @@ Tree random_tree(std::uint32_t devices, std::uint32_t max_children, Rng& rng) {
   return Tree(std::move(parent));
 }
 
+std::vector<NodeId> dfs_preorder(const Tree& tree) {
+  std::vector<NodeId> order;
+  order.reserve(tree.size());
+  std::vector<NodeId> stack{0};
+  while (!stack.empty()) {
+    const NodeId n = stack.back();
+    stack.pop_back();
+    order.push_back(n);
+    const auto kids = tree.children(n);
+    stack.insert(stack.end(), kids.rbegin(), kids.rend());
+  }
+  return order;
+}
+
 Graph::Graph(std::uint32_t nodes) : adjacency_(nodes) {
   if (nodes == 0) throw std::invalid_argument("Graph: empty");
 }

@@ -78,6 +78,11 @@ Tree star_tree(std::uint32_t devices);
 /// nodes whose degree is still below `max_children`.
 Tree random_tree(std::uint32_t devices, std::uint32_t max_children, Rng& rng);
 
+/// Every node in depth-first preorder (root first, children in their
+/// child-table order). Each subtree is one contiguous run of the result,
+/// which is what the sharded engine's placement cuts (sim/parallel.hpp).
+std::vector<NodeId> dfs_preorder(const Tree& tree);
+
 /// Undirected connected graph, used to exercise spanning-tree
 /// construction (SEDA joins an existing mesh).
 class Graph {

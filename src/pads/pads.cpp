@@ -81,8 +81,10 @@ void PadsSimulation::setup_engine() {
   // Entities are device ids, NOT tree positions: a mid-round rewire
   // reassigns positions but must not migrate device state across
   // shards, so the shard map has to be keyed by the stable identity.
+  // Device n sits at position n of the deployment tree, so its DFS
+  // preorder gives the same subtree-aligned placement as SAP and SEDA.
   engine_ = std::make_unique<sim::ParallelScheduler>(
-      tree_.size(), config_.sim, config_.link.per_hop_latency);
+      net::dfs_preorder(tree_), config_.sim, config_.link.per_hop_latency);
   network_.bind_metrics(nullptr);
   shard_nets_.reserve(engine_->shard_count());
   merge_ctrs_.reserve(engine_->shard_count());

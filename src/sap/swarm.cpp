@@ -30,16 +30,18 @@ SapSimulation::SapSimulation(SapConfig config, net::Tree tree,
   auth_key_ = verifier_.request_auth_key();
 
   // setup: provision keys and synthetic "firmware" contents; register
-  // cfg_i with the verifier.
+  // cfg_i with the verifier. A device gets a copy of the verifier's
+  // midstate cache for its key, so K_{mi,Vrf} is derived once, here,
+  // and the raw key never outlives the derivation.
+  Bytes master = master_from_seed(seed);
   for (net::NodeId id = 1; id <= device_count(); ++id) {
     Dev& d = dev(id);
-    d.key = verifier_.device_key(id);
-    d.mac.init(config_.alg, d.key);
-    d.content =
-        crypto::derive_device_key(master_from_seed(seed), id,
-                                  config_.token_size(), "sap-firmware");
+    d.mac = verifier_.device_mac(id);
+    d.content = crypto::derive_device_key(master, id, config_.token_size(),
+                                          "sap-firmware");
     verifier_.set_expected_content(id, d.content);
   }
+  crypto::secure_wipe(master);
   network_.set_handler([this](const net::Message& m) { on_message(m); });
 
   // Identity position mapping: device i occupies tree position i.
@@ -67,8 +69,10 @@ void SapSimulation::setup_engine() {
     unreachable_ctrs_ = {&metrics_.counter("sap.unreachable_marks")};
     return;
   }
+  // Subtree-aligned placement: shards own contiguous DFS-preorder runs
+  // of tree positions (see sim/parallel.hpp).
   engine_ = std::make_unique<sim::ParallelScheduler>(
-      tree_.size(), config_.sim, config_.link.per_hop_latency);
+      net::dfs_preorder(tree_), config_.sim, config_.link.per_hop_latency);
   // network_ stays the configuration surface but carries no traffic in
   // engine mode — its instruments would only shadow the shard ones.
   network_.bind_metrics(nullptr);

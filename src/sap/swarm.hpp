@@ -159,9 +159,9 @@ class SapSimulation {
 
  private:
   struct Dev {
-    Bytes key;
-    // Midstate cache over `key` (built at provisioning): attest MACs
-    // resume it instead of re-running the HMAC key schedule per round.
+    // Midstate cache over K_{mi,Vrf}, copied from the verifier at
+    // provisioning: attest MACs resume it instead of re-running the
+    // HMAC key schedule per round.
     crypto::PrecomputedMac mac;
     Bytes content;      // actual "PMEM" (synthetic path)
     bool compromised = false;

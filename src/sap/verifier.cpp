@@ -62,7 +62,8 @@ const Bytes& Verifier::expected_content(net::NodeId id) const {
   return expected_[id - 1];
 }
 
-const crypto::PrecomputedMac& Verifier::mac_for(net::NodeId id) const {
+const crypto::PrecomputedMac& Verifier::device_mac(net::NodeId id) const {
+  check_id(id);
   auto& cache = mac_cache_[id - 1];
   if (!cache.ready()) {
     Bytes key = device_key(id);
@@ -74,10 +75,10 @@ const crypto::PrecomputedMac& Verifier::mac_for(net::NodeId id) const {
 
 void Verifier::expected_token_into(net::NodeId id, std::uint32_t chal,
                                    crypto::MacBuf& out) const {
-  check_id(id);
   std::uint8_t chal_le[4];
   store_u32le(chal_le, chal);
-  mac_for(id).mac_into(expected_[id - 1], BytesView(chal_le, 4), out);
+  const crypto::PrecomputedMac& mac = device_mac(id);  // checks the id
+  mac.mac_into(expected_[id - 1], BytesView(chal_le, 4), out);
 }
 
 Bytes Verifier::expected_token(net::NodeId id, std::uint32_t chal) const {
@@ -104,7 +105,7 @@ Bytes Verifier::expected_result(std::uint32_t chal) const {
         kChunk, static_cast<std::size_t>(device_count_ - base) + 1);
     for (std::size_t i = 0; i < n; ++i) {
       const net::NodeId id = base + static_cast<net::NodeId>(i);
-      jobs[i] = {&mac_for(id), expected_[id - 1], chal_view};
+      jobs[i] = {&device_mac(id), expected_[id - 1], chal_view};
     }
     backend.hmac_batch(jobs.data(), n, outs.data());
     for (std::size_t i = 0; i < n; ++i) xor_inplace(acc, outs[i].view());
@@ -133,8 +134,8 @@ Verifier::IdentifyOutcome Verifier::verify_identify(
   for (const auto& report : reports) {
     if (report.id == 0 || report.id > device_count_) continue;
     seen[report.id] = true;
-    jobs.push_back({&mac_for(report.id), expected_[report.id - 1], chal_view,
-                    report.token});
+    jobs.push_back({&device_mac(report.id), expected_[report.id - 1],
+                    chal_view, report.token});
     job_ids.push_back(report.id);
   }
   std::vector<std::uint8_t> ok(jobs.size());
@@ -215,7 +216,7 @@ Verifier::Classification Verifier::classify(
   std::vector<crypto::VerifyJob> jobs(pending.size());
   for (std::size_t i = 0; i < pending.size(); ++i) {
     const auto& report = reports[pending[i].report_idx];
-    jobs[i] = {&mac_for(report.id), expected_[report.id - 1],
+    jobs[i] = {&device_mac(report.id), expected_[report.id - 1],
                BytesView(tick_bytes[i].data(), 4), report.token};
   }
   std::vector<std::uint8_t> ok(jobs.size());

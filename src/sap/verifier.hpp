@@ -39,6 +39,11 @@ class Verifier {
   /// K_{mi,Vrf} — the provisioning path hands this to device `id`.
   Bytes device_key(net::NodeId id) const;
 
+  /// HMAC midstates under K_{mi,Vrf}, derived on first use and cached
+  /// for every later verification. Provisioning copies them into the
+  /// simulated device, so each key is derived once per swarm.
+  const crypto::PrecomputedMac& device_mac(net::NodeId id) const;
+
   /// Group key authenticating Vrf's requests (§VIII DoS mitigation);
   /// empty when the feature is disabled.
   Bytes request_auth_key() const;
@@ -118,7 +123,6 @@ class Verifier {
 
  private:
   void check_id(net::NodeId id) const;
-  const crypto::PrecomputedMac& mac_for(net::NodeId id) const;
 
   SapConfig config_;
   std::uint32_t device_count_;

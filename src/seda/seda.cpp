@@ -75,8 +75,9 @@ void SedaSimulation::setup_engine() {
     join_ctrs_ = {&metrics_.counter("seda.join_acks")};
     return;
   }
+  // Subtree-aligned placement, as in sap::SapSimulation::setup_engine.
   engine_ = std::make_unique<sim::ParallelScheduler>(
-      tree_.size(), config_.sim, config_.link.per_hop_latency);
+      net::dfs_preorder(tree_), config_.sim, config_.link.per_hop_latency);
   // Engine mode: network_ is only the configuration surface — every
   // instrument lives in its shard's registry and metrics_ holds the
   // post-run merge.

@@ -35,7 +35,7 @@ constexpr std::size_t kMaxSpareBuffers = 1024;
 constexpr std::uint32_t kMetricsBlobCap = 256 * 1024;
 
 std::uint32_t resolve_ring_slots(std::uint32_t configured,
-                                 std::uint32_t block) noexcept {
+                                 std::uint32_t shard_entities) noexcept {
   std::uint64_t slots = configured;
   if (slots == 0) {
     if (const char* env = std::getenv("CRA_SHARD_RING_SLOTS")) {
@@ -47,10 +47,17 @@ std::uint32_t resolve_ring_slots(std::uint32_t configured,
     // fraction of one shard's entities post to a single peer shard
     // within one lookahead window (synchronized attestation responses
     // do exactly this). ~3 slots per message, 4 per entity is generous.
-    slots = std::max<std::uint64_t>(4096, 4ull * block);
+    slots = std::max<std::uint64_t>(4096, 4ull * shard_entities);
   }
   slots = std::min<std::uint64_t>(slots, 1u << 16);
   return std::bit_ceil(static_cast<std::uint32_t>(slots));
+}
+
+/// Start of run `k` when `n` items are cut into `parts` equal contiguous
+/// runs (the first n % parts runs take one item more).
+std::uint32_t run_start(std::uint32_t n, std::uint32_t parts,
+                        std::uint32_t k) noexcept {
+  return k * (n / parts) + std::min(k, n % parts);
 }
 
 }  // namespace
@@ -64,19 +71,32 @@ ShardTransport SimConfig::resolved_transport() const noexcept {
   return processes > 1 ? ShardTransport::kShm : ShardTransport::kInproc;
 }
 
-ParallelScheduler::ParallelScheduler(std::uint32_t entities, SimConfig config,
-                                     Duration lookahead)
+ParallelScheduler::ParallelScheduler(std::span<const std::uint32_t> order,
+                                     SimConfig config, Duration lookahead)
     : lookahead_(lookahead) {
-  if (entities == 0) entities = 1;
+  const auto entities = static_cast<std::uint32_t>(order.size());
   std::uint32_t shards = config.effective_shards();
   if (shards == 0) shards = 1;
-  shard_count_ = std::min(shards, entities);
+  shard_count_ = std::max<std::uint32_t>(1, std::min(shards, entities));
   threads_ = std::max<std::uint32_t>(1, std::min(config.threads, shard_count_));
   if (shard_count_ > 1 && lookahead_ <= Duration::zero()) {
     throw std::invalid_argument(
         "ParallelScheduler: sharding requires positive lookahead");
   }
-  block_ = (entities + shard_count_ - 1) / shard_count_;
+  constexpr std::uint32_t kUnplaced =
+      std::numeric_limits<std::uint32_t>::max();
+  shard_of_.assign(entities, kUnplaced);
+  for (std::uint32_t s = 0; s < shard_count_; ++s) {
+    const std::uint32_t begin = run_start(entities, shard_count_, s);
+    const std::uint32_t end = run_start(entities, shard_count_, s + 1);
+    for (std::uint32_t i = begin; i < end; ++i) {
+      if (order[i] >= entities || shard_of_[order[i]] != kUnplaced) {
+        throw std::invalid_argument(
+            "ParallelScheduler: entity order is not a permutation");
+      }
+      shard_of_[order[i]] = s;
+    }
+  }
   pin_ = config.pin;
   processes_ = std::max<std::uint32_t>(1, config.processes);
   if (processes_ > shard_count_) processes_ = shard_count_;
@@ -94,7 +114,8 @@ ParallelScheduler::ParallelScheduler(std::uint32_t entities, SimConfig config,
   if (shard_count_ == 1) return;
 
   if (transport_ == ShardTransport::kShm) {
-    ring_slots_ = resolve_ring_slots(config.ring_slots, block_);
+    ring_slots_ = resolve_ring_slots(
+        config.ring_slots, run_start(entities, shard_count_, 1));
     metrics_blob_cap_ = kMetricsBlobCap;
     std::size_t bytes = 0;
     bytes += sizeof(ShmBarrierCell) + 64;
@@ -131,11 +152,8 @@ const char* ParallelScheduler::transport_name() const noexcept {
 
 std::pair<std::uint32_t, std::uint32_t> ParallelScheduler::owned_shards(
     std::uint32_t rank) const noexcept {
-  const std::uint32_t base = shard_count_ / processes_;
-  const std::uint32_t rem = shard_count_ % processes_;
-  const std::uint32_t lo = rank * base + std::min(rank, rem);
-  const std::uint32_t count = base + (rank < rem ? 1 : 0);
-  return {lo, lo + count};
+  return {run_start(shard_count_, processes_, rank),
+          run_start(shard_count_, processes_, rank + 1)};
 }
 
 bool ParallelScheduler::owns_shard(std::uint32_t s) const noexcept {

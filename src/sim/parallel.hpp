@@ -3,9 +3,9 @@
 // The single-threaded Scheduler dispatches a global event queue in time
 // order; a million-device SAP round schedules a few million events on
 // one core. This engine partitions simulation endpoints ("entities" —
-// for the protocol layers, tree positions) into contiguous shards, one
-// classic Scheduler per shard, and runs the shards concurrently over a
-// worker pool. Correctness rests on the classic conservative-lookahead
+// for the protocol layers, tree positions) into shards, one classic
+// Scheduler per shard, and runs the shards concurrently over a worker
+// pool. Correctness rests on the classic conservative-lookahead
 // argument (Chandy/Misra/Bryant):
 //
 //   every cross-shard interaction is a message with latency >= L
@@ -35,6 +35,16 @@
 //     the epoch reduction runs over shared-memory cells with a
 //     seqlock-published horizon instead of a std::barrier.
 //
+// Placement: the caller hands the constructor an entity order, and the
+// engine cuts it into equal contiguous runs, one per shard. The protocol
+// layers pass the DFS preorder of their deployment tree
+// (net::dfs_preorder), in which every subtree is one contiguous run. A
+// shard then owns whole subtrees, so the only tree edges that cross
+// shards hang off the ancestors of the run boundaries — at most
+// (shards − 1) × depth × degree of them — and every tree level, hence
+// every epoch of a flood down or a report climb up the tree, is spread
+// over all shards instead of sitting on one or two of them.
+//
 // Determinism: each shard is a deterministic Scheduler (FIFO among
 // same-time events), channel lanes are drained in fixed source-shard
 // order, and the horizon sequence depends only on event timestamps —
@@ -56,6 +66,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -126,10 +137,13 @@ class ParallelScheduler {
   using MessageSink = std::function<void(ShardMessage&&)>;
   using MessageViewSink = std::function<void(const ShardMessageView&)>;
 
-  /// Partitions entities 0..entities-1 into contiguous blocks, one per
-  /// shard. `lookahead` is the minimum cross-shard event latency and
-  /// must be positive when more than one shard is configured.
-  ParallelScheduler(std::uint32_t entities, SimConfig config,
+  /// Places entities 0..order.size()-1 by cutting `order` — a
+  /// permutation of them — into equal contiguous runs, one per shard:
+  /// run sizes differ by at most one, and order[0] lands on shard 0.
+  /// Throws std::invalid_argument when `order` is not a permutation.
+  /// `lookahead` is the minimum cross-shard event latency and must be
+  /// positive when more than one shard is configured.
+  ParallelScheduler(std::span<const std::uint32_t> order, SimConfig config,
                     Duration lookahead);
   ~ParallelScheduler();
 
@@ -144,9 +158,10 @@ class ParallelScheduler {
   const char* transport_name() const noexcept;
   std::uint32_t processes() const noexcept { return processes_; }
 
+  /// Owning shard of `entity`; entities past the placed range map to
+  /// the last shard.
   std::uint32_t shard_of(std::uint32_t entity) const noexcept {
-    const std::uint32_t s = entity / block_;
-    return s < shard_count_ ? s : shard_count_ - 1;
+    return entity < shard_of_.size() ? shard_of_[entity] : shard_count_ - 1;
   }
   Scheduler& shard(std::uint32_t s) noexcept { return shards_[s]->sched; }
   Scheduler& shard_for(std::uint32_t entity) noexcept {
@@ -284,7 +299,7 @@ class ParallelScheduler {
 
   std::uint32_t shard_count_;
   std::uint32_t threads_;
-  std::uint32_t block_;
+  std::vector<std::uint32_t> shard_of_;  // entity -> owning shard
   Duration lookahead_;
   ShardTransport transport_ = ShardTransport::kInproc;
   std::uint32_t processes_ = 1;

@@ -1,5 +1,6 @@
 #include "sim/scheduler.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace cra::sim {
@@ -8,10 +9,11 @@ EventHandle Scheduler::schedule_at(SimTime at, Callback cb) {
   if (at < now_) {
     throw std::invalid_argument("Scheduler: cannot schedule in the past");
   }
-  const std::uint64_t seq = next_seq_++;
-  live_.insert(seq);
-  queue_.push(Event{at, seq, seq, std::move(cb)});
-  return EventHandle(seq);
+  const std::uint32_t slot = acquire_slot();
+  slots_[slot].cb = std::move(cb);
+  queue_.push_back(Entry{at, next_seq_++, slot});
+  std::push_heap(queue_.begin(), queue_.end(), Later{});
+  return EventHandle(slot, slots_[slot].gen);
 }
 
 EventHandle Scheduler::schedule_after(Duration delay, Callback cb) {
@@ -19,25 +21,53 @@ EventHandle Scheduler::schedule_after(Duration delay, Callback cb) {
 }
 
 bool Scheduler::cancel(EventHandle handle) {
-  if (!handle.valid()) return false;
-  if (live_.find(handle.id_) == live_.end()) return false;
-  return cancelled_.insert(handle.id_).second;
+  if (!handle.valid() || handle.slot_ >= slots_.size()) return false;
+  Slot& s = slots_[handle.slot_];
+  if (s.gen != handle.gen_ || s.cancelled) return false;
+  s.cancelled = true;
+  ++cancelled_;
+  return true;
+}
+
+Scheduler::Entry Scheduler::pop_earliest() noexcept {
+  std::pop_heap(queue_.begin(), queue_.end(), Later{});
+  const Entry e = queue_.back();
+  queue_.pop_back();
+  return e;
+}
+
+std::uint32_t Scheduler::acquire_slot() {
+  if (free_head_ != kNoSlot) {
+    const std::uint32_t slot = free_head_;
+    free_head_ = slots_[slot].next_free;
+    return slot;
+  }
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void Scheduler::release_slot(std::uint32_t slot) noexcept {
+  Slot& s = slots_[slot];
+  s.cb = Callback();
+  if (s.cancelled) {
+    s.cancelled = false;
+    --cancelled_;
+  }
+  if (++s.gen == 0) s.gen = 1;  // 0 marks the inert handle
+  s.next_free = free_head_;
+  free_head_ = slot;
 }
 
 bool Scheduler::dispatch_next() {
   while (!queue_.empty()) {
-    // priority_queue::top() is const; the callback is moved out via a
-    // const_cast that is safe because pop() immediately follows.
-    Event& top = const_cast<Event&>(queue_.top());
-    const SimTime at = top.at;
-    const std::uint64_t id = top.id;
-    Callback cb = std::move(top.cb);
-    queue_.pop();
-    live_.erase(id);
-    if (cancelled_.erase(id) > 0) {
-      continue;  // cancelled while pending
-    }
-    now_ = at;
+    const Entry e = pop_earliest();
+    const bool cancelled = slots_[e.slot].cancelled;
+    // Move the callback out before releasing the slot: the callback may
+    // schedule events that reuse the slot or grow the table.
+    Callback cb = std::move(slots_[e.slot].cb);
+    release_slot(e.slot);
+    if (cancelled) continue;
+    now_ = e.at;
     ++dispatched_;
     cb();
     return true;
@@ -54,7 +84,7 @@ std::size_t Scheduler::run() {
 std::size_t Scheduler::run_until(SimTime until) {
   std::size_t n = 0;
   purge_cancelled();
-  while (!queue_.empty() && queue_.top().at <= until) {
+  while (!queue_.empty() && queue_.front().at <= until) {
     if (dispatch_next()) ++n;
     purge_cancelled();
   }
@@ -65,7 +95,7 @@ std::size_t Scheduler::run_until(SimTime until) {
 std::size_t Scheduler::run_before(SimTime limit) {
   std::size_t n = 0;
   purge_cancelled();
-  while (!queue_.empty() && queue_.top().at < limit) {
+  while (!queue_.empty() && queue_.front().at < limit) {
     if (dispatch_next()) ++n;
     purge_cancelled();
   }
@@ -75,24 +105,20 @@ std::size_t Scheduler::run_before(SimTime limit) {
 std::optional<SimTime> Scheduler::peek_next_time() {
   purge_cancelled();
   if (queue_.empty()) return std::nullopt;
-  return queue_.top().at;
+  return queue_.front().at;
 }
 
 void Scheduler::purge_cancelled() {
-  while (!queue_.empty() && cancelled_.count(queue_.top().id) > 0) {
-    const std::uint64_t id = queue_.top().id;
-    queue_.pop();
-    live_.erase(id);
-    cancelled_.erase(id);
+  while (!queue_.empty() && slots_[queue_.front().slot].cancelled) {
+    release_slot(pop_earliest().slot);
   }
 }
 
 bool Scheduler::step() { return dispatch_next(); }
 
 void Scheduler::clear_pending() noexcept {
-  queue_ = decltype(queue_){};
-  live_.clear();
-  cancelled_.clear();
+  for (const Entry& e : queue_) release_slot(e.slot);
+  queue_.clear();
 }
 
 }  // namespace cra::sim

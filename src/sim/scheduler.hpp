@@ -7,12 +7,18 @@
 // (net/) are written against this interface; a million-device SAP round
 // schedules a few million events, so both scheduling and dispatch are
 // allocation-lean.
+//
+// Event bookkeeping is hash-free. A pending event's callback waits in a
+// slot of a recycled slot table; the time-ordered heap holds only
+// (time, seq, slot) entries. Each slot carries a generation, bumped
+// whenever the slot is released, and a cancelled flag — so cancel() is
+// one index plus a generation compare, and a handle whose event already
+// ran (or was dropped) is inert even after its slot has been reused.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 #include "sim/callback.hpp"
@@ -25,12 +31,14 @@ namespace cra::sim {
 class EventHandle {
  public:
   EventHandle() = default;
-  bool valid() const noexcept { return id_ != 0; }
+  bool valid() const noexcept { return gen_ != 0; }
 
  private:
   friend class Scheduler;
-  explicit EventHandle(std::uint64_t id) noexcept : id_(id) {}
-  std::uint64_t id_ = 0;
+  EventHandle(std::uint32_t slot, std::uint32_t gen) noexcept
+      : slot_(slot), gen_(gen) {}
+  std::uint32_t slot_ = 0;
+  std::uint32_t gen_ = 0;  // 0 = inert; live generations start at 1
 };
 
 class Scheduler {
@@ -80,49 +88,57 @@ class Scheduler {
   /// Dispatch exactly one event if available; returns false on empty.
   bool step();
 
-  /// Drop every pending event (queue and the live/cancelled id sets);
-  /// now() and dispatched() are untouched, and cancel() on a handle of a
-  /// dropped event safely returns false. The multi-process engine uses
-  /// this to discard a non-owned shard's local copy of the SPMD setup
-  /// events — the shard's owning process runs the authoritative copy
-  /// (see sim/parallel.cpp).
+  /// Drop every pending event, cancelled or not; now() and dispatched()
+  /// are untouched, and cancel() on a handle of a dropped event safely
+  /// returns false. The multi-process engine uses this to discard a
+  /// non-owned shard's local copy of the SPMD setup events — the shard's
+  /// owning process runs the authoritative copy (see sim/parallel.cpp).
   void clear_pending() noexcept;
 
-  /// Number of events that would still dispatch (live minus pending
-  /// cancellations). Counted from the live-id set, not the raw queue, so
-  /// the result can never underflow even if a cancelled event has been
-  /// purged from the queue while its id lingers in cancelled_.
-  std::size_t pending() const noexcept {
-    std::size_t cancelled_live = 0;
-    for (const std::uint64_t id : cancelled_) {
-      cancelled_live += live_.count(id);
-    }
-    return live_.size() - cancelled_live;
-  }
+  /// Number of events that would still dispatch: queued events minus
+  /// the queued ones flagged cancelled.
+  std::size_t pending() const noexcept { return queue_.size() - cancelled_; }
 
   /// Total events dispatched over the scheduler's lifetime.
   std::uint64_t dispatched() const noexcept { return dispatched_; }
 
  private:
-  struct Event {
+  static constexpr std::uint32_t kNoSlot =
+      std::numeric_limits<std::uint32_t>::max();
+
+  // Heap entries stay small and trivially movable; the callback waits in
+  // slots_[slot] until dispatch.
+  struct Entry {
     SimTime at;
     std::uint64_t seq;
-    std::uint64_t id;
-    Callback cb;
+    std::uint32_t slot;
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const noexcept {
+    bool operator()(const Entry& a, const Entry& b) const noexcept {
       if (a.at != b.at) return a.at > b.at;
       return a.seq > b.seq;
     }
   };
+  struct Slot {
+    Callback cb;
+    std::uint32_t gen = 1;              // matches live handles only
+    std::uint32_t next_free = kNoSlot;  // intrusive free list
+    bool cancelled = false;
+  };
 
   bool dispatch_next();
   void purge_cancelled();
+  /// Remove the earliest entry from the heap and return it.
+  Entry pop_earliest() noexcept;
+  std::uint32_t acquire_slot();
+  /// Destroy the slot's callback, clear its flag, bump its generation
+  /// (stale handles go inert) and put it on the free list.
+  void release_slot(std::uint32_t slot) noexcept;
 
-  std::priority_queue<Event, std::vector<Event>, Later> queue_;
-  std::unordered_set<std::uint64_t> cancelled_;  // pending-but-cancelled ids
-  std::unordered_set<std::uint64_t> live_;       // ids still in the queue
+  std::vector<Entry> queue_;  // binary min-heap on (at, seq)
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNoSlot;
+  std::size_t cancelled_ = 0;  // queued events flagged cancelled
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;
   std::uint64_t dispatched_ = 0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 namespace cra::net {
 namespace {
@@ -84,6 +85,31 @@ TEST(Tree, RandomTreeDeterministicPerSeed) {
   const Tree tb = random_tree(100, 2, b);
   for (NodeId n = 1; n < ta.size(); ++n) {
     EXPECT_EQ(ta.parent(n), tb.parent(n));
+  }
+}
+
+TEST(Tree, DfsPreorderKeepsEverySubtreeContiguous) {
+  EXPECT_EQ(dfs_preorder(balanced_kary_tree(6)),
+            (std::vector<NodeId>{0, 1, 3, 4, 2, 5, 6}));
+
+  Rng rng(17);
+  for (const Tree& t : {random_tree(2'000, 3, rng), line_tree(100'000),
+                        star_tree(50)}) {
+    const std::vector<NodeId> order = dfs_preorder(t);
+    ASSERT_EQ(order.size(), t.size());
+    std::vector<std::uint32_t> index(t.size(), t.size());
+    for (std::uint32_t i = 0; i < order.size(); ++i) {
+      ASSERT_EQ(index[order[i]], t.size()) << "node listed twice";
+      index[order[i]] = i;
+    }
+    // Subtree n occupies exactly [index[n], index[n] + size[n]).
+    std::vector<std::uint32_t> size(t.size(), 1);
+    for (NodeId n = t.size() - 1; n >= 1; --n) size[t.parent(n)] += size[n];
+    for (NodeId n = 1; n < t.size(); ++n) {
+      const NodeId p = t.parent(n);
+      EXPECT_GT(index[n], index[p]);
+      EXPECT_LT(index[n], index[p] + size[p]);
+    }
   }
 }
 

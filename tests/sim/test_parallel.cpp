@@ -7,20 +7,32 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/rng.hpp"
+#include "net/topology.hpp"
 #include "sap/swarm.hpp"
 #include "seda/seda.hpp"
 
 namespace cra::sim {
 namespace {
 
+/// Entities 0..n-1 in id order.
+std::vector<std::uint32_t> ids(std::uint32_t n) {
+  std::vector<std::uint32_t> order(n);
+  std::iota(order.begin(), order.end(), 0u);
+  return order;
+}
+
 TEST(ParallelScheduler, SingleShardForwardsToClassic) {
   // threads=1, shards=0 -> one shard: the engine is the classic queue.
-  ParallelScheduler engine(8, SimConfig{}, Duration::from_ms(1));
+  ParallelScheduler engine(ids(8), SimConfig{}, Duration::from_ms(1));
   EXPECT_EQ(engine.shard_count(), 1u);
 
   std::vector<int> order;
@@ -37,23 +49,92 @@ TEST(ParallelScheduler, ShardOfPartitionsContiguously) {
   SimConfig cfg;
   cfg.threads = 1;
   cfg.shards = 4;
-  ParallelScheduler engine(10, cfg, Duration::from_ms(1));
+  // Ten entities cut into contiguous runs of the given order, sizes
+  // 3,3,2,2: {9,4,7} {0,2,5} {8,1} {3,6}.
+  const std::vector<std::uint32_t> order{9, 4, 7, 0, 2, 5, 8, 1, 3, 6};
+  ParallelScheduler engine(order, cfg, Duration::from_ms(1));
   EXPECT_EQ(engine.shard_count(), 4u);
-  // block = ceil(10/4) = 3: [0,2] [3,5] [6,8] [9].
-  EXPECT_EQ(engine.shard_of(0), 0u);
-  EXPECT_EQ(engine.shard_of(2), 0u);
-  EXPECT_EQ(engine.shard_of(3), 1u);
-  EXPECT_EQ(engine.shard_of(8), 2u);
-  EXPECT_EQ(engine.shard_of(9), 3u);
+  const std::vector<std::uint32_t> shard_of_entity{1, 2, 1, 3, 0,
+                                                   1, 3, 0, 2, 0};
+  for (std::uint32_t e = 0; e < shard_of_entity.size(); ++e) {
+    EXPECT_EQ(engine.shard_of(e), shard_of_entity[e]) << "entity " << e;
+  }
   // Entities past the range still map to the last shard (no UB).
   EXPECT_EQ(engine.shard_of(57), 3u);
+}
+
+TEST(ParallelScheduler, RejectsOrderThatIsNotAPermutation) {
+  SimConfig cfg;
+  cfg.shards = 2;
+  const std::vector<std::uint32_t> repeated{0, 1, 1, 3};
+  const std::vector<std::uint32_t> out_of_range{0, 1, 2, 4};
+  EXPECT_THROW(ParallelScheduler(repeated, cfg, Duration::from_ms(1)),
+               std::invalid_argument);
+  EXPECT_THROW(ParallelScheduler(out_of_range, cfg, Duration::from_ms(1)),
+               std::invalid_argument);
+}
+
+// Subtree-aligned placement: the protocol layers cut the DFS preorder
+// of their deployment tree. Whatever the tree, runs are equal, the
+// verifier's position 0 is on shard 0, and only edges hanging off the
+// ancestors of a run boundary cross shards.
+TEST(ParallelScheduler, DfsPlacementConfinesCrossShardEdges) {
+  Rng rng(2024);
+  std::vector<std::pair<std::string, net::Tree>> trees;
+  trees.emplace_back("binary", net::balanced_kary_tree(5'000, 2));
+  trees.emplace_back("ternary", net::balanced_kary_tree(5'000, 3));
+  trees.emplace_back("random", net::random_tree(5'000, 4, rng));
+  for (const auto& [name, tree] : trees) {
+    for (const std::uint32_t shards : {2u, 3u, 8u}) {
+      SCOPED_TRACE(name + " tree, " + std::to_string(shards) + " shards");
+      SimConfig cfg;
+      cfg.shards = shards;
+      ParallelScheduler engine(net::dfs_preorder(tree), cfg,
+                               Duration::from_ms(1));
+      ASSERT_EQ(engine.shard_count(), shards);
+      EXPECT_EQ(engine.shard_of(0), 0u);
+
+      std::vector<std::uint32_t> sizes(shards, 0);
+      for (net::NodeId n = 0; n < tree.size(); ++n) {
+        ++sizes[engine.shard_of(n)];
+      }
+      const auto [lo, hi] = std::minmax_element(sizes.begin(), sizes.end());
+      EXPECT_LE(*hi - *lo, 1u);
+
+      std::uint32_t crossing = 0;
+      for (net::NodeId n = 1; n < tree.size(); ++n) {
+        crossing += engine.shard_of(n) != engine.shard_of(tree.parent(n));
+      }
+      EXPECT_LE(crossing,
+                (shards - 1) * tree.max_depth() * tree.max_degree());
+    }
+  }
+}
+
+TEST(ParallelScheduler, DfsPlacementSpreadsEveryLevelOverAllShards) {
+  // A perfect binary tree (2^10 - 1 nodes) on 8 shards: every level
+  // with at least 8 nodes has nodes on every shard, so each epoch of a
+  // flood down or a report climb up the tree keeps all shards busy.
+  const net::Tree tree = net::balanced_kary_tree(1'022, 2);
+  SimConfig cfg;
+  cfg.shards = 8;
+  ParallelScheduler engine(net::dfs_preorder(tree), cfg,
+                           Duration::from_ms(1));
+  std::vector<std::set<std::uint32_t>> shards_at_depth(tree.max_depth() +
+                                                       1);
+  for (net::NodeId n = 0; n < tree.size(); ++n) {
+    shards_at_depth[tree.depth(n)].insert(engine.shard_of(n));
+  }
+  for (std::uint32_t d = 3; d <= tree.max_depth(); ++d) {
+    EXPECT_EQ(shards_at_depth[d].size(), 8u) << "depth " << d;
+  }
 }
 
 TEST(ParallelScheduler, ShardCountClampedToEntities) {
   SimConfig cfg;
   cfg.threads = 16;
   cfg.shards = 16;
-  ParallelScheduler engine(3, cfg, Duration::from_ms(1));
+  ParallelScheduler engine(ids(3), cfg, Duration::from_ms(1));
   EXPECT_EQ(engine.shard_count(), 3u);
   EXPECT_LE(engine.threads(), 3u);
 }
@@ -61,17 +142,17 @@ TEST(ParallelScheduler, ShardCountClampedToEntities) {
 TEST(ParallelScheduler, RequiresPositiveLookaheadWhenSharded) {
   SimConfig cfg;
   cfg.threads = 2;
-  EXPECT_THROW(ParallelScheduler(8, cfg, Duration::zero()),
+  EXPECT_THROW(ParallelScheduler(ids(8), cfg, Duration::zero()),
                std::invalid_argument);
   // One shard needs no lookahead: nothing ever crosses a boundary.
-  EXPECT_NO_THROW(ParallelScheduler(8, SimConfig{}, Duration::zero()));
+  EXPECT_NO_THROW(ParallelScheduler(ids(8), SimConfig{}, Duration::zero()));
 }
 
 TEST(ParallelScheduler, FifoAmongTiesWithinShard) {
   SimConfig cfg;
   cfg.threads = 1;
   cfg.shards = 2;
-  ParallelScheduler engine(8, cfg, Duration::from_ms(1));
+  ParallelScheduler engine(ids(8), cfg, Duration::from_ms(1));
 
   // Five same-time events on one entity (= one shard): posted order wins.
   std::vector<int> order;
@@ -91,7 +172,7 @@ TEST(ParallelScheduler, CrossShardCausalityChain) {
   // (CRA_SHARD_TRANSPORT=shm) doesn't redirect the boundary.
   cfg.transport = ShardTransport::kInproc;
   const Duration hop = Duration::from_ms(1);
-  ParallelScheduler engine(2, cfg, hop);
+  ParallelScheduler engine(ids(2), cfg, hop);
 
   // Ping-pong between the two shards: each hop adds exactly the
   // lookahead (the tightest legal cross-shard latency).
@@ -121,7 +202,7 @@ TEST(ParallelScheduler, LookaheadViolationThrows) {
   SimConfig cfg;
   cfg.threads = 1;
   cfg.shards = 2;
-  ParallelScheduler engine(2, cfg, Duration::from_ms(1));
+  ParallelScheduler engine(ids(2), cfg, Duration::from_ms(1));
 
   // A cross-shard post with zero latency lands inside the lookahead
   // window; the engine refuses rather than silently racing.
@@ -141,7 +222,7 @@ std::vector<std::string> run_cascade(std::uint32_t threads) {
   cfg.transport = ShardTransport::kInproc;  // raw closures cross shards
   const std::uint32_t kEntities = 64;
   const Duration hop = Duration::from_ms(1);
-  ParallelScheduler engine(kEntities, cfg, hop);
+  ParallelScheduler engine(ids(kEntities), cfg, hop);
 
   std::vector<std::string> logs(kEntities);
   std::function<void(std::uint32_t, std::uint32_t, int)> visit =
@@ -177,7 +258,7 @@ TEST(ParallelScheduler, RunUntilAdvancesAllShardClocks) {
   SimConfig cfg;
   cfg.threads = 1;
   cfg.shards = 3;
-  ParallelScheduler engine(9, cfg, Duration::from_ms(1));
+  ParallelScheduler engine(ids(9), cfg, Duration::from_ms(1));
   bool ran = false;
   engine.post(4, SimTime::from_ms(2), [&] { ran = true; });
   engine.run_until(SimTime::from_ms(10));

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
 #include <vector>
+
+#include "common/rng.hpp"
 
 namespace cra::sim {
 namespace {
@@ -197,6 +201,223 @@ TEST(Scheduler, PeekNextTimeSkipsCancelled) {
   EXPECT_EQ(s.peek_next_time(), SimTime::from_ms(5));
   s.cancel(h);
   EXPECT_EQ(s.peek_next_time(), SimTime::from_ms(7));
+}
+
+TEST(Scheduler, StaleHandleInertAfterSlotReuse) {
+  // The first event's slot is recycled for the second one; the first
+  // handle must not reach (and cancel) its successor.
+  Scheduler s;
+  const EventHandle first = s.schedule_at(SimTime::from_ms(1), [] {});
+  s.run();
+  bool second_ran = false;
+  s.schedule_at(SimTime::from_ms(2), [&] { second_ran = true; });
+  EXPECT_FALSE(s.cancel(first));
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_TRUE(second_ran);
+}
+
+// --- Randomized equivalence against a plain reference model ----------
+
+/// What an event does when it runs: it logs its id and, per a plan
+/// drawn from the id alone (so both sides agree), schedules one child.
+struct Plan {
+  bool spawn;
+  Duration child_delay;
+};
+
+Plan plan_for(std::uint64_t seed, std::uint32_t id) {
+  SplitMix64 mix(seed * 0x9e3779b97f4a7c15ULL + id);
+  const std::uint64_t v = mix.next();
+  return {v % 4 == 0, Duration::from_ms(static_cast<std::int64_t>(v / 4 % 3))};
+}
+
+/// The reference: pending events in a flat list, dispatch by linear
+/// scan for the smallest (time, seq); cancellation removes the event.
+class ReferenceScheduler {
+ public:
+  ReferenceScheduler(std::uint64_t seed, std::vector<std::uint32_t>& log)
+      : seed_(seed), log_(log) {}
+
+  SimTime now() const { return now_; }
+  std::size_t pending() const { return events_.size(); }
+  std::uint64_t dispatched() const { return dispatched_; }
+  std::uint32_t issued() const { return next_id_; }
+
+  /// Returns the new event's id, or nullopt when `at` is in the past.
+  std::optional<std::uint32_t> schedule_at(SimTime at) {
+    if (at < now_) return std::nullopt;
+    events_.push_back({at, next_seq_++, next_id_});
+    return next_id_++;
+  }
+  bool cancel(std::uint32_t id) {
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+      if (events_[i].id == id) {
+        events_.erase(events_.begin() + static_cast<std::ptrdiff_t>(i));
+        return true;
+      }
+    }
+    return false;
+  }
+  std::optional<SimTime> peek_next_time() const {
+    const auto i = earliest();
+    if (!i) return std::nullopt;
+    return events_[*i].at;
+  }
+  std::size_t run_while(bool (*keep)(SimTime, SimTime), SimTime bound) {
+    std::size_t n = 0;
+    for (auto i = earliest(); i && keep(events_[*i].at, bound);
+         i = earliest()) {
+      dispatch(*i);
+      ++n;
+    }
+    return n;
+  }
+  std::size_t run_until(SimTime until) {
+    const std::size_t n = run_while(
+        [](SimTime at, SimTime b) { return at <= b; }, until);
+    if (now_ < until) now_ = until;
+    return n;
+  }
+  std::size_t run_before(SimTime limit) {
+    return run_while([](SimTime at, SimTime b) { return at < b; }, limit);
+  }
+  std::size_t run() {
+    return run_while([](SimTime, SimTime) { return true; }, SimTime::zero());
+  }
+  bool step() {
+    const auto i = earliest();
+    if (!i) return false;
+    dispatch(*i);
+    return true;
+  }
+  void clear_pending() { events_.clear(); }
+
+ private:
+  struct Event {
+    SimTime at;
+    std::uint64_t seq;
+    std::uint32_t id;
+  };
+
+  std::optional<std::size_t> earliest() const {
+    std::optional<std::size_t> best;
+    for (std::size_t i = 0; i < events_.size(); ++i) {
+      const Event& e = events_[i];
+      if (!best || e.at < events_[*best].at ||
+          (e.at == events_[*best].at && e.seq < events_[*best].seq)) {
+        best = i;
+      }
+    }
+    return best;
+  }
+  void dispatch(std::size_t i) {
+    const Event e = events_[i];
+    events_.erase(events_.begin() + static_cast<std::ptrdiff_t>(i));
+    now_ = e.at;
+    ++dispatched_;
+    log_.push_back(e.id);
+    const Plan plan = plan_for(seed_, e.id);
+    if (plan.spawn) schedule_at(now_ + plan.child_delay);
+  }
+
+  std::uint64_t seed_;
+  std::vector<std::uint32_t>& log_;
+  std::vector<Event> events_;
+  SimTime now_ = SimTime::zero();
+  std::uint64_t next_seq_ = 0;
+  std::uint32_t next_id_ = 0;
+  std::uint64_t dispatched_ = 0;
+};
+
+/// The scheduler under test, driven with the same ids and plans.
+class Subject {
+ public:
+  Subject(std::uint64_t seed, std::vector<std::uint32_t>& log)
+      : seed_(seed), log_(log) {}
+
+  Scheduler& sched() { return s_; }
+
+  std::optional<std::uint32_t> schedule_at(SimTime at) {
+    const std::uint32_t id = static_cast<std::uint32_t>(handles_.size());
+    try {
+      handles_.push_back(s_.schedule_at(at, [this, id] { ran(id); }));
+    } catch (const std::invalid_argument&) {
+      return std::nullopt;
+    }
+    return id;
+  }
+  bool cancel(std::uint32_t id) { return s_.cancel(handles_.at(id)); }
+
+ private:
+  void ran(std::uint32_t id) {
+    log_.push_back(id);
+    const Plan plan = plan_for(seed_, id);
+    if (plan.spawn) schedule_at(s_.now() + plan.child_delay);
+  }
+
+  std::uint64_t seed_;
+  std::vector<std::uint32_t>& log_;
+  Scheduler s_;
+  std::vector<EventHandle> handles_;  // index = event id
+};
+
+TEST(Scheduler, MatchesReferenceModelUnderRandomOperations) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::vector<std::uint32_t> want_log, got_log;
+    ReferenceScheduler ref(seed, want_log);
+    Subject sub(seed, got_log);
+    Scheduler& s = sub.sched();
+    Rng rng(seed);
+    std::uint64_t stale_cancels = 0;
+    auto near = [&](std::uint64_t span_ms) {
+      return ref.now() + Duration::from_ms(static_cast<std::int64_t>(
+                             rng.next_below(span_ms + 1)));
+    };
+    for (int op = 0; op < 4'000; ++op) {
+      const std::uint64_t pick = rng.next_below(100);
+      if (pick < 40) {
+        // Mostly near-future times (many ties); 1 in 16 in the past.
+        SimTime at = near(5);
+        if (rng.next_below(16) == 0 && ref.now() > SimTime::zero()) {
+          at = ref.now() - Duration::from_ms(1);
+        }
+        const auto want = ref.schedule_at(at);
+        ASSERT_EQ(sub.schedule_at(at), want) << "op " << op;
+      } else if (pick < 62) {
+        if (ref.issued() == 0) continue;
+        // Any id ever issued: live, cancelled, dispatched or dropped —
+        // most of the latter have had their slots reused since.
+        const auto id =
+            static_cast<std::uint32_t>(rng.next_below(ref.issued()));
+        const bool want = ref.cancel(id);
+        ASSERT_EQ(sub.cancel(id), want) << "op " << op << " id " << id;
+        if (!want) ++stale_cancels;
+      } else if (pick < 74) {
+        const SimTime limit = near(4);
+        ASSERT_EQ(s.run_before(limit), ref.run_before(limit)) << "op " << op;
+      } else if (pick < 84) {
+        const SimTime until = near(4);
+        ASSERT_EQ(s.run_until(until), ref.run_until(until)) << "op " << op;
+      } else if (pick < 91) {
+        ASSERT_EQ(s.peek_next_time(), ref.peek_next_time()) << "op " << op;
+      } else if (pick < 96) {
+        ASSERT_EQ(s.step(), ref.step()) << "op " << op;
+      } else if (pick < 98) {
+        s.clear_pending();
+        ref.clear_pending();
+      } else {
+        ASSERT_EQ(s.run(), ref.run()) << "op " << op;
+      }
+      ASSERT_EQ(got_log, want_log) << "op " << op;
+      ASSERT_EQ(s.pending(), ref.pending()) << "op " << op;
+      ASSERT_EQ(s.now(), ref.now()) << "op " << op;
+      ASSERT_EQ(s.dispatched(), ref.dispatched()) << "op " << op;
+    }
+    EXPECT_GT(want_log.size(), 500u);
+    EXPECT_GT(stale_cancels, 100u);
+  }
 }
 
 }  // namespace

@@ -262,7 +262,8 @@ TEST(EngineContract, ForeignThreadPostThrowsOnlyWhileRunning) {
   cfg.threads = 1;
   cfg.shards = 2;
   cfg.transport = ShardTransport::kInproc;
-  ParallelScheduler engine(4, cfg, Duration::from_ms(1));
+  ParallelScheduler engine(std::vector<std::uint32_t>{0, 1, 2, 3}, cfg,
+                           Duration::from_ms(1));
 
   bool threw_while_running = false;
   engine.post(0, SimTime::from_ms(1), [&] {
@@ -293,7 +294,8 @@ TEST(EngineContract, ShmRejectsCrossShardClosures) {
   cfg.threads = 1;
   cfg.shards = 2;
   cfg.transport = ShardTransport::kShm;
-  ParallelScheduler engine(4, cfg, Duration::from_ms(1));
+  ParallelScheduler engine(std::vector<std::uint32_t>{0, 1, 2, 3}, cfg,
+                           Duration::from_ms(1));
   engine.post(0, SimTime::from_ms(1), [&] {
     engine.post(3, SimTime::from_ms(5), [] {});  // closure across shards
   });
