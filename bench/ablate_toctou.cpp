@@ -39,7 +39,7 @@ double detection_rate(double window_over_period, int trials,
     // The malware window opens at a random phase within the first period.
     const auto phase = sim::Duration(static_cast<std::int64_t>(
         rng.next_below(static_cast<std::uint64_t>(period.ns()))));
-    const sim::SimTime t_infect = swarm.scheduler().now() + phase;
+    const sim::SimTime t_infect = swarm.current_time() + phase;
     const sim::SimTime t_clean = t_infect + window;
 
     // What the round's measurement will see is the device state at
@@ -47,14 +47,14 @@ double detection_rate(double window_over_period, int trials,
     // victim's state for that instant exactly.
     bool caught = false;
     bool dirty = false;
-    const sim::SimTime start = swarm.scheduler().now();
+    const sim::SimTime start = swarm.current_time();
     for (int round = 0; round < 4; ++round) {  // cover several periods
       const sim::SimTime boundary = start + period * round;
-      if (boundary > swarm.scheduler().now()) {
-        swarm.advance_time(boundary - swarm.scheduler().now());
+      if (boundary > swarm.current_time()) {
+        swarm.advance_time(boundary - swarm.current_time());
       }
       const std::uint32_t tick = swarm.clock().time_to_tick_ceil(
-          swarm.scheduler().now() +
+          swarm.current_time() +
           sap::request_lead_time(cfg, swarm.tree().max_depth()));
       const sim::SimTime t_att = swarm.clock().tick_to_time(tick);
       const bool should_be_dirty = t_att >= t_infect && t_att < t_clean;

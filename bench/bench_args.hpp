@@ -1,10 +1,9 @@
 // Shared command-line handling for the bench drivers.
 //
 // Flags:
-//   --threads N         run the simulated rounds on the sharded parallel
-//                       engine with N worker threads (1 = the classic
-//                       single-threaded engine, byte-identical output to
-//                       the flag-less run)
+//   --threads N         run the simulated rounds with N worker threads,
+//                       one shard each (1 = one shard, the serial event
+//                       loop, byte-identical output to the flag-less run)
 //   --devices N         replace the default size sweep with the single
 //                       size N
 //   --metrics-json PATH write the merged MetricsRegistry of the run as
@@ -53,8 +52,8 @@ using ExtraFlag = std::function<bool(
 inline void print_usage(const char* prog, const char* extra_usage = nullptr) {
   std::fprintf(stderr,
                "usage: %s [options]\n"
-               "  --threads N         worker threads for the sharded engine "
-               "(1 = classic)\n"
+               "  --threads N         worker threads, one shard each "
+               "(1 = serial)\n"
                "  --devices N         override the bench's size sweep with N\n"
                "  --metrics-json PATH write merged metrics JSON to PATH\n"
                "  --trace-out PATH    write Chrome trace_event JSON to PATH\n"

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "wall: N=%u threads=%u sap=%.3fs seda=%.3fs\n", n,
                  args.threads, sap_wall, seda_wall);
     if (args.threads > 1) {
-      // Speedup vs the classic engine on the same swarm.
+      // Speedup vs one shard (the serial event loop) on the same swarm.
       sap::SapConfig serial_sap = sap_cfg;
       serial_sap.sim = sim::SimConfig{};
       seda::SedaConfig serial_seda = seda_cfg;

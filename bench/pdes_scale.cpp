@@ -10,7 +10,8 @@
 //   * transports: --transport inproc vs shm
 //   * worker threads: --threads 1/2/8
 //   * process placements: --procs 1/2/... (shm transport)
-//   * and the classic single-queue engine (--shards 1)
+//   * and the single-shard placement (--shards 1), which runs the
+//     serial event loop
 //
 // CI's shard-transport-matrix job runs this at several placements and
 // jq-asserts the digests agree. Wall-clock rates go to stderr; stdout
@@ -139,8 +140,8 @@ int main(int argc, char** argv) {
   auto swarm = sap::SapSimulation::balanced(cfg, devices);
   if (loss > 0.0) swarm.network().set_loss_rate(loss, /*seed=*/42);
 
-  const sim::ParallelScheduler* eng = swarm.engine();
-  if (procs > 1 && (eng == nullptr || eng->processes() != procs)) {
+  const sim::ParallelScheduler& eng = *swarm.engine();
+  if (procs > 1 && eng.processes() != procs) {
     std::fprintf(stderr,
                  "pdes_scale: --procs %u needs a sharded shm engine "
                  "(check --shards/--threads and the transport)\n",
@@ -150,9 +151,7 @@ int main(int argc, char** argv) {
 
   sim::ProcessGroup& pg = sim::ProcessGroup::instance();
   std::uint32_t rank = 0;
-  if (eng != nullptr && eng->processes() > 1) {
-    rank = pg.spawn(eng->processes());
-  }
+  if (eng.processes() > 1) rank = pg.spawn(eng.processes());
 
   std::uint64_t digest = kFnvOffset;
   bool all_verified = true;
@@ -183,7 +182,7 @@ int main(int argc, char** argv) {
   if (rank != 0) pg.child_exit(0);
   if (pg.size() > 1) pg.join();
 
-  const std::uint64_t events = eng != nullptr ? eng->dispatched() : 0;
+  const std::uint64_t events = eng.dispatched();
   std::fprintf(stderr,
                "wall: devices=%u rounds=%u %.3fs (%.0f events/s)\n", devices,
                rounds, sec, sec > 0 ? static_cast<double>(events) / sec : 0.0);
@@ -195,13 +194,8 @@ int main(int argc, char** argv) {
       "\"digest\":\"%016" PRIx64 "\",\"events\":%" PRIu64
       ",\"cross_posts\":%" PRIu64 ",\"epochs\":%" PRIu64
       ",\"lane_reallocs\":%" PRIu64 "}\n",
-      devices, rounds, eng != nullptr ? eng->shard_count() : 1,
-      eng != nullptr ? eng->threads() : 1,
-      eng != nullptr ? eng->processes() : 1,
-      eng != nullptr ? eng->transport_name() : "classic",
-      all_verified ? "true" : "false", digest, events,
-      eng != nullptr ? eng->cross_shard_posts() : 0,
-      eng != nullptr ? eng->epochs() : 0,
-      eng != nullptr ? eng->lane_reallocs() : 0);
+      devices, rounds, eng.shard_count(), eng.threads(), eng.processes(),
+      eng.transport_name(), all_verified ? "true" : "false", digest, events,
+      eng.cross_shard_posts(), eng.epochs(), eng.lane_reallocs());
   return all_verified ? 0 : 1;
 }

@@ -5,8 +5,8 @@
 //   1. MAC microworkload — HMAC-SHA1 over a SAP-sized token input
 //      (20-byte PMEM digest + 4-byte challenge), one-shot vs the
 //      midstate-cached PrecomputedMac path.
-//   2. A two-round SAP attestation at a fixed swarm size on the classic
-//      single-threaded engine; round 2 runs with a warm payload pool.
+//   2. A two-round SAP attestation at a fixed swarm size on one shard,
+//      the serial event loop; round 2 runs with a warm payload pool.
 //
 // The JSON has two sections: "counters" are pure functions of the
 // workload (compression-function invocations, events dispatched, pool
@@ -158,13 +158,13 @@ int main(int argc, char** argv) {
                lanesN.lanes(crypto::HashAlg::kSha1),
                batch_total / lanesN_sec, lanes1_sec / lanesN_sec);
 
-  // ---- Workload 2: SAP rounds on the classic engine ----
+  // ---- Workload 2: SAP rounds on one shard ----
   // Two rounds: round 1 populates the payload freelist, round 2 is the
   // steady state. Pool tallies reset at each round start, so the
   // reported hit/miss figures describe the warm round only.
   const std::uint32_t devices =
       args.devices != 0 ? args.devices : kDefaultDevices;
-  sap::SapConfig cfg;  // classic engine: counters are exact (tally is
+  sap::SapConfig cfg;  // one shard: counters are exact (the tally is
                        // thread-local and everything runs on this thread)
   auto sim = sap::SapSimulation::balanced(cfg, devices);
 
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
   }
   obs.capture(sim.metrics(), "sap/");
 
-  const std::uint64_t dispatched = sim.scheduler().dispatched();
+  const std::uint64_t dispatched = sim.engine()->dispatched();
   reg.counter("sap.devices").inc(devices);
   reg.counter("sap.rounds").inc(2);
   reg.counter("sap.compression_calls").inc(round_comp);

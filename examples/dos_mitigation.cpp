@@ -36,7 +36,7 @@ Outcome run_scenario(bool authenticate) {
   // racing ahead of the real request.
   const std::uint32_t forged_tick =
       swarm.clock().time_to_tick_ceil(
-          swarm.scheduler().now() +
+          swarm.current_time() +
           cra::sap::request_lead_time(config, swarm.tree().max_depth())) +
       2;
   const cra::Bytes forged = cra::sap::encode_chal(

@@ -1,15 +1,14 @@
 // Replays a FaultPlan onto a running simulation.
 //
 // The injector is engine-agnostic by design: it owns only the windowing
-// cursor (which events have been handed over) and the tally. The
-// simulation passes a callback to arm_until(); for every not-yet-armed
-// event inside the horizon the callback either applies the fault
-// immediately (event time already in the past — e.g. a plan attached
-// mid-run) or schedules it on the scheduler shard that owns the touched
-// state. Because arming happens on the driver thread between runs, and
-// every event carries pre-drawn randomness, replay is byte-identical on
-// the sequential Scheduler and the sharded ParallelScheduler at any
-// thread count.
+// cursor (which events have been handed over) and the tally. The swarm
+// runtime (swarm/runtime.hpp) passes a callback to arm_until(); for
+// every not-yet-armed event inside the horizon the callback either
+// applies the fault immediately (event time already in the past — e.g.
+// a plan attached mid-run) or schedules it on the scheduler shard that
+// owns the touched state. Because arming happens on the driver thread
+// between runs, and every event carries pre-drawn randomness, replay is
+// byte-identical at any shard placement and thread count.
 #pragma once
 
 #include <cstdint>

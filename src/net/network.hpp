@@ -81,7 +81,8 @@ class Network {
 
   /// Route deliveries through the sharded engine instead of this
   /// network's own scheduler (loss, tamper and accounting still happen
-  /// here, on the sending side). Unset = classic single-queue delivery.
+  /// here, on the sending side). Unset = delivery on this network's own
+  /// scheduler.
   void set_router(Router router) { router_ = std::move(router); }
 
   /// Send over one direct link (src and dst adjacent). Delay is

@@ -4,7 +4,6 @@
 #include <array>
 #include <stdexcept>
 
-#include "common/rng.hpp"
 #include "crypto/backend.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/ct.hpp"
@@ -27,8 +26,16 @@ PadsSimulation::PadsSimulation(PadsConfig config, net::Tree tree,
                                std::uint64_t seed)
     : config_(config),
       tree_(std::move(tree)),
-      scheduler_(),
-      network_(scheduler_, config.link),
+      // Device n sits at position n of the deployment tree, so the
+      // runtime's DFS-preorder placement is subtree-aligned here too.
+      rt_(tree_, config.sim, config.link,
+          [this](const net::Message& m) { on_message(m); },
+          [this](const fault::FaultEvent& ev) { on_device_fault(ev); },
+          &dev_at_),
+      stats_(rt_.per_shard([](obs::MetricsRegistry& reg) {
+        return ShardStats{&reg.counter("pads.merges"),
+                          &reg.counter("pads.token_failures")};
+      })),
       master_(master_from_seed(seed)),
       devices_(tree_.device_count()) {
   if (config_.token_size == 0 ||
@@ -56,8 +63,6 @@ PadsSimulation::PadsSimulation(PadsConfig config, net::Tree tree,
   present_.assign(tree_.size(), 1);
   vrf_present_.assign(tree_.size(), 1);
   blocks_ = knowledge_blocks(device_count());
-  network_.set_handler([this](const net::Message& m) { on_message(m); });
-  setup_engine();
 }
 
 PadsSimulation PadsSimulation::balanced(PadsConfig config,
@@ -65,88 +70,6 @@ PadsSimulation PadsSimulation::balanced(PadsConfig config,
                                         std::uint64_t seed) {
   return PadsSimulation(
       config, net::balanced_kary_tree(devices, config.tree_arity), seed);
-}
-
-void PadsSimulation::setup_engine() {
-  // Same sharding precondition as SAP/SEDA: the conservative lookahead
-  // is the per-hop processing latency, so zero-latency links pin the
-  // simulation to the classic single-queue engine.
-  if (!config_.sim.sharded() ||
-      config_.link.per_hop_latency <= sim::Duration::zero()) {
-    network_.bind_metrics(&metrics_);
-    merge_ctrs_ = {&metrics_.counter("pads.merges")};
-    reject_ctrs_ = {&metrics_.counter("pads.token_failures")};
-    return;
-  }
-  // Entities are device ids, NOT tree positions: a mid-round rewire
-  // reassigns positions but must not migrate device state across
-  // shards, so the shard map has to be keyed by the stable identity.
-  // Device n sits at position n of the deployment tree, so its DFS
-  // preorder gives the same subtree-aligned placement as SAP and SEDA.
-  engine_ = std::make_unique<sim::ParallelScheduler>(
-      net::dfs_preorder(tree_), config_.sim, config_.link.per_hop_latency);
-  network_.bind_metrics(nullptr);
-  shard_nets_.reserve(engine_->shard_count());
-  merge_ctrs_.reserve(engine_->shard_count());
-  reject_ctrs_.reserve(engine_->shard_count());
-  for (std::uint32_t s = 0; s < engine_->shard_count(); ++s) {
-    auto net = std::make_unique<net::Network>(engine_->shard(s), config_.link);
-    net->set_handler([this](const net::Message& m) { on_message(m); });
-    net->bind_metrics(&engine_->shard_metrics(s));
-    merge_ctrs_.push_back(&engine_->shard_metrics(s).counter("pads.merges"));
-    reject_ctrs_.push_back(
-        &engine_->shard_metrics(s).counter("pads.token_failures"));
-    // Serialized cross-shard delivery; see sap::SapSimulation's router
-    // for the spent-buffer recycling contract.
-    net->set_router([this, s](net::Message m, sim::SimTime at) {
-      Bytes spent =
-          engine_->post_message(m.dst, at, m.src, m.kind, std::move(m.payload));
-      if (spent.capacity() != 0) {
-        shard_nets_[s]->recycle_payload(std::move(spent));
-      }
-    });
-    shard_nets_.push_back(std::move(net));
-  }
-  engine_->set_message_sinks(
-      [this](sim::ShardMessage&& sm) {
-        net::Message m{sm.src, sm.entity, sm.kind, std::move(sm.payload)};
-        on_message(m);
-        net_of(m.dst).recycle_payload(std::move(m.payload));
-      },
-      [this](const sim::ShardMessageView& v) {
-        net::Message m{v.src, v.entity, v.kind,
-                       net_of(v.entity).acquire_payload()};
-        m.payload.assign(v.payload.begin(), v.payload.end());
-        on_message(m);
-        net_of(m.dst).recycle_payload(std::move(m.payload));
-      });
-}
-
-void PadsSimulation::sync_shard_networks() {
-  if (network_.has_tamper_hook()) {
-    throw std::logic_error(
-        "PadsSimulation: tamper hooks require the single-threaded engine "
-        "(construct with config.sim.threads == 1)");
-  }
-  for (std::uint32_t s = 0; s < shard_nets_.size(); ++s) {
-    shard_nets_[s]->enable_per_link_accounting(network_.per_link_accounting());
-    shard_nets_[s]->reset_accounting();
-    if (network_.loss_rate() > 0.0) {
-      SplitMix64 mix(network_.loss_seed() +
-                     0x9e3779b97f4a7c15ULL * (s + 1) + rounds_run_);
-      shard_nets_[s]->set_loss_rate(network_.loss_rate(), mix.next());
-    } else {
-      shard_nets_[s]->set_loss_rate(0.0);
-    }
-  }
-}
-
-void PadsSimulation::run_to(sim::SimTime t) {
-  if (engine_) {
-    engine_->run_until(t);
-  } else {
-    scheduler_.run_until(t);
-  }
 }
 
 void PadsSimulation::compromise_device(net::NodeId id) {
@@ -200,129 +123,46 @@ void PadsSimulation::apply_rewire(const net::RewireStep& step) {
   rebuild_topology(step.tree, step.device_at_position);
 }
 
-void PadsSimulation::advance_time(sim::Duration d) {
-  const sim::SimTime target = current_time() + d;
-  arm_faults(target);
-  run_to(target);
-}
+void PadsSimulation::advance_time(sim::Duration d) { rt_.advance_time(d); }
 
 void PadsSimulation::attach_fault_plan(fault::FaultPlan plan) {
   if (round_active_) {
     throw std::logic_error("attach_fault_plan: round in progress");
   }
-  faults_ = std::make_unique<fault::FaultInjector>(std::move(plan));
+  rt_.attach_fault_plan(std::move(plan));
 }
 
 void PadsSimulation::clear_fault_plan() {
   if (round_active_) {
     throw std::logic_error("clear_fault_plan: round in progress");
   }
-  faults_.reset();
+  rt_.clear_fault_plan();
 }
 
-void PadsSimulation::arm_faults(sim::SimTime horizon) {
-  if (!faults_) return;
-  faults_->arm_until(horizon, [this](const fault::FaultEvent& ev) {
-    fault::observe_event(metrics_, ev);
-    schedule_fault(ev);
-  });
-}
-
-void PadsSimulation::schedule_fault(const fault::FaultEvent& ev) {
+void PadsSimulation::on_device_fault(const fault::FaultEvent& ev) {
   using fault::FaultKind;
-  switch (ev.kind) {
-    case FaultKind::kCrash:
-    case FaultKind::kReboot:
-    case FaultKind::kSleep:
-    case FaultKind::kWake:
-    case FaultKind::kClockSkew: {
-      if (ev.device == 0 || ev.device > device_count()) {
-        throw std::out_of_range("fault plan: device id out of range");
-      }
-      if (ev.at <= current_time()) {
-        apply_device_fault(ev);
-      } else {
-        sched(ev.device).schedule_at(ev.at,
-                                     [this, ev] { apply_device_fault(ev); });
-      }
-      break;
-    }
-    case FaultKind::kLeave:
-    case FaultKind::kJoin: {
-      if (ev.device == 0 || ev.device > device_count()) {
-        throw std::out_of_range("fault plan: device id out of range");
-      }
-      const net::NodeId id = ev.device;
-      const std::uint8_t present = ev.kind == FaultKind::kJoin ? 1 : 0;
-      // Two views, two events, both scheduled now (engine idle) so
-      // neither is a cross-shard post: the device's shard owns the
-      // authoritative flag, and the verifier's shard keeps its own
-      // mirror so the consensus check never reads cross-shard state.
-      auto apply_dev = [this, id, present] { present_[id] = present; };
-      auto apply_vrf = [this, id, present] {
-        vrf_present_[id] = present;
-        // A departure can shrink the consensus target to exactly what
-        // the verifier already covers; a join can grow it past what a
-        // latched verdict covered, which revokes the verdict until
-        // gossip catches back up.
-        if (consensus_reached_ && !verifier_covered()) {
-          consensus_reached_ = false;
-        }
-        note_verifier_progress(sched(0).now());
-      };
-      if (ev.at <= current_time()) {
-        apply_dev();
-        apply_vrf();
-      } else {
-        sched(id).schedule_at(ev.at, apply_dev);
-        sched(0).schedule_at(ev.at, apply_vrf);
-      }
-      break;
-    }
-    case FaultKind::kLinkDown:
-    case FaultKind::kLinkUp: {
-      if (ev.device >= tree_.size() || ev.peer >= tree_.size()) {
-        throw std::out_of_range("fault plan: link endpoint out of range");
-      }
-      // Plans name tree POSITIONS; under mobility a position is a place,
-      // not a device, so the outage binds to whoever occupies the
-      // endpoints when the event is armed.
-      const net::NodeId a = dev_at_[ev.device];
-      const net::NodeId b = dev_at_[ev.peer];
-      const bool down = ev.kind == FaultKind::kLinkDown;
-      apply_link(a, b, down, ev.at);
-      apply_link(b, a, down, ev.at);
-      break;
-    }
-    case FaultKind::kPartition:
-    case FaultKind::kHeal: {
-      for (net::NodeId pos : ev.island) {
-        if (pos >= tree_.size()) {
-          throw std::out_of_range("fault plan: island position out of range");
-        }
-      }
-      const bool down = ev.kind == FaultKind::kPartition;
-      for (const auto& [a, b] : fault::partition_cut(tree_, ev.island)) {
-        apply_link(dev_at_[a], dev_at_[b], down, ev.at);
-        apply_link(dev_at_[b], dev_at_[a], down, ev.at);
-      }
-      break;
-    }
-    case FaultKind::kLossSpike:
-      if (!loss_spiked_) {
-        baseline_loss_rate_ = network_.loss_rate();
-        baseline_loss_seed_ = network_.loss_seed();
-        loss_spiked_ = true;
-      }
-      apply_loss(ev.rate, ev.draw, ev.at);
-      break;
-    case FaultKind::kLossClear:
-      loss_spiked_ = false;
-      apply_loss(baseline_loss_rate_, baseline_loss_seed_, ev.at);
-      break;
-    case FaultKind::kProcKill:
-      break;  // process-level chaos: only the wire-chaos supervisor acts
+  if (ev.kind != FaultKind::kLeave && ev.kind != FaultKind::kJoin) {
+    rt_.apply_at(ev.device, ev.at, [this, ev] { apply_device_fault(ev); });
+    return;
   }
+  const net::NodeId id = ev.device;
+  const std::uint8_t present = ev.kind == FaultKind::kJoin ? 1 : 0;
+  // Two views, two events, both scheduled now (engine idle) so neither
+  // is a cross-shard post: the device's shard owns the authoritative
+  // flag, and the verifier's shard keeps its own mirror so the consensus
+  // check never reads cross-shard state.
+  rt_.apply_at(id, ev.at, [this, id, present] { present_[id] = present; });
+  rt_.apply_at(0, ev.at, [this, id, present] {
+    vrf_present_[id] = present;
+    // A departure can shrink the consensus target to exactly what the
+    // verifier already covers; a join can grow it past what a latched
+    // verdict covered, which revokes the verdict until gossip catches
+    // back up.
+    if (consensus_reached_ && !verifier_covered()) {
+      consensus_reached_ = false;
+    }
+    note_verifier_progress(rt_.sched(0).now());
+  });
 }
 
 void PadsSimulation::apply_device_fault(const fault::FaultEvent& ev) {
@@ -350,45 +190,9 @@ void PadsSimulation::apply_device_fault(const fault::FaultEvent& ev) {
       break;
     case FaultKind::kLeave:
     case FaultKind::kJoin:
-      break;  // handled by schedule_fault's membership path
+      break;  // handled by on_device_fault's membership path
     default:
       break;
-  }
-}
-
-void PadsSimulation::apply_link(net::NodeId src, net::NodeId dst, bool down,
-                               sim::SimTime at) {
-  if (at <= current_time()) {
-    net_of(src).set_link_down(src, dst, down);
-    return;
-  }
-  sched(src).schedule_at(at, [this, src, dst, down] {
-    net_of(src).set_link_down(src, dst, down);
-  });
-}
-
-void PadsSimulation::apply_loss(double rate, std::uint64_t seed,
-                               sim::SimTime at) {
-  if (!engine_) {
-    if (at <= scheduler_.now()) {
-      network_.set_loss_rate(rate, seed);
-    } else {
-      scheduler_.schedule_at(
-          at, [this, rate, seed] { network_.set_loss_rate(rate, seed); });
-    }
-    return;
-  }
-  network_.set_loss_rate(rate, seed);
-  for (std::uint32_t s = 0; s < shard_nets_.size(); ++s) {
-    SplitMix64 mix(seed + 0x9e3779b97f4a7c15ULL * (s + 1) + rounds_run_);
-    const std::uint64_t shard_seed = mix.next();
-    if (at <= engine_->now()) {
-      shard_nets_[s]->set_loss_rate(rate, shard_seed);
-    } else {
-      engine_->shard(s).schedule_at(at, [this, s, rate, shard_seed] {
-        shard_nets_[s]->set_loss_rate(rate, shard_seed);
-      });
-    }
   }
 }
 
@@ -409,7 +213,7 @@ sim::Duration PadsSimulation::effective_gossip_period() const {
   // slack) within a period, or epoch e+1's send would outrun epoch e's
   // arrival and knowledge would never advance.
   const sim::Duration floor =
-      network_.link_delay(gossip_wire_size()) + sim::Duration::from_us(1);
+      rt_.network().link_delay(gossip_wire_size()) + sim::Duration::from_us(1);
   return config_.gossip_period > floor ? config_.gossip_period : floor;
 }
 
@@ -490,7 +294,7 @@ void PadsSimulation::gossip_tick(net::NodeId id, std::uint32_t epoch) {
   // may be back before the round ends, and the timer chain is the only
   // thing that brings it back into the gossip.
   if (epoch + 1 < epochs_total_) {
-    sched(id).schedule_at(
+    rt_.sched(id).schedule_at(
         first_epoch_at_ + period_ * static_cast<std::int64_t>(epoch + 1),
         [this, id, epoch] { gossip_tick(id, epoch + 1); });
   }
@@ -504,7 +308,7 @@ void PadsSimulation::gossip_tick(net::NodeId id, std::uint32_t epoch) {
   const Bytes& token = tokens_[id];
   const std::uint64_t* kr = known_row(id);
   const std::uint64_t* br = bad_row(id);
-  net::Network& net = net_of(id);
+  net::Network& net = rt_.net_of(id);
   auto send_to = [&](net::NodeId neighbor) {
     Bytes buf = net.acquire_payload();
     buf.reserve(gossip_wire_size());
@@ -541,7 +345,7 @@ void PadsSimulation::on_message(const net::Message& msg) {
       v.token.size() == expect.size() &&
       crypto::ct_equal(v.token, BytesView(expect.data(), expect.size()));
   if (!authentic) {
-    reject_counter(dst).inc();
+    stats(dst).rejects->inc();
     // The sender is alive but cannot produce the healthy token: that IS
     // the untrusted verdict. Nothing it claims gets merged.
     if (v.sender != 0) mark(dst, v.sender, true);
@@ -553,9 +357,9 @@ void PadsSimulation::on_message(const net::Message& msg) {
       kr[b] |= v.known_block(b);
       br[b] |= v.bad_block(b);
     }
-    merge_counter(dst).inc();
+    stats(dst).merges->inc();
   }
-  if (dst == 0) note_verifier_progress(sched(0).now());
+  if (dst == 0) note_verifier_progress(rt_.sched(0).now());
 }
 
 PadsRoundReport PadsSimulation::run_round() {
@@ -574,13 +378,10 @@ PadsRoundReport PadsSimulation::run_round() {
   vrf_present_ = present_;
 
   obs::Span round_span("pads.round");
-  metrics_.reset_values();
-  if (engine_) engine_->reset_shard_metrics();
-  network_.reset_accounting();
-  if (engine_) sync_shard_networks();
+  rt_.begin_window();
 
   t_start_ = current_time();
-  round_nonce_ = static_cast<std::uint32_t>(rounds_run_ + 1);
+  round_nonce_ = static_cast<std::uint32_t>(rt_.windows() + 1);
   compute_round_tokens();
 
   // Rewires scheduled at or before the round start describe the initial
@@ -598,34 +399,27 @@ PadsRoundReport PadsSimulation::run_round() {
   // Every node measures itself first (the HMAC over PMEM occupies its
   // CPU for attest_time), then the gossip timer chain starts.
   for (net::NodeId id = 1; id <= device_count(); ++id) {
-    sched(id).schedule_at(first_epoch_at_, [this, id] { self_attest(id); });
+    rt_.sched(id).schedule_at(first_epoch_at_, [this, id] { self_attest(id); });
   }
   for (net::NodeId id = 0; id <= device_count(); ++id) {
-    sched(id).schedule_at(first_epoch_at_, [this, id] { gossip_tick(id, 0); });
+    rt_.sched(id).schedule_at(first_epoch_at_,
+                              [this, id] { gossip_tick(id, 0); });
   }
 
   const sim::SimTime horizon =
       first_epoch_at_ + period_ * static_cast<std::int64_t>(epochs_total_ + 1);
-  arm_faults(horizon);
+  rt_.arm_faults(horizon);
 
   // Slice the run at each rewire instant: run_until parks the engine at
   // a quiescent barrier, the driver thread swaps the routing tables,
   // and the next slice (or the final run to quiescence) continues with
   // identical event order on every engine.
   for (; ri < rewires_.size(); ++ri) {
-    run_to(rewires_[ri].at);
+    rt_.run_until(rewires_[ri].at);
     apply_rewire(rewires_[ri]);
   }
-  if (engine_) {
-    engine_->run();
-  } else {
-    scheduler_.run();
-  }
-  ++rounds_run_;
-
-  if (engine_) engine_->merge_metrics_into(metrics_);
-  network_.assert_ledgers_consistent();
-  for (const auto& net : shard_nets_) net->assert_ledgers_consistent();
+  rt_.run_window();
+  const obs::MetricsRegistry& reg = rt_.metrics();
 
   PadsRoundReport report;
   report.devices = device_count();
@@ -646,10 +440,10 @@ PadsRoundReport PadsSimulation::run_round() {
   }
   report.converged = verifier_covered();
   report.consensus_at = consensus_reached_ ? consensus_at_ : report.t_end;
-  report.u_ca_bytes = metrics_.counter_value("net.bytes_transmitted");
-  report.messages = metrics_.counter_value("net.messages_sent");
-  report.token_failures = static_cast<std::uint32_t>(
-      metrics_.counter_value("pads.token_failures"));
+  report.u_ca_bytes = reg.counter_value("net.bytes_transmitted");
+  report.messages = reg.counter_value("net.messages_sent");
+  report.token_failures =
+      static_cast<std::uint32_t>(reg.counter_value("pads.token_failures"));
   report.epochs = epochs_total_;
   report.digest = round_digest(report);
 

@@ -32,7 +32,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -46,6 +45,7 @@
 #include "obs/metrics.hpp"
 #include "sim/parallel.hpp"
 #include "sim/scheduler.hpp"
+#include "swarm/runtime.hpp"
 
 namespace cra::pads {
 
@@ -114,7 +114,7 @@ class PadsSimulation {
  public:
   PadsSimulation(PadsConfig config, net::Tree tree, std::uint64_t seed = 1);
 
-  // Pinned to its address (the network references the owned scheduler).
+  // Pinned to its address (the runtime calls back into this object).
   PadsSimulation(const PadsSimulation&) = delete;
   PadsSimulation& operator=(const PadsSimulation&) = delete;
 
@@ -123,18 +123,20 @@ class PadsSimulation {
 
   const PadsConfig& config() const noexcept { return config_; }
   const net::Tree& tree() const noexcept { return tree_; }
-  net::Network& network() noexcept { return network_; }
+  /// The network configuration surface (see swarm/runtime.hpp).
+  net::Network& network() noexcept { return rt_.network(); }
   std::uint32_t device_count() const noexcept {
     return static_cast<std::uint32_t>(devices_.size());
   }
-  bool parallel() const noexcept { return engine_ != nullptr; }
-  sim::SimTime current_time() const noexcept {
-    return engine_ ? engine_->now() : scheduler_.now();
+  /// The engine (never null); see sap::SapSimulation::engine().
+  const sim::ParallelScheduler* engine() const noexcept {
+    return &rt_.engine();
   }
+  sim::SimTime current_time() const noexcept { return rt_.now(); }
 
   /// Merged metrics of the last run_round(): net.* plus pads.*. Same
   /// determinism contract as the SAP/SEDA registries.
-  const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
+  const obs::MetricsRegistry& metrics() const noexcept { return rt_.metrics(); }
 
   void compromise_device(net::NodeId id);
   void restore_device(net::NodeId id);
@@ -159,9 +161,9 @@ class PadsSimulation {
   /// target).
   void attach_fault_plan(fault::FaultPlan plan);
   void clear_fault_plan();
-  bool has_fault_plan() const noexcept { return faults_ != nullptr; }
+  bool has_fault_plan() const noexcept { return rt_.has_fault_plan(); }
   const fault::FaultTally* fault_tally() const noexcept {
-    return faults_ ? &faults_->tally() : nullptr;
+    return rt_.fault_tally();
   }
 
   PadsRoundReport run_round();
@@ -184,36 +186,18 @@ class PadsSimulation {
   Dev& dev(net::NodeId id) { return devices_[id - 1]; }
   const Dev& dev(net::NodeId id) const { return devices_[id - 1]; }
 
-  // Engine routing — entities are DEVICE IDS (0 = verifier), not tree
-  // positions: mobility reassigns positions mid-round, and keying shards
-  // by device id keeps every device's state on one shard regardless of
-  // where it wanders. The tree is only a routing table consulted at
-  // send time.
-  sim::Scheduler& sched(net::NodeId id) noexcept {
-    return engine_ ? engine_->shard_for(id) : scheduler_;
+  struct ShardStats {
+    obs::Counter* merges;   // "pads.merges"
+    obs::Counter* rejects;  // "pads.token_failures"
+  };
+  ShardStats& stats(net::NodeId id) noexcept {
+    return stats_[rt_.shard_of(id)];
   }
-  net::Network& net_of(net::NodeId id) noexcept {
-    return engine_ ? *shard_nets_[engine_->shard_of(id)] : network_;
-  }
-  obs::Counter& merge_counter(net::NodeId id) noexcept {
-    return *merge_ctrs_[engine_ ? engine_->shard_of(id) : 0];
-  }
-  obs::Counter& reject_counter(net::NodeId id) noexcept {
-    return *reject_ctrs_[engine_ ? engine_->shard_of(id) : 0];
-  }
-  void setup_engine();
-  void sync_shard_networks();
-  void run_to(sim::SimTime t);
 
-  // Fault-plan replay (device ids ARE the wire node ids; link/partition
-  // events name tree positions and bind to the devices occupying them
-  // when the event is armed).
-  void arm_faults(sim::SimTime horizon);
-  void schedule_fault(const fault::FaultEvent& ev);
+  /// Device-fault hook of the runtime's fault replay. Membership events
+  /// update two views; every other event runs on the device's shard.
+  void on_device_fault(const fault::FaultEvent& ev);
   void apply_device_fault(const fault::FaultEvent& ev);
-  void apply_link(net::NodeId src, net::NodeId dst, bool down,
-                  sim::SimTime at);
-  void apply_loss(double rate, std::uint64_t seed, sim::SimTime at);
   void apply_rewire(const net::RewireStep& step);
 
   // Knowledge plumbing. Vectors are rows of `blocks_` 64-bit words per
@@ -238,19 +222,12 @@ class PadsSimulation {
   net::Tree tree_;
   std::vector<net::NodeId> dev_at_;  // position -> device id
   std::vector<net::NodeId> pos_of_;  // device id -> position
-  sim::Scheduler scheduler_;
-  net::Network network_;
-  std::unique_ptr<sim::ParallelScheduler> engine_;
-  std::vector<std::unique_ptr<net::Network>> shard_nets_;
-  obs::MetricsRegistry metrics_;
-  std::vector<obs::Counter*> merge_ctrs_;   // per shard: "pads.merges"
-  std::vector<obs::Counter*> reject_ctrs_;  // per shard: "pads.token_failures"
-  std::uint64_t rounds_run_ = 0;
-
-  std::unique_ptr<fault::FaultInjector> faults_;
-  bool loss_spiked_ = false;
-  double baseline_loss_rate_ = 0.0;
-  std::uint64_t baseline_loss_seed_ = 0;
+  // Entities are DEVICE IDS (0 = verifier), not tree positions: mobility
+  // reassigns positions mid-round, and keying shards by device id keeps
+  // every device's state on one shard regardless of where it wanders.
+  // The tree is only a routing table consulted at send time.
+  swarm::SwarmRuntime rt_;
+  std::vector<ShardStats> stats_;  // indexed by shard
 
   std::vector<net::RewireStep> rewires_;
 

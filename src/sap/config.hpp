@@ -132,11 +132,10 @@ struct SapConfig {
   /// legacy path stays byte-identical.
   AdaptiveTimeoutConfig adaptive{};
 
-  /// Simulation engine knobs. threads=1 (default) is the classic
-  /// single-threaded engine, bit-for-bit identical to previous
-  /// behavior; threads>1 shards the swarm across a worker pool
-  /// (conservative lookahead = link.per_hop_latency — see
-  /// docs/simulation.md for the determinism guarantees).
+  /// Simulation engine knobs. The default is one shard, the serial event
+  /// loop; more shards split the swarm over a worker pool (conservative
+  /// lookahead = link.per_hop_latency — see docs/simulation.md for the
+  /// determinism guarantees).
   sim::SimConfig sim{};
 
   std::size_t token_size() const noexcept {

@@ -22,8 +22,18 @@ SapSimulation::SapSimulation(SapConfig config, net::Tree tree,
                              std::uint64_t seed)
     : config_(config),
       tree_(std::move(tree)),
-      scheduler_(),
-      network_(scheduler_, config.link),
+      rt_(tree_, config.sim, config.link,
+          [this](const net::Message& m) { on_message(m); },
+          [this](const fault::FaultEvent& ev) {
+            rt_.apply_at(pos_of_[ev.device], ev.at,
+                         [this, ev] { apply_device_fault(ev); });
+          }),
+      stats_(rt_.per_shard([](obs::MetricsRegistry& reg) {
+        return ShardStats{&reg.counter("sap.repolls"),
+                          &reg.gauge("sap.inbound_end_ns"),
+                          &reg.counter("sap.backoff_wait_ns"),
+                          &reg.counter("sap.unreachable_marks")};
+      })),
       clock_(config.device_hz, config.clock_divisor),
       verifier_(config, tree_.device_count(), master_from_seed(seed)),
       devices_(tree_.device_count()) {
@@ -42,7 +52,6 @@ SapSimulation::SapSimulation(SapConfig config, net::Tree tree,
     verifier_.set_expected_content(id, d.content);
   }
   crypto::secure_wipe(master);
-  network_.set_handler([this](const net::Message& m) { on_message(m); });
 
   // Identity position mapping: device i occupies tree position i.
   dev_at_.resize(tree_.size());
@@ -52,109 +61,6 @@ SapSimulation::SapSimulation(SapConfig config, net::Tree tree,
     pos_of_[i] = i;
   }
   recompute_subtree_sizes();
-  setup_engine();
-}
-
-void SapSimulation::setup_engine() {
-  // Sharding needs a positive conservative lookahead: the minimum
-  // latency of any message is the per-hop processing latency (payloads
-  // can be empty, transmission time can round to zero). A zero-latency
-  // link admits no lookahead, so such configs stay single-threaded.
-  if (!config_.sim.sharded() || config_.link.per_hop_latency <= sim::Duration::zero()) {
-    // Classic mode: metrics_ is the live registry for everything.
-    network_.bind_metrics(&metrics_);
-    repoll_ctrs_ = {&metrics_.counter("sap.repolls")};
-    inbound_gauges_ = {&metrics_.gauge("sap.inbound_end_ns")};
-    backoff_ctrs_ = {&metrics_.counter("sap.backoff_wait_ns")};
-    unreachable_ctrs_ = {&metrics_.counter("sap.unreachable_marks")};
-    return;
-  }
-  // Subtree-aligned placement: shards own contiguous DFS-preorder runs
-  // of tree positions (see sim/parallel.hpp).
-  engine_ = std::make_unique<sim::ParallelScheduler>(
-      net::dfs_preorder(tree_), config_.sim, config_.link.per_hop_latency);
-  // network_ stays the configuration surface but carries no traffic in
-  // engine mode — its instruments would only shadow the shard ones.
-  network_.bind_metrics(nullptr);
-  shard_nets_.reserve(engine_->shard_count());
-  repoll_ctrs_.reserve(engine_->shard_count());
-  inbound_gauges_.reserve(engine_->shard_count());
-  for (std::uint32_t s = 0; s < engine_->shard_count(); ++s) {
-    auto net = std::make_unique<net::Network>(engine_->shard(s), config_.link);
-    net->set_handler([this](const net::Message& m) { on_message(m); });
-    // Deliveries cross shard boundaries through the engine's channel as
-    // serialized ShardMessages (transport-portable: the shm rings can't
-    // carry closures); the arrival time carries the full link delay,
-    // which is >= the engine's lookahead by construction. When the
-    // transport serialized the payload out, the spent capacity recycles
-    // into the SENDING shard's pool — this router runs on that worker.
-    net->set_router([this, s](net::Message m, sim::SimTime at) {
-      Bytes spent =
-          engine_->post_message(m.dst, at, m.src, m.kind, std::move(m.payload));
-      if (spent.capacity() != 0) {
-        shard_nets_[s]->recycle_payload(std::move(spent));
-      }
-    });
-    // Shard-confined accounting: the shard's network and the protocol's
-    // per-shard instruments write to the shard's own registry; they are
-    // merged into metrics_ after every run() (see run_round).
-    obs::MetricsRegistry& reg = engine_->shard_metrics(s);
-    net->bind_metrics(&reg);
-    repoll_ctrs_.push_back(&reg.counter("sap.repolls"));
-    inbound_gauges_.push_back(&reg.gauge("sap.inbound_end_ns"));
-    backoff_ctrs_.push_back(&reg.counter("sap.backoff_wait_ns"));
-    unreachable_ctrs_.push_back(&reg.counter("sap.unreachable_marks"));
-    shard_nets_.push_back(std::move(net));
-  }
-  // Delivery sinks: both run on the DESTINATION shard's worker at the
-  // message's arrival time and must be behavior-identical (or the
-  // transports would diverge). The owning sink receives the payload
-  // buffer intact (same-shard and inproc paths); the view sink rebuilds
-  // an owned message from the borrowed bytes (shm path), drawing from
-  // the destination shard's pool. Either way the capacity recycles into
-  // the destination's network — that is where the next send from this
-  // position will acquire from.
-  engine_->set_message_sinks(
-      [this](sim::ShardMessage&& sm) {
-        net::Message m{sm.src, sm.entity, sm.kind, std::move(sm.payload)};
-        on_message(m);
-        net_of(m.dst).recycle_payload(std::move(m.payload));
-      },
-      [this](const sim::ShardMessageView& v) {
-        net::Message m{v.src, v.entity, v.kind,
-                       net_of(v.entity).acquire_payload()};
-        m.payload.assign(v.payload.begin(), v.payload.end());
-        on_message(m);
-        net_of(m.dst).recycle_payload(std::move(m.payload));
-      });
-}
-
-void SapSimulation::sync_shard_networks() {
-  // network_ is the public configuration surface; mirror its fault
-  // settings onto the per-shard networks each round. Loss draws come
-  // from per-shard deterministic sub-streams (seeded by shard index and
-  // round), so a lossy parallel run is a pure function of (seed, shard
-  // count) — independent of thread count and OS scheduling.
-  if (network_.has_tamper_hook()) {
-    throw std::logic_error(
-        "SapSimulation: tamper hooks require the single-threaded engine "
-        "(construct with config.sim.threads == 1)");
-  }
-  for (std::uint32_t s = 0; s < shard_nets_.size(); ++s) {
-    // Each shard network keeps its own per-link map (a link's sender
-    // lives in exactly one shard, so the maps never overlap); merged
-    // totals come out of the metrics layer.
-    shard_nets_[s]->enable_per_link_accounting(
-        network_.per_link_accounting());
-    shard_nets_[s]->reset_accounting();
-    if (network_.loss_rate() > 0.0) {
-      SplitMix64 mix(network_.loss_seed() +
-                     0x9e3779b97f4a7c15ULL * (s + 1) + rounds_run_);
-      shard_nets_[s]->set_loss_rate(network_.loss_rate(), mix.next());
-    } else {
-      shard_nets_[s]->set_loss_rate(0.0);
-    }
-  }
 }
 
 void SapSimulation::recompute_subtree_sizes() {
@@ -243,87 +149,14 @@ void SapSimulation::attach_fault_plan(fault::FaultPlan plan) {
   if (round_active_) {
     throw std::logic_error("attach_fault_plan: round in progress");
   }
-  faults_ = std::make_unique<fault::FaultInjector>(std::move(plan));
+  rt_.attach_fault_plan(std::move(plan));
 }
 
 void SapSimulation::clear_fault_plan() {
   if (round_active_) {
     throw std::logic_error("clear_fault_plan: round in progress");
   }
-  faults_.reset();
-}
-
-void SapSimulation::arm_faults(sim::SimTime horizon) {
-  if (!faults_) return;
-  faults_->arm_until(horizon, [this](const fault::FaultEvent& ev) {
-    fault::observe_event(metrics_, ev);
-    schedule_fault(ev);
-  });
-}
-
-void SapSimulation::schedule_fault(const fault::FaultEvent& ev) {
-  using fault::FaultKind;
-  switch (ev.kind) {
-    case FaultKind::kCrash:
-    case FaultKind::kReboot:
-    case FaultKind::kSleep:
-    case FaultKind::kWake:
-    case FaultKind::kLeave:
-    case FaultKind::kJoin:
-    case FaultKind::kClockSkew: {
-      if (ev.device == 0 || ev.device > device_count()) {
-        throw std::out_of_range("fault plan: device id out of range");
-      }
-      const net::NodeId pos = pos_of_[ev.device];
-      if (ev.at <= current_time()) {
-        apply_device_fault(ev);
-      } else {
-        sched(pos).schedule_at(ev.at,
-                               [this, ev] { apply_device_fault(ev); });
-      }
-      break;
-    }
-    case FaultKind::kLinkDown:
-    case FaultKind::kLinkUp: {
-      if (ev.device >= tree_.size() || ev.peer >= tree_.size()) {
-        throw std::out_of_range("fault plan: link endpoint out of range");
-      }
-      const bool down = ev.kind == FaultKind::kLinkDown;
-      apply_link(ev.device, ev.peer, down, ev.at);
-      apply_link(ev.peer, ev.device, down, ev.at);
-      break;
-    }
-    case FaultKind::kPartition:
-    case FaultKind::kHeal: {
-      for (net::NodeId pos : ev.island) {
-        if (pos >= tree_.size()) {
-          throw std::out_of_range("fault plan: island position out of range");
-        }
-      }
-      const bool down = ev.kind == FaultKind::kPartition;
-      for (const auto& [a, b] : fault::partition_cut(tree_, ev.island)) {
-        apply_link(a, b, down, ev.at);
-        apply_link(b, a, down, ev.at);
-      }
-      break;
-    }
-    case FaultKind::kLossSpike:
-      // The clear event restores whatever the user had configured before
-      // the first spike fired.
-      if (!loss_spiked_) {
-        baseline_loss_rate_ = network_.loss_rate();
-        baseline_loss_seed_ = network_.loss_seed();
-        loss_spiked_ = true;
-      }
-      apply_loss(ev.rate, ev.draw, ev.at);
-      break;
-    case FaultKind::kLossClear:
-      loss_spiked_ = false;
-      apply_loss(baseline_loss_rate_, baseline_loss_seed_, ev.at);
-      break;
-    case FaultKind::kProcKill:
-      break;  // process-level chaos: only the wire-chaos supervisor acts
-  }
+  rt_.clear_fault_plan();
 }
 
 void SapSimulation::apply_device_fault(const fault::FaultEvent& ev) {
@@ -344,7 +177,7 @@ void SapSimulation::apply_device_fault(const fault::FaultEvent& ev) {
       d.agg_token.assign(config_.token_size(), 0);
       d.reports.clear();
       d.sent_payload.clear();
-      sched(pos).cancel(d.deadline);
+      rt_.sched(pos).cancel(d.deadline);
       break;
     case FaultKind::kReboot:
       d.unresponsive = false;
@@ -368,53 +201,11 @@ void SapSimulation::apply_device_fault(const fault::FaultEvent& ev) {
     case FaultKind::kClockSkew:
       d.skew_ns = ev.skew_ns;
       if (d.vm != nullptr) {
-        d.vm->sync_clock(sched(pos).now(), sim::Duration(ev.skew_ns));
+        d.vm->sync_clock(rt_.sched(pos).now(), sim::Duration(ev.skew_ns));
       }
       break;
     default:
       break;
-  }
-}
-
-void SapSimulation::apply_link(net::NodeId src, net::NodeId dst, bool down,
-                               sim::SimTime at) {
-  // Loss/outage checks run on the *sending* side, so the switch lives on
-  // the shard owning the source position.
-  if (at <= current_time()) {
-    net_of(src).set_link_down(src, dst, down);
-    return;
-  }
-  sched(src).schedule_at(at, [this, src, dst, down] {
-    net_of(src).set_link_down(src, dst, down);
-  });
-}
-
-void SapSimulation::apply_loss(double rate, std::uint64_t seed,
-                               sim::SimTime at) {
-  if (!engine_) {
-    if (at <= scheduler_.now()) {
-      network_.set_loss_rate(rate, seed);
-    } else {
-      scheduler_.schedule_at(
-          at, [this, rate, seed] { network_.set_loss_rate(rate, seed); });
-    }
-    return;
-  }
-  // Engine mode: network_ is the quiescent configuration surface — flip
-  // it now (driver thread) so the next round's mirror sees the new rate;
-  // the live per-shard networks switch at the event time on their own
-  // shard, each with a deterministic per-shard sub-stream.
-  network_.set_loss_rate(rate, seed);
-  for (std::uint32_t s = 0; s < shard_nets_.size(); ++s) {
-    SplitMix64 mix(seed + 0x9e3779b97f4a7c15ULL * (s + 1) + rounds_run_);
-    const std::uint64_t shard_seed = mix.next();
-    if (at <= engine_->now()) {
-      shard_nets_[s]->set_loss_rate(rate, shard_seed);
-    } else {
-      engine_->shard(s).schedule_at(at, [this, s, rate, shard_seed] {
-        shard_nets_[s]->set_loss_rate(rate, shard_seed);
-      });
-    }
   }
 }
 
@@ -458,17 +249,7 @@ void SapSimulation::attach_vm(net::NodeId id, device::Device* vm) {
   verifier_.set_expected_content(id, vm->expected_pmem());
 }
 
-void SapSimulation::advance_time(sim::Duration d) {
-  if (engine_) {
-    const sim::SimTime target = engine_->now() + d;
-    arm_faults(target);
-    engine_->run_until(target);
-    return;
-  }
-  const sim::SimTime target = scheduler_.now() + d;
-  arm_faults(target);
-  scheduler_.run_until(target);
-}
+void SapSimulation::advance_time(sim::Duration d) { rt_.advance_time(d); }
 
 void SapSimulation::set_qoa(QoaMode mode) {
   if (round_active_) {
@@ -480,7 +261,7 @@ void SapSimulation::set_qoa(QoaMode mode) {
 Bytes SapSimulation::compute_token(net::NodeId pos, std::uint32_t tick) {
   const net::NodeId id = dev_at_[pos];
   Dev& d = dev(id);
-  const sim::SimTime now = sched(pos).now();
+  const sim::SimTime now = rt_.sched(pos).now();
   if (d.vm != nullptr) {
     // Full-fidelity path: synchronize the VM's secure clock with global
     // time (the network-wide clock), then run the real attest TCB.
@@ -507,10 +288,9 @@ RoundReport SapSimulation::run_round() {
   round_active_ = true;
   obs::Span round_span("sap.round");
 
-  // Round boundary: zero every instrument (registrations and cached
-  // handles survive), classic and per-shard alike.
-  metrics_.reset_values();
-  if (engine_) engine_->reset_shard_metrics();
+  // Round boundary: zero every instrument and ledger (registrations and
+  // cached handles survive) and mirror the network configuration.
+  rt_.begin_window();
 
   // Reset per-round device state.
   for (net::NodeId id = 1; id <= device_count(); ++id) {
@@ -537,8 +317,6 @@ RoundReport SapSimulation::run_round() {
   root_got_children_.clear();
   root_token_.assign(config_.token_size(), 0);
   root_reports_.clear();
-  network_.reset_accounting();
-  if (engine_) sync_shard_networks();
 
   RoundReport report;
   report.devices = device_count();
@@ -558,7 +336,7 @@ RoundReport SapSimulation::run_round() {
       encode_chal(round_tick_, auth_key_, config_.chal_size());
   round_chal_ = chal;
   for (net::NodeId child : tree_.children(0)) {
-    net::Network& net = net_of(0);
+    net::Network& net = rt_.net_of(0);
     Bytes fwd = net.acquire_payload();
     fwd.assign(chal.begin(), chal.end());
     net.send(0, child, kChalMsg, std::move(fwd));
@@ -581,45 +359,32 @@ RoundReport SapSimulation::run_round() {
   if (config_.adaptive.enabled) {
     // Vrf re-polls its own children through the same backoff schedule
     // instead of giving up in one shot at the worst-case deadline.
-    root_deadline_ = sched(0).schedule_at(root_stage_deadline(),
-                                          [this] { root_flush(); });
+    root_deadline_ = rt_.sched(0).schedule_at(root_stage_deadline(),
+                                              [this] { root_flush(); });
   } else {
-    root_deadline_ = sched(0).schedule_at(
+    root_deadline_ = rt_.sched(0).schedule_at(
         vrf_deadline, [this] { root_complete(); });
   }
 
   // Hand this window's scripted faults to the engines. The horizon
   // covers the whole round including every possible adaptive re-poll.
-  arm_faults(vrf_deadline);
+  rt_.arm_faults(vrf_deadline);
 
-  if (engine_) {
-    engine_->run();
-  } else {
-    scheduler_.run();
-  }
-  ++rounds_run_;
-
-  // Reduce per-shard registries into the merged view (fixed shard
-  // order, engine quiescent) — the single source every report field
-  // below reads from. In classic mode metrics_ is already live.
-  if (engine_) engine_->merge_metrics_into(metrics_);
-  network_.assert_ledgers_consistent();
-  for (const auto& net : shard_nets_) net->assert_ledgers_consistent();
+  // The merged view (reduced in fixed shard order, engine quiescent) is
+  // the single source every report field below reads from.
+  rt_.run_window();
+  const obs::MetricsRegistry& m = rt_.metrics();
 
   report.inbound_end = report.t_chal;
-  {
-    const obs::Gauge& g = metrics_.gauge("sap.inbound_end_ns");
-    if (g.is_set() && sim::SimTime(g.value()) > report.inbound_end) {
-      report.inbound_end = sim::SimTime(g.value());
-    }
+  if (m.gauge_value("sap.inbound_end_ns") > report.inbound_end.ns()) {
+    report.inbound_end = sim::SimTime(m.gauge_value("sap.inbound_end_ns"));
   }
-  report.repolls =
-      static_cast<std::uint32_t>(metrics_.counter_value("sap.repolls"));
-  report.backoff_wait_ns = metrics_.counter_value("sap.backoff_wait_ns");
+  report.repolls = static_cast<std::uint32_t>(m.counter_value("sap.repolls"));
+  report.backoff_wait_ns = m.counter_value("sap.backoff_wait_ns");
   report.t_resp = t_resp_;
-  report.u_ca_bytes = metrics_.counter_value("net.bytes_transmitted");
-  report.messages = metrics_.counter_value("net.messages_sent");
-  report.dropped = metrics_.counter_value("net.messages_dropped");
+  report.u_ca_bytes = m.counter_value("net.bytes_transmitted");
+  report.messages = m.counter_value("net.messages_sent");
+  report.dropped = m.counter_value("net.messages_dropped");
 
   switch (config_.qoa) {
     case QoaMode::kBinary:
@@ -708,19 +473,19 @@ void SapSimulation::handle_chal(net::NodeId pos, const net::Message& msg) {
   // the monotonically increasing clock buys in §V-C: chal can never
   // repeat, because a tick in the local past is plainly unanswerable —
   // no global round state needed).
-  const sim::SimTime now = sched(pos).now();
+  const sim::SimTime now = rt_.sched(pos).now();
   const std::uint32_t local_now =
       clock_.read_at_time(now, sim::Duration(d.skew_ns));
   if (chal->tick < local_now) return;
   d.got_chal = true;
   d.tick = chal->tick;
-  inbound_gauge(pos).max_in(now.ns());
+  stats(pos).inbound_end->max_in(now.ns());
 
   // Forward chal immediately to all children; the per-child copies are
   // staged in pooled buffers (one fresh allocation per shard at most —
   // every later copy reuses a recycled delivery buffer).
   for (net::NodeId child : tree_.children(pos)) {
-    net::Network& net = net_of(pos);
+    net::Network& net = rt_.net_of(pos);
     Bytes fwd = net.acquire_payload();
     fwd.assign(msg.payload.begin(), msg.payload.end());
     net.send(pos, child, kChalMsg, std::move(fwd));
@@ -730,7 +495,7 @@ void SapSimulation::handle_chal(net::NodeId pos, const net::Message& msg) {
   const sim::SimTime fire_global =
       clock_.tick_to_time(chal->tick) - sim::Duration(d.skew_ns);
   const sim::SimTime when = fire_global > now ? fire_global : now;
-  sched(pos).schedule_at(when, [this, pos] { run_attest(pos); });
+  rt_.sched(pos).schedule_at(when, [this, pos] { run_attest(pos); });
 
   // Inner nodes arm a report deadline in case children go silent.
   if (!tree_.children(pos).empty()) {
@@ -745,7 +510,7 @@ void SapSimulation::run_attest(net::NodeId pos) {
   Bytes token = compute_token(pos, d.tick);
   // Token is ready T_att after invocation (per this device's hardware
   // class); aggregation happens then.
-  sched(pos).schedule_after(
+  rt_.sched(pos).schedule_after(
       attest_time_for(id),
       [this, pos, t = std::move(token)]() mutable {
         accumulate_self(pos, std::move(t));
@@ -821,7 +586,7 @@ void SapSimulation::handle_repoll(net::NodeId pos, const net::Message& msg) {
   }
   if (!d.sent_payload.empty()) {
     // Resend the cached report.
-    net_of(pos).send(pos, tree_.parent(pos), kTokenMsg, d.sent_payload);
+    rt_.net_of(pos).send(pos, tree_.parent(pos), kTokenMsg, d.sent_payload);
   }
   // If not yet flushed, the pending deadline/forward path will answer.
 }
@@ -842,7 +607,7 @@ void SapSimulation::late_join(net::NodeId pos, const net::Message& msg) {
   // not older than the challenge and the token verifies at that tick.
   if (config_.qoa != QoaMode::kIdentify) return;
   const net::NodeId id = dev_at_[pos];
-  const sim::SimTime now = sched(pos).now();
+  const sim::SimTime now = rt_.sched(pos).now();
   const std::uint32_t local_tick =
       clock_.read_at_time(now, sim::Duration(d.skew_ns));
   Bytes token = compute_token(pos, local_tick);
@@ -854,20 +619,20 @@ void SapSimulation::late_join(net::NodeId pos, const net::Message& msg) {
   const net::NodeId parent = tree_.parent(pos);
   // The report leaves once the attest computation and aggregation are
   // done; only then does it become available for re-poll resends.
-  sched(pos).schedule_after(
+  rt_.sched(pos).schedule_after(
       attest_time_for(id) + aggregate_time(config_),
       [this, pos, parent, p = std::move(payload)]() mutable {
         Dev& dd = dev_at_pos(pos);
         if (dd.unresponsive) return;
         dd.sent_payload = p;
-        net_of(pos).send(pos, parent, kTokenMsg, std::move(p));
+        rt_.net_of(pos).send(pos, parent, kTokenMsg, std::move(p));
       });
 }
 
 void SapSimulation::try_forward(net::NodeId pos) {
   Dev& d = dev_at_pos(pos);
   if (d.sent || !d.responded_self || d.waiting != 0) return;
-  sched(pos).cancel(d.deadline);
+  rt_.sched(pos).cancel(d.deadline);
   send_report(pos);
 }
 
@@ -889,19 +654,19 @@ void SapSimulation::flush(net::NodeId pos) {
   if (config_.adaptive.enabled) {
     if (!missing.empty() && d.retries < config_.adaptive.max_repolls) {
       ++d.retries;
-      repoll_counter(pos).inc();
+      stats(pos).repolls->inc();
       for (net::NodeId child : missing) {
         // Adaptive re-polls carry the round challenge so a device that
         // missed the flood entirely can still late-join.
-        net::Network& net = net_of(pos);
+        net::Network& net = rt_.net_of(pos);
         Bytes repoll = net.acquire_payload();
         repoll.assign(round_chal_.begin(), round_chal_.end());
         net.send(pos, child, kRepollMsg, std::move(repoll));
       }
       const sim::Duration backoff = config_.adaptive.backoff_for(d.retries);
-      backoff_counter(pos).inc(static_cast<std::uint64_t>(backoff.ns()));
+      stats(pos).backoff_wait->inc(static_cast<std::uint64_t>(backoff.ns()));
       d.deadline =
-          sched(pos).schedule_after(backoff, [this, pos] { flush(pos); });
+          rt_.sched(pos).schedule_after(backoff, [this, pos] { flush(pos); });
       return;
     }
     if (missing.empty() && !d.responded_self &&
@@ -910,7 +675,7 @@ void SapSimulation::flush(net::NodeId pos) {
       // attest under clock skew): wait out the grace window instead of
       // reporting a hole we could still fill.
       ++d.self_grace;
-      d.deadline = sched(pos).schedule_after(
+      d.deadline = rt_.sched(pos).schedule_after(
           config_.adaptive.backoff_for(d.self_grace),
           [this, pos] { flush(pos); });
       return;
@@ -930,9 +695,9 @@ void SapSimulation::flush(net::NodeId pos) {
     // count.
     ++d.retries;
     if (!missing.empty()) {
-      repoll_counter(pos).inc();
+      stats(pos).repolls->inc();
       for (net::NodeId child : missing) {
-        net_of(pos).send(pos, child, kRepollMsg, Bytes{});
+        rt_.net_of(pos).send(pos, child, kRepollMsg, Bytes{});
       }
     }
     schedule_deadline(pos);
@@ -952,7 +717,7 @@ void SapSimulation::mark_unreachable(net::NodeId pos, net::NodeId child) {
   d.reports.push_back(DeviceReport{dev_at_[child],
                                    Bytes(config_.token_size(), 0),
                                    DeviceReportStatus::kEntryUnreachable, 0});
-  unreachable_counter(pos).inc();
+  stats(pos).unreachable->inc();
 }
 
 void SapSimulation::send_report(net::NodeId pos) {
@@ -976,17 +741,17 @@ void SapSimulation::send_report(net::NodeId pos) {
   d.sent = true;
   d.sent_payload = payload;
   const net::NodeId parent = tree_.parent(pos);
-  sched(pos).schedule_after(agg, [this, pos, parent,
-                                  p = std::move(payload)]() mutable {
+  rt_.sched(pos).schedule_after(agg, [this, pos, parent,
+                                      p = std::move(payload)]() mutable {
     if (dev_at_pos(pos).unresponsive) return;  // crashed mid-aggregation
-    net_of(pos).send(pos, parent, kTokenMsg, std::move(p));
+    rt_.net_of(pos).send(pos, parent, kTokenMsg, std::move(p));
   });
 }
 
 void SapSimulation::schedule_deadline(net::NodeId pos) {
   Dev& d = dev_at_pos(pos);
-  d.deadline = sched(pos).schedule_at(node_deadline(pos),
-                                      [this, pos] { flush(pos); });
+  d.deadline = rt_.sched(pos).schedule_at(node_deadline(pos),
+                                          [this, pos] { flush(pos); });
 }
 
 sim::Duration SapSimulation::report_chain_time(net::NodeId pos) const {
@@ -997,7 +762,7 @@ sim::Duration SapSimulation::report_chain_time(net::NodeId pos) const {
       // Fixed-size reports: one hop per level.
       const std::size_t payload =
           config_.token_size() + (config_.qoa == QoaMode::kCount ? 4 : 0);
-      return (network_.link_delay(payload) + aggregate_time(config_)) *
+      return (rt_.network().link_delay(payload) + aggregate_time(config_)) *
              static_cast<std::int64_t>(levels_below);
     }
     case QoaMode::kIdentify: {
@@ -1070,7 +835,7 @@ void SapSimulation::root_receive(const net::Message& msg) {
   }
   if (root_waiting_ > 0) --root_waiting_;
   if (root_waiting_ == 0) {
-    sched(0).cancel(root_deadline_);
+    rt_.sched(0).cancel(root_deadline_);
     root_complete();
   }
 }
@@ -1094,14 +859,14 @@ void SapSimulation::root_flush() {
   }
   if (!missing.empty() && root_retries_ < config_.adaptive.max_repolls) {
     ++root_retries_;
-    repoll_counter(0).inc();
+    stats(0).repolls->inc();
     for (net::NodeId child : missing) {
-      net_of(0).send(0, child, kRepollMsg, round_chal_);
+      rt_.net_of(0).send(0, child, kRepollMsg, round_chal_);
     }
     const sim::Duration backoff = config_.adaptive.backoff_for(root_retries_);
-    backoff_counter(0).inc(static_cast<std::uint64_t>(backoff.ns()));
+    stats(0).backoff_wait->inc(static_cast<std::uint64_t>(backoff.ns()));
     root_deadline_ =
-        sched(0).schedule_after(backoff, [this] { root_flush(); });
+        rt_.sched(0).schedule_after(backoff, [this] { root_flush(); });
     return;
   }
   if (config_.qoa == QoaMode::kIdentify) {
@@ -1109,7 +874,7 @@ void SapSimulation::root_flush() {
       root_reports_.push_back(
           DeviceReport{dev_at_[child], Bytes(config_.token_size(), 0),
                        DeviceReportStatus::kEntryUnreachable, 0});
-      unreachable_counter(0).inc();
+      stats(0).unreachable->inc();
     }
   }
   root_complete();
@@ -1118,7 +883,7 @@ void SapSimulation::root_flush() {
 void SapSimulation::root_complete() {
   if (root_done_) return;
   root_done_ = true;
-  t_resp_ = sched(0).now();
+  t_resp_ = rt_.sched(0).now();
 }
 
 }  // namespace cra::sap

@@ -23,7 +23,7 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <utility>
 #include <vector>
 
 #include "device/clock.hpp"
@@ -37,6 +37,7 @@
 #include "sap/verifier.hpp"
 #include "sim/parallel.hpp"
 #include "sim/scheduler.hpp"
+#include "swarm/runtime.hpp"
 
 namespace cra::sap {
 
@@ -44,8 +45,9 @@ class SapSimulation {
  public:
   SapSimulation(SapConfig config, net::Tree tree, std::uint64_t seed = 1);
 
-  // The network holds a reference to the owned scheduler; the object is
-  // pinned to its address (factory returns rely on guaranteed elision).
+  // The runtime's networks hold references to its schedulers and call
+  // back into this object; it is pinned to its address (factory returns
+  // rely on guaranteed elision).
   SapSimulation(const SapSimulation&) = delete;
   SapSimulation& operator=(const SapSimulation&) = delete;
 
@@ -58,30 +60,33 @@ class SapSimulation {
   const net::Tree& tree() const noexcept { return tree_; }
   Verifier& verifier() noexcept { return verifier_; }
   const Verifier& verifier() const noexcept { return verifier_; }
-  net::Network& network() noexcept { return network_; }
-  sim::Scheduler& scheduler() noexcept { return scheduler_; }
+  /// The network configuration surface (loss, per-link accounting,
+  /// tamper hook, adversary sends); see swarm/runtime.hpp.
+  net::Network& network() noexcept { return rt_.network(); }
   const device::SecureClock& clock() const noexcept { return clock_; }
   std::uint32_t device_count() const noexcept { return tree_.device_count(); }
 
-  /// True when rounds execute on the sharded engine (config().sim asked
-  /// for more than one shard and the link latency admits a lookahead).
-  bool parallel() const noexcept { return engine_ != nullptr; }
-  /// The sharded engine, or nullptr in classic single-threaded mode.
+  /// The engine (never null): config().sim's shard count, or one shard
+  /// when the link latency admits no lookahead.
   const sim::ParallelScheduler* engine() const noexcept {
-    return engine_.get();
+    return &rt_.engine();
   }
-  /// Current simulated time regardless of engine mode.
-  sim::SimTime current_time() const noexcept {
-    return engine_ ? engine_->now() : scheduler_.now();
+  sim::SimTime current_time() const noexcept { return rt_.now(); }
+  /// Schedule `cb` at `at` on the shard owning device `id` (0 = Vrf):
+  /// a driver's own mid-round event, such as an adversary acting at a
+  /// chosen instant. Call between rounds; `cb` runs on that shard's
+  /// worker, so it may touch only that device's state.
+  void schedule_at(net::NodeId id, sim::SimTime at,
+                   sim::Scheduler::Callback cb) {
+    rt_.post(pos_of_.at(id), at, std::move(cb));
   }
 
   /// The merged metrics view of the last round: net.* instruments from
-  /// the (per-shard) networks plus the protocol's own sap.* instruments
+  /// the per-shard networks plus the protocol's own sap.* instruments
   /// (sap.repolls counter, sap.inbound_end_ns gauge). Reset at every
-  /// round start; in sharded mode the per-shard registries are reduced
-  /// into this one in shard order after run(), so its contents are
-  /// independent of worker-thread count.
-  const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
+  /// round start and reduced in shard order after the run, so its
+  /// contents are independent of worker-thread count.
+  const obs::MetricsRegistry& metrics() const noexcept { return rt_.metrics(); }
 
   // --- Adversary / fault injection (between rounds) ---
   /// Infect device `id`: its actual content diverges from cfg_i.
@@ -99,16 +104,16 @@ class SapSimulation {
   /// Attach a deterministic fault timeline. Events are armed window by
   /// window (each run_round / advance_time hands over the events inside
   /// its horizon) and applied on the scheduler shard owning the touched
-  /// state, so replay is byte-identical on both engines at any thread
-  /// count. Crash/sleep events use *device ids*; link/partition events
-  /// use *tree positions* (identical under the default deployment).
+  /// state, so replay is byte-identical at any thread count. Crash/sleep
+  /// events use *device ids*; link/partition events use *tree
+  /// positions* (identical under the default deployment).
   /// Throws std::logic_error mid-round.
   void attach_fault_plan(fault::FaultPlan plan);
   void clear_fault_plan();
-  bool has_fault_plan() const noexcept { return faults_ != nullptr; }
+  bool has_fault_plan() const noexcept { return rt_.has_fault_plan(); }
   /// Armed-event tally of the attached plan (nullptr without a plan).
   const fault::FaultTally* fault_tally() const noexcept {
-    return faults_ ? &faults_->tally() : nullptr;
+    return rt_.fault_tally();
   }
 
   /// --- Heterogeneous swarms ---
@@ -197,43 +202,22 @@ class SapSimulation {
   /// Device state of the occupant of tree position `pos`.
   Dev& dev_at_pos(net::NodeId pos) { return dev(dev_at_[pos]); }
 
-  // Engine routing: protocol handlers never touch scheduler_/network_
-  // directly — they go through the shard owning the tree position, which
-  // in single-threaded mode is always the classic single pair.
-  sim::Scheduler& sched(net::NodeId pos) noexcept {
-    return engine_ ? engine_->shard_for(pos) : scheduler_;
+  // Per-shard round accounting: handlers reach their shard's
+  // instruments through cached handles, so the hot path is an increment
+  // — no name lookups, no sharing across shards.
+  struct ShardStats {
+    obs::Counter* repolls;       // "sap.repolls"
+    obs::Gauge* inbound_end;     // "sap.inbound_end_ns"
+    obs::Counter* backoff_wait;  // "sap.backoff_wait_ns"
+    obs::Counter* unreachable;   // "sap.unreachable_marks"
+  };
+  ShardStats& stats(net::NodeId pos) noexcept {
+    return stats_[rt_.shard_of(pos)];
   }
-  net::Network& net_of(net::NodeId pos) noexcept {
-    return engine_ ? *shard_nets_[engine_->shard_of(pos)] : network_;
-  }
-  // Per-shard round accounting lives in the shard's MetricsRegistry
-  // (engine mode) or in metrics_ itself (classic mode); handlers reach
-  // their shard's instruments through these cached handles, so the hot
-  // path is an increment — no name lookups, no sharing across shards.
-  obs::Counter& repoll_counter(net::NodeId pos) noexcept {
-    return *repoll_ctrs_[engine_ ? engine_->shard_of(pos) : 0];
-  }
-  obs::Gauge& inbound_gauge(net::NodeId pos) noexcept {
-    return *inbound_gauges_[engine_ ? engine_->shard_of(pos) : 0];
-  }
-  obs::Counter& backoff_counter(net::NodeId pos) noexcept {
-    return *backoff_ctrs_[engine_ ? engine_->shard_of(pos) : 0];
-  }
-  obs::Counter& unreachable_counter(net::NodeId pos) noexcept {
-    return *unreachable_ctrs_[engine_ ? engine_->shard_of(pos) : 0];
-  }
-  void setup_engine();
-  void sync_shard_networks();
 
-  // Fault-plan replay: hand over every not-yet-armed event inside the
-  // horizon (driver thread, engines quiescent) and apply/schedule it on
-  // the owning shard.
-  void arm_faults(sim::SimTime horizon);
-  void schedule_fault(const fault::FaultEvent& ev);
+  /// Device-fault hook of the runtime's fault replay; runs on the shard
+  /// owning the device's tree position.
   void apply_device_fault(const fault::FaultEvent& ev);
-  void apply_link(net::NodeId src, net::NodeId dst, bool down,
-                  sim::SimTime at);
-  void apply_loss(double rate, std::uint64_t seed, sim::SimTime at);
 
   // Protocol handlers are keyed by tree *position*; identity-bound state
   // (keys, content) is reached through the position->device map.
@@ -268,29 +252,10 @@ class SapSimulation {
 
   SapConfig config_;
   net::Tree tree_;
-  sim::Scheduler scheduler_;
-  net::Network network_;
-  // Sharded engine (only when config_.sim asks for >1 shard): one
-  // Scheduler per shard inside engine_, plus one Network per shard bound
-  // to that shard's scheduler, all routing deliveries through the
-  // engine's mailboxes. network_ stays the configuration surface (loss
-  // rate etc.) and is mirrored into the shard networks each round.
-  std::unique_ptr<sim::ParallelScheduler> engine_;
-  std::vector<std::unique_ptr<net::Network>> shard_nets_;
-  // Merged metrics of the last round (see metrics()); in classic mode
-  // also the live registry every instrument writes to directly.
-  obs::MetricsRegistry metrics_;
-  std::vector<obs::Counter*> repoll_ctrs_;    // per shard: "sap.repolls"
-  std::vector<obs::Gauge*> inbound_gauges_;   // "sap.inbound_end_ns"
-  std::vector<obs::Counter*> backoff_ctrs_;   // "sap.backoff_wait_ns"
-  std::vector<obs::Counter*> unreachable_ctrs_;  // "sap.unreachable_marks"
-  std::uint64_t rounds_run_ = 0;
-  // Fault-plan replay state. The loss baseline is captured when a spike
-  // first fires so a later clear can restore the user's configuration.
-  std::unique_ptr<fault::FaultInjector> faults_;
-  bool loss_spiked_ = false;
-  double baseline_loss_rate_ = 0.0;
-  std::uint64_t baseline_loss_seed_ = 0;
+  // Engine, per-shard networks, merged metrics and network-level fault
+  // replay. Entities are tree positions; position 0 is Vrf.
+  swarm::SwarmRuntime rt_;
+  std::vector<ShardStats> stats_;  // indexed by shard
   device::SecureClock clock_;
   Verifier verifier_;
   Bytes auth_key_;
@@ -300,7 +265,7 @@ class SapSimulation {
   std::vector<net::NodeId> pos_of_;          // device id -> position
 
   // Round bookkeeping. Root state is only ever touched by the shard
-  // owning tree position 0; per-shard counters live in shard_stats_.
+  // owning tree position 0; per-shard counters live in stats_.
   bool round_active_ = false;
   std::uint32_t round_tick_ = 0;
   Bytes round_chal_;  // adaptive: re-polls carry the challenge payload

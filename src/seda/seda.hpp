@@ -27,7 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -39,6 +38,7 @@
 #include "obs/metrics.hpp"
 #include "sim/parallel.hpp"
 #include "sim/scheduler.hpp"
+#include "swarm/runtime.hpp"
 
 namespace cra::seda {
 
@@ -72,8 +72,8 @@ struct SedaConfig {
   sim::Duration report_margin = sim::Duration::from_ms(20);
 
   /// Simulation engine knobs (same semantics as sap::SapConfig::sim):
-  /// threads=1 keeps the classic single-threaded engine; threads>1
-  /// shards the swarm with conservative lookahead = link.per_hop_latency.
+  /// one shard runs the serial event loop; more shards run in parallel
+  /// with conservative lookahead = link.per_hop_latency.
   sim::SimConfig sim{};
 
   std::size_t request_size() const noexcept { return nonce_size + sig_size; }
@@ -107,7 +107,7 @@ class SedaSimulation {
  public:
   SedaSimulation(SedaConfig config, net::Tree tree, std::uint64_t seed = 1);
 
-  // Pinned to its address (the network references the owned scheduler).
+  // Pinned to its address (the runtime calls back into this object).
   SedaSimulation(const SedaSimulation&) = delete;
   SedaSimulation& operator=(const SedaSimulation&) = delete;
 
@@ -116,26 +116,20 @@ class SedaSimulation {
 
   const SedaConfig& config() const noexcept { return config_; }
   const net::Tree& tree() const noexcept { return tree_; }
-  net::Network& network() noexcept { return network_; }
-  sim::Scheduler& scheduler() noexcept { return scheduler_; }
+  /// The network configuration surface (see swarm/runtime.hpp).
+  net::Network& network() noexcept { return rt_.network(); }
   std::uint32_t device_count() const noexcept { return tree_.device_count(); }
 
-  /// True when rounds execute on the sharded engine (config().sim asked
-  /// for more than one shard and the link latency admits a lookahead).
-  bool parallel() const noexcept { return engine_ != nullptr; }
-  /// The sharded engine, or nullptr in classic single-threaded mode.
+  /// The engine (never null); see sap::SapSimulation::engine().
   const sim::ParallelScheduler* engine() const noexcept {
-    return engine_.get();
+    return &rt_.engine();
   }
-  /// Current simulated time regardless of engine mode.
-  sim::SimTime current_time() const noexcept {
-    return engine_ ? engine_->now() : scheduler_.now();
-  }
+  sim::SimTime current_time() const noexcept { return rt_.now(); }
 
   /// Merged metrics of the last run_join()/run_round(): net.* from the
-  /// (per-shard) networks plus seda.mac_failures / seda.join_acks.
+  /// per-shard networks plus seda.mac_failures / seda.join_acks.
   /// Same determinism contract as sap::SapSimulation::metrics().
-  const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
+  const obs::MetricsRegistry& metrics() const noexcept { return rt_.metrics(); }
 
   void compromise_device(net::NodeId id);
   void restore_device(net::NodeId id);
@@ -148,9 +142,9 @@ class SedaSimulation {
   /// SEDA's count-aggregate wire format).
   void attach_fault_plan(fault::FaultPlan plan);
   void clear_fault_plan();
-  bool has_fault_plan() const noexcept { return faults_ != nullptr; }
+  bool has_fault_plan() const noexcept { return rt_.has_fault_plan(); }
   const fault::FaultTally* fault_tally() const noexcept {
-    return faults_ ? &faults_->tally() : nullptr;
+    return rt_.fault_tally();
   }
 
   /// SEDA's join phase: every tree edge runs an X25519 key agreement
@@ -213,37 +207,20 @@ class SedaSimulation {
 
   Dev& dev(net::NodeId id) { return devices_[id - 1]; }
 
-  // Engine routing: protocol handlers never touch scheduler_/network_
-  // directly — they go through the shard owning the node id, which in
-  // single-threaded mode is always the classic single pair.
-  sim::Scheduler& sched(net::NodeId id) noexcept {
-    return engine_ ? engine_->shard_for(id) : scheduler_;
+  // Per-shard round accounting: handlers update their shard's
+  // instruments through cached handles — shard-confined, so no locks,
+  // and merged deterministically after the run.
+  struct ShardStats {
+    obs::Counter* mac_failures;  // "seda.mac_failures"
+    obs::Counter* join_acks;     // "seda.join_acks"
+  };
+  ShardStats& stats(net::NodeId id) noexcept {
+    return stats_[rt_.shard_of(id)];
   }
-  net::Network& net_of(net::NodeId id) noexcept {
-    return engine_ ? *shard_nets_[engine_->shard_of(id)] : network_;
-  }
-  // Per-shard round accounting lives in the shard's MetricsRegistry
-  // (engine mode) or in metrics_ (classic mode); handlers update their
-  // shard's instruments through cached handles — shard-confined, so no
-  // locks, and merged deterministically after the run.
-  obs::Counter& mac_failure_counter(net::NodeId id) noexcept {
-    return *mac_ctrs_[engine_ ? engine_->shard_of(id) : 0];
-  }
-  obs::Counter& join_ack_counter(net::NodeId id) noexcept {
-    return *join_ctrs_[engine_ ? engine_->shard_of(id) : 0];
-  }
-  void setup_engine();
-  void sync_shard_networks();
-  void run_engine();
 
-  // Fault-plan replay (see sap::SapSimulation for the shard-ownership
-  // rules; SEDA's node ids are its tree positions).
-  void arm_faults(sim::SimTime horizon);
-  void schedule_fault(const fault::FaultEvent& ev);
+  /// Device-fault hook of the runtime's fault replay; runs on the
+  /// device's shard (SEDA's node ids are its tree positions).
   void apply_device_fault(const fault::FaultEvent& ev);
-  void apply_link(net::NodeId src, net::NodeId dst, bool down,
-                  sim::SimTime at);
-  void apply_loss(double rate, std::uint64_t seed, sim::SimTime at);
 
   Bytes edge_key(net::NodeId child) const;
   void handle_join_invite(net::NodeId id, const net::Message& msg);
@@ -266,25 +243,8 @@ class SedaSimulation {
 
   SedaConfig config_;
   net::Tree tree_;
-  sim::Scheduler scheduler_;
-  net::Network network_;
-  // Sharded engine (only when config_.sim asks for >1 shard): one
-  // Scheduler per shard inside engine_, plus one Network per shard bound
-  // to that shard's scheduler. network_ stays the configuration surface
-  // and is mirrored into the shard networks each round.
-  std::unique_ptr<sim::ParallelScheduler> engine_;
-  std::vector<std::unique_ptr<net::Network>> shard_nets_;
-  // Merged metrics of the last run (see metrics()); the live registry
-  // for everything in classic mode.
-  obs::MetricsRegistry metrics_;
-  std::vector<obs::Counter*> mac_ctrs_;   // per shard: "seda.mac_failures"
-  std::vector<obs::Counter*> join_ctrs_;  // per shard: "seda.join_acks"
-  std::uint64_t rounds_run_ = 0;
-  // Fault-plan replay state (mirrors sap::SapSimulation).
-  std::unique_ptr<fault::FaultInjector> faults_;
-  bool loss_spiked_ = false;
-  double baseline_loss_rate_ = 0.0;
-  std::uint64_t baseline_loss_seed_ = 0;
+  swarm::SwarmRuntime rt_;  // entities are node ids (= tree positions)
+  std::vector<ShardStats> stats_;  // indexed by shard
   Bytes master_;
   Bytes round_nonce_;
   std::vector<Dev> devices_;

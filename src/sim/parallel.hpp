@@ -3,7 +3,7 @@
 // The single-threaded Scheduler dispatches a global event queue in time
 // order; a million-device SAP round schedules a few million events on
 // one core. This engine partitions simulation endpoints ("entities" —
-// for the protocol layers, tree positions) into shards, one classic
+// for the protocol layers, tree positions) into shards, one serial
 // Scheduler per shard, and runs the shards concurrently over a worker
 // pool. Correctness rests on the classic conservative-lookahead
 // argument (Chandy/Misra/Bryant):
@@ -50,9 +50,9 @@
 // order, and the horizon sequence depends only on event timestamps —
 // so a run is a pure function of (inputs, shard count), independent of
 // the number of worker threads, the transport, and the shard-to-process
-// placement. With one shard the engine *is* the classic Scheduler:
-// run() forwards directly, so threads=1 reproduces the single-threaded
-// event order bit-for-bit.
+// placement. With one shard the engine *is* a serial Scheduler: run()
+// forwards directly, so one shard reproduces the serial event order
+// bit-for-bit.
 //
 // Threading contract for post(): safe from any of THIS engine's shard
 // workers while the engine runs, and from the driver thread while the
@@ -93,7 +93,7 @@ enum class ShardTransport : std::uint8_t {
 /// configs (sap::SapConfig::sim, seda::SedaConfig::sim).
 struct SimConfig {
   /// Worker threads (per process). 1 = run on the calling thread (with
-  /// shards=0 this is exactly the classic single-queue engine).
+  /// shards=0 that is one shard: the serial event loop).
   std::uint32_t threads = 1;
   /// Shard count; 0 = one shard per thread. Results are a function of
   /// the shard count, not the thread count: fix `shards` and any

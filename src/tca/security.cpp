@@ -160,14 +160,14 @@ TrialOutcome play_trial(const sap::SapConfig& config, std::uint32_t devices,
     case AdvStrategy::kHonestButLate: {
       // Compromise strictly after t_att: PMEM(mi, t=chal) == cfg_i, so a
       // passing verification is NOT an Adv win under Definition 4.
-      const sim::SimTime lower = sim.scheduler().now() +
+      const sim::SimTime lower = sim.current_time() +
                                  sap::request_lead_time(
                                      config, sim.tree().max_depth());
       const std::uint32_t tick = sim.clock().time_to_tick_ceil(lower);
       const sim::SimTime after_att =
           sim.clock().tick_to_time(tick) + sim::Duration::from_ms(1);
-      sim.scheduler().schedule_at(after_att,
-                                  [&] { sim.compromise_device(victim); });
+      sim.schedule_at(victim, after_att,
+                      [&] { sim.compromise_device(victim); });
       out.compromised_at_chal = false;
       out.verified = sim.run_round().verified;
       break;

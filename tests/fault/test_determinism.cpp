@@ -90,8 +90,8 @@ TEST(FaultDeterminism, ChurnActuallyInjectsFaults) {
 TEST(FaultDeterminism, LedgerHoldsUnderLossPlusChurnOnBothEngines) {
   // Scripted link outages and loss spikes both charge the dropped
   // ledger; combined with baseline probabilistic loss the accounting
-  // invariant sent + dropped == attempted must hold on the classic
-  // engine and the sharded engine alike.
+  // invariant sent + dropped == attempted must hold on one shard and on
+  // several alike.
   struct EngineCase {
     std::uint32_t threads, shards;
   };
@@ -236,7 +236,7 @@ TEST(FaultDeterminism, SedaChurnReplayIsByteIdenticalAcrossThreads) {
 TEST(FaultDeterminism, AttachMidRoundThrows) {
   auto sim = SapSimulation::balanced(adaptive_cfg(1, 1), 14, 3);
   bool threw = false;
-  (void)sim.scheduler().schedule_at(sim::SimTime::from_ms(1), [&] {
+  sim.schedule_at(1, sim::SimTime::from_ms(1), [&] {
     try {
       sim.attach_fault_plan(fault::FaultPlan{});
     } catch (const std::logic_error&) {

@@ -55,7 +55,7 @@ std::string run_digest(std::uint32_t threads, std::uint32_t shards,
 }
 
 TEST(PadsDeterminism, TenKDigestIdenticalAcrossEnginesAndThreads) {
-  // Serial reference: the classic single-queue Scheduler.
+  // Serial reference: one shard, the single-queue Scheduler.
   const std::string serial = run_digest(/*threads=*/1, /*shards=*/1, false);
   ASSERT_EQ(serial.size(), 64u);
   // Sharded engine at a fixed shard count, every thread count: the

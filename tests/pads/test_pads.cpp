@@ -209,7 +209,7 @@ TEST(PadsRound, SmallCrossEngineDigestsMatch) {
   sharded.sim.threads = 4;
   sharded.sim.shards = 4;
   auto b = PadsSimulation::balanced(sharded, 50, /*seed=*/3);
-  ASSERT_TRUE(b.parallel());
+  ASSERT_GT(b.engine()->shard_count(), 1u);
 
   const std::string da = a.run_round().digest;
   const std::string db = b.run_round().digest;

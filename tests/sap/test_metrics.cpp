@@ -46,7 +46,7 @@ TEST(SapMetrics, ThreadCountDoesNotChangeTheExport) {
 
 TEST(SapMetrics, SerialAndShardedAgreeWithoutLoss) {
   // With no loss the event stream itself is engine-independent, so the
-  // classic engine and any sharding must export identical metrics.
+  // one shard and any sharding must export identical metrics.
   sap::SapConfig cfg = small_config();
   const std::string serial = run_and_export(cfg, 126, 0.0);
   cfg.sim.threads = 8;  // shards=0 -> 8 shards

@@ -137,7 +137,7 @@ TEST(InlineCallback, SchedulerOrderUnchangedAcrossStoragePaths) {
 // Full-protocol determinism with the SBO callbacks and the payload pool
 // on the hot path: the round digest must be byte-identical across
 // thread counts (same harness shape as test_parallel's digest tests),
-// and the classic engine must actually be recycling buffers.
+// and the one-shard path must actually be recycling buffers.
 TEST(InlineCallback, SapRoundDigestStableWithPooledPayloads) {
   auto run = [](std::uint32_t threads, std::uint64_t* pool_hits) {
     sap::SapConfig cfg;
@@ -150,9 +150,9 @@ TEST(InlineCallback, SapRoundDigestStableWithPooledPayloads) {
        << r.messages << '|' << r.responded << '|' << r.repolls;
     return os.str();
   };
-  std::uint64_t classic_hits = 0;
-  const std::string serial = run(1, &classic_hits);
-  EXPECT_GT(classic_hits, 0u);  // the freelist is live on the classic path
+  std::uint64_t serial_hits = 0;
+  const std::string serial = run(1, &serial_hits);
+  EXPECT_GT(serial_hits, 0u);  // the freelist is live on the one-shard path
   EXPECT_EQ(run(2, nullptr), serial);
   EXPECT_EQ(run(8, nullptr), serial);
 }

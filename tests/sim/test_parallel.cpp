@@ -2,7 +2,7 @@
 //
 // The determinism contract under test: a run is a pure function of
 // (inputs, shard count) — independent of worker-thread count and OS
-// scheduling — and with one shard the engine IS the classic Scheduler.
+// scheduling — and with one shard the engine IS a serial Scheduler.
 #include "sim/parallel.hpp"
 
 #include <gtest/gtest.h>
@@ -12,11 +12,16 @@
 #include <numeric>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "net/topology.hpp"
+#include "pads/pads.hpp"
+#include "sap/analysis.hpp"
+#include "sap/messages.hpp"
 #include "sap/swarm.hpp"
 #include "seda/seda.hpp"
 
@@ -31,7 +36,7 @@ std::vector<std::uint32_t> ids(std::uint32_t n) {
 }
 
 TEST(ParallelScheduler, SingleShardForwardsToClassic) {
-  // threads=1, shards=0 -> one shard: the engine is the classic queue.
+  // threads=1, shards=0 -> one shard: the engine is the serial queue.
   ParallelScheduler engine(ids(8), SimConfig{}, Duration::from_ms(1));
   EXPECT_EQ(engine.shard_count(), 1u);
 
@@ -293,7 +298,7 @@ std::string run_sap(std::uint32_t threads, std::uint32_t devices) {
   sap::SapConfig cfg;
   cfg.sim.threads = threads;
   auto sim = sap::SapSimulation::balanced(cfg, devices, /*seed=*/42);
-  EXPECT_EQ(sim.parallel(), threads > 1);
+  EXPECT_EQ(sim.engine()->shard_count() > 1, threads > 1);
   return sap_digest(sim.run_round());
 }
 
@@ -308,7 +313,7 @@ std::string run_seda(std::uint32_t threads, std::uint32_t devices) {
   seda::SedaConfig cfg;
   cfg.sim.threads = threads;
   auto sim = seda::SedaSimulation::balanced(cfg, devices, /*seed=*/42);
-  EXPECT_EQ(sim.parallel(), threads > 1);
+  EXPECT_EQ(sim.engine()->shard_count() > 1, threads > 1);
   return seda_digest(sim.run_round());
 }
 
@@ -357,13 +362,91 @@ TEST(ParallelProtocols, SapLossyRunReproducibleForFixedShards) {
 }
 
 TEST(ParallelProtocols, TamperHooksRejectedUnderSharding) {
+  // One rule for all three protocols: a tamper hook needs one shard,
+  // whatever the thread count — threads=1 with shards=4 is sharded too —
+  // and the error names the setting that fixes it.
+  const auto hook = [](const net::Message&) { return net::TamperResult{}; };
+  const auto expect_rejected = [](auto&& round) {
+    try {
+      round();
+      ADD_FAILURE() << "tamper hook accepted under sharding";
+    } catch (const std::logic_error& e) {
+      EXPECT_NE(std::string(e.what()).find("sim.shards"), std::string::npos)
+          << e.what();
+    }
+  };
+  for (const auto& [threads, shards] :
+       {std::pair<std::uint32_t, std::uint32_t>{2, 0}, {1, 4}}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads
+                                    << " shards=" << shards);
+    sap::SapConfig sap_cfg;
+    sap_cfg.sim.threads = threads;
+    sap_cfg.sim.shards = shards;
+    auto sap_sim = sap::SapSimulation::balanced(sap_cfg, 64);
+    sap_sim.network().set_tamper_hook(hook);
+    expect_rejected([&] { (void)sap_sim.run_round(); });
+
+    seda::SedaConfig seda_cfg;
+    seda_cfg.sim = sap_cfg.sim;
+    auto seda_sim = seda::SedaSimulation::balanced(seda_cfg, 64);
+    seda_sim.network().set_tamper_hook(hook);
+    expect_rejected([&] { (void)seda_sim.run_round(); });
+
+    pads::PadsConfig pads_cfg;
+    pads_cfg.sim = sap_cfg.sim;
+    auto pads_sim = pads::PadsSimulation::balanced(pads_cfg, 64);
+    pads_sim.network().set_tamper_hook(hook);
+    expect_rejected([&] { (void)pads_sim.run_round(); });
+  }
+  // One shard runs the hook, at any thread count.
   sap::SapConfig cfg;
-  cfg.sim.threads = 2;
+  cfg.sim.threads = 4;
+  cfg.sim.shards = 1;
   auto sim = sap::SapSimulation::balanced(cfg, 64);
-  ASSERT_TRUE(sim.parallel());
-  sim.network().set_tamper_hook(
-      [](const net::Message&) { return net::TamperResult{}; });
-  EXPECT_THROW(sim.run_round(), std::logic_error);
+  std::uint64_t seen = 0;
+  sim.network().set_tamper_hook([&seen](const net::Message&) {
+    ++seen;
+    return net::TamperResult{};
+  });
+  EXPECT_TRUE(sim.run_round().verified);
+  EXPECT_GT(seen, 0u);
+}
+
+TEST(ParallelProtocols, DriverScheduledCallbackFires) {
+  // A driver's own event lands on the owning device's shard and runs
+  // inside the round, sharded or not.
+  for (const std::uint32_t threads : {1u, 4u}) {
+    sap::SapConfig cfg;
+    cfg.sim.threads = threads;
+    auto sim = sap::SapSimulation::balanced(cfg, 1'000, /*seed=*/5);
+    bool fired = false;
+    sim.schedule_at(700, SimTime::from_ms(1), [&fired] { fired = true; });
+    EXPECT_TRUE(sim.run_round().verified);
+    EXPECT_TRUE(fired) << "threads=" << threads;
+    EXPECT_GT(sim.current_time(), SimTime::from_ms(1));
+  }
+}
+
+TEST(ParallelProtocols, ForgedChallengeFailsRoundAtAnyThreadCount) {
+  // examples/dos_mitigation.cpp's attack: without request
+  // authentication, a forged chal sent through network() ahead of the
+  // round steers device 1's subtree to a bogus tick. The driver-thread
+  // send must reach device 1 on its shard at every thread count.
+  for (const std::uint32_t threads : {1u, 4u}) {
+    sap::SapConfig cfg;
+    cfg.pmem_size = 16 * 1024;
+    cfg.qoa = sap::QoaMode::kCount;
+    cfg.sim.threads = threads;
+    auto sim = sap::SapSimulation::balanced(cfg, 62, /*seed=*/11);
+    const std::uint32_t forged_tick =
+        sim.clock().time_to_tick_ceil(
+            sim.current_time() +
+            sap::request_lead_time(cfg, sim.tree().max_depth())) +
+        2;
+    sim.network().send(0, 1, sap::kChalMsg,
+                       sap::encode_chal(forged_tick, {}, cfg.chal_size()));
+    EXPECT_FALSE(sim.run_round().verified) << "threads=" << threads;
+  }
 }
 
 TEST(ParallelProtocols, SedaJoinThenRoundUnderSharding) {
