@@ -36,13 +36,10 @@ Cell run_cell(sim::Duration period, sim::Duration capture_len,
     cfg.absence_threshold = sim::Duration(period.ns() * 5 / 2);  // 2.5 periods
     auto hb = sap::HeartbeatSimulation::balanced(
         cfg, devices, static_cast<std::uint64_t>(t) + 1);
-    obs::MetricsRegistry hb_metrics;
-    hb.network().bind_metrics(&hb_metrics);
     Rng rng(static_cast<std::uint64_t>(t) * 77 + 5);
     const auto victim =
         static_cast<net::NodeId>(1 + rng.next_below(devices));
 
-    hb.network().reset_accounting();
     hb.run_monitoring(sim::Duration::from_ms(600));
     hb.capture_device(victim);
     hb.run_monitoring(capture_len);
@@ -57,7 +54,7 @@ Cell run_cell(sim::Duration period, sim::Duration capture_len,
     const double sim_sec = 0.6 + capture_len.sec();
     overhead += static_cast<double>(hb.network().bytes_transmitted()) /
                 devices / sim_sec;
-    obs.capture(hb_metrics, prefix);
+    obs.capture(hb.metrics(), prefix);
   }
   return {static_cast<double>(detected) / trials,
           overhead / trials};

@@ -17,19 +17,19 @@ namespace {
 
 using namespace cra;
 
-double false_alarm_rate(double loss, bool retransmit, std::uint32_t devices,
+double false_alarm_rate(double loss, bool repoll, std::uint32_t devices,
                         int rounds, benchargs::ObsSession& obs) {
   sap::SapConfig cfg;
   cfg.pmem_size = 8 * 1024;
-  cfg.retransmit = retransmit;
-  cfg.max_retries = 3;
+  cfg.adaptive.enabled = repoll;
+  cfg.adaptive.max_repolls = 3;
   auto swarm = sap::SapSimulation::balanced(cfg, devices, /*seed=*/17);
   swarm.network().set_loss_rate(loss, /*seed=*/17);
   // Round counters reset each round; accumulating every round into the
   // cell's namespace gives per-cell totals (bytes, drops, repolls).
   char prefix[64];
   std::snprintf(prefix, sizeof prefix, "loss=%.4f/%s/", loss,
-                retransmit ? "repoll" : "plain");
+                repoll ? "repoll" : "plain");
   int failures = 0;
   for (int i = 0; i < rounds; ++i) {
     if (!swarm.run_round().verified) ++failures;

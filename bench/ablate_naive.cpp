@@ -20,11 +20,10 @@
 
 #include "bench_args.hpp"
 #include "common/table.hpp"
-#include "net/network.hpp"
 #include "net/topology.hpp"
 #include "sap/analysis.hpp"
 #include "sap/swarm.hpp"
-#include "sim/scheduler.hpp"
+#include "swarm/runtime.hpp"
 
 namespace {
 
@@ -40,10 +39,6 @@ struct NaiveResult {
 NaiveResult run_naive(std::uint32_t devices, const sap::SapConfig& cfg,
                       benchargs::ObsSession& obs) {
   const net::Tree tree = net::balanced_kary_tree(devices, cfg.tree_arity);
-  sim::Scheduler scheduler;
-  net::Network network(scheduler, cfg.link);
-  obs::MetricsRegistry naive_metrics;
-  network.bind_metrics(&naive_metrics);
 
   const std::size_t msg_size = cfg.chal_size();  // chal and token: l bits
   const sim::Duration attest = sap::attest_time(cfg);
@@ -56,44 +51,48 @@ NaiveResult run_naive(std::uint32_t devices, const sap::SapConfig& cfg,
   // model the uplink receptions as a queue draining at link rate.
   const sim::Duration per_msg =
       sim::transmission_delay(msg_size * 8, cfg.link.rate_bps);
-  sim::SimTime vrf_radio_free = scheduler.now();
+  sim::SimTime vrf_radio_free;  // the runtime's clock starts at zero
 
-  network.set_handler([&](const net::Message& m) {
-    if (m.dst != 0) {
-      // Device m.dst: attest, then unicast the token home.
-      const auto hops = tree.depth(m.dst);
-      scheduler.schedule_after(attest, [&, id = m.dst, hops] {
-        network.send_multihop(id, 0, hops, 2, Bytes(msg_size, 0xbb));
-        result.root_link_bytes += msg_size;  // last hop touches the root
-      });
-      return;
-    }
-    // Vrf receives a token; its radio handles one message at a time.
-    vrf_radio_free =
-        (vrf_radio_free > scheduler.now() ? vrf_radio_free
-                                          : scheduler.now()) +
-        per_msg;
-    last_resp = vrf_radio_free;
-    --pending;
-  });
+  swarm::SwarmRuntime rt(
+      tree, sim::SimConfig{}, cfg.link,
+      [&](const net::Message& m) {
+        if (m.dst != 0) {
+          // Device m.dst: attest, then unicast the token home.
+          const auto hops = tree.depth(m.dst);
+          rt.sched(m.dst).schedule_after(attest, [&, id = m.dst, hops] {
+            rt.net_of(id).send_multihop(id, 0, hops, 2,
+                                        Bytes(msg_size, 0xbb));
+            result.root_link_bytes += msg_size;  // last hop touches the root
+          });
+          return;
+        }
+        // Vrf receives a token; its radio handles one message at a time.
+        const sim::SimTime now = rt.sched(0).now();
+        vrf_radio_free = (vrf_radio_free > now ? vrf_radio_free : now) +
+                         per_msg;
+        last_resp = vrf_radio_free;
+        --pending;
+      },
+      {});
 
+  rt.begin_window();
   // Vrf unicasts a fresh challenge to every device (its downlink also
   // serializes, the same per-message time each).
-  sim::SimTime send_at = scheduler.now();
+  sim::SimTime send_at = rt.now();
   for (net::NodeId id = 1; id <= devices; ++id) {
     const auto hops = tree.depth(id);
-    scheduler.schedule_at(send_at, [&, id, hops] {
-      network.send_multihop(0, id, hops, 1, Bytes(msg_size, 0xaa));
+    rt.sched(0).schedule_at(send_at, [&, id, hops] {
+      rt.net_of(0).send_multihop(0, id, hops, 1, Bytes(msg_size, 0xaa));
       result.root_link_bytes += msg_size;
     });
     send_at += per_msg;
   }
 
-  scheduler.run();
+  rt.run_window();
   if (pending != 0) std::abort();
   result.total_sec = last_resp.sec();
-  result.u_ca_bytes = network.bytes_transmitted();
-  obs.capture(naive_metrics, "naive/n=" + std::to_string(devices) + "/");
+  result.u_ca_bytes = rt.metrics().counter_value("net.bytes_transmitted");
+  obs.capture(rt.metrics(), "naive/n=" + std::to_string(devices) + "/");
   return result;
 }
 

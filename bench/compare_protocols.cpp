@@ -339,7 +339,7 @@ int main(int argc, char** argv) {
                      Table::num(static_cast<double>(r.u_ca_bytes) / n, 1),
                      "per-device", "none"});
     }
-    // LISA has no sharded-engine port; its rounds always run serial.
+    // LISA runs on the swarm runtime at one shard, whatever --threads.
     std::fprintf(stderr, "wall: N=%u threads=%u all-protocols=%.3fs\n", n,
                  args.threads, wall.sec());
   }

@@ -7,6 +7,7 @@
 // and simulation can be compared at a glance.
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_args.hpp"
@@ -32,23 +33,29 @@ int main(int argc, char** argv) {
                                       10'000u,  100'000u, 1'000'000u};
   if (args.devices != 0) sizes = {args.devices};
 
-  for (std::uint32_t n : sizes) {
+  // Wall time of one run_round() on an already constructed swarm:
+  // construction is setup, not the round Fig. 3(a) plots.
+  const auto timed_round = [](auto& sim) {
     const benchargs::WallTimer wall;
+    auto round = sim.run_round();
+    return std::pair{std::move(round), wall.sec()};
+  };
+
+  for (std::uint32_t n : sizes) {
     auto sap_sim = sap::SapSimulation::balanced(sap_cfg, n);
-    const auto sap_round = sap_sim.run_round();
-    const double sap_wall = wall.sec();
+    const auto [sap_round, sap_wall] = timed_round(sap_sim);
     obs.capture(sap_sim.metrics(), "sap/n=" + std::to_string(n) + "/");
 
     auto seda_sim = seda::SedaSimulation::balanced(seda_cfg, n);
-    const auto seda_round = seda_sim.run_round();
-    const double seda_wall = wall.sec() - sap_wall;
+    const auto [seda_round, seda_wall] = timed_round(seda_sim);
     obs.capture(seda_sim.metrics(), "seda/n=" + std::to_string(n) + "/");
 
     if (!sap_round.verified || !seda_round.verified) {
       std::fprintf(stderr, "N=%u: round failed to verify!\n", n);
       return 1;
     }
-    std::fprintf(stderr, "wall: N=%u threads=%u sap=%.3fs seda=%.3fs\n", n,
+    std::fprintf(stderr,
+                 "wall: N=%u threads=%u round sap=%.3fs seda=%.3fs\n", n,
                  args.threads, sap_wall, seda_wall);
     if (args.threads > 1) {
       // Speedup vs one shard (the serial event loop) on the same swarm.
@@ -56,15 +63,12 @@ int main(int argc, char** argv) {
       serial_sap.sim = sim::SimConfig{};
       seda::SedaConfig serial_seda = seda_cfg;
       serial_seda.sim = sim::SimConfig{};
-      const benchargs::WallTimer serial_wall;
       auto sap_serial = sap::SapSimulation::balanced(serial_sap, n);
-      (void)sap_serial.run_round();
-      const double sap_serial_sec = serial_wall.sec();
+      const double sap_serial_sec = timed_round(sap_serial).second;
       auto seda_serial = seda::SedaSimulation::balanced(serial_seda, n);
-      (void)seda_serial.run_round();
-      const double seda_serial_sec = serial_wall.sec() - sap_serial_sec;
+      const double seda_serial_sec = timed_round(seda_serial).second;
       std::fprintf(stderr,
-                   "wall: N=%u threads=1 sap=%.3fs seda=%.3fs "
+                   "wall: N=%u threads=1 round sap=%.3fs seda=%.3fs "
                    "(speedup sap=%.2fx seda=%.2fx)\n",
                    n, sap_serial_sec, seda_serial_sec,
                    sap_serial_sec / sap_wall, seda_serial_sec / seda_wall);

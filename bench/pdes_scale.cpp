@@ -21,7 +21,9 @@
 // constructed BEFORE the fork so the engine's shared arena is mapped by
 // every rank; every rank then executes the same round driver, and rank 0
 // — the parent, owner of shard 0 and thus of the authoritative
-// root/verifier state — is the only one that prints.
+// root/verifier state — is the only one that prints and the only one
+// that writes the --metrics-json and --trace-out files (the other ranks
+// leave through child_exit, which runs no destructors).
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -126,6 +128,7 @@ int main(int argc, char** argv) {
       kUsage);
 
   const std::uint32_t devices = args.devices != 0 ? args.devices : 10'000;
+  benchargs::ObsSession obs(args);
 
   sap::SapConfig cfg;
   cfg.sim.threads = args.threads;
@@ -163,6 +166,7 @@ int main(int argc, char** argv) {
       fold_round(digest, report);
       const std::string metrics_json = swarm.metrics().to_json();
       fold_bytes(digest, metrics_json.data(), metrics_json.size());
+      obs.capture(swarm.metrics(), "sap/");
       swarm.advance_time(sim::Duration::from_ms(250));
     }
   } catch (const std::exception& e) {

@@ -9,7 +9,7 @@
 //     --rounds R         attestation rounds to run       (default 3)
 //     --period-ms P      idle time between rounds        (default 500)
 //     --loss P           link loss probability           (default 0)
-//     --retransmit       enable the repoll extension
+//     --repoll           re-poll silent children (adaptive backoff)
 //     --auth             authenticate requests (DoS ext.)
 //     --compromise LIST  comma-separated device ids to infect
 //     --seed S           deterministic seed              (default 1)
@@ -35,7 +35,7 @@ using namespace cra;
                "usage: %s [--devices N] [--arity K] [--topology "
                "balanced|line|random]\n  [--qoa binary|count|identify] "
                "[--alg sha1|sha256] [--rounds R]\n  [--period-ms P] "
-               "[--loss P] [--retransmit] [--auth]\n  [--compromise "
+               "[--loss P] [--repoll] [--auth]\n  [--compromise "
                "id,id,...] [--seed S]\n",
                argv0);
   std::exit(2);
@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
   int rounds = 3;
   long period_ms = 500;
   double loss = 0.0;
-  bool retransmit = false;
+  bool repoll = false;
   bool auth = false;
   std::vector<net::NodeId> compromise;
   std::uint64_t seed = 1;
@@ -90,7 +90,7 @@ int main(int argc, char** argv) {
     else if (a == "--rounds") rounds = std::atoi(next());
     else if (a == "--period-ms") period_ms = std::atol(next());
     else if (a == "--loss") loss = std::atof(next());
-    else if (a == "--retransmit") retransmit = true;
+    else if (a == "--repoll") repoll = true;
     else if (a == "--auth") auth = true;
     else if (a == "--compromise") compromise = parse_id_list(next());
     else if (a == "--seed") seed = std::strtoull(next(), nullptr, 10);
@@ -107,7 +107,8 @@ int main(int argc, char** argv) {
                : qoa == "identify" ? sap::QoaMode::kIdentify
                                    : sap::QoaMode::kBinary;
   config.authenticate_requests = auth;
-  config.retransmit = retransmit;
+  config.adaptive.enabled = repoll;
+  config.adaptive.max_repolls = 3;
 
   Rng topo_rng(seed);
   net::Tree tree = topology == "line"
@@ -130,7 +131,7 @@ int main(int argc, char** argv) {
     std::printf("# swarm_cli: N=%u arity=%u topology=%s qoa=%s alg=%s "
                 "loss=%.3f%s%s seed=%llu\n",
                 devices, arity, topology.c_str(), qoa.c_str(), alg.c_str(),
-                loss, retransmit ? " retransmit" : "",
+                loss, repoll ? " repoll" : "",
                 auth ? " auth" : "",
                 static_cast<unsigned long long>(seed));
     std::printf("# depth=%u  T_att=%.3fs\n", swarm.tree().max_depth(),

@@ -28,8 +28,8 @@ LisaSimulation::LisaSimulation(LisaConfig config, net::Tree tree,
                                std::uint64_t seed)
     : config_(config),
       tree_(std::move(tree)),
-      scheduler_(),
-      network_(scheduler_, config.link),
+      rt_(tree_, sim::SimConfig{}, config.link,
+          [this](const net::Message& m) { on_message(m); }, {}),
       master_(crypto::SecureRandom(seed ^ 0x4c49'5341'6b65'79ULL)
                   .bytes(32)),
       devices_(tree_.device_count()) {
@@ -43,7 +43,6 @@ LisaSimulation::LisaSimulation(LisaConfig config, net::Tree tree,
                                           "lisa-firmware");
     expected_.push_back(d.content);  // enrolled cfg_i
   }
-  network_.set_handler([this](const net::Message& m) { on_message(m); });
   subtree_.assign(tree_.size(), 1);
   for (net::NodeId n = tree_.size() - 1; n >= 1; --n) {
     subtree_[tree_.parent(n)] += subtree_[n];
@@ -76,9 +75,7 @@ void LisaSimulation::set_device_unresponsive(net::NodeId id,
   dev(id).unresponsive = unresponsive;
 }
 
-void LisaSimulation::advance_time(sim::Duration d) {
-  scheduler_.run_until(scheduler_.now() + d);
-}
+void LisaSimulation::advance_time(sim::Duration d) { rt_.advance_time(d); }
 
 sim::Duration LisaSimulation::attest_time() const {
   const std::uint64_t blocks =
@@ -105,6 +102,7 @@ LisaRoundReport LisaSimulation::run_round() {
     throw std::logic_error("LISA run_round: round already active");
   }
   round_active_ = true;
+  rt_.begin_window();
 
   for (net::NodeId id = 1; id <= device_count(); ++id) {
     Dev& d = dev(id);
@@ -120,26 +118,25 @@ LisaRoundReport LisaSimulation::run_round() {
   root_reports_.clear();
   root_waiting_bundles_ =
       static_cast<std::uint32_t>(tree_.children(0).size());
-  network_.reset_accounting();
 
   LisaRoundReport report;
   report.devices = device_count();
-  report.t_req = scheduler_.now();
+  report.t_req = rt_.now();
 
   crypto::SecureRandom nonce_rng(
-      static_cast<std::uint64_t>(scheduler_.now().ns()) ^ 0x4c6e6f6eULL);
+      static_cast<std::uint64_t>(rt_.now().ns()) ^ 0x4c6e6f6eULL);
   round_nonce_ = nonce_rng.bytes(config_.nonce_size);
   for (net::NodeId child : tree_.children(0)) {
-    network_.send(0, child, kRequestMsg, round_nonce_);
+    rt_.net_of(0).send(0, child, kRequestMsg, round_nonce_);
   }
 
   // Give-up deadline: request wave + one measurement + the report path.
-  const sim::Duration hop_req = network_.link_delay(config_.nonce_size);
+  const sim::Duration hop_req = rt_.network().link_delay(config_.nonce_size);
   const sim::Duration relay =
       sim::cycles_to_time(config_.relay_cycles, config_.device_hz);
   const sim::Duration report_path =
       config_.variant == LisaVariant::kAlpha
-          ? (network_.link_delay(config_.entry_size()) + relay) *
+          ? (rt_.network().link_delay(config_.entry_size()) + relay) *
                 static_cast<std::int64_t>(tree_.max_depth() + 1)
           : sim::transmission_delay(2ULL * (device_count() + 1) *
                                         config_.entry_size() * 8,
@@ -159,20 +156,20 @@ LisaRoundReport LisaSimulation::run_round() {
                               config_.tree_arity * tree_.max_depth())
           : sim::Duration::zero();
   const sim::SimTime give_up =
-      scheduler_.now() +
+      rt_.now() +
       hop_req * static_cast<std::int64_t>(tree_.max_depth() + 1) +
       attest_time() + report_path + contention_allowance +
       config_.report_margin *
           static_cast<std::int64_t>(tree_.max_depth() + 2);
   t_resp_ = give_up;
   root_deadline_ =
-      scheduler_.schedule_at(give_up, [this] { finish_round(); });
+      rt_.sched(0).schedule_at(give_up, [this] { finish_round(); });
 
-  scheduler_.run();
+  rt_.run_window();
 
   report.t_resp = t_resp_;
-  report.u_ca_bytes = network_.bytes_transmitted();
-  report.messages = network_.messages_sent();
+  report.u_ca_bytes = rt_.metrics().counter_value("net.bytes_transmitted");
+  report.messages = rt_.metrics().counter_value("net.messages_sent");
   report.responded = static_cast<std::uint32_t>(root_reports_.size());
 
   // Vrf verification: per-device token against the enrolled cfg_i.
@@ -214,28 +211,31 @@ void LisaSimulation::handle_request(net::NodeId id, const net::Message& msg) {
   if (d.got_request) return;
   d.got_request = true;
   for (net::NodeId child : tree_.children(id)) {
-    network_.send(id, child, kRequestMsg, msg.payload);
+    rt_.net_of(id).send(id, child, kRequestMsg, msg.payload);
   }
-  scheduler_.schedule_after(attest_time(), [this, id] { self_attested(id); });
+  rt_.sched(id).schedule_after(attest_time(),
+                               [this, id] { self_attested(id); });
 
   if (config_.variant == LisaVariant::kS && !tree_.children(id).empty()) {
     // Bundle deadline: children attest ~one hop later with the same
     // T_att; bundle transmission grows with the subtree (along the
     // deepest chain the payload roughly doubles per level, bounded by
     // pushing ~2x this node's subtree once).
-    const sim::Duration hop_req = network_.link_delay(config_.nonce_size);
+    const sim::Duration hop_req =
+        rt_.network().link_delay(config_.nonce_size);
     const std::uint32_t levels = tree_.max_depth() - tree_.depth(id);
     const sim::Duration relay =
         sim::cycles_to_time(config_.relay_cycles, config_.device_hz);
     const std::uint64_t worst_bits =
         2ULL * subtree_[id] * config_.entry_size() * 8;
     const sim::SimTime deadline =
-        scheduler_.now() + attest_time() +
+        rt_.sched(id).now() + attest_time() +
         sim::transmission_delay(worst_bits, config_.link.rate_bps) +
         (hop_req + config_.link.per_hop_latency + relay) *
             static_cast<std::int64_t>(levels) +
         config_.report_margin * static_cast<std::int64_t>(levels + 1);
-    d.deadline = scheduler_.schedule_at(deadline, [this, id] { flush(id); });
+    d.deadline =
+        rt_.sched(id).schedule_at(deadline, [this, id] { flush(id); });
   }
 }
 
@@ -245,7 +245,7 @@ void LisaSimulation::self_attested(net::NodeId id) {
   const Bytes entry = make_entry(id);
   if (config_.variant == LisaVariant::kAlpha) {
     // Send the individual report toward Vrf; parents relay.
-    network_.send(id, tree_.parent(id), kReportMsg, entry);
+    rt_.net_of(id).send(id, tree_.parent(id), kReportMsg, entry);
     return;
   }
   d.bundle.insert(d.bundle.end(), entry.begin(), entry.end());
@@ -263,8 +263,8 @@ void LisaSimulation::handle_report(net::NodeId id, const net::Message& msg) {
     // Store-and-forward relay. Duplicates cannot arise on a tree from
     // honest traffic; the verifier deduplicates defensively anyway
     // (per-relay dedup state would cost O(N) per device).
-    scheduler_.schedule_after(relay, [this, id, p = msg.payload] {
-      network_.send(id, tree_.parent(id), kReportMsg, p);
+    rt_.sched(id).schedule_after(relay, [this, id, p = msg.payload] {
+      rt_.net_of(id).send(id, tree_.parent(id), kReportMsg, p);
     });
     return;
   }
@@ -280,12 +280,12 @@ void LisaSimulation::handle_report(net::NodeId id, const net::Message& msg) {
 void LisaSimulation::try_submit(net::NodeId id) {
   Dev& d = dev(id);
   if (d.sent || !d.self_done || d.waiting != 0) return;
-  scheduler_.cancel(d.deadline);
+  rt_.sched(id).cancel(d.deadline);
   d.sent = true;
   const sim::Duration relay =
       sim::cycles_to_time(config_.relay_cycles, config_.device_hz);
-  scheduler_.schedule_after(relay, [this, id, p = d.bundle] {
-    network_.send(id, tree_.parent(id), kReportMsg, p);
+  rt_.sched(id).schedule_after(relay, [this, id, p = d.bundle] {
+    rt_.net_of(id).send(id, tree_.parent(id), kReportMsg, p);
   });
 }
 
@@ -293,7 +293,7 @@ void LisaSimulation::flush(net::NodeId id) {
   Dev& d = dev(id);
   if (d.sent) return;
   d.sent = true;
-  network_.send(id, tree_.parent(id), kReportMsg, d.bundle);
+  rt_.net_of(id).send(id, tree_.parent(id), kReportMsg, d.bundle);
 }
 
 void LisaSimulation::root_receive(const net::Message& msg) {
@@ -316,13 +316,13 @@ void LisaSimulation::root_receive(const net::Message& msg) {
   if (config_.variant == LisaVariant::kS) {
     if (root_waiting_bundles_ > 0) --root_waiting_bundles_;
     if (root_waiting_bundles_ == 0) {
-      scheduler_.cancel(root_deadline_);
+      rt_.sched(0).cancel(root_deadline_);
       finish_round();
       return;
     }
   }
   if (root_reports_.size() == device_count()) {
-    scheduler_.cancel(root_deadline_);
+    rt_.sched(0).cancel(root_deadline_);
     finish_round();
   }
 }
@@ -330,7 +330,7 @@ void LisaSimulation::root_receive(const net::Message& msg) {
 void LisaSimulation::finish_round() {
   if (done_) return;
   done_ = true;
-  t_resp_ = scheduler_.now();
+  t_resp_ = rt_.sched(0).now();
 }
 
 }  // namespace cra::lisa

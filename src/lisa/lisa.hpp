@@ -28,7 +28,7 @@
 #include "crypto/mac_cache.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
-#include "sim/scheduler.hpp"
+#include "swarm/runtime.hpp"
 
 namespace cra::lisa {
 
@@ -78,8 +78,6 @@ class LisaSimulation {
 
   const LisaConfig& config() const noexcept { return config_; }
   const net::Tree& tree() const noexcept { return tree_; }
-  net::Network& network() noexcept { return network_; }
-  sim::Scheduler& scheduler() noexcept { return scheduler_; }
   std::uint32_t device_count() const noexcept { return tree_.device_count(); }
 
   void compromise_device(net::NodeId id);
@@ -124,8 +122,7 @@ class LisaSimulation {
 
   LisaConfig config_;
   net::Tree tree_;
-  sim::Scheduler scheduler_;
-  net::Network network_;
+  swarm::SwarmRuntime rt_;  // one shard
   Bytes master_;
   Bytes round_nonce_;
   std::vector<Dev> devices_;

@@ -72,7 +72,6 @@ class Network {
 
   Network(sim::Scheduler& scheduler, LinkParams params);
 
-  sim::Scheduler& scheduler() noexcept { return scheduler_; }
   const LinkParams& params() const noexcept { return params_; }
 
   /// Deliver callback for all nodes; the protocol driver dispatches on

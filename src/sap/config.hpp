@@ -35,16 +35,16 @@ enum class QoaMode : std::uint8_t {
 
 const char* qoa_name(QoaMode mode) noexcept;
 
-/// Adaptive per-child timeouts (robustness extension; see
-/// docs/robustness.md). Replaces the fixed `max_retries` re-poll count
-/// with bounded exponential backoff: a parent that misses a child token
-/// re-polls and re-arms its deadline after backoff_for(attempt), doubling
-/// (by `backoff_factor`) up to `max_backoff`, at most `max_repolls`
-/// times. Children still missing after the budget is spent are reported
-/// as unreachable in the degraded-mode report instead of silently
-/// shrinking the aggregate. Off by default — with `enabled == false`
-/// every wire format, deadline, and event time is byte-identical to the
-/// legacy retransmit path.
+/// Adaptive per-child timeouts: SAP's one re-poll mechanism (§VIII lossy
+/// networks; see docs/robustness.md). A parent that misses a child
+/// token re-polls it with the round challenge and re-arms its deadline
+/// after backoff_for(attempt), doubling (by `backoff_factor`) up to
+/// `max_backoff`, at most `max_repolls` times; Vrf does the same for its
+/// own children. Children still missing after the budget is spent are
+/// reported as unreachable in the degraded-mode report instead of
+/// silently shrinking the aggregate. Off by default: with
+/// `enabled == false` nobody re-polls, and a parent flushes its partial
+/// aggregate at its deadline.
 struct AdaptiveTimeoutConfig {
   bool enabled = false;
   std::uint32_t max_repolls = 4;
@@ -121,15 +121,8 @@ struct SapConfig {
   /// key; devices drop unauthenticated requests instead of attesting.
   bool authenticate_requests = false;
 
-  /// §VIII lossy networks: parents that miss a child token at the
-  /// deadline re-poll the child (one retry round) before flushing.
-  bool retransmit = false;
-  std::uint32_t max_retries = 2;
-
-  /// Robustness extension: adaptive per-child timeouts with exponential
-  /// backoff and degraded-mode (per-device status) reports. Supersedes
-  /// `retransmit`/`max_retries` when enabled; disabled by default so the
-  /// legacy path stays byte-identical.
+  /// §VIII lossy networks: re-polls with exponential backoff, and
+  /// degraded-mode (per-device status) reports under kIdentify.
   AdaptiveTimeoutConfig adaptive{};
 
   /// Simulation engine knobs. The default is one shard, the serial event

@@ -22,8 +22,8 @@ HeartbeatSimulation::HeartbeatSimulation(HeartbeatConfig config,
                                          net::Tree tree, std::uint64_t seed)
     : config_(config),
       tree_(std::move(tree)),
-      scheduler_(),
-      network_(scheduler_, config.link),
+      rt_(tree_, sim::SimConfig{}, config.link,
+          [this](const net::Message& m) { on_message(m); }, {}),
       master_(crypto::SecureRandom(seed ^ 0x6265'6174'6b65'79ULL)
                   .bytes(32)),
       devices_(tree_.device_count()),
@@ -33,9 +33,8 @@ HeartbeatSimulation::HeartbeatSimulation(HeartbeatConfig config,
     d.beat_key = crypto::derive_device_key(
         master_, id, crypto::digest_size(config_.alg), "heartbeat-key");
     d.beat_mac.init(config_.alg, d.beat_key);
-    last_seen_[id] = scheduler_.now();  // joined alive at deployment
+    last_seen_[id] = rt_.now();  // joined alive at deployment
   }
-  network_.set_handler([this](const net::Message& m) { on_message(m); });
 }
 
 HeartbeatSimulation HeartbeatSimulation::balanced(HeartbeatConfig config,
@@ -58,8 +57,8 @@ bool HeartbeatSimulation::is_captured(net::NodeId id) const {
 }
 
 void HeartbeatSimulation::schedule_beat(net::NodeId id) {
-  scheduler_.schedule_after(config_.period, [this, id] {
-    if (scheduler_.now() > monitor_until_) return;  // monitoring window over
+  rt_.sched(id).schedule_after(config_.period, [this, id] {
+    if (rt_.sched(id).now() > monitor_until_) return;  // monitoring window over
     Dev& d = dev(id);
     if (!d.captured) {
       Bytes beat;
@@ -69,18 +68,18 @@ void HeartbeatSimulation::schedule_beat(net::NodeId id) {
       d.beat_mac.mac_into(beat, mac);
       beat.insert(beat.end(), mac.bytes.begin(),
                   mac.bytes.begin() + config_.mac_size);
-      network_.send(id, tree_.parent(id), kBeatMsg, std::move(beat));
+      rt_.net_of(id).send(id, tree_.parent(id), kBeatMsg, std::move(beat));
     }
     schedule_beat(id);
   });
 }
 
 void HeartbeatSimulation::run_monitoring(sim::Duration duration) {
-  monitor_until_ = scheduler_.now() + duration;
+  monitor_until_ = rt_.now() + duration;
   for (net::NodeId id = 1; id <= device_count(); ++id) {
     schedule_beat(id);
   }
-  scheduler_.run_until(monitor_until_);
+  rt_.run_until(monitor_until_);
 }
 
 void HeartbeatSimulation::on_message(const net::Message& msg) {
@@ -119,13 +118,13 @@ void HeartbeatSimulation::handle_beat(net::NodeId parent,
     ++forged_;  // presence cannot be forged without the pairwise key
     return;
   }
-  last_seen_[child] = scheduler_.now();
+  last_seen_[child] = rt_.sched(parent).now();
 }
 
 void HeartbeatSimulation::absence_entries(net::NodeId id,
                                           std::vector<AbsenceReport>* out) {
   for (net::NodeId child : tree_.children(id)) {
-    const sim::Duration gap = scheduler_.now() - last_seen_[child];
+    const sim::Duration gap = rt_.sched(id).now() - last_seen_[child];
     if (gap > config_.absence_threshold) {
       out->push_back({child, gap});
     }
@@ -162,7 +161,7 @@ void HeartbeatSimulation::handle_collect(net::NodeId id) {
   d.gathered.clear();
   d.waiting = 0;
   for (net::NodeId child : tree_.children(id)) {
-    network_.send(id, child, kCollectMsg, Bytes{});
+    rt_.net_of(id).send(id, child, kCollectMsg, Bytes{});
     ++d.waiting;
   }
   absence_entries(id, &d.gathered);
@@ -199,7 +198,7 @@ void HeartbeatSimulation::handle_log(net::NodeId id, const net::Message& msg) {
 void HeartbeatSimulation::forward_log(net::NodeId id) {
   Dev& d = dev(id);
   d.collecting = false;
-  network_.send(id, tree_.parent(id), kLogMsg, encode_log(d.gathered));
+  rt_.net_of(id).send(id, tree_.parent(id), kLogMsg, encode_log(d.gathered));
 }
 
 std::vector<AbsenceReport> HeartbeatSimulation::collect() {
@@ -213,15 +212,15 @@ std::vector<AbsenceReport> HeartbeatSimulation::collect() {
   // Vrf-side absence view of its direct children.
   std::vector<AbsenceReport> vrf_entries;
   for (net::NodeId child : tree_.children(0)) {
-    const sim::Duration gap = scheduler_.now() - last_seen_[child];
+    const sim::Duration gap = rt_.now() - last_seen_[child];
     if (gap > config_.absence_threshold) {
       root_gathered_.push_back({child, gap});
     } else {
-      network_.send(0, child, kCollectMsg, Bytes{});
+      rt_.net_of(0).send(0, child, kCollectMsg, Bytes{});
       ++root_waiting_;
     }
   }
-  scheduler_.run();  // the sweep drains (tree depth x small messages)
+  rt_.run_window();  // the sweep drains (tree depth x small messages)
 
   std::sort(root_gathered_.begin(), root_gathered_.end(),
             [](const AbsenceReport& a, const AbsenceReport& b) {

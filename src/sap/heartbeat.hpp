@@ -29,7 +29,8 @@
 #include "crypto/mac_cache.hpp"
 #include "net/network.hpp"
 #include "net/topology.hpp"
-#include "sim/scheduler.hpp"
+#include "obs/metrics.hpp"
+#include "swarm/runtime.hpp"
 
 namespace cra::sap {
 
@@ -65,8 +66,10 @@ class HeartbeatSimulation {
 
   const HeartbeatConfig& config() const noexcept { return config_; }
   const net::Tree& tree() const noexcept { return tree_; }
-  net::Network& network() noexcept { return network_; }
-  sim::Scheduler& scheduler() noexcept { return scheduler_; }
+  net::Network& network() noexcept { return rt_.network(); }
+  /// Network instruments (net.*), accumulated since construction or the
+  /// last network().reset_accounting().
+  const obs::MetricsRegistry& metrics() const noexcept { return rt_.metrics(); }
   std::uint32_t device_count() const noexcept { return tree_.device_count(); }
 
   /// --- Adversary actions ---
@@ -119,8 +122,7 @@ class HeartbeatSimulation {
 
   HeartbeatConfig config_;
   net::Tree tree_;
-  sim::Scheduler scheduler_;
-  net::Network network_;
+  swarm::SwarmRuntime rt_;  // one shard
   Bytes master_;
   std::vector<Dev> devices_;
   std::vector<sim::SimTime> last_seen_;  // indexed by child id

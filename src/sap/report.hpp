@@ -41,7 +41,7 @@ struct RoundReport {
   std::uint32_t devices = 0;
   /// kCount / kIdentify modes: devices whose token reached Vrf.
   std::uint32_t responded = 0;
-  std::uint32_t repolls = 0;  // lossy-network retransmissions issued
+  std::uint32_t repolls = 0;  // lossy-network re-polls issued
 
   /// kIdentify mode only.
   Verifier::IdentifyOutcome identify;

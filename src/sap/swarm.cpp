@@ -348,9 +348,7 @@ RoundReport SapSimulation::run_round() {
           ? config_.adaptive.budget() +
                 (config_.report_margin + hop_time(config_) * 2) *
                     static_cast<std::int64_t>(config_.adaptive.max_repolls + 1)
-          : (config_.report_margin + hop_time(config_) * 2) *
-                static_cast<std::int64_t>(
-                    config_.retransmit ? config_.max_retries + 1 : 1);
+          : config_.report_margin + hop_time(config_) * 2;
   const sim::SimTime vrf_deadline =
       report.measurement_end + report_chain_time(0) + repoll_allowance +
       config_.report_margin *
@@ -499,7 +497,8 @@ void SapSimulation::handle_chal(net::NodeId pos, const net::Message& msg) {
 
   // Inner nodes arm a report deadline in case children go silent.
   if (!tree_.children(pos).empty()) {
-    schedule_deadline(pos);
+    d.deadline = rt_.sched(pos).schedule_at(node_deadline(pos),
+                                            [this, pos] { flush(pos); });
   }
 }
 
@@ -688,21 +687,6 @@ void SapSimulation::flush(net::NodeId pos) {
     send_report(pos);
     return;
   }
-
-  if (config_.retransmit && d.retries < config_.max_retries) {
-    // Retry bookkeeping still advances (it widens node_deadline), but
-    // with nothing missing there is nothing to re-poll and no repoll to
-    // count.
-    ++d.retries;
-    if (!missing.empty()) {
-      stats(pos).repolls->inc();
-      for (net::NodeId child : missing) {
-        rt_.net_of(pos).send(pos, child, kRepollMsg, Bytes{});
-      }
-    }
-    schedule_deadline(pos);
-    return;
-  }
   // Give up on missing children; forward the partial aggregate. The
   // verifier's XOR will mismatch (binary) or the count/reports expose
   // the gap — unresponsiveness must fail attestation (Definition 1).
@@ -748,12 +732,6 @@ void SapSimulation::send_report(net::NodeId pos) {
   });
 }
 
-void SapSimulation::schedule_deadline(net::NodeId pos) {
-  Dev& d = dev_at_pos(pos);
-  d.deadline = rt_.sched(pos).schedule_at(node_deadline(pos),
-                                          [this, pos] { flush(pos); });
-}
-
 sim::Duration SapSimulation::report_chain_time(net::NodeId pos) const {
   const std::uint32_t levels_below = tree_.max_depth() - tree_.depth(pos);
   switch (config_.qoa) {
@@ -790,16 +768,8 @@ sim::SimTime SapSimulation::node_deadline(net::NodeId pos) const {
   // its deadline still beats OUR deadline by one margin — otherwise a
   // single dark leaf cascades into every ancestor flushing early.
   const std::uint32_t levels_below = tree_.max_depth() - tree_.depth(pos);
-  const Dev& d = dev(dev_at_[pos]);
-  const sim::SimTime base = t_att_time_ + max_attest_time() +
-                            report_chain_time(pos) +
-                            config_.report_margin *
-                                static_cast<std::int64_t>(levels_below + 1);
-  // Repoll rounds extend the deadline.
-  const sim::Duration retry_extension =
-      (config_.report_margin + hop_time(config_) * 2) *
-      static_cast<std::int64_t>(d.retries);
-  return base + retry_extension;
+  return t_att_time_ + max_attest_time() + report_chain_time(pos) +
+         config_.report_margin * static_cast<std::int64_t>(levels_below + 1);
 }
 
 void SapSimulation::root_receive(const net::Message& msg) {

@@ -188,7 +188,7 @@ class SapSimulation {
     bool sent = false;
     std::uint32_t waiting = 0;
     std::uint32_t count = 0;  // kCount: tokens aggregated in subtree
-    std::uint8_t retries = 0;
+    std::uint8_t retries = 0;  // adaptive: re-polls issued this round
     std::uint8_t self_grace = 0;  // adaptive: waits for own late token
     std::vector<net::NodeId> got_children;  // children whose token arrived
     Bytes agg_token;
@@ -233,11 +233,11 @@ class SapSimulation {
   void try_forward(net::NodeId pos);
   void flush(net::NodeId pos);
   void send_report(net::NodeId pos);
-  void schedule_deadline(net::NodeId pos);
   sim::SimTime node_deadline(net::NodeId pos) const;
   /// Adaptive mode: synthesize an unreachable entry for a silent child.
   void mark_unreachable(net::NodeId pos, net::NodeId child);
-  /// Vrf's own adaptive re-poll deadline (legacy uses vrf_deadline).
+  /// Vrf's first adaptive re-poll deadline (with adaptive off, Vrf gives
+  /// up once, at the round's worst-case deadline).
   sim::SimTime root_stage_deadline() const;
   void root_flush();
   void recompute_subtree_sizes();

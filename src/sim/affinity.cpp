@@ -64,7 +64,10 @@ CpuPlan detect_cpu_plan() noexcept {
       }
       std::vector<int> group;
       for (const int cpu : parse_cpulist(list)) {
-        if (cpu < CPU_SETSIZE && CPU_ISSET(cpu, &allowed)) group.push_back(cpu);
+        if (cpu < CPU_SETSIZE &&
+            CPU_ISSET(static_cast<std::size_t>(cpu), &allowed)) {
+          group.push_back(cpu);
+        }
       }
       if (!group.empty()) plan.nodes.push_back(std::move(group));
     }
@@ -72,7 +75,9 @@ CpuPlan detect_cpu_plan() noexcept {
       // Single pseudo-node over the affinity mask.
       std::vector<int> group;
       for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-        if (CPU_ISSET(cpu, &allowed)) group.push_back(cpu);
+        if (CPU_ISSET(static_cast<std::size_t>(cpu), &allowed)) {
+          group.push_back(cpu);
+        }
       }
       if (!group.empty()) plan.nodes.push_back(std::move(group));
     }
@@ -100,7 +105,7 @@ bool pin_current_thread(int cpu) noexcept {
   if (cpu < 0) return false;
   cpu_set_t set;
   CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
+  CPU_SET(static_cast<std::size_t>(cpu), &set);
   return sched_setaffinity(0, sizeof(set), &set) == 0;
 }
 

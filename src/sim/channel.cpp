@@ -106,16 +106,16 @@ static_assert(sizeof(RecordHeader) == 24);
 class ShmChannel final : public ChannelTransport {
  public:
   ShmChannel(std::uint32_t shard_count, std::uint32_t ring_slots,
-             SharedArena& arena)
-      : shard_count_(shard_count), ring_slots_(ring_slots) {
-    rings_.resize(static_cast<std::size_t>(shard_count) * shard_count,
-                  nullptr);
+             SharedArena& arena, std::span<const std::uint32_t> rank_of)
+      : shard_count_(shard_count),
+        lanes_(static_cast<std::size_t>(shard_count) * shard_count) {
     for (std::uint32_t from = 0; from < shard_count; ++from) {
       for (std::uint32_t to = 0; to < shard_count; ++to) {
         if (from == to) continue;  // same-shard events never reach a channel
-        void* mem = arena.alloc(SpscRing::region_bytes(ring_slots));
-        rings_[static_cast<std::size_t>(from) * shard_count + to] =
-            SpscRing::create(mem, ring_slots);
+        Lane& l = lane(from, to);
+        l.ring = SpscRing::create(
+            arena.alloc(SpscRing::region_bytes(ring_slots)), ring_slots);
+        l.cross_process = !rank_of.empty() && rank_of[from] != rank_of[to];
       }
     }
   }
@@ -130,19 +130,27 @@ class ShmChannel final : public ChannelTransport {
 
   Bytes post_message(std::uint32_t from, std::uint32_t to,
                      ShardMessage&& m) override {
-    RecordHeader h{m.at.ns(), m.entity, m.src, m.kind};
-    SpscRing* ring = rings_[static_cast<std::size_t>(from) * shard_count_ + to];
-    if (!ring->try_push2(&h, sizeof(h), m.payload.data(),
-                         static_cast<std::uint32_t>(m.payload.size()))) {
-      throw std::logic_error(
-          "ShmChannel: cross-shard ring " + std::to_string(from) + "->" +
-          std::to_string(to) + " full (" + std::to_string(ring_slots_) +
-          " slots) — one epoch posted more traffic than the ring holds; "
-          "raise SimConfig::ring_slots or CRA_SHARD_RING_SLOTS");
+    Lane& l = lane(from, to);
+    const RecordHeader h{m.at.ns(), m.entity, m.src, m.kind};
+    const auto len = static_cast<std::uint32_t>(m.payload.size());
+    // Once a record has spilled, the rest of the epoch follows it, so
+    // the lane stays FIFO.
+    if (l.spill.empty() && sizeof(h) + len <= l.ring->max_record_bytes() &&
+        l.ring->try_push2(&h, sizeof(h), m.payload.data(), len)) {
+      Bytes spent = std::move(m.payload);
+      spent.clear();
+      return spent;
     }
-    Bytes spent = std::move(m.payload);
-    spent.clear();
-    return spent;
+    if (l.cross_process) {
+      throw std::logic_error(
+          "ShmChannel: cross-process ring " + std::to_string(from) + "->" +
+          std::to_string(to) + " (" + std::to_string(l.ring->slot_count()) +
+          " slots) cannot take a " + std::to_string(len) +
+          "-byte record — one epoch posted more traffic than the ring "
+          "holds");
+    }
+    l.spill.push_back(std::move(m));
+    return {};
   }
 
   void drain(std::uint32_t to,
@@ -152,11 +160,10 @@ class ShmChannel final : public ChannelTransport {
       override {
     for (std::uint32_t from = 0; from < shard_count_; ++from) {
       if (from == to) continue;
-      SpscRing* ring =
-          rings_[static_cast<std::size_t>(from) * shard_count_ + to];
+      Lane& l = lane(from, to);
       std::uint32_t len = 0;
       const std::uint8_t* rec;
-      while ((rec = ring->peek(len)) != nullptr) {
+      while ((rec = l.ring->peek(len)) != nullptr) {
         if (len < sizeof(RecordHeader)) {
           throw std::runtime_error("ShmChannel: truncated record");
         }
@@ -166,17 +173,33 @@ class ShmChannel final : public ChannelTransport {
                            BytesView(rec + sizeof(h),
                                      len - sizeof(RecordHeader))};
         sched_msg(v);  // copies the payload before we release the slot
-        ring->pop();
+        l.ring->pop();
       }
+      for (const ShardMessage& m : l.spill) {
+        sched_msg(ShardMessageView{m.at, m.entity, m.src, m.kind,
+                                   BytesView(m.payload)});
+      }
+      l.spill.clear();
     }
   }
 
   std::uint64_t lane_reallocs() const noexcept override { return 0; }
 
  private:
+  // One per ordered shard pair, written by the source shard's worker and
+  // read by the destination's, in alternating phases.
+  struct alignas(64) Lane {
+    SpscRing* ring = nullptr;  // arena-owned storage
+    bool cross_process = false;
+    std::vector<ShardMessage> spill;  // process-local overflow, FIFO
+  };
+
+  Lane& lane(std::uint32_t from, std::uint32_t to) noexcept {
+    return lanes_[static_cast<std::size_t>(from) * shard_count_ + to];
+  }
+
   std::uint32_t shard_count_;
-  std::uint32_t ring_slots_;
-  std::vector<SpscRing*> rings_;  // arena-owned storage
+  std::vector<Lane> lanes_;
 };
 
 }  // namespace
@@ -186,10 +209,11 @@ std::unique_ptr<ChannelTransport> make_inproc_channel(
   return std::make_unique<InprocChannel>(shard_count);
 }
 
-std::unique_ptr<ChannelTransport> make_shm_channel(std::uint32_t shard_count,
-                                                   std::uint32_t ring_slots,
-                                                   SharedArena& arena) {
-  return std::make_unique<ShmChannel>(shard_count, ring_slots, arena);
+std::unique_ptr<ChannelTransport> make_shm_channel(
+    std::uint32_t shard_count, std::uint32_t ring_slots, SharedArena& arena,
+    std::span<const std::uint32_t> rank_of) {
+  return std::make_unique<ShmChannel>(shard_count, ring_slots, arena,
+                                      rank_of);
 }
 
 }  // namespace cra::sim

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -74,9 +75,9 @@ class ChannelTransport {
   /// Queue a serialized message. Returns the spent payload buffer when
   /// the transport copied it out (so the caller can recycle the
   /// capacity); returns an empty buffer when the payload moved onward.
-  /// Throws std::logic_error when the channel is full (the epoch
-  /// protocol drains only at phase boundaries, so "full" cannot resolve
-  /// itself — the ring must be sized for the heaviest epoch).
+  /// Throws std::logic_error when a lane between two processes is full
+  /// (the epoch protocol drains only at phase boundaries, so "full"
+  /// cannot resolve itself).
   virtual Bytes post_message(std::uint32_t from, std::uint32_t to,
                              ShardMessage&& m) = 0;
 
@@ -105,9 +106,17 @@ std::unique_ptr<ChannelTransport> make_inproc_channel(
 /// Shared-memory transport: one SpscRing per ordered shard pair,
 /// allocated from `arena` (create the arena — and therefore the engine —
 /// before ProcessGroup::spawn()). `ring_slots` is the per-ring slot
-/// count (power of two; 64-byte slots).
-std::unique_ptr<ChannelTransport> make_shm_channel(std::uint32_t shard_count,
-                                                   std::uint32_t ring_slots,
-                                                   SharedArena& arena);
+/// count (power of two; 64-byte slots). `rank_of[s]` is the process
+/// that owns shard s; empty means one process.
+///
+/// A lane whose two shards live in one process never overflows: a
+/// record its ring cannot take, and every later record of the same
+/// epoch, spills to a process-local FIFO that the reader drains right
+/// after the ring, so delivery order does not depend on ring size. A
+/// lane between two processes has only its ring, and post_message
+/// throws when it is full.
+std::unique_ptr<ChannelTransport> make_shm_channel(
+    std::uint32_t shard_count, std::uint32_t ring_slots, SharedArena& arena,
+    std::span<const std::uint32_t> rank_of = {});
 
 }  // namespace cra::sim

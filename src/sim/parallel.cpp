@@ -34,22 +34,14 @@ constexpr std::size_t kMaxSpareBuffers = 1024;
 /// Per-shard shared-memory window for the end-of-run metrics image.
 constexpr std::uint32_t kMetricsBlobCap = 256 * 1024;
 
-std::uint32_t resolve_ring_slots(std::uint32_t configured,
-                                 std::uint32_t shard_entities) noexcept {
-  std::uint64_t slots = configured;
-  if (slots == 0) {
-    if (const char* env = std::getenv("CRA_SHARD_RING_SLOTS")) {
-      slots = std::strtoull(env, nullptr, 10);
-    }
-  }
-  if (slots == 0) {
-    // Sized for the heaviest plausible epoch: a burst where a sizable
-    // fraction of one shard's entities post to a single peer shard
-    // within one lookahead window (synchronized attestation responses
-    // do exactly this). ~3 slots per message, 4 per entity is generous.
-    slots = std::max<std::uint64_t>(4096, 4ull * shard_entities);
-  }
-  slots = std::min<std::uint64_t>(slots, 1u << 16);
+/// Per-lane shm ring capacity in 64-byte slots. Sized for a burst where
+/// a sizable fraction of one shard's entities post to a single peer
+/// shard within one lookahead window (synchronized attestation responses
+/// do exactly this): ~3 slots per message, 4 per entity is generous.
+/// Heavier epochs spill past the ring (see make_shm_channel).
+std::uint32_t ring_slots_for(std::uint32_t shard_entities) noexcept {
+  const std::uint64_t slots = std::min<std::uint64_t>(
+      std::max<std::uint64_t>(4096, 4ull * shard_entities), 1u << 16);
   return std::bit_ceil(static_cast<std::uint32_t>(slots));
 }
 
@@ -114,8 +106,8 @@ ParallelScheduler::ParallelScheduler(std::span<const std::uint32_t> order,
   if (shard_count_ == 1) return;
 
   if (transport_ == ShardTransport::kShm) {
-    ring_slots_ = resolve_ring_slots(
-        config.ring_slots, run_start(entities, shard_count_, 1));
+    const std::uint32_t ring_slots =
+        ring_slots_for(run_start(entities, shard_count_, 1));
     metrics_blob_cap_ = kMetricsBlobCap;
     std::size_t bytes = 0;
     bytes += sizeof(ShmBarrierCell) + 64;
@@ -124,7 +116,7 @@ ParallelScheduler::ParallelScheduler(std::span<const std::uint32_t> order,
     bytes += static_cast<std::size_t>(shard_count_) * sizeof(ShardCell) + 64;
     bytes += static_cast<std::size_t>(shard_count_) * metrics_blob_cap_ + 64;
     bytes += static_cast<std::size_t>(shard_count_) * (shard_count_ - 1) *
-             (SpscRing::region_bytes(ring_slots_) + 64);
+             (SpscRing::region_bytes(ring_slots) + 64);
     arena_ = std::make_unique<SharedArena>(bytes);
     barrier_ = ::new (arena_->alloc(sizeof(ShmBarrierCell))) ShmBarrierCell();
     control_ = ::new (arena_->alloc(sizeof(ShmHorizonCell))) ShmHorizonCell();
@@ -138,7 +130,12 @@ ParallelScheduler::ParallelScheduler(std::span<const std::uint32_t> order,
     }
     metrics_blobs_ = static_cast<std::uint8_t*>(arena_->alloc(
         static_cast<std::size_t>(shard_count_) * metrics_blob_cap_));
-    channel_ = make_shm_channel(shard_count_, ring_slots_, *arena_);
+    std::vector<std::uint32_t> rank_of(shard_count_);
+    for (std::uint32_t r = 0; r < processes_; ++r) {
+      const auto [lo, hi] = owned_shards(r);
+      std::fill(rank_of.begin() + lo, rank_of.begin() + hi, r);
+    }
+    channel_ = make_shm_channel(shard_count_, ring_slots, *arena_, rank_of);
   } else {
     channel_ = make_inproc_channel(shard_count_);
   }

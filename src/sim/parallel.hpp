@@ -107,10 +107,6 @@ struct SimConfig {
   /// group r. Construct the simulation FIRST (the shared arena must
   /// predate the fork), then ProcessGroup::spawn(processes), then run.
   std::uint32_t processes = 1;
-  /// Per-lane ring capacity in 64-byte slots (shm transport; power of
-  /// two). 0 = sized from the entity count, overridable via
-  /// CRA_SHARD_RING_SLOTS.
-  std::uint32_t ring_slots = 0;
   /// Pin workers to CPUs, NUMA-aware when sysfs exposes node topology
   /// (see sim/affinity.hpp). Placement-neutral: affects wall clock only.
   bool pin = false;
@@ -303,7 +299,6 @@ class ParallelScheduler {
   Duration lookahead_;
   ShardTransport transport_ = ShardTransport::kInproc;
   std::uint32_t processes_ = 1;
-  std::uint32_t ring_slots_ = 0;
   bool pin_ = false;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ChannelTransport> channel_;

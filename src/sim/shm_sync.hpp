@@ -121,7 +121,10 @@ struct alignas(64) ShmBarrierCell {
 };
 
 /// Seqlock-published epoch decision: {horizon_ns, done, epoch}. One
-/// writer (the barrier's last arriver), many readers.
+/// writer (the barrier's last arriver), many readers. The fields are
+/// written with release and read with acquire, so a reader that sees any
+/// field of a write in progress also sees its odd sequence number on the
+/// re-check; no standalone fences (ThreadSanitizer does not model them).
 struct alignas(64) ShmHorizonCell {
   std::atomic<std::uint32_t> seq{0};
   std::atomic<std::int64_t> horizon_ns{0};
@@ -132,9 +135,9 @@ struct alignas(64) ShmHorizonCell {
   void publish(std::int64_t horizon, bool is_done, std::uint64_t e) noexcept {
     const std::uint32_t s = seq.load(std::memory_order_relaxed);
     seq.store(s + 1, std::memory_order_release);  // odd: write in progress
-    horizon_ns.store(horizon, std::memory_order_relaxed);
-    done.store(is_done ? 1 : 0, std::memory_order_relaxed);
-    epoch.store(e, std::memory_order_relaxed);
+    horizon_ns.store(horizon, std::memory_order_release);
+    done.store(is_done ? 1 : 0, std::memory_order_release);
+    epoch.store(e, std::memory_order_release);
     seq.store(s + 2, std::memory_order_release);
   }
 
@@ -146,10 +149,9 @@ struct alignas(64) ShmHorizonCell {
         cpu_relax();
         continue;
       }
-      horizon = horizon_ns.load(std::memory_order_relaxed);
-      is_done = done.load(std::memory_order_relaxed) != 0;
-      e = epoch.load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+      horizon = horizon_ns.load(std::memory_order_acquire);
+      is_done = done.load(std::memory_order_acquire) != 0;
+      e = epoch.load(std::memory_order_acquire);
       if (seq.load(std::memory_order_relaxed) == s0) return;
       cpu_relax();
     }

@@ -1,4 +1,6 @@
-// One swarm runtime for the tree protocols (SAP, SEDA, PADS).
+// One swarm runtime for every simulation: SAP, SEDA and PADS at any
+// shard count; LISA, the Heartbeat monitor and the naive baseline of
+// bench/ablate_naive at one shard.
 //
 // A protocol simulation is a set of message handlers over a simulated
 // network. Everything underneath the handlers is shared and lives here:

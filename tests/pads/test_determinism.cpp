@@ -23,20 +23,23 @@ namespace {
 constexpr std::uint32_t kDevices = 10'000;
 constexpr std::uint64_t kSeed = 42;
 
-PadsConfig big_config(std::uint32_t threads, std::uint32_t shards) {
+PadsConfig big_config(std::uint32_t threads, std::uint32_t shards,
+                      sim::ShardTransport transport) {
   PadsConfig cfg;
   cfg.pmem_size = 4 * 1024;
   cfg.gossip_epochs = 12;  // bounded budget keeps the suite fast; the
                            // digest contract holds converged or not
   cfg.sim.threads = threads;
   cfg.sim.shards = shards;
+  cfg.sim.transport = transport;
   return cfg;
 }
 
-std::string run_digest(std::uint32_t threads, std::uint32_t shards,
-                       bool with_dynamics) {
-  auto sim = PadsSimulation::balanced(big_config(threads, shards), kDevices,
-                                      kSeed);
+std::string run_digest(
+    std::uint32_t threads, std::uint32_t shards, bool with_dynamics,
+    sim::ShardTransport transport = sim::ShardTransport::kAuto) {
+  auto sim = PadsSimulation::balanced(
+      big_config(threads, shards, transport), kDevices, kSeed);
   if (with_dynamics) {
     const sim::SimTime t0 = sim.current_time();
     fault::FaultPlan::ChurnProfile profile;
@@ -77,6 +80,16 @@ TEST(PadsDeterminism, TenKDigestStableUnderChurnAndMobility) {
     const std::string d = run_digest(threads, /*shards=*/8, true);
     EXPECT_EQ(d, serial) << "threads=" << threads;
   }
+}
+
+TEST(PadsDeterminism, TenKChurnAndMobilityDigestSameOverShmRings) {
+  // Mobility sends most ~2.5 KB gossip vectors across shards, more per
+  // epoch than a lane's ring holds: the overflow spills, and the digest
+  // does not move.
+  const std::string serial = run_digest(/*threads=*/1, /*shards=*/1, true);
+  EXPECT_EQ(run_digest(/*threads=*/2, /*shards=*/8, true,
+                       sim::ShardTransport::kShm),
+            serial);
 }
 
 TEST(PadsDeterminism, RepeatRunReproducesExactly) {

@@ -1,5 +1,5 @@
 // §VIII extensions: authenticated requests (DoS mitigation) and lossy
-// networks with retransmission.
+// networks with re-polls.
 #include <gtest/gtest.h>
 
 #include "sap/swarm.hpp"
@@ -96,8 +96,8 @@ TEST(LossyNetwork, LossBreaksPlainRound) {
 
 TEST(LossyNetwork, RetransmissionRecoversModerateLoss) {
   SapConfig cfg = base_config();
-  cfg.retransmit = true;
-  cfg.max_retries = 3;
+  cfg.adaptive.enabled = true;
+  cfg.adaptive.max_repolls = 3;
   cfg.qoa = QoaMode::kCount;
   auto sim = SapSimulation::balanced(cfg, 30);
   // Loss only on report traffic (chal flooding is already redundant in
@@ -120,8 +120,8 @@ TEST(LossyNetwork, RetransmissionRecoversModerateLoss) {
 
 TEST(LossyNetwork, RetransmissionGivesUpAfterMaxRetries) {
   SapConfig cfg = base_config();
-  cfg.retransmit = true;
-  cfg.max_retries = 2;
+  cfg.adaptive.enabled = true;
+  cfg.adaptive.max_repolls = 2;
   auto sim = SapSimulation::balanced(cfg, 30);
   sim.set_device_unresponsive(30, true);  // no retry can resurrect it
   const RoundReport r = sim.run_round();
@@ -131,7 +131,7 @@ TEST(LossyNetwork, RetransmissionGivesUpAfterMaxRetries) {
 
 TEST(LossyNetwork, ZeroLossWithRetransmitIsFreeOfRepolls) {
   SapConfig cfg = base_config();
-  cfg.retransmit = true;
+  cfg.adaptive.enabled = true;
   auto sim = SapSimulation::balanced(cfg, 30);
   const RoundReport r = sim.run_round();
   EXPECT_TRUE(r.verified);

@@ -74,8 +74,8 @@ class SapLedgerInvariants : public ::testing::TestWithParam<bool> {};
 
 TEST_P(SapLedgerInvariants, HoldUnderLossOnBothEngines) {
   sap::SapConfig cfg = small_config();
-  cfg.retransmit = true;
-  cfg.max_retries = 3;
+  cfg.adaptive.enabled = true;
+  cfg.adaptive.max_repolls = 3;
   if (GetParam()) {
     cfg.sim.threads = 2;
     cfg.sim.shards = 4;

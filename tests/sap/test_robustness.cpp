@@ -95,19 +95,19 @@ TEST(Robustness, RecoveryAfterFuzzStorm) {
 }
 
 TEST(Robustness, LateSelfAttestBurnsNoPhantomRepolls) {
-  // Regression (schedule_deadline/on_report race): an inner node whose
-  // own attest completes after its report deadline — here forced with a
-  // behind-running clock — flushes with every child already in. The
-  // retry bookkeeping may advance (it widens the deadline so the node's
-  // own token can land), but with no child missing there is nothing to
-  // re-poll: charging a repoll slot anyway is the phantom-repoll bug.
+  // Regression (deadline/on_report race): an inner node whose own
+  // attest completes after its report deadline — here forced with a
+  // behind-running clock — flushes with every child already in. It may
+  // wait out a self-grace window so its own token can land, but with no
+  // child missing there is nothing to re-poll: charging a repoll slot
+  // anyway is the phantom-repoll bug.
   SapConfig c = cfg();
-  c.retransmit = true;
-  c.max_retries = 5;
+  c.adaptive.enabled = true;
+  c.adaptive.max_repolls = 5;
   auto sim = SapSimulation::balanced(c, 14, 3);
   sim.set_clock_skew(1, sim::Duration::from_ms(-60));
   const RoundReport r = sim.run_round();
-  EXPECT_TRUE(r.verified) << "retries widened the deadline enough";
+  EXPECT_TRUE(r.verified) << "the grace window let the own token land";
   EXPECT_EQ(r.repolls, 0u) << "no child was missing, so no repoll";
 }
 
@@ -116,8 +116,8 @@ TEST(Robustness, LateChildReportStillConsumesOnlyRealRepolls) {
   // its token late, so its parent legitimately re-polls — slots are
   // consumed exactly when a child is actually missing.
   SapConfig c = cfg();
-  c.retransmit = true;
-  c.max_retries = 5;
+  c.adaptive.enabled = true;
+  c.adaptive.max_repolls = 5;
   auto sim = SapSimulation::balanced(c, 14, 3);
   sim.set_clock_skew(13, sim::Duration::from_ms(-60));
   const RoundReport r = sim.run_round();

@@ -349,7 +349,7 @@ TEST(ParallelProtocols, SapLossyRunReproducibleForFixedShards) {
   // the thread count must not change which packets die.
   auto run = [](std::uint32_t threads) {
     sap::SapConfig cfg;
-    cfg.retransmit = true;
+    cfg.adaptive.enabled = true;
     cfg.sim.threads = threads;
     cfg.sim.shards = 4;
     auto sim = sap::SapSimulation::balanced(cfg, 2'000, /*seed=*/11);

@@ -5,6 +5,7 @@
 // for a fixed shard count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <new>
@@ -16,6 +17,7 @@
 #include "obs/metrics.hpp"
 #include "pads/pads.hpp"
 #include "sap/swarm.hpp"
+#include "sim/channel.hpp"
 #include "sim/parallel.hpp"
 #include "sim/process_group.hpp"
 #include "sim/spsc_ring.hpp"
@@ -254,6 +256,62 @@ TEST(ProcessGroup, JoinReportsNonzeroChildExit) {
 }
 
 // ---------------------------------------------------------------------
+// Shared-memory channel lanes
+// ---------------------------------------------------------------------
+
+constexpr std::uint32_t kLaneSlots = 8;  // 252-byte records at most
+constexpr std::uint32_t kLaneRecords = 500;
+
+/// Record i of a lane test. Sizes cycle through empty, one slot, several
+/// slots, and more than a kLaneSlots ring can ever hold.
+ShardMessage numbered(std::uint32_t i) {
+  static constexpr std::size_t kSizes[] = {0, 20, 150, 400};
+  return ShardMessage{SimTime::from_ns(i), 1, i, 7,
+                      pattern(kSizes[i % 4], static_cast<std::uint8_t>(i))};
+}
+
+TEST(ShmChannel, InProcessLaneSpillsPastItsRingInOrder) {
+  // ~80x what the ring holds, posted in one epoch (no drain between
+  // posts), twice: the second epoch reuses the ring and the spill.
+  SharedArena arena(2 * (SpscRing::region_bytes(kLaneSlots) + 64));
+  auto channel = make_shm_channel(2, kLaneSlots, arena);
+  for (int epoch = 0; epoch < 2; ++epoch) {
+    for (std::uint32_t i = 0; i < kLaneRecords; ++i) {
+      ASSERT_NO_THROW((void)channel->post_message(0, 1, numbered(i)));
+    }
+    std::uint32_t next = 0;
+    channel->drain(
+        1, [](SimTime, Scheduler::Callback&&) { ADD_FAILURE(); },
+        [&](const ShardMessageView& v) {
+          const ShardMessage want = numbered(next++);
+          EXPECT_EQ(v.src, want.src);
+          EXPECT_EQ(v.at.ns(), want.at.ns());
+          EXPECT_EQ(v.entity, want.entity);
+          EXPECT_EQ(v.kind, want.kind);
+          EXPECT_TRUE(std::equal(v.payload.begin(), v.payload.end(),
+                                 want.payload.begin(), want.payload.end()))
+              << "record " << v.src;
+        });
+    EXPECT_EQ(next, kLaneRecords) << "epoch " << epoch;
+  }
+}
+
+TEST(ShmChannel, CrossProcessLaneStillThrowsWhenFull) {
+  // Shards 0 and 1 in different processes: no process-local spill can
+  // reach the reader, so a full ring stays an error.
+  SharedArena arena(2 * (SpscRing::region_bytes(kLaneSlots) + 64));
+  const std::uint32_t rank_of[] = {0, 1};
+  auto channel = make_shm_channel(2, kLaneSlots, arena, rank_of);
+  EXPECT_THROW(
+      {
+        for (std::uint32_t i = 0; i < kLaneRecords; ++i) {
+          (void)channel->post_message(0, 1, numbered(i));
+        }
+      },
+      std::logic_error);
+}
+
+// ---------------------------------------------------------------------
 // Engine contract hardening
 // ---------------------------------------------------------------------
 
@@ -398,9 +456,6 @@ TEST(TransportMatrix, PadsDigestIdenticalAcrossTransports) {
   cfg.gossip_epochs = 8;
   cfg.sim.threads = 2;
   cfg.sim.shards = 4;
-  // PADS gossip bursts exceed the default ring sizing — the overflow
-  // diagnostic points here.
-  cfg.sim.ring_slots = 1u << 15;
   cfg.sim.transport = ShardTransport::kInproc;
   auto a = pads::PadsSimulation::balanced(cfg, 2'000, /*seed=*/42);
   const std::string inproc_digest = a.run_round().digest;
