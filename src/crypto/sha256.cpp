@@ -119,17 +119,20 @@ void Sha256::update(BytesView data) noexcept {
 
 Sha256::Digest Sha256::finalize() noexcept {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(BytesView(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) {
-    update(BytesView(&zero, 1));
+  // Padding: 0x80, zeros up to byte 56 of a block, then the 64-bit
+  // big-endian bit length. A tail past byte 55 leaves no room for the
+  // length, so it closes its block with zeros and the length gets a
+  // block of its own.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, kBlockSize - buffer_len_);
+    process_block(buffer_.data());
+    buffer_len_ = 0;
   }
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (std::size_t i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  std::memcpy(buffer_.data() + 56, len_be, 8);
   process_block(buffer_.data());
 
   Digest out;

@@ -30,19 +30,21 @@ LisaSimulation::LisaSimulation(LisaConfig config, net::Tree tree,
       tree_(std::move(tree)),
       rt_(tree_, sim::SimConfig{}, config.link,
           [this](const net::Message& m) { on_message(m); }, {}),
-      master_(crypto::SecureRandom(seed ^ 0x4c49'5341'6b65'79ULL)
-                  .bytes(32)),
       devices_(tree_.device_count()) {
-  for (net::NodeId id = 1; id <= device_count(); ++id) {
-    Dev& d = dev(id);
-    d.key = crypto::derive_device_key(
-        master_, id, crypto::digest_size(config_.alg), "lisa-device-key");
-    d.mac.init(config_.alg, d.key);
-    d.content = crypto::derive_device_key(master_, id,
-                                          crypto::digest_size(config_.alg),
-                                          "lisa-firmware");
-    expected_.push_back(d.content);  // enrolled cfg_i
-  }
+  Bytes master = crypto::SecureRandom(seed ^ 0x4c49'5341'6b65'79ULL).bytes(32);
+  const crypto::Hkdf kdf(master);
+  crypto::secure_wipe(master);
+  const std::vector<net::NodeId> ids = rt_.entities_of(0, 1);
+  const std::size_t len = crypto::digest_size(config_.alg);
+  kdf.device_keys(ids, len, "lisa-device-key",
+                  [this](net::NodeId id, BytesView key) {
+                    dev(id).mac.init(config_.alg, key);
+                  });
+  kdf.device_keys(ids, len, "lisa-firmware",
+                  [this](net::NodeId id, BytesView content) {
+                    dev(id).content.assign(content.begin(), content.end());
+                    expected_.push_back(dev(id).content);  // enrolled cfg_i
+                  });
   subtree_.assign(tree_.size(), 1);
   for (net::NodeId n = tree_.size() - 1; n >= 1; --n) {
     subtree_[tree_.parent(n)] += subtree_[n];

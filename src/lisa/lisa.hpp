@@ -91,9 +91,8 @@ class LisaSimulation {
 
  private:
   struct Dev {
-    Bytes key;
-    // Midstate cache over `key`, shared by the device's attest MAC and
-    // Vrf's recomputation (both use the same enrolled key).
+    // Midstate cache over the device key, shared by the device's attest
+    // MAC and Vrf's recomputation (both use the same enrolled key).
     crypto::PrecomputedMac mac;
     Bytes content;
     bool compromised = false;
@@ -123,7 +122,6 @@ class LisaSimulation {
   LisaConfig config_;
   net::Tree tree_;
   swarm::SwarmRuntime rt_;  // one shard
-  Bytes master_;
   Bytes round_nonce_;
   std::vector<Dev> devices_;
   std::vector<Bytes> expected_;  // enrolled cfg_i per device

@@ -24,6 +24,10 @@ Bytes master_from_seed(std::uint64_t seed) {
 
 PadsSimulation::PadsSimulation(PadsConfig config, net::Tree tree,
                                std::uint64_t seed)
+    : PadsSimulation(obs::Span("pads.setup"), config, std::move(tree), seed) {}
+
+PadsSimulation::PadsSimulation(const obs::Span& /*setup*/, PadsConfig config,
+                               net::Tree tree, std::uint64_t seed)
     : config_(config),
       tree_(std::move(tree)),
       // Device n sits at position n of the deployment tree, so the
@@ -36,7 +40,6 @@ PadsSimulation::PadsSimulation(PadsConfig config, net::Tree tree,
         return ShardStats{&reg.counter("pads.merges"),
                           &reg.counter("pads.token_failures")};
       })),
-      master_(master_from_seed(seed)),
       devices_(tree_.device_count()) {
   if (config_.token_size == 0 ||
       config_.token_size > crypto::digest_size(config_.alg)) {
@@ -51,15 +54,18 @@ PadsSimulation::PadsSimulation(PadsConfig config, net::Tree tree,
   }
   // Every node — the verifier included — holds a self-attestation key
   // provisioned at deployment; token authenticity is what gates merging.
-  vrf_mac_.init(config_.alg,
-                crypto::derive_device_key(
-                    master_, 0, crypto::digest_size(config_.alg), "pads-key"));
-  for (net::NodeId id = 1; id <= device_count(); ++id) {
-    dev(id).mac.init(config_.alg,
-                     crypto::derive_device_key(
-                         master_, id, crypto::digest_size(config_.alg),
-                         "pads-key"));
-  }
+  // Each shard's worker provisions the nodes it owns.
+  Bytes master = master_from_seed(seed);
+  const crypto::Hkdf kdf(master);
+  crypto::secure_wipe(master);
+  rt_.for_each_shard([&](std::uint32_t s) {
+    obs::Span span("pads.provision");
+    kdf.device_keys(rt_.entities_of(s, 0), crypto::digest_size(config_.alg),
+                    "pads-key", [this](net::NodeId id, BytesView key) {
+                      (id == 0 ? vrf_mac_ : dev(id).mac).init(config_.alg,
+                                                              key);
+                    });
+  });
   present_.assign(tree_.size(), 1);
   vrf_present_.assign(tree_.size(), 1);
   blocks_ = knowledge_blocks(device_count());

@@ -47,6 +47,10 @@
 #include "sim/scheduler.hpp"
 #include "swarm/runtime.hpp"
 
+namespace cra::obs {
+class Span;
+}  // namespace cra::obs
+
 namespace cra::pads {
 
 struct PadsConfig {
@@ -176,6 +180,10 @@ class PadsSimulation {
   std::uint32_t effective_gossip_epochs() const noexcept;
 
  private:
+  // The span times the whole construction (see sap::SapSimulation).
+  PadsSimulation(const obs::Span& setup, PadsConfig config, net::Tree tree,
+                 std::uint64_t seed);
+
   struct Dev {
     crypto::PrecomputedMac mac;  // midstate cache over the device key
     bool compromised = false;
@@ -231,7 +239,6 @@ class PadsSimulation {
 
   std::vector<net::RewireStep> rewires_;
 
-  Bytes master_;
   std::vector<Dev> devices_;
   crypto::PrecomputedMac vrf_mac_;
   /// Membership by device id; index 0 (the verifier) is always true.

@@ -24,17 +24,15 @@ HeartbeatSimulation::HeartbeatSimulation(HeartbeatConfig config,
       tree_(std::move(tree)),
       rt_(tree_, sim::SimConfig{}, config.link,
           [this](const net::Message& m) { on_message(m); }, {}),
-      master_(crypto::SecureRandom(seed ^ 0x6265'6174'6b65'79ULL)
-                  .bytes(32)),
       devices_(tree_.device_count()),
-      last_seen_(tree_.device_count() + 1) {
-  for (net::NodeId id = 1; id <= device_count(); ++id) {
-    Dev& d = dev(id);
-    d.beat_key = crypto::derive_device_key(
-        master_, id, crypto::digest_size(config_.alg), "heartbeat-key");
-    d.beat_mac.init(config_.alg, d.beat_key);
-    last_seen_[id] = rt_.now();  // joined alive at deployment
-  }
+      last_seen_(tree_.device_count() + 1, rt_.now()) {  // alive at start
+  Bytes master = crypto::SecureRandom(seed ^ 0x6265'6174'6b65'79ULL).bytes(32);
+  const crypto::Hkdf kdf(master);
+  crypto::secure_wipe(master);
+  kdf.device_keys(rt_.entities_of(0, 1), crypto::digest_size(config_.alg),
+                  "heartbeat-key", [this](net::NodeId id, BytesView key) {
+                    dev(id).beat_mac.init(config_.alg, key);
+                  });
 }
 
 HeartbeatSimulation HeartbeatSimulation::balanced(HeartbeatConfig config,

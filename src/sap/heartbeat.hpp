@@ -93,9 +93,9 @@ class HeartbeatSimulation {
 
  private:
   struct Dev {
-    Bytes beat_key;           // pairwise key with the parent
-    // Midstate cache over beat_key; beats are emitted every period per
-    // device, so the cached pads pay off immediately.
+    // Midstate cache over the pairwise key with the parent; beats are
+    // emitted every period per device, so the cached pads pay off
+    // immediately.
     crypto::PrecomputedMac beat_mac;
     bool captured = false;
     std::uint32_t seq = 0;
@@ -123,7 +123,6 @@ class HeartbeatSimulation {
   HeartbeatConfig config_;
   net::Tree tree_;
   swarm::SwarmRuntime rt_;  // one shard
-  Bytes master_;
   std::vector<Dev> devices_;
   std::vector<sim::SimTime> last_seen_;  // indexed by child id
   std::uint64_t forged_ = 0;

@@ -20,6 +20,10 @@ Bytes master_from_seed(std::uint64_t seed) {
 
 SapSimulation::SapSimulation(SapConfig config, net::Tree tree,
                              std::uint64_t seed)
+    : SapSimulation(obs::Span("sap.setup"), config, std::move(tree), seed) {}
+
+SapSimulation::SapSimulation(const obs::Span& /*setup*/, SapConfig config,
+                             net::Tree tree, std::uint64_t seed)
     : config_(config),
       tree_(std::move(tree)),
       rt_(tree_, config.sim, config.link,
@@ -39,19 +43,31 @@ SapSimulation::SapSimulation(SapConfig config, net::Tree tree,
       devices_(tree_.device_count()) {
   auth_key_ = verifier_.request_auth_key();
 
-  // setup: provision keys and synthetic "firmware" contents; register
-  // cfg_i with the verifier. A device gets a copy of the verifier's
-  // midstate cache for its key, so K_{mi,Vrf} is derived once, here,
-  // and the raw key never outlives the derivation.
-  Bytes master = master_from_seed(seed);
+  // setup: provision keys and synthetic "firmware" contents, both
+  // derived through the verifier's extracted master; register cfg_i with
+  // the verifier. A device gets a copy of the verifier's midstate cache
+  // for its key, so K_{mi,Vrf} is derived once, here, and the raw key
+  // never outlives the derivation. Each shard's worker provisions the
+  // devices at that shard's positions (device i sits at position i). It
+  // only fills buffers allocated on this thread: long-lived allocations
+  // made on short-lived workers fragment the allocator's per-thread
+  // arenas, and peak RSS grew with every swarm built in one process.
+  for (Dev& d : devices_) d.content.resize(config_.token_size());
+  rt_.for_each_shard([&](std::uint32_t s) {
+    obs::Span span("sap.provision");
+    const std::vector<net::NodeId> ids = rt_.entities_of(s, 1);
+    verifier_.provision(ids);
+    verifier_.kdf().device_keys(ids, config_.token_size(), "sap-firmware",
+                                [this](net::NodeId id, BytesView content) {
+                                  Dev& d = dev(id);
+                                  d.mac = verifier_.device_mac(id);
+                                  std::copy(content.begin(), content.end(),
+                                            d.content.begin());
+                                });
+  });
   for (net::NodeId id = 1; id <= device_count(); ++id) {
-    Dev& d = dev(id);
-    d.mac = verifier_.device_mac(id);
-    d.content = crypto::derive_device_key(master, id, config_.token_size(),
-                                          "sap-firmware");
-    verifier_.set_expected_content(id, d.content);
+    verifier_.set_expected_content(id, dev(id).content);
   }
-  crypto::secure_wipe(master);
 
   // Identity position mapping: device i occupies tree position i.
   dev_at_.resize(tree_.size());

@@ -39,6 +39,10 @@
 #include "sim/scheduler.hpp"
 #include "swarm/runtime.hpp"
 
+namespace cra::obs {
+class Span;
+}  // namespace cra::obs
+
 namespace cra::sap {
 
 class SapSimulation {
@@ -163,6 +167,12 @@ class SapSimulation {
   void advance_time(sim::Duration d);
 
  private:
+  // The span times the whole construction, member initializers included:
+  // a temporary in a delegating mem-initializer lives until the target
+  // constructor returns.
+  SapSimulation(const obs::Span& setup, SapConfig config, net::Tree tree,
+                std::uint64_t seed);
+
   struct Dev {
     // Midstate cache over K_{mi,Vrf}, copied from the verifier at
     // provisioning: attest MACs resume it instead of re-running the

@@ -24,13 +24,13 @@ Verifier::Verifier(SapConfig config, std::uint32_t device_count,
                    BytesView master)
     : config_(config),
       device_count_(device_count),
-      master_(master.begin(), master.end()),
+      kdf_(master),
       expected_(device_count),
       mac_cache_(device_count) {
   if (device_count_ == 0) {
     throw std::invalid_argument("Verifier: empty attestation group");
   }
-  if (master_.empty()) {
+  if (master.empty()) {
     throw std::invalid_argument("Verifier: empty master secret");
   }
 }
@@ -43,13 +43,13 @@ void Verifier::check_id(net::NodeId id) const {
 
 Bytes Verifier::device_key(net::NodeId id) const {
   check_id(id);
-  return crypto::derive_device_key(master_, id, config_.token_size());
+  return kdf_.device_key(id, config_.token_size());
 }
 
 Bytes Verifier::request_auth_key() const {
   if (!config_.authenticate_requests) return {};
-  return crypto::hkdf(master_, /*salt=*/{},
-                      to_bytes("sap-request-auth-key"), 32);
+  // The device keys' PRK: both derivations extract with an empty salt.
+  return kdf_.expand(to_bytes("sap-request-auth-key"), 32);
 }
 
 void Verifier::set_expected_content(net::NodeId id, Bytes content) {
@@ -71,6 +71,14 @@ const crypto::PrecomputedMac& Verifier::device_mac(net::NodeId id) const {
     crypto::secure_wipe(key);
   }
   return cache;
+}
+
+void Verifier::provision(std::span<const net::NodeId> ids) {
+  for (const net::NodeId id : ids) check_id(id);
+  kdf_.device_keys(ids, config_.token_size(), crypto::kDeviceKeyLabel,
+                   [this](net::NodeId id, BytesView key) {
+                     mac_cache_[id - 1].init(config_.alg, key);
+                   });
 }
 
 void Verifier::expected_token_into(net::NodeId id, std::uint32_t chal,

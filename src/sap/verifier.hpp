@@ -13,13 +13,16 @@
 //
 // Keys: K_{mi,Vrf} = HKDF(master, "sap-device-key" || i). Equivalent to
 // independently random keys under the PRF assumption, and it keeps Vrf's
-// storage O(1) — devices still hold only their own key.
+// storage O(1) — devices still hold only their own key. Vrf keeps the
+// master's extracted HKDF state, not the master itself.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
+#include "crypto/kdf.hpp"
 #include "crypto/mac_cache.hpp"
 #include "net/topology.hpp"
 #include "sap/config.hpp"
@@ -43,10 +46,19 @@ class Verifier {
   /// for every later verification. Provisioning copies them into the
   /// simulated device, so each key is derived once per swarm.
   const crypto::PrecomputedMac& device_mac(net::NodeId id) const;
+  /// Derive the keys of `ids` in one batch and cache their midstates, as
+  /// device_mac's first use would. Distinct threads may provision
+  /// disjoint id sets at once.
+  void provision(std::span<const net::NodeId> ids);
 
   /// Group key authenticating Vrf's requests (§VIII DoS mitigation);
   /// empty when the feature is disabled.
   Bytes request_auth_key() const;
+
+  /// The extracted master: whoever provisions the swarm derives the
+  /// other per-device secrets (firmware contents) through it, so the
+  /// master is extracted once.
+  const crypto::Hkdf& kdf() const noexcept { return kdf_; }
 
   /// --- Valid states VS ---
   /// Record the expected PMEM content cfg_i for device `id`.
@@ -126,11 +138,12 @@ class Verifier {
 
   SapConfig config_;
   std::uint32_t device_count_;
-  Bytes master_;
+  crypto::Hkdf kdf_;  // over the master secret
   std::vector<Bytes> expected_;  // index id-1
-  // Per-device HMAC midstate caches, filled on first use (verification
-  // is offline and single-threaded, so lazy mutation is safe). Saves an
-  // HKDF derivation plus two compressions per expected-token query.
+  // Per-device HMAC midstate caches, filled by provision() or on first
+  // use. Lazy mutation is safe because verification is offline and
+  // single-threaded, and provisioning workers each own disjoint ids.
+  // Saves an HKDF expand plus two compressions per expected-token query.
   mutable std::vector<crypto::PrecomputedMac> mac_cache_;  // index id-1
 };
 

@@ -25,10 +25,22 @@ Bytes master_from_seed(std::uint64_t seed) {
   return rng.bytes(32);
 }
 
+/// Key `mac` with one end's half of an edge's pairwise key, derived from
+/// that end's X25519 shared secret.
+void init_pairwise_mac(crypto::PrecomputedMac& mac, crypto::HashAlg alg,
+                       BytesView shared) {
+  mac.init(alg, crypto::hkdf(shared, /*salt=*/{}, to_bytes("seda-pairwise"),
+                             crypto::digest_size(alg)));
+}
+
 }  // namespace
 
 SedaSimulation::SedaSimulation(SedaConfig config, net::Tree tree,
                                std::uint64_t seed)
+    : SedaSimulation(obs::Span("seda.setup"), config, std::move(tree), seed) {}
+
+SedaSimulation::SedaSimulation(const obs::Span& /*setup*/, SedaConfig config,
+                               net::Tree tree, std::uint64_t seed)
     : config_(config),
       tree_(std::move(tree)),
       rt_(tree_, config.sim, config.link,
@@ -43,22 +55,23 @@ SedaSimulation::SedaSimulation(SedaConfig config, net::Tree tree,
       })),
       master_(master_from_seed(seed)),
       devices_(tree_.device_count()),
-      key_at_parent_(tree_.device_count() + 1),
       mac_at_parent_(tree_.device_count() + 1) {
   crypto::SecureRandom vrf_rng(seed ^ 0x7672'666b'6579ULL);
   vrf_sk_ = vrf_rng.bytes(32);
   vrf_pk_ = crypto::x25519_base(vrf_sk_);
-  for (net::NodeId id = 1; id <= device_count(); ++id) {
-    Dev& d = dev(id);
-    // Provisioning-time pre-shared keys; run_join() replaces them with
-    // X25519-agreed ones.
-    d.key_to_parent = edge_key(id);
-    d.mac_to_parent.init(config_.alg, d.key_to_parent);
-    key_at_parent_[id] = d.key_to_parent;
-    mac_at_parent_[id].init(config_.alg, key_at_parent_[id]);
-    d.static_sk = crypto::derive_device_key(master_, id, 32, "seda-x25519");
-    d.static_pk = crypto::x25519_base(d.static_sk);
-  }
+  // Provisioning-time pre-shared keys for the (parent(id), id) edge, on
+  // the worker of id's shard; run_join() replaces them with X25519-agreed
+  // ones. Both halves start equal, so the device copies the parent-side
+  // midstates.
+  rt_.for_each_shard([&](std::uint32_t s) {
+    obs::Span span("seda.provision");
+    master_.device_keys(rt_.entities_of(s, 1),
+                        crypto::digest_size(config_.alg), "seda-edge-key",
+                        [this](net::NodeId id, BytesView key) {
+                          mac_at_parent_[id].init(config_.alg, key);
+                          dev(id).mac_to_parent = mac_at_parent_[id];
+                        });
+  });
 }
 
 SedaSimulation SedaSimulation::balanced(SedaConfig config,
@@ -128,14 +141,6 @@ void SedaSimulation::apply_device_fault(const fault::FaultEvent& ev) {
     default:
       break;
   }
-}
-
-Bytes SedaSimulation::edge_key(net::NodeId child) const {
-  // Pairwise key for the (parent(child), child) edge, as established by
-  // SEDA's join phase.
-  return crypto::derive_device_key(master_, child,
-                                   crypto::digest_size(config_.alg),
-                                   "seda-edge-key");
 }
 
 sim::Duration SedaSimulation::attest_time() const {
@@ -239,10 +244,10 @@ SedaJoinReport SedaSimulation::run_join() {
 }
 
 void SedaSimulation::corrupt_join_key(net::NodeId child) {
-  Bytes& k = key_at_parent_.at(child);
-  if (k.empty()) k = Bytes(crypto::digest_size(config_.alg), 0);
-  k[0] = static_cast<std::uint8_t>(k[0] ^ 0xff);
-  mac_at_parent_[child].init(config_.alg, k);
+  // The parent's half becomes a fixed all-zero key, which the child's
+  // half (derived by HKDF) does not match.
+  mac_at_parent_.at(child).init(config_.alg,
+                                Bytes(crypto::digest_size(config_.alg), 0));
 }
 
 void SedaSimulation::handle_join_invite(net::NodeId id,
@@ -250,6 +255,10 @@ void SedaSimulation::handle_join_invite(net::NodeId id,
   Dev& d = dev(id);
   if (msg.payload.size() != 32 || d.unresponsive) return;
   d.parent_pk = msg.payload;
+  if (d.static_sk.empty()) {  // a repeated join keeps the first keypair
+    d.static_sk = master_.device_key(id, 32, "seda-x25519");
+    d.static_pk = crypto::x25519_base(d.static_sk);
+  }
   // Cascade the invite with OUR public key before grinding the DH.
   for (net::NodeId child : tree_.children(id)) {
     rt_.net_of(id).send(id, child, kJoinInviteMsg, d.static_pk);
@@ -258,11 +267,8 @@ void SedaSimulation::handle_join_invite(net::NodeId id,
       sim::cycles_to_time(config_.dh_cycles, config_.device_hz);
   rt_.sched(id).schedule_after(dh, [this, id] {
     Dev& dd = dev(id);
-    const Bytes shared = crypto::x25519(dd.static_sk, dd.parent_pk);
-    dd.key_to_parent = crypto::hkdf(shared, /*salt=*/{},
-                                    to_bytes("seda-pairwise"),
-                                    crypto::digest_size(config_.alg));
-    dd.mac_to_parent.init(config_.alg, dd.key_to_parent);
+    init_pairwise_mac(dd.mac_to_parent, config_.alg,
+                      crypto::x25519(dd.static_sk, dd.parent_pk));
     dd.joined = true;
     // Ack upward with our public key so the parent can derive its half.
     rt_.net_of(id).send(id, tree_.parent(id), kJoinAckMsg, dd.static_pk);
@@ -272,28 +278,27 @@ void SedaSimulation::handle_join_invite(net::NodeId id,
 void SedaSimulation::handle_join_ack(net::NodeId parent,
                                      const net::Message& msg) {
   if (msg.payload.size() != 32) return;
+  // Only a child may agree its uplink key with this node.
   const net::NodeId child = msg.src;
-  if (child == 0 || child > device_count()) return;
+  if (child == 0 || child > device_count() || tree_.parent(child) != parent) {
+    return;
+  }
   if (parent == 0) {
     // Vrf derives instantly (it is not a constrained device).
-    const Bytes shared = crypto::x25519(vrf_sk_, msg.payload);
-    key_at_parent_[child] = crypto::hkdf(shared, /*salt=*/{},
-                                         to_bytes("seda-pairwise"),
-                                         crypto::digest_size(config_.alg));
-    mac_at_parent_[child].init(config_.alg, key_at_parent_[child]);
+    init_pairwise_mac(mac_at_parent_[child], config_.alg,
+                      crypto::x25519(vrf_sk_, msg.payload));
     stats(0).join_acks->inc();
     return;
   }
-  if (dev(parent).unresponsive) return;
+  // A device derives its keypair at its own invite, before it invites
+  // its children, so an ack reaching a device never invited is forged.
+  if (dev(parent).unresponsive || dev(parent).static_sk.empty()) return;
   const Bytes child_pk = msg.payload;
   const sim::Duration dh =
       sim::cycles_to_time(config_.dh_cycles, config_.device_hz);
   rt_.sched(parent).schedule_after(dh, [this, parent, child, child_pk] {
-    const Bytes shared = crypto::x25519(dev(parent).static_sk, child_pk);
-    key_at_parent_[child] = crypto::hkdf(shared, /*salt=*/{},
-                                         to_bytes("seda-pairwise"),
-                                         crypto::digest_size(config_.alg));
-    mac_at_parent_[child].init(config_.alg, key_at_parent_[child]);
+    init_pairwise_mac(mac_at_parent_[child], config_.alg,
+                      crypto::x25519(dev(parent).static_sk, child_pk));
     stats(parent).join_acks->inc();
   });
 }

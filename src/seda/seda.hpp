@@ -23,7 +23,9 @@
 // Pairwise keys come from the join phase: run_join() performs a real
 // X25519 key agreement per tree edge (each endpoint derives its half of
 // the MAC key from its own static secret and the peer's public key);
-// without it, provisioning-time pre-shared keys are used.
+// without it, provisioning-time pre-shared keys are used. A device's
+// static keypair is derived at its first join invite, so a swarm that
+// never joins computes none.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +33,7 @@
 
 #include "common/bytes.hpp"
 #include "crypto/hmac.hpp"
+#include "crypto/kdf.hpp"
 #include "crypto/mac_cache.hpp"
 #include "fault/injector.hpp"
 #include "net/network.hpp"
@@ -39,6 +42,10 @@
 #include "sim/parallel.hpp"
 #include "sim/scheduler.hpp"
 #include "swarm/runtime.hpp"
+
+namespace cra::obs {
+class Span;
+}  // namespace cra::obs
 
 namespace cra::seda {
 
@@ -170,12 +177,15 @@ class SedaSimulation {
   std::uint64_t predicted_u_ca_bytes(std::uint32_t edges) const;
 
  private:
+  // The span times the whole construction (see sap::SapSimulation).
+  SedaSimulation(const obs::Span& setup, SedaConfig config, net::Tree tree,
+                 std::uint64_t seed);
+
   struct Dev {
-    Bytes key_to_parent;    // this device's half of the uplink key
-    // Midstate cache over key_to_parent; rebuilt whenever join (or a
-    // fault hook) replaces the key.
+    // Midstate cache over this device's half of the uplink key; rebuilt
+    // whenever join replaces the key.
     crypto::PrecomputedMac mac_to_parent;
-    Bytes static_sk;        // X25519 static secret (join phase)
+    Bytes static_sk;        // X25519 static secret, derived at first invite
     Bytes static_pk;
     Bytes parent_pk;        // learned during join
     bool joined = false;
@@ -222,7 +232,6 @@ class SedaSimulation {
   /// device's shard (SEDA's node ids are its tree positions).
   void apply_device_fault(const fault::FaultEvent& ev);
 
-  Bytes edge_key(net::NodeId child) const;
   void handle_join_invite(net::NodeId id, const net::Message& msg);
   void handle_join_ack(net::NodeId id, const net::Message& msg);
   Bytes report_payload(net::NodeId id, std::uint32_t total,
@@ -245,13 +254,11 @@ class SedaSimulation {
   net::Tree tree_;
   swarm::SwarmRuntime rt_;  // entities are node ids (= tree positions)
   std::vector<ShardStats> stats_;  // indexed by shard
-  Bytes master_;
+  crypto::Hkdf master_;  // provisioning and keypair derivation
   Bytes round_nonce_;
   std::vector<Dev> devices_;
-  /// The parent-side half of each child's uplink key (index: child id).
-  std::vector<Bytes> key_at_parent_;
-  // Midstate caches over key_at_parent_, index = child id; every writer
-  // of key_at_parent_ must refresh the matching cache.
+  /// Midstate caches over the parent-side half of each child's uplink
+  /// key (index: child id).
   std::vector<crypto::PrecomputedMac> mac_at_parent_;
   Bytes vrf_sk_;
   Bytes vrf_pk_;

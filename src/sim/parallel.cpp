@@ -488,14 +488,7 @@ std::size_t ParallelScheduler::run_threaded(std::optional<SimTime> until) {
     tls_engine = nullptr;
   };
 
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(threads_ - 1);
-    for (std::uint32_t w = 1; w < threads_; ++w) {
-      pool.emplace_back(worker_loop, w);
-    }
-    worker_loop(0);
-  }  // jthread joins here
+  run_workers(threads_, worker_loop);
 
   running_.store(false, std::memory_order_release);
   if (error) std::rethrow_exception(error);
@@ -655,14 +648,7 @@ std::size_t ParallelScheduler::run_shm(std::optional<SimTime> until) {
     tls_engine = nullptr;
   };
 
-  {
-    std::vector<std::jthread> pool;
-    pool.reserve(workers - 1);
-    for (std::uint32_t w = 1; w < workers; ++w) {
-      pool.emplace_back(worker_loop, w);
-    }
-    worker_loop(0);
-  }  // jthread joins here
+  run_workers(workers, worker_loop);
 
   running_.store(false, std::memory_order_release);
 
@@ -718,6 +704,28 @@ std::size_t ParallelScheduler::run_shm(std::optional<SimTime> until) {
     n += cells_[s].dispatched_run.load(std::memory_order_acquire);
   }
   return n;
+}
+
+void run_workers(std::uint32_t workers,
+                 const std::function<void(std::uint32_t)>& worker) {
+  if (workers == 0) return;
+  std::mutex error_mu;
+  std::exception_ptr error;
+  auto guarded = [&](std::uint32_t w) {
+    try {
+      worker(w);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(error_mu);
+      if (!error) error = std::current_exception();
+    }
+  };
+  {
+    std::vector<std::jthread> pool;
+    pool.reserve(workers - 1);
+    for (std::uint32_t w = 1; w < workers; ++w) pool.emplace_back(guarded, w);
+    guarded(0);
+  }  // jthread joins here
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace cra::sim

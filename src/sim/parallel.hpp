@@ -325,4 +325,11 @@ class ParallelScheduler {
   std::uint64_t epochs_ = 0;
 };
 
+/// Run worker(w) for every w in [0, workers): worker 0 on the calling
+/// thread, the others on threads of their own. Every thread is joined
+/// before this returns; then the first exception a worker threw is
+/// rethrown.
+void run_workers(std::uint32_t workers,
+                 const std::function<void(std::uint32_t)>& worker);
+
 }  // namespace cra::sim

@@ -73,6 +73,25 @@ SwarmRuntime::SwarmRuntime(const net::Tree& tree, const sim::SimConfig& sim,
       });
 }
 
+void SwarmRuntime::for_each_shard(
+    const std::function<void(std::uint32_t)>& fn) {
+  const std::uint32_t shards = engine_->shard_count();
+  const std::uint32_t threads = engine_->threads();  // <= shards
+  sim::run_workers(threads, [&](std::uint32_t w) {
+    for (std::uint32_t s = w; s < shards; s += threads) fn(s);
+  });
+}
+
+std::vector<std::uint32_t> SwarmRuntime::entities_of(
+    std::uint32_t s, std::uint32_t first) const {
+  std::vector<std::uint32_t> out;
+  out.reserve(tree_.size() / engine_->shard_count() + 1);
+  for (std::uint32_t e = first; e < tree_.size(); ++e) {
+    if (shard_of(e) == s) out.push_back(e);
+  }
+  return out;
+}
+
 obs::MetricsRegistry& SwarmRuntime::registry(std::uint32_t s) noexcept {
   // One shard writes the merged view directly; more shards write
   // shard-confined registries that run_window() folds in shard order.

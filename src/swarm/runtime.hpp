@@ -105,6 +105,22 @@ class SwarmRuntime {
     return out;
   }
 
+  /// Call fn(s) once for every shard s: the per-shard work of setup,
+  /// such as provisioning the devices a shard owns. Shard s runs on
+  /// worker s mod threads, as in a run, on min(threads, shards) threads
+  /// started by sim::run_workers; worker 0 is the caller, so with one of
+  /// either it runs inline. Every thread is joined before this returns,
+  /// which rethrows the first exception (processes > 1 construct before
+  /// ProcessGroup::spawn, so no thread may be live at the fork, and the
+  /// constructing process covers every shard). fn(s) may write only
+  /// state of shard s's entities, and may not post or send. Driver
+  /// thread, engine idle.
+  void for_each_shard(const std::function<void(std::uint32_t)>& fn);
+  /// The entities from `first` up to the tree size that shard `s` owns,
+  /// ascending.
+  std::vector<std::uint32_t> entities_of(std::uint32_t s,
+                                         std::uint32_t first) const;
+
   /// Run `fn` now when `at` is not in the future, else at `at` on the
   /// shard owning `entity`. Driver thread, engine idle.
   template <typename F>

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <numeric>
 
 #include "crypto/backend.hpp"
 #include "crypto/kdf.hpp"
@@ -27,19 +28,25 @@ AgentCore::AgentCore(AgentConfig config)
       macs_(config_.count),
       contents_(config_.count),
       tokens_(config_.count) {
-  const std::size_t key_len = crypto::digest_size(config_.alg);
-  for (std::uint32_t i = 0; i < config_.count; ++i) {
-    const std::uint32_t id = config_.first_id + i;
-    Bytes key = crypto::derive_device_key(config_.master, id, key_len);
-    macs_[i].init(config_.alg, key);
-    crypto::secure_wipe(key);
-    contents_[i] = device_content(config_.master, id, config_.content_size);
-    if (i < config_.bad) {
-      // A compromised device attests over what is actually in its
-      // PMEM — which is not what the verifier expects.
-      contents_[i][0] ^= 0xff;
-    }
-  }
+  const crypto::Hkdf kdf(config_.master);
+  std::vector<std::uint32_t> ids(config_.count);
+  std::iota(ids.begin(), ids.end(), config_.first_id);
+  kdf.device_keys(ids, crypto::digest_size(config_.alg),
+                  crypto::kDeviceKeyLabel,
+                  [this](std::uint32_t id, BytesView key) {
+                    macs_[id - config_.first_id].init(config_.alg, key);
+                  });
+  kdf.device_keys(ids, config_.content_size, kDeviceContentLabel,
+                  [this](std::uint32_t id, BytesView content) {
+                    const std::uint32_t i = id - config_.first_id;
+                    contents_[i].assign(content.begin(), content.end());
+                    if (i < config_.bad) {
+                      // A compromised device attests over what is
+                      // actually in its PMEM — which is not what the
+                      // verifier expects.
+                      contents_[i][0] ^= 0xff;
+                    }
+                  });
 }
 
 void AgentCore::compute_round(std::uint32_t tick) {

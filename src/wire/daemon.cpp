@@ -4,8 +4,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <stdexcept>
 
+#include "crypto/kdf.hpp"
 #include "sap/messages.hpp"
 
 namespace cra::wire {
@@ -35,12 +37,16 @@ VerifierDaemon::VerifierDaemon(DaemonConfig config)
     throw std::invalid_argument("VerifierDaemon: zero devices");
   }
   // Seed the valid-state set VS: daemon and agents derive the same
-  // per-device content from the shared master, so no provisioning
-  // round-trip is needed before attestation can start.
-  for (std::uint32_t id = 1; id <= config_.devices; ++id) {
-    verifier_.set_expected_content(
-        id, device_content(config_.master, id, config_.content_size));
-  }
+  // per-device content (device_content) from the shared master, so no
+  // provisioning round-trip is needed before attestation can start.
+  std::vector<std::uint32_t> ids(config_.devices);
+  std::iota(ids.begin(), ids.end(), 1U);
+  verifier_.kdf().device_keys(
+      ids, config_.content_size, kDeviceContentLabel,
+      [this](std::uint32_t id, BytesView content) {
+        verifier_.set_expected_content(id,
+                                       Bytes(content.begin(), content.end()));
+      });
   loop_.add_fd(socket_.fd(), EPOLLIN, [this](std::uint32_t) { on_readable(); });
   loop_.set_wakeup_hook([this] {
     if (snapshot_requested_ != 0) {

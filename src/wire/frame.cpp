@@ -127,9 +127,7 @@ std::optional<std::vector<WantRange>> decode_want_ranges(
 }
 
 Bytes device_content(BytesView master, std::uint32_t id, std::size_t size) {
-  Bytes info = to_bytes("cra-wire-content");
-  append_u32le(info, id);
-  return crypto::hkdf(master, /*salt=*/{}, info, size);
+  return crypto::derive_device_key(master, id, size, kDeviceContentLabel);
 }
 
 }  // namespace cra::wire

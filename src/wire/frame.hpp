@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string_view>
 
 #include "common/bytes.hpp"
 
@@ -150,6 +151,11 @@ class SeqTracker {
   std::uint32_t last_ = 0;
   bool seen_ = false;
 };
+
+/// HKDF label of device_content: its bytes are the device key of this
+/// label, so a provisioning loop derives them in batches through
+/// crypto::Hkdf::device_keys.
+inline constexpr std::string_view kDeviceContentLabel = "cra-wire-content";
 
 /// The deployment's expected PMEM digest for device `id`, derived from
 /// the shared master secret. Daemon and agents derive the same bytes

@@ -1,9 +1,10 @@
 # Runs a bench with --metrics-json and --trace-out and fails unless it
 # exits 0 and writes both files as non-empty JSON: the metrics with at
-# least one counter, the trace with at least one event.
+# least one counter, the trace with at least one event, including an
+# event of every name in SPANS.
 #
 #   cmake -DBENCH=<binary> -DOUT=<dir> "-DARGS=<flag;value;...>" \
-#         -P bench_obs_files.cmake
+#         ["-DSPANS=<name;...>"] -P bench_obs_files.cmake
 if(NOT BENCH OR NOT OUT)
   message(FATAL_ERROR "usage: cmake -DBENCH=<binary> -DOUT=<dir> "
                       "[-DARGS=...] -P ${CMAKE_CURRENT_LIST_FILE}")
@@ -46,4 +47,10 @@ string(JSON events ERROR_VARIABLE bad LENGTH "${t}" traceEvents)
 if(bad OR events EQUAL 0)
   message(FATAL_ERROR "${trace} has no trace events")
 endif()
+foreach(span IN LISTS SPANS)
+  string(FIND "${t}" "\"name\":\"${span}\"" at)
+  if(at EQUAL -1)
+    message(FATAL_ERROR "${trace} has no ${span} span")
+  endif()
+endforeach()
 message(STATUS "${metrics}: ${counters} counters; ${trace}: ${events} events")

@@ -3,13 +3,64 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 
 #include "common/bytes.hpp"
+#include "crypto/sha1.hpp"
+#include "crypto/tally.hpp"
 #include "vectors.hpp"
 
 namespace cra::crypto {
 namespace {
+
+/// The digest of `msg` with FIPS 180-4 padding spelled out: message ||
+/// 0x80 || zeros || be64(bit length), fed to update() as whole blocks so
+/// that finalize() never pads; the chaining value is then the digest.
+template <typename H>
+std::string spelled_out_digest(const Bytes& msg) {
+  Bytes padded = msg;
+  padded.push_back(0x80);
+  while (padded.size() % H::kBlockSize != 56) padded.push_back(0);
+  const std::uint64_t bits = static_cast<std::uint64_t>(msg.size()) * 8;
+  for (int shift = 56; shift >= 0; shift -= 8) {
+    padded.push_back(static_cast<std::uint8_t>(bits >> shift));
+  }
+  H h;
+  h.update(padded);
+  Bytes digest;
+  for (const std::uint32_t word : h.midstate()) {
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      digest.push_back(static_cast<std::uint8_t>(word >> shift));
+    }
+  }
+  return to_hex(digest);
+}
+
+template <typename H>
+void expect_padding_at_every_length() {
+  Bytes msg;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    reset_compression_tally();
+    const auto d = H::digest(msg);
+    EXPECT_EQ(compression_calls_executed(), H::compression_calls(len)) << len;
+    EXPECT_EQ(to_hex(BytesView(d.data(), d.size())),
+              spelled_out_digest<H>(msg))
+        << len;
+    msg.push_back(static_cast<std::uint8_t>(len * 7 + 1));
+  }
+}
+
+// Both hashes share the padding code shape; every tail length of a
+// block (including 55/56, where the length field spills into an extra
+// block) is covered several times over.
+TEST(ShaPadding, Sha1DigestMatchesSpelledOutPaddingAtEveryLength) {
+  expect_padding_at_every_length<Sha1>();
+}
+
+TEST(ShaPadding, Sha256DigestMatchesSpelledOutPaddingAtEveryLength) {
+  expect_padding_at_every_length<Sha256>();
+}
 
 TEST(Sha256, KnownAnswerVectors) {
   // FIPS 180-4 + NIST CAVP short-message cases, from the shared table

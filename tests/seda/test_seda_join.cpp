@@ -1,6 +1,7 @@
 // SEDA's join phase: X25519 pairwise-key agreement per tree edge.
 #include <gtest/gtest.h>
 
+#include "common/bytes.hpp"
 #include "seda/seda.hpp"
 
 namespace cra::seda {
@@ -53,6 +54,39 @@ TEST(SedaJoin, CorruptedKeyHalfBreaksThatUplink) {
   // 3 heads a 3-device subtree ({3,7,8}) of the 14-device tree; its
   // whole aggregate is rejected at node 1.
   EXPECT_EQ(r.total, 11u);
+}
+
+// SEDA's join-ack message kind on the wire (child -> parent, carrying
+// the child's 32-byte public key).
+constexpr std::uint32_t kJoinAck = 4;
+
+TEST(SedaJoin, ForgedAckToUninvitedDeviceIsDropped) {
+  for (const std::uint32_t shards : {1u, 4u}) {
+    SedaConfig cfg = fast();
+    cfg.sim.shards = shards;
+    auto sim = SedaSimulation::balanced(cfg, 14);
+    // 3 is a child of 1, but no join has invited 1, so it holds no
+    // keypair to agree with.
+    sim.network().send(3, 1, kJoinAck, Bytes(32, 0x42));
+    SedaRoundReport r;
+    ASSERT_NO_THROW(r = sim.run_round()) << "shards=" << shards;
+    EXPECT_TRUE(r.verified) << "shards=" << shards;
+  }
+}
+
+TEST(SedaJoin, AckFromANonChildIsDropped) {
+  auto sim = SedaSimulation::balanced(fast(), 14);
+  ASSERT_TRUE(sim.run_join().complete);
+  // 5 is a child of 2, not of 1 or of Vrf: neither may re-key 5's
+  // uplink (or 3's, which 1 verifies) from a forged public key.
+  sim.network().send(5, 1, kJoinAck, Bytes(32, 0x42));
+  sim.network().send(3, 0, kJoinAck, Bytes(32, 0x42));
+  // The second round runs after any DH a forged ack could have started.
+  for (int round = 0; round < 2; ++round) {
+    const SedaRoundReport r = sim.run_round();
+    EXPECT_TRUE(r.verified) << "round " << round;
+    EXPECT_EQ(r.mac_failures, 0u) << "round " << round;
+  }
 }
 
 TEST(SedaJoin, UnresponsiveDeviceBlocksItsSubtreeJoin) {

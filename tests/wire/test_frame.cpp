@@ -4,7 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/rng.hpp"
+#include "crypto/kdf.hpp"
 
 namespace cra::wire {
 namespace {
@@ -174,6 +179,26 @@ TEST(Frame, DeviceContentIsDeterministicAndDistinct) {
   EXPECT_EQ(a1, a2);
   EXPECT_NE(a1, b);
   EXPECT_NE(device_content(to_bytes("other-master"), 7, 64), a1);
+}
+
+TEST(Frame, DeviceContentKnownAnswerSingleAndBatched) {
+  // Pinned from the one-shot HKDF loop before the cached expand replaced
+  // it; the agents' and the daemon's batched derivations must agree.
+  const Bytes master = to_bytes("wire-test-master");
+  const std::string want =
+      "a89bdbc3d4c06633925474fb687c38ac4b2ce961c7f6fef8cbfce89b4748a616"
+      "0288e53a177ac2e516957fc00c6a1a1573633392078b5b95087750decd7ed14e";
+  EXPECT_EQ(to_hex(device_content(master, 7, 64)), want);
+  const std::vector<std::uint32_t> ids = {6, 7, 8};
+  std::vector<Bytes> batched;
+  crypto::Hkdf(master).device_keys(ids, 64, kDeviceContentLabel,
+                                   [&](std::uint32_t, BytesView c) {
+                                     batched.emplace_back(c.begin(), c.end());
+                                   });
+  ASSERT_EQ(batched.size(), 3u);
+  EXPECT_EQ(to_hex(batched[1]), want);
+  EXPECT_EQ(batched[0], device_content(master, 6, 64));
+  EXPECT_EQ(batched[2], device_content(master, 8, 64));
 }
 
 }  // namespace
