@@ -1,26 +1,31 @@
-// Perf baseline: deterministic hot-path counters + wall-clock throughput.
+// Perf baseline: deterministic hot-path counters + one SIMD speedup ratio.
 //
-// Two workloads, one JSON artifact (BENCH_perf.json):
+// Four workloads, one JSON artifact (BENCH_perf.json):
 //
 //   1. MAC microworkload — HMAC-SHA1 over a SAP-sized token input
 //      (20-byte PMEM digest + 4-byte challenge), one-shot vs the
 //      midstate-cached PrecomputedMac path.
-//   2. A two-round SAP attestation at a fixed swarm size on one shard,
+//   2. The same MAC pushed through the Backend batch API on the scalar
+//      reference and on the active backend, in alternating chunks.
+//   3. A two-round SAP attestation at a fixed swarm size on one shard,
 //      the serial event loop; round 2 runs with a warm payload pool.
+//   4. The same SAP workload on 8 shards at four placements.
 //
 // The JSON has two sections: "counters" are pure functions of the
 // workload (compression-function invocations, events dispatched, pool
 // hit/miss tallies, wire bytes) and are asserted byte-for-byte by the CI
 // perf-smoke job against the committed BENCH_perf.json — a change here
 // means the hot path did more or less *work*, not that the machine was
-// slow. "gauges" (wall.* rates) are wall-clock and informational only.
+// slow. The one gauge, wall.hmac_batch_simd_speedup_x100, is the median
+// active-backend over scalar batch speedup; it is a ratio of two timings
+// on the same host, so CI can put a floor under it.
 //
-// stdout carries the deterministic counter table; wall-clock lines go to
-// stderr, matching the house bench convention.
+// stdout carries the deterministic counter table; the speedup line goes
+// to stderr, matching the house bench convention.
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
-
 #include <vector>
 
 #include "bench_args.hpp"
@@ -37,14 +42,11 @@ namespace {
 
 constexpr std::uint32_t kDefaultDevices = 10'000;
 constexpr std::uint64_t kMacIters = 200'000;
-constexpr std::size_t kBatchJobs = 512;    // distinct per-device keys
-constexpr std::uint64_t kBatchIters = 400;  // passes over the batch
-
-/// Rate helper: integer ops/sec (0 when the timer was too coarse).
-std::int64_t per_sec(std::uint64_t ops, double sec) {
-  if (sec <= 0.0) return 0;
-  return static_cast<std::int64_t>(static_cast<double>(ops) / sec);
-}
+constexpr std::size_t kBatchJobs = 512;  // distinct per-device keys
+// Passes over the batch per backend: kSpeedupChunks alternating chunks
+// of kChunkPasses, so both backends see the same host conditions.
+constexpr int kSpeedupChunks = 8;
+constexpr std::uint64_t kChunkPasses = 50;
 
 }  // namespace
 
@@ -76,40 +78,31 @@ int main(int argc, char** argv) {
 
   crypto::MacBuf mac;
   crypto::reset_compression_tally();
-  const benchargs::WallTimer oneshot_wall;
   for (std::uint64_t i = 0; i < kMacIters; ++i) {
     crypto::hmac_into(crypto::HashAlg::kSha1, key, one_shot_msg, mac);
   }
-  const double oneshot_sec = oneshot_wall.sec();
   const std::uint64_t oneshot_comp = crypto::compression_calls_executed();
 
   crypto::PrecomputedMac cached;
   cached.init(crypto::HashAlg::kSha1, key);
   crypto::reset_compression_tally();
-  const benchargs::WallTimer cached_wall;
   for (std::uint64_t i = 0; i < kMacIters; ++i) {
     cached.mac_into(content, BytesView(chal_le, 4), mac);
   }
-  const double cached_sec = cached_wall.sec();
   const std::uint64_t cached_comp = crypto::compression_calls_executed();
 
   reg.counter("mac.iterations").inc(kMacIters);
   reg.counter("mac.oneshot_compressions").inc(oneshot_comp);
   reg.counter("mac.cached_compressions").inc(cached_comp);
-  reg.gauge("wall.oneshot_macs_per_sec").set(per_sec(kMacIters, oneshot_sec));
-  reg.gauge("wall.cached_macs_per_sec").set(per_sec(kMacIters, cached_sec));
-  std::fprintf(stderr,
-               "wall: macs oneshot=%.0f/s cached=%.0f/s (x%.2f)\n",
-               kMacIters / oneshot_sec, kMacIters / cached_sec,
-               oneshot_sec / cached_sec);
 
   // ---- Workload 1b: batch MAC verify, lanes=1 vs lanes=N ----
   // The same token-sized resumed HMAC pushed through the Backend batch
-  // API: once through the scalar reference (lanes=1) and once through the
-  // active backend (lanes=N on SIMD-capable hosts). The tally invariant
-  // makes both compression counters identical — CI asserts exactly that —
-  // while the wall.* gauges show the SIMD speedup. Counter names carry no
-  // backend name on purpose: the JSON must not depend on the host ISA.
+  // API: through the scalar reference (lanes=1) and through the active
+  // backend (lanes=N on SIMD-capable hosts), in alternating chunks. The
+  // tally invariant makes both compression counters identical — CI
+  // asserts exactly that — while the median of the per-chunk time
+  // ratios is the SIMD speedup. Counter names carry no backend name on
+  // purpose: the JSON must not depend on the host ISA.
   std::vector<crypto::PrecomputedMac> batch_macs(kBatchJobs);
   std::vector<Bytes> batch_prefixes(kBatchJobs);
   for (std::size_t i = 0; i < kBatchJobs; ++i) {
@@ -126,37 +119,43 @@ int main(int argc, char** argv) {
   std::vector<crypto::MacBuf> batch_out(kBatchJobs);
 
   const crypto::Backend& lanes1 = crypto::scalar_backend();
-  crypto::reset_compression_tally();
-  const benchargs::WallTimer lanes1_wall;
-  for (std::uint64_t it = 0; it < kBatchIters; ++it) {
-    lanes1.hmac_batch(batch_jobs.data(), kBatchJobs, batch_out.data());
-  }
-  const double lanes1_sec = lanes1_wall.sec();
-  const std::uint64_t lanes1_comp = crypto::compression_calls_executed();
-
   const crypto::Backend& lanesN = crypto::active_backend();
-  crypto::reset_compression_tally();
-  const benchargs::WallTimer lanesN_wall;
-  for (std::uint64_t it = 0; it < kBatchIters; ++it) {
-    lanesN.hmac_batch(batch_jobs.data(), kBatchJobs, batch_out.data());
+  std::uint64_t lanes1_comp = 0, lanesN_comp = 0;
+  // One chunk of passes on `backend`: adds its compressions to `comp`
+  // and returns its wall time.
+  auto chunk = [&](const crypto::Backend& backend, std::uint64_t& comp) {
+    crypto::reset_compression_tally();
+    const benchargs::WallTimer wall;
+    for (std::uint64_t it = 0; it < kChunkPasses; ++it) {
+      backend.hmac_batch(batch_jobs.data(), kBatchJobs, batch_out.data());
+    }
+    const double sec = wall.sec();
+    comp += crypto::compression_calls_executed();
+    return sec;
+  };
+  std::vector<double> speedups;
+  for (int c = 0; c < kSpeedupChunks; ++c) {
+    const double scalar_sec = chunk(lanes1, lanes1_comp);
+    const double active_sec = chunk(lanesN, lanesN_comp);
+    speedups.push_back(active_sec > 0.0 ? scalar_sec / active_sec : 0.0);
   }
-  const double lanesN_sec = lanesN_wall.sec();
-  const std::uint64_t lanesN_comp = crypto::compression_calls_executed();
+  std::sort(speedups.begin(), speedups.end());
+  const double speedup =
+      (speedups[kSpeedupChunks / 2 - 1] + speedups[kSpeedupChunks / 2]) / 2;
 
-  const std::uint64_t batch_total = kBatchJobs * kBatchIters;
+  const std::uint64_t batch_total =
+      kBatchJobs * kChunkPasses * kSpeedupChunks;
   reg.counter("mac.batch_iterations").inc(batch_total);
   reg.counter("mac.batch_lanes1_compressions").inc(lanes1_comp);
   reg.counter("mac.batch_lanesN_compressions").inc(lanesN_comp);
-  reg.gauge("wall.batch_lanes1_macs_per_sec")
-      .set(per_sec(batch_total, lanes1_sec));
-  reg.gauge("wall.batch_lanesN_macs_per_sec")
-      .set(per_sec(batch_total, lanesN_sec));
+  reg.gauge("wall.hmac_batch_simd_speedup_x100")
+      .set(static_cast<std::int64_t>(speedup * 100.0));
   std::fprintf(stderr,
-               "wall: batch macs lanes1[%s]=%.0f/s lanesN[%s x%zu]=%.0f/s "
-               "(x%.2f)\n",
-               lanes1.name(), batch_total / lanes1_sec, lanesN.name(),
-               lanesN.lanes(crypto::HashAlg::kSha1),
-               batch_total / lanesN_sec, lanes1_sec / lanesN_sec);
+               "wall: hmac_batch %s x%zu over %s: median speedup x%.2f "
+               "(%d alternating chunks of %llu passes)\n",
+               lanesN.name(), lanesN.lanes(crypto::HashAlg::kSha1),
+               lanes1.name(), speedup, kSpeedupChunks,
+               static_cast<unsigned long long>(kChunkPasses));
 
   // ---- Workload 2: SAP rounds on one shard ----
   // Two rounds: round 1 populates the payload freelist, round 2 is the
@@ -174,10 +173,8 @@ int main(int argc, char** argv) {
   const std::uint64_t setup_comp = crypto::compression_calls_executed();
 
   crypto::reset_compression_tally();
-  const benchargs::WallTimer round_wall;
   const auto round1 = sim.run_round();
   const auto round2 = sim.run_round();
-  const double rounds_sec = round_wall.sec();
   const std::uint64_t round_comp = crypto::compression_calls_executed();
 
   if (!round1.verified || !round2.verified) {
@@ -197,11 +194,6 @@ int main(int argc, char** argv) {
   reg.counter("sap.pool_bytes").inc(sim.network().payload_bytes_pooled());
   reg.counter("sap.net_bytes")
       .inc(sim.metrics().counter_value("net.bytes_transmitted"));
-  reg.gauge("wall.sap_events_per_sec").set(per_sec(dispatched, rounds_sec));
-  reg.gauge("wall.sap_round_ms")
-      .set(static_cast<std::int64_t>(rounds_sec * 500.0));  // per round
-  std::fprintf(stderr, "wall: sap n=%u rounds=2 %.3fs (%.0f events/s)\n",
-               devices, rounds_sec, dispatched / rounds_sec);
 
   // ---- Workload 3: PDES scaling across shard placements ----
   // The same two-round SAP workload on the sharded engine (shards=8),
@@ -212,7 +204,6 @@ int main(int argc, char** argv) {
   // asserted equal at every other placement — the engine's "run is a
   // pure function of (inputs, shard count)" bar, enforced right here so
   // the committed BENCH_perf.json doubles as the invariance golden.
-  // Only the wall.pdes_*_events_per_sec gauges may differ by placement.
   struct Placement {
     const char* name;
     std::uint32_t threads;
@@ -237,7 +228,6 @@ int main(int argc, char** argv) {
     sim::ProcessGroup& pg = sim::ProcessGroup::instance();
     std::uint32_t rank = 0;
     if (p.procs > 1) rank = pg.spawn(p.procs);
-    const benchargs::WallTimer pdes_wall;
     bool ok = true;
     try {
       ok = psim.run_round().verified;
@@ -248,7 +238,6 @@ int main(int argc, char** argv) {
       if (rank != 0) pg.child_exit(1);
       return 1;
     }
-    const double pdes_sec = pdes_wall.sec();
     // Children exit 0 regardless of `ok`: the verifier verdict is only
     // authoritative on rank 0, which owns shard 0.
     if (rank != 0) pg.child_exit(0);
@@ -280,11 +269,6 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(pdes_epochs));
       return 1;
     }
-    reg.gauge(std::string("wall.pdes_") + p.name + "_events_per_sec")
-        .set(per_sec(ev, pdes_sec));
-    std::fprintf(stderr, "wall: pdes[%s] n=%u rounds=2 %.3fs (%.0f events/s)\n",
-                 p.name, devices, pdes_sec,
-                 static_cast<double>(ev) / pdes_sec);
   }
 
   // ---- Report ----

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "sim/process_group.hpp"
 #include "sim/spsc_ring.hpp"
@@ -24,42 +25,19 @@ class InprocChannel final : public ChannelTransport {
     }
   }
 
-  Kind kind() const noexcept override { return Kind::kInproc; }
-  const char* name() const noexcept override { return "inproc"; }
-
-  bool post_callback(std::uint32_t from, std::uint32_t to, SimTime at,
-                     Scheduler::Callback cb) override {
-    Lane& l = lane(from, to);
-    if (l.items.size() == l.items.capacity()) ++l.reallocs;
-    l.items.push_back(Posted{at, std::move(cb)});
-    return true;
-  }
-
   Bytes post_message(std::uint32_t from, std::uint32_t to,
                      ShardMessage&& m) override {
-    // Wrap the owned message now; it rides the lane as a closure and the
-    // payload never copies. The sink closure is installed by the engine
-    // at drain time, so the lane stores the raw message via a deferred
-    // tag — simplest encoding: a callback that the engine interprets.
-    // (The engine passes a sched_msg-materializing wrapper instead; see
-    // ParallelScheduler::post_message, which never reaches here for the
-    // in-process transport.)
-    (void)from;
-    (void)to;
-    (void)m;
-    throw std::logic_error(
-        "InprocChannel: post_message is handled by the engine (wrapped "
-        "as a callback before it reaches the transport)");
+    Lane& l = lane(from, to);
+    if (l.items.size() == l.items.capacity()) ++l.reallocs;
+    l.items.push_back(std::move(m));  // the payload moves, never copies
+    return {};
   }
 
   void drain(std::uint32_t to,
-             const std::function<void(SimTime, Scheduler::Callback&&)>&
-                 sched_cb,
-             const std::function<void(const ShardMessageView&)>& /*sched_msg*/)
-      override {
+             const std::function<void(ShardMessage&&)>& deliver) override {
     for (std::uint32_t from = 0; from < shard_count_; ++from) {
       Lane& l = lane(from, to);
-      for (Posted& p : l.items) sched_cb(p.at, std::move(p.cb));
+      for (ShardMessage& m : l.items) deliver(std::move(m));
       // clear() keeps capacity: next epoch's posts land in warm storage.
       l.items.clear();
     }
@@ -72,14 +50,10 @@ class InprocChannel final : public ChannelTransport {
   }
 
  private:
-  struct Posted {
-    SimTime at;
-    Scheduler::Callback cb;
-  };
   // Heap-allocated and cacheline-aligned: a lane's single writer and
   // single reader run on different workers in alternating phases.
   struct alignas(64) Lane {
-    std::vector<Posted> items;
+    std::vector<ShardMessage> items;
     std::uint64_t reallocs = 0;
   };
 
@@ -120,14 +94,6 @@ class ShmChannel final : public ChannelTransport {
     }
   }
 
-  Kind kind() const noexcept override { return Kind::kShm; }
-  const char* name() const noexcept override { return "shm"; }
-
-  bool post_callback(std::uint32_t, std::uint32_t, SimTime,
-                     Scheduler::Callback) override {
-    return false;  // closures don't serialize; engine reports the misuse
-  }
-
   Bytes post_message(std::uint32_t from, std::uint32_t to,
                      ShardMessage&& m) override {
     Lane& l = lane(from, to);
@@ -154,10 +120,7 @@ class ShmChannel final : public ChannelTransport {
   }
 
   void drain(std::uint32_t to,
-             const std::function<void(SimTime, Scheduler::Callback&&)>&
-             /*sched_cb*/,
-             const std::function<void(const ShardMessageView&)>& sched_msg)
-      override {
+             const std::function<void(ShardMessage&&)>& deliver) override {
     for (std::uint32_t from = 0; from < shard_count_; ++from) {
       if (from == to) continue;
       Lane& l = lane(from, to);
@@ -169,16 +132,13 @@ class ShmChannel final : public ChannelTransport {
         }
         RecordHeader h;
         std::memcpy(&h, rec, sizeof(h));
-        ShardMessageView v{SimTime(h.at_ns), h.entity, h.src, h.kind,
-                           BytesView(rec + sizeof(h),
-                                     len - sizeof(RecordHeader))};
-        sched_msg(v);  // copies the payload before we release the slot
+        // Own the payload before the slot is released.
+        ShardMessage m{SimTime(h.at_ns), h.entity, h.src, h.kind,
+                       Bytes(rec + sizeof(h), rec + len)};
         l.ring->pop();
+        deliver(std::move(m));
       }
-      for (const ShardMessage& m : l.spill) {
-        sched_msg(ShardMessageView{m.at, m.entity, m.src, m.kind,
-                                   BytesView(m.payload)});
-      }
+      for (ShardMessage& m : l.spill) deliver(std::move(m));
       l.spill.clear();
     }
   }

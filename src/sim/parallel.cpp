@@ -27,12 +27,11 @@ namespace {
 thread_local const ParallelScheduler* tls_engine = nullptr;
 thread_local std::uint32_t tls_shard = 0;
 
-/// Recycled shm-delivery buffers kept per shard (same cap as the
-/// network payload pools).
-constexpr std::size_t kMaxSpareBuffers = 1024;
-
 /// Per-shard shared-memory window for the end-of-run metrics image.
 constexpr std::uint32_t kMetricsBlobCap = 256 * 1024;
+
+/// A shard cell's earliest-event time when its queue is empty.
+constexpr std::int64_t kNever = std::numeric_limits<std::int64_t>::max();
 
 /// Per-lane shm ring capacity in 64-byte slots. Sized for a burst where
 /// a sizable fraction of one shard's entities post to a single peer
@@ -105,40 +104,44 @@ ParallelScheduler::ParallelScheduler(std::span<const std::uint32_t> order,
   }
   if (shard_count_ == 1) return;
 
-  if (transport_ == ShardTransport::kShm) {
-    const std::uint32_t ring_slots =
-        ring_slots_for(run_start(entities, shard_count_, 1));
-    metrics_blob_cap_ = kMetricsBlobCap;
-    std::size_t bytes = 0;
-    bytes += sizeof(ShmBarrierCell) + 64;
-    bytes += sizeof(ShmHorizonCell) + 64;
-    bytes += 64 + 64;  // abort word
-    bytes += static_cast<std::size_t>(shard_count_) * sizeof(ShardCell) + 64;
-    bytes += static_cast<std::size_t>(shard_count_) * metrics_blob_cap_ + 64;
+  const bool shm = transport_ == ShardTransport::kShm;
+  const std::uint32_t ring_slots =
+      ring_slots_for(run_start(entities, shard_count_, 1));
+  const std::size_t blob_bytes = processes_ > 1 ? kMetricsBlobCap : 0;
+  std::size_t bytes = 0;
+  bytes += sizeof(ShmBarrierCell) + 64;
+  bytes += sizeof(ShmHorizonCell) + 64;
+  bytes += 64 + 64;  // abort word
+  bytes += static_cast<std::size_t>(shard_count_) * sizeof(ShardCell) + 64;
+  bytes += static_cast<std::size_t>(shard_count_) * blob_bytes + 64;
+  if (shm) {
     bytes += static_cast<std::size_t>(shard_count_) * (shard_count_ - 1) *
              (SpscRing::region_bytes(ring_slots) + 64);
-    arena_ = std::make_unique<SharedArena>(bytes);
-    barrier_ = ::new (arena_->alloc(sizeof(ShmBarrierCell))) ShmBarrierCell();
-    control_ = ::new (arena_->alloc(sizeof(ShmHorizonCell))) ShmHorizonCell();
-    shm_abort_ = ::new (arena_->alloc(sizeof(std::atomic<std::uint32_t>)))
-        std::atomic<std::uint32_t>(0);
-    cells_ = static_cast<ShardCell*>(
-        arena_->alloc(static_cast<std::size_t>(shard_count_) *
-                      sizeof(ShardCell)));
-    for (std::uint32_t s = 0; s < shard_count_; ++s) {
-      ::new (&cells_[s]) ShardCell();
-    }
-    metrics_blobs_ = static_cast<std::uint8_t*>(arena_->alloc(
-        static_cast<std::size_t>(shard_count_) * metrics_blob_cap_));
-    std::vector<std::uint32_t> rank_of(shard_count_);
-    for (std::uint32_t r = 0; r < processes_; ++r) {
-      const auto [lo, hi] = owned_shards(r);
-      std::fill(rank_of.begin() + lo, rank_of.begin() + hi, r);
-    }
-    channel_ = make_shm_channel(shard_count_, ring_slots, *arena_, rank_of);
-  } else {
-    channel_ = make_inproc_channel(shard_count_);
   }
+  arena_ = std::make_unique<SharedArena>(bytes);
+  barrier_ = ::new (arena_->alloc(sizeof(ShmBarrierCell))) ShmBarrierCell();
+  control_ = ::new (arena_->alloc(sizeof(ShmHorizonCell))) ShmHorizonCell();
+  abort_ = ::new (arena_->alloc(sizeof(std::atomic<std::uint32_t>)))
+      std::atomic<std::uint32_t>(0);
+  cells_ = static_cast<ShardCell*>(arena_->alloc(
+      static_cast<std::size_t>(shard_count_) * sizeof(ShardCell)));
+  for (std::uint32_t s = 0; s < shard_count_; ++s) {
+    ::new (&cells_[s]) ShardCell();
+  }
+  if (processes_ > 1) {
+    metrics_blobs_ = static_cast<std::uint8_t*>(
+        arena_->alloc(static_cast<std::size_t>(shard_count_) * blob_bytes));
+  }
+  if (!shm) {
+    channel_ = make_inproc_channel(shard_count_);
+    return;
+  }
+  std::vector<std::uint32_t> rank_of(shard_count_);
+  for (std::uint32_t r = 0; r < processes_; ++r) {
+    const auto [lo, hi] = owned_shards(r);
+    std::fill(rank_of.begin() + lo, rank_of.begin() + hi, r);
+  }
+  channel_ = make_shm_channel(shard_count_, ring_slots, *arena_, rank_of);
 }
 
 ParallelScheduler::~ParallelScheduler() = default;
@@ -168,7 +171,7 @@ SimTime ParallelScheduler::now() const noexcept {
 }
 
 std::uint64_t ParallelScheduler::dispatched() const noexcept {
-  if (transport_ == ShardTransport::kShm && processes_ > 1) {
+  if (processes_ > 1) {
     std::uint64_t n = 0;
     for (std::uint32_t s = 0; s < shard_count_; ++s) {
       n += cells_[s].dispatched_total.load(std::memory_order_acquire);
@@ -181,7 +184,7 @@ std::uint64_t ParallelScheduler::dispatched() const noexcept {
 }
 
 std::uint64_t ParallelScheduler::cross_shard_posts() const noexcept {
-  if (transport_ == ShardTransport::kShm && processes_ > 1) {
+  if (processes_ > 1) {
     std::uint64_t n = 0;
     for (std::uint32_t s = 0; s < shard_count_; ++s) {
       n += cells_[s].cross_posts.load(std::memory_order_acquire);
@@ -205,7 +208,7 @@ void ParallelScheduler::export_pdes_metrics(obs::MetricsRegistry& reg) const {
 }
 
 void ParallelScheduler::merge_metrics_into(obs::MetricsRegistry& out) const {
-  if (transport_ == ShardTransport::kShm && processes_ > 1) {
+  if (processes_ > 1) {
     // Ascending shard order, exactly like the local path: owned shards
     // merge live registries, peer shards merge the binary images their
     // owners published at the end of the last run.
@@ -218,7 +221,7 @@ void ParallelScheduler::merge_metrics_into(obs::MetricsRegistry& out) const {
           cells_[s].metrics_len.load(std::memory_order_acquire);
       if (len != 0) {
         out.merge_binary(BytesView(
-            metrics_blobs_ + static_cast<std::size_t>(s) * metrics_blob_cap_,
+            metrics_blobs_ + static_cast<std::size_t>(s) * kMetricsBlobCap,
             len));
       }
     }
@@ -231,37 +234,26 @@ void ParallelScheduler::reset_shard_metrics() noexcept {
   for (auto& s : shards_) s->metrics.reset_values();
 }
 
+bool ParallelScheduler::crossing(std::uint32_t to) const {
+  if (!running_.load(std::memory_order_acquire)) return false;
+  if (tls_engine != this) {
+    throw std::logic_error(
+        "ParallelScheduler: post from a foreign thread while the engine is "
+        "running — posting is setup-only outside the engine's own workers "
+        "(see the contract in sim/parallel.hpp)");
+  }
+  return tls_shard != to;
+}
+
 void ParallelScheduler::post(std::uint32_t entity, SimTime at, Callback cb) {
   const std::uint32_t to = shard_of(entity);
-  if (tls_engine == this) {
-    if (running_.load(std::memory_order_relaxed) && tls_shard != to) {
-      if (at < horizon_) {
-        throw std::logic_error(
-            "ParallelScheduler: cross-shard event inside the lookahead "
-            "window — source latency is below the configured lookahead");
-      }
-      if (!channel_->post_callback(tls_shard, to, at, std::move(cb))) {
-        throw std::logic_error(
-            "ParallelScheduler: the shm transport cannot carry callbacks "
-            "across shards (closures don't serialize) — route protocol "
-            "traffic through post_message(), or select the inproc "
-            "transport");
-      }
-      ++shards_[tls_shard]->cross_posts;
-      return;
-    }
-    // Same shard during a run: schedule directly, preserving the
-    // scheduler's local FIFO order.
-    shard(to).schedule_at(at, std::move(cb));
-    return;
-  }
-  if (running_.load(std::memory_order_acquire)) {
+  if (crossing(to)) {
     throw std::logic_error(
-        "ParallelScheduler::post: called from a foreign thread while the "
-        "engine is running — posting is setup-only outside the engine's "
-        "own workers (see the contract in sim/parallel.hpp)");
+        "ParallelScheduler: a closure cannot cross shards — route "
+        "cross-shard traffic through post_message()");
   }
-  // Engine idle (round setup): schedule directly.
+  // Engine idle (round setup), or the worker's own shard: schedule
+  // directly, preserving the scheduler's local FIFO order.
   shard(to).schedule_at(at, std::move(cb));
 }
 
@@ -270,85 +262,28 @@ Bytes ParallelScheduler::post_message(std::uint32_t entity, SimTime at,
                                       Bytes&& payload) {
   const std::uint32_t to = shard_of(entity);
   ShardMessage m{at, entity, src, kind, std::move(payload)};
-  if (tls_engine == this) {
-    if (running_.load(std::memory_order_relaxed) && tls_shard != to) {
-      if (at < horizon_) {
-        throw std::logic_error(
-            "ParallelScheduler: cross-shard message inside the lookahead "
-            "window — source latency is below the configured lookahead");
-      }
-      ++shards_[tls_shard]->cross_posts;
-      if (channel_->kind() == ChannelTransport::Kind::kShm) {
-        return channel_->post_message(tls_shard, to, std::move(m));
-      }
-      // In-process: the owned message rides the lane as a closure —
-      // zero-copy, and dispatch order is identical to the shm path
-      // (drains visit lanes in the same source order, FIFO within).
-      channel_->post_callback(
-          tls_shard, to, at,
-          [this, sm = std::move(m)]() mutable { sink_(std::move(sm)); });
-      return {};
-    }
-    shard(to).schedule_at(
-        at, [this, sm = std::move(m)]() mutable { sink_(std::move(sm)); });
+  if (!crossing(to)) {
+    schedule_message(to, std::move(m));
     return {};
   }
-  if (running_.load(std::memory_order_acquire)) {
+  if (at < horizon_) {
     throw std::logic_error(
-        "ParallelScheduler::post_message: called from a foreign thread "
-        "while the engine is running — posting is setup-only outside the "
-        "engine's own workers (see the contract in sim/parallel.hpp)");
+        "ParallelScheduler: cross-shard message inside the lookahead "
+        "window — source latency is below the configured lookahead");
   }
-  shard(to).schedule_at(
+  ++shards_[tls_shard]->cross_posts;
+  return channel_->post_message(tls_shard, to, std::move(m));
+}
+
+void ParallelScheduler::schedule_message(std::uint32_t s, ShardMessage&& m) {
+  const SimTime at = m.at;
+  shards_[s]->sched.schedule_at(
       at, [this, sm = std::move(m)]() mutable { sink_(std::move(sm)); });
-  return {};
-}
-
-void ParallelScheduler::set_message_sinks(MessageSink deliver,
-                                          MessageViewSink deliver_view) {
-  sink_ = std::move(deliver);
-  view_sink_ = std::move(deliver_view);
-}
-
-void ParallelScheduler::deliver_view_into(std::uint32_t s,
-                                          const ShardMessageView& v) {
-  // Materialize the borrowed record into an owned buffer (the ring slot
-  // is released when drain() pops); the buffer cycles through the
-  // shard's spare list, so steady-state deliveries are allocation-free.
-  Shard& sh = *shards_[s];
-  Bytes buf;
-  if (!sh.spare.empty()) {
-    buf = std::move(sh.spare.back());
-    sh.spare.pop_back();
-  }
-  buf.assign(v.payload.begin(), v.payload.end());
-  ShardMessage m{v.at, v.entity, v.src, v.kind, std::move(buf)};
-  sh.sched.schedule_at(v.at, [this, sm = std::move(m)]() mutable {
-    const std::uint32_t dst = shard_of(sm.entity);
-    view_sink_(ShardMessageView{sm.at, sm.entity, sm.src, sm.kind,
-                                BytesView(sm.payload)});
-    Shard& dsh = *shards_[dst];
-    if (dsh.spare.size() < kMaxSpareBuffers) {
-      sm.payload.clear();
-      dsh.spare.push_back(std::move(sm.payload));
-    }
-  });
 }
 
 void ParallelScheduler::drain_into(std::uint32_t s) {
   channel_->drain(
-      s,
-      [this, s](SimTime at, Callback&& cb) {
-        shards_[s]->sched.schedule_at(at, std::move(cb));
-      },
-      [this, s](const ShardMessageView& v) { deliver_view_into(s, v); });
-}
-
-void ParallelScheduler::sync_clocks() {
-  const SimTime target = now();
-  for (auto& s : shards_) {
-    if (s->sched.now() < target) s->sched.run_until(target);
-  }
+      s, [this, s](ShardMessage&& m) { schedule_message(s, std::move(m)); });
 }
 
 void ParallelScheduler::maybe_pin(std::uint32_t worker,
@@ -362,139 +297,12 @@ void ParallelScheduler::maybe_pin(std::uint32_t worker,
 
 std::size_t ParallelScheduler::run() {
   if (shard_count_ == 1) return shards_[0]->sched.run();
-  for (auto& s : shards_) s->dispatched_run = 0;
-  if (transport_ == ShardTransport::kShm) return run_shm(std::nullopt);
-  const std::size_t n = threads_ > 1 ? run_threaded(std::nullopt)
-                                     : run_serial_epochs(std::nullopt);
-  sync_clocks();
-  return n;
+  return run_epochs(std::nullopt);
 }
 
 std::size_t ParallelScheduler::run_until(SimTime until) {
   if (shard_count_ == 1) return shards_[0]->sched.run_until(until);
-  for (auto& s : shards_) s->dispatched_run = 0;
-  if (transport_ == ShardTransport::kShm) return run_shm(until);
-  const std::size_t n = threads_ > 1 ? run_threaded(until)
-                                     : run_serial_epochs(until);
-  for (auto& s : shards_) s->sched.run_until(until);
-  return n;
-}
-
-std::size_t ParallelScheduler::run_serial_epochs(
-    std::optional<SimTime> until) {
-  running_.store(true, std::memory_order_release);
-  tls_engine = this;
-  // Reset the running flag and the thread-local even when a handler (or
-  // a lookahead-violation check) throws out of the epoch loop.
-  struct Cleanup {
-    ParallelScheduler* self;
-    ~Cleanup() {
-      self->running_.store(false, std::memory_order_release);
-      tls_engine = nullptr;
-    }
-  } cleanup{this};
-  std::size_t n = 0;
-  for (;;) {
-    std::optional<SimTime> min_next;
-    for (std::uint32_t s = 0; s < shard_count_; ++s) {
-      tls_shard = s;
-      drain_into(s);
-      const auto next = shards_[s]->sched.peek_next_time();
-      if (next && (!min_next || *next < *min_next)) min_next = next;
-    }
-    if (!min_next || (until && *min_next > *until)) break;
-    horizon_ = *min_next + lookahead_;
-    if (until && horizon_ > *until + Duration::from_ns(1)) {
-      horizon_ = *until + Duration::from_ns(1);  // run_before is exclusive
-    }
-    for (std::uint32_t s = 0; s < shard_count_; ++s) {
-      tls_shard = s;
-      n += shards_[s]->sched.run_before(horizon_);
-    }
-    ++epochs_;
-  }
-  return n;
-}
-
-std::size_t ParallelScheduler::run_threaded(std::optional<SimTime> until) {
-  running_.store(true, std::memory_order_release);
-  std::atomic<bool> abort{false};
-  std::mutex error_mu;
-  std::exception_ptr error;
-  done_ = false;
-
-  auto record_error = [&]() noexcept {
-    const std::lock_guard<std::mutex> lock(error_mu);
-    if (!error) error = std::current_exception();
-    abort.store(true, std::memory_order_relaxed);
-  };
-
-  // Completion step: runs on exactly one thread while every worker is
-  // parked at a barrier, so it may read all shard `next` fields and
-  // publish the epoch horizon without atomics. std::barrier invokes it
-  // at BOTH the phase-A and phase-B barriers; only the phase-A
-  // completion (when fresh `next` values were just published) computes.
-  bool phase_a = true;
-  auto completion = [this, &abort, &phase_a, until]() noexcept {
-    if (!phase_a) {
-      phase_a = true;
-      return;
-    }
-    phase_a = false;
-    std::optional<SimTime> min_next;
-    for (const auto& s : shards_) {
-      if (s->next && (!min_next || *s->next < *min_next)) min_next = s->next;
-    }
-    if (!min_next || (until && *min_next > *until) ||
-        abort.load(std::memory_order_relaxed)) {
-      done_ = true;
-      return;
-    }
-    horizon_ = *min_next + lookahead_;
-    if (until && horizon_ > *until + Duration::from_ns(1)) {
-      horizon_ = *until + Duration::from_ns(1);  // run_before is exclusive
-    }
-    ++epochs_;
-  };
-  std::barrier sync(threads_, completion);
-
-  auto worker_loop = [this, &sync, &abort, &record_error](std::uint32_t w) {
-    tls_engine = this;
-    maybe_pin(w, threads_);
-    for (;;) {
-      // Phase A: drain the inbound channel, publish earliest local event.
-      for (std::uint32_t s = w; s < shard_count_; s += threads_) {
-        tls_shard = s;
-        try {
-          drain_into(s);
-        } catch (...) {
-          record_error();
-        }
-        shards_[s]->next = shards_[s]->sched.peek_next_time();
-      }
-      sync.arrive_and_wait();
-      if (done_) break;
-      // Phase B: execute one lookahead window on each owned shard.
-      for (std::uint32_t s = w; s < shard_count_; s += threads_) {
-        tls_shard = s;
-        try {
-          shards_[s]->dispatched_run += shards_[s]->sched.run_before(horizon_);
-        } catch (...) {
-          record_error();
-        }
-      }
-      sync.arrive_and_wait();
-    }
-    tls_engine = nullptr;
-  };
-
-  run_workers(threads_, worker_loop);
-
-  running_.store(false, std::memory_order_release);
-  if (error) std::rethrow_exception(error);
-  std::size_t n = 0;
-  for (const auto& s : shards_) n += s->dispatched_run;
-  return n;
+  return run_epochs(until);
 }
 
 void ParallelScheduler::publish_shard_outputs(std::uint32_t s) {
@@ -508,20 +316,20 @@ void ParallelScheduler::publish_shard_outputs(std::uint32_t s) {
   if (processes_ > 1) {
     Bytes image;
     sh.metrics.encode_binary(image);
-    if (image.size() > metrics_blob_cap_) {
+    if (image.size() > kMetricsBlobCap) {
       throw std::runtime_error(
           "ParallelScheduler: shard metrics image exceeds the shared "
           "window — too many distinct instruments for multi-process mode");
     }
     std::memcpy(
-        metrics_blobs_ + static_cast<std::size_t>(s) * metrics_blob_cap_,
+        metrics_blobs_ + static_cast<std::size_t>(s) * kMetricsBlobCap,
         image.data(), image.size());
     cells_[s].metrics_len.store(static_cast<std::uint32_t>(image.size()),
                                 std::memory_order_release);
   }
 }
 
-std::size_t ParallelScheduler::run_shm(std::optional<SimTime> until) {
+std::size_t ParallelScheduler::run_epochs(std::optional<SimTime> until) {
   ProcessGroup& pg = ProcessGroup::instance();
   if (processes_ > 1 && pg.size() != processes_) {
     throw std::logic_error(
@@ -540,14 +348,15 @@ std::size_t ParallelScheduler::run_shm(std::optional<SimTime> until) {
       if (s < lo || s >= hi) shards_[s]->sched.clear_pending();
     }
   }
+  for (auto& s : shards_) s->dispatched_run = 0;
   const std::uint32_t workers =
       std::max<std::uint32_t>(1, std::min(threads_, hi - lo));
-  shm_abort_->store(0, std::memory_order_relaxed);
+  abort_->store(0, std::memory_order_relaxed);
   running_.store(true, std::memory_order_release);
-  done_ = false;
 
   std::mutex error_mu;
   std::exception_ptr error;
+  bool done = false;
   bool barrier_failed = false;
 
   auto record_error = [&]() noexcept {
@@ -555,26 +364,34 @@ std::size_t ParallelScheduler::run_shm(std::optional<SimTime> until) {
     if (!error) error = std::current_exception();
     // Graceful abort: this rank keeps participating in barriers; the
     // next phase-A reduction sees the flag and publishes done for all.
-    shm_abort_->store(1, std::memory_order_release);
+    abort_->store(1, std::memory_order_release);
   };
-  auto alive = [this]() noexcept {
-    return processes_ == 1 || ProcessGroup::instance().peers_alive();
+  // Meet every process and run `on_last` once, with every worker of
+  // every rank parked. One process runs it in place: no futex, no
+  // liveness probe. False when a peer process died.
+  auto across_processes = [this](auto&& on_last) noexcept {
+    if (processes_ == 1) {
+      on_last();
+      return true;
+    }
+    return barrier_->wait(processes_, on_last, []() noexcept {
+      return ProcessGroup::instance().peers_alive();
+    });
   };
   const bool has_until = until.has_value();
   const std::int64_t until_ns = has_until ? until->ns() : 0;
 
-  // The cross-process min-reduction, run by the global barrier's last
-  // arriver while every worker in every rank is parked.
+  // The epoch decision: fold every shard's earliest-event time into the
+  // global minimum and publish the horizon.
   auto reduce = [this, has_until, until_ns]() noexcept {
-    std::int64_t min_next = std::numeric_limits<std::int64_t>::max();
+    std::int64_t min_next = kNever;
     for (std::uint32_t s = 0; s < shard_count_; ++s) {
       min_next = std::min(
           min_next, cells_[s].next_ns.load(std::memory_order_acquire));
     }
-    const bool is_done =
-        shm_abort_->load(std::memory_order_acquire) != 0 ||
-        min_next == std::numeric_limits<std::int64_t>::max() ||
-        (has_until && min_next > until_ns);
+    const bool is_done = abort_->load(std::memory_order_acquire) != 0 ||
+                         min_next == kNever ||
+                         (has_until && min_next > until_ns);
     std::int64_t horizon = 0;
     if (!is_done) {
       horizon = min_next + lookahead_.ns();
@@ -586,40 +403,44 @@ std::size_t ParallelScheduler::run_shm(std::optional<SimTime> until) {
                       control_->epoch.load(std::memory_order_relaxed) + 1);
   };
 
+  // Completion step: runs on exactly one worker while every worker of
+  // this process is parked. std::barrier invokes it at BOTH the phase-A
+  // and phase-B barriers; only the phase-A one (when fresh earliest-event
+  // times were just written) decides the epoch.
   bool phase_a = true;
   auto completion = [&]() noexcept {
     if (!phase_a) {
       phase_a = true;
-      if (!barrier_->wait(processes_, []() noexcept {}, alive)) {
+      if (!across_processes([]() noexcept {})) {
         barrier_failed = true;
-        done_ = true;
+        done = true;
       }
       return;
     }
     phase_a = false;
-    if (!barrier_->wait(processes_, reduce, alive)) {
+    if (!across_processes(reduce)) {
       barrier_failed = true;
-      done_ = true;
+      done = true;
       return;
     }
     std::int64_t horizon;
-    bool is_done;
     std::uint64_t epoch;
-    control_->read(horizon, is_done, epoch);
-    done_ = is_done;
-    if (!is_done) {
+    control_->read(horizon, done, epoch);
+    if (!done) {
       horizon_ = SimTime(horizon);
       ++epochs_;
     }
   };
   std::barrier sync(workers, completion);
 
+  // Worker 0 is the calling thread, so one worker runs the shards in the
+  // same order on the caller.
   auto worker_loop = [&](std::uint32_t w) {
     tls_engine = this;
     maybe_pin(w, workers);
     for (;;) {
-      // Phase A: drain the inbound rings, publish the earliest local
-      // event time to this shard's shared cell.
+      // Phase A: drain the inbound channel, write the earliest local
+      // event time to this shard's cell.
       for (std::uint32_t s = lo + w; s < hi; s += workers) {
         tls_shard = s;
         try {
@@ -628,12 +449,11 @@ std::size_t ParallelScheduler::run_shm(std::optional<SimTime> until) {
           record_error();
         }
         const auto next = shards_[s]->sched.peek_next_time();
-        cells_[s].next_ns.store(
-            next ? next->ns() : std::numeric_limits<std::int64_t>::max(),
-            std::memory_order_release);
+        cells_[s].next_ns.store(next ? next->ns() : kNever,
+                                std::memory_order_release);
       }
       sync.arrive_and_wait();
-      if (done_) break;
+      if (done) break;
       // Phase B: execute one lookahead window on each owned shard.
       for (std::uint32_t s = lo + w; s < hi; s += workers) {
         tls_shard = s;
@@ -662,18 +482,14 @@ std::size_t ParallelScheduler::run_shm(std::optional<SimTime> until) {
     } catch (...) {
       record_error();
     }
-    if (!barrier_->wait(
-            processes_,
-            [this]() noexcept {
-              std::int64_t now_max = 0;
-              for (std::uint32_t s = 0; s < shard_count_; ++s) {
-                now_max = std::max(
-                    now_max, cells_[s].clock_ns.load(std::memory_order_acquire));
-              }
-              control_->global_now_ns.store(now_max,
-                                            std::memory_order_release);
-            },
-            alive)) {
+    if (!across_processes([this]() noexcept {
+          std::int64_t now_max = 0;
+          for (std::uint32_t s = 0; s < shard_count_; ++s) {
+            now_max = std::max(
+                now_max, cells_[s].clock_ns.load(std::memory_order_acquire));
+          }
+          control_->global_now_ns.store(now_max, std::memory_order_release);
+        })) {
       barrier_failed = true;
     }
   }
@@ -683,7 +499,7 @@ std::size_t ParallelScheduler::run_shm(std::optional<SimTime> until) {
         "ParallelScheduler: a peer shard process died mid-run (epoch "
         "barrier abandoned)");
   }
-  if (shm_abort_->load(std::memory_order_acquire) != 0) {
+  if (abort_->load(std::memory_order_acquire) != 0) {
     throw std::runtime_error(
         "ParallelScheduler: a peer shard process aborted the run");
   }

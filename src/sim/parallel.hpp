@@ -14,26 +14,29 @@
 //   T + L — and every shard may safely execute its local events in
 //   [T, T + L) without hearing from anyone.
 //
-// Execution proceeds in epochs. Each epoch has two phases separated by
-// barriers: (A) every shard drains its inbound channel and reports the
-// time of its earliest event; a reduction step folds these to the
-// global minimum T and publishes the horizon T + L; (B) every shard
-// runs run_before(horizon). Events posted across shards during (B) go
-// through an explicit ChannelTransport (sim/channel.hpp) — each
-// directed (source, destination) lane has exactly one writer and one
-// reader, and the phases alternate under barriers, so the in-process
-// lanes need no locks and the shared-memory rings need only their SPSC
-// ordering.
+// Execution proceeds in epochs, and every engine with more than one
+// shard runs them through one loop, at any thread count, transport and
+// process count. Each epoch has two phases separated by barriers: (A)
+// every shard drains its inbound channel and writes the time of its
+// earliest event to its cell; a reduction folds the cells to the global
+// minimum T and publishes the horizon T + L; (B) every shard runs
+// run_before(horizon). Within one process the reduction runs in place,
+// in the completion step of the workers' std::barrier; between processes
+// that step also meets the peers at a futex barrier whose last arriver
+// reduces. Messages posted across shards during (B) go through an
+// explicit ChannelTransport (sim/channel.hpp) — each directed (source,
+// destination) lane has exactly one writer and one reader, and the
+// phases alternate under barriers, so the in-process lanes need no locks
+// and the shared-memory rings need only their SPSC ordering.
 //
-// Two transports carry the shard boundary (SimConfig::transport /
-// CRA_SHARD_TRANSPORT):
+// Only ShardMessages cross a shard boundary; a closure never does. Two
+// transports carry them (SimConfig::transport / CRA_SHARD_TRANSPORT):
 //
-//   * inproc — per-lane vectors of closures, zero-copy, one process.
-//   * shm    — per-lane SPSC rings in a MAP_SHARED arena; events are
-//     serialized ShardMessages, shard groups may live in separate
-//     forked processes (SimConfig::processes + sim::ProcessGroup), and
-//     the epoch reduction runs over shared-memory cells with a
-//     seqlock-published horizon instead of a std::barrier.
+//   * inproc — per-lane vectors of owned messages, zero-copy, one
+//     process.
+//   * shm    — per-lane SPSC rings in a MAP_SHARED arena; shard groups
+//     may live in separate forked processes (SimConfig::processes +
+//     sim::ProcessGroup).
 //
 // Placement: the caller hands the constructor an entity order, and the
 // engine cuts it into equal contiguous runs, one per shard. The protocol
@@ -54,11 +57,11 @@
 // forwards directly, so one shard reproduces the serial event order
 // bit-for-bit.
 //
-// Threading contract for post(): safe from any of THIS engine's shard
-// workers while the engine runs, and from the driver thread while the
-// engine is idle (round setup). Any other thread posting into a running
-// engine throws std::logic_error — the old behavior silently
-// schedule_at()'d into a live shard, a data race.
+// Threading contract for post() and post_message(): safe from any of
+// THIS engine's shard workers while the engine runs, and from the driver
+// thread while the engine is idle (round setup). Any other thread
+// posting into a running engine throws std::logic_error instead of
+// racing a live shard queue.
 #pragma once
 
 #include <atomic>
@@ -85,7 +88,7 @@ struct ShmHorizonCell;
 enum class ShardTransport : std::uint8_t {
   kAuto = 0,    // CRA_SHARD_TRANSPORT env if set, else inproc (shm when
                 // processes > 1)
-  kInproc = 1,  // in-process lanes (closures; zero-copy)
+  kInproc = 1,  // in-process lanes (owned messages; zero-copy)
   kShm = 2,     // shared-memory SPSC rings (serialized messages)
 };
 
@@ -123,15 +126,10 @@ struct SimConfig {
 class ParallelScheduler {
  public:
   using Callback = Scheduler::Callback;
-  /// Protocol delivery sinks for serialized cross-shard messages (see
-  /// post_message). The owning sink receives messages whose payload
-  /// buffer traveled intact (same-shard and inproc paths, zero-copy);
-  /// the view sink receives borrowed payloads (shm path) and must copy
-  /// what it keeps. Both run on the destination shard's worker at the
-  /// event's time; a protocol must install behavior-identical sinks or
-  /// transports would diverge.
+  /// The protocol's delivery sink for messages sent with post_message.
+  /// It runs on the destination shard's worker at the message's time and
+  /// owns the message, payload buffer included.
   using MessageSink = std::function<void(ShardMessage&&)>;
-  using MessageViewSink = std::function<void(const ShardMessageView&)>;
 
   /// Places entities 0..order.size()-1 by cutting `order` — a
   /// permutation of them — into equal contiguous runs, one per shard:
@@ -177,29 +175,29 @@ class ParallelScheduler {
   /// Schedule `cb` at absolute time `at` on `entity`'s shard.
   ///
   /// Contract: callable (a) from this engine's shard workers while the
-  /// engine runs — same-shard posts schedule directly (preserving local
-  /// FIFO order); cross-shard posts ride the channel and must respect
-  /// the lookahead (`at` >= the current epoch horizon), which holds by
-  /// construction for any message of latency >= lookahead — and (b)
-  /// from any thread while the engine is idle (setup between runs).
-  /// A foreign thread posting into a RUNNING engine throws
-  /// std::logic_error instead of racing a live shard queue. Under the
-  /// shm transport, cross-shard closures also throw (closures don't
-  /// serialize): protocol traffic uses post_message.
+  /// engine runs, for the worker's own shard — scheduled directly,
+  /// preserving local FIFO order — and (b) from any thread while the
+  /// engine is idle (setup between runs). A closure posted to another
+  /// shard from a running worker, or from a foreign thread into a
+  /// running engine, throws std::logic_error: only messages cross
+  /// shards (post_message).
   void post(std::uint32_t entity, SimTime at, Callback cb);
 
-  /// Schedule delivery of a serialized message to `entity`'s shard at
-  /// `at` — the transport-portable sibling of post(), used by the
-  /// protocol network routers. Requires sinks (set_message_sinks).
-  /// Returns the spent payload buffer when the transport serialized it
-  /// out (caller recycles the capacity into its shard-local pool);
-  /// returns an empty buffer when the payload moved onward intact.
+  /// Schedule delivery of a message to `entity`'s shard at `at`, where
+  /// the sink (set_message_sink) runs it. Same threading contract as
+  /// post(), except that a running worker may target any shard:
+  /// cross-shard messages ride the channel and must respect the
+  /// lookahead (`at` >= the current epoch horizon), which holds by
+  /// construction for any message of latency >= lookahead. Returns the
+  /// spent payload buffer when the transport serialized it out (caller
+  /// recycles the capacity into its shard-local pool); returns an empty
+  /// buffer when the payload moved onward intact.
   Bytes post_message(std::uint32_t entity, SimTime at, std::uint32_t src,
                      std::uint32_t kind, Bytes&& payload);
 
-  /// Install the delivery sinks post_message dispatches to. Call at
-  /// setup, before any run with message traffic.
-  void set_message_sinks(MessageSink deliver, MessageViewSink deliver_view);
+  /// Install the sink post_message delivers to. Call at setup, before
+  /// any run with message traffic.
+  void set_message_sink(MessageSink deliver) { sink_ = std::move(deliver); }
 
   /// Run all shards to global quiescence; returns events dispatched
   /// (across ALL processes in multi-process mode — every rank returns
@@ -207,10 +205,8 @@ class ParallelScheduler {
   std::size_t run();
 
   /// Run events with time <= `until`; every shard clock advances to
-  /// `until`. Uses the same worker pool as run() (the horizon sequence —
-  /// and therefore the result — is identical to the serial epoch path),
-  /// so drivers can slice a round at topology-rewire points without
-  /// giving up parallelism.
+  /// `until`. Runs the same epoch loop as run(), so drivers can slice a
+  /// round at topology-rewire points without giving up parallelism.
   std::size_t run_until(SimTime until);
 
   /// Total events dispatched over the engine's lifetime (global across
@@ -262,16 +258,15 @@ class ParallelScheduler {
   // hammering their own shard never share a line.
   struct alignas(64) Shard {
     Scheduler sched;
-    std::optional<SimTime> next;     // written by owner in phase A
     std::size_t dispatched_run = 0;  // events run in the current run()
     std::uint64_t cross_posts = 0;   // channel posts originated here
     obs::MetricsRegistry metrics;    // written only by the owning worker
-    std::vector<Bytes> spare;        // recycled shm-delivery buffers
   };
 
-  /// Per-shard shared-memory cell (shm transport): the owner publishes
-  /// its earliest-event time each phase A and its clock/counters/metrics
-  /// image at end of run; peers reduce over all cells.
+  /// Per-shard cell of the control plane: the owner writes its
+  /// earliest-event time each phase A and its clock and counters at the
+  /// end of a run (plus its metrics image when processes > 1); the
+  /// reductions read every cell.
   struct alignas(64) ShardCell {
     std::atomic<std::int64_t> next_ns;
     std::atomic<std::int64_t> clock_ns;
@@ -282,15 +277,17 @@ class ParallelScheduler {
   };
 
   bool owns_shard(std::uint32_t s) const noexcept;
-  void deliver_view_into(std::uint32_t s, const ShardMessageView& v);
+  /// True when a post from this thread to shard `to` must cross the
+  /// channel; throws std::logic_error for a foreign thread posting into
+  /// a running engine.
+  bool crossing(std::uint32_t to) const;
+  void schedule_message(std::uint32_t s, ShardMessage&& m);
   /// Move every channel lane targeting shard `s` into its scheduler, in
   /// fixed source-shard order (this is what keeps drains deterministic).
   void drain_into(std::uint32_t s);
-  void sync_clocks();
   void publish_shard_outputs(std::uint32_t s);
-  std::size_t run_serial_epochs(std::optional<SimTime> until);
-  std::size_t run_threaded(std::optional<SimTime> until);
-  std::size_t run_shm(std::optional<SimTime> until);
+  /// The epoch loop of every engine with more than one shard.
+  std::size_t run_epochs(std::optional<SimTime> until);
   void maybe_pin(std::uint32_t worker, std::uint32_t workers) const;
 
   std::uint32_t shard_count_;
@@ -303,24 +300,23 @@ class ParallelScheduler {
   std::vector<std::unique_ptr<Shard>> shards_;
   std::unique_ptr<ChannelTransport> channel_;
   MessageSink sink_;
-  MessageViewSink view_sink_;
 
-  // Shared-memory control plane (shm transport only). The arena is
-  // created at construction — i.e. before any ProcessGroup::spawn() —
-  // so all ranks map it at the same address.
+  // Control plane (more than one shard): the barrier and horizon cells,
+  // the abort word, one cell per shard, and the metrics windows when
+  // processes > 1. It lives in a shared arena created at construction —
+  // i.e. before any ProcessGroup::spawn() — so all ranks map it at the
+  // same address; the shm rings come from the same arena.
   std::unique_ptr<SharedArena> arena_;
   ShmBarrierCell* barrier_ = nullptr;
   ShmHorizonCell* control_ = nullptr;
-  std::atomic<std::uint32_t>* shm_abort_ = nullptr;
+  std::atomic<std::uint32_t>* abort_ = nullptr;
   ShardCell* cells_ = nullptr;
   std::uint8_t* metrics_blobs_ = nullptr;
-  std::uint32_t metrics_blob_cap_ = 0;
 
-  // Epoch state: written only while every worker is parked at a barrier
-  // (completion step) or by the single thread of the serial path; the
-  // barrier provides the happens-before for workers reading them.
+  // The epoch horizon: written only while every worker is parked at a
+  // barrier (completion step); the barrier provides the happens-before
+  // for workers reading it.
   SimTime horizon_;
-  bool done_ = false;
   std::atomic<bool> running_{false};
   std::uint64_t epochs_ = 0;
 };

@@ -51,26 +51,15 @@ SwarmRuntime::SwarmRuntime(const net::Tree& tree, const sim::SimConfig& sim,
   config_net_ = std::make_unique<net::Network>(engine_->shard(0), link);
   config_net_->set_router(route_from(*config_net_));
   surface_ = config_net_.get();
-  // Delivery sinks: both run on the DESTINATION shard's worker at the
-  // message's arrival time and must behave identically, or the
-  // transports would diverge. The owning sink receives the payload
-  // buffer intact (same-shard and inproc paths); the view sink rebuilds
-  // an owned message from the borrowed bytes (shm path), drawing from
-  // the destination shard's pool. Either way the capacity recycles into
-  // the destination's network, where the next send from there acquires.
-  engine_->set_message_sinks(
-      [this](sim::ShardMessage&& sm) {
-        net::Message m{sm.src, sm.entity, sm.kind, std::move(sm.payload)};
-        on_message_(m);
-        net_of(m.dst).recycle_payload(std::move(m.payload));
-      },
-      [this](const sim::ShardMessageView& v) {
-        net::Message m{v.src, v.entity, v.kind,
-                       net_of(v.entity).acquire_payload()};
-        m.payload.assign(v.payload.begin(), v.payload.end());
-        on_message_(m);
-        net_of(m.dst).recycle_payload(std::move(m.payload));
-      });
+  // The delivery sink runs on the DESTINATION shard's worker at the
+  // message's arrival time and owns the payload buffer, which recycles
+  // into the destination's network, where the next send from there
+  // acquires.
+  engine_->set_message_sink([this](sim::ShardMessage&& sm) {
+    net::Message m{sm.src, sm.entity, sm.kind, std::move(sm.payload)};
+    on_message_(m);
+    net_of(m.dst).recycle_payload(std::move(m.payload));
+  });
 }
 
 void SwarmRuntime::for_each_shard(
@@ -99,12 +88,12 @@ obs::MetricsRegistry& SwarmRuntime::registry(std::uint32_t s) noexcept {
 }
 
 net::Network::Router SwarmRuntime::route_from(net::Network& sender) {
-  // Deliveries cross shard boundaries through the engine's channel as
-  // serialized ShardMessages (the shm rings can't carry closures); the
-  // arrival time carries the full link delay, which is >= the engine's
-  // lookahead by construction. When the transport serialized the
-  // payload out, the spent capacity recycles into the SENDING network's
-  // pool — the router runs on that network's thread.
+  // Deliveries go to the engine as ShardMessages, the only thing that
+  // crosses a shard boundary; the arrival time carries the full link
+  // delay, which is >= the engine's lookahead by construction. When the
+  // transport serialized the payload out, the spent capacity recycles
+  // into the SENDING network's pool — the router runs on that network's
+  // thread.
   return [this, &sender](net::Message m, sim::SimTime at) {
     Bytes spent = engine_->post_message(m.dst, at, m.src, m.kind,
                                         std::move(m.payload));

@@ -172,25 +172,21 @@ TEST(ParallelScheduler, CrossShardCausalityChain) {
   SimConfig cfg;
   cfg.threads = 2;
   cfg.shards = 2;
-  // This test bounces raw closures across shards, which only the
-  // in-process transport can carry — pin it so the CI shm matrix
-  // (CRA_SHARD_TRANSPORT=shm) doesn't redirect the boundary.
-  cfg.transport = ShardTransport::kInproc;
   const Duration hop = Duration::from_ms(1);
   ParallelScheduler engine(ids(2), cfg, hop);
 
   // Ping-pong between the two shards: each hop adds exactly the
-  // lookahead (the tightest legal cross-shard latency).
+  // lookahead (the tightest legal cross-shard latency). A message's
+  // `src` carries the hops still to go.
   std::vector<std::int64_t> arrivals;
-  std::function<void(std::uint32_t, int)> bounce =
-      [&](std::uint32_t entity, int hops_left) {
-        arrivals.push_back(engine.shard_for(entity).now().ns());
-        if (hops_left == 0) return;
-        const std::uint32_t next = entity == 0 ? 1 : 0;
-        engine.post(next, engine.shard_for(entity).now() + hop,
-                    [&, next, hops_left] { bounce(next, hops_left - 1); });
-      };
-  engine.post(0, SimTime::from_ms(1), [&] { bounce(0, 6); });
+  engine.set_message_sink([&](ShardMessage&& m) {
+    arrivals.push_back(engine.shard_for(m.entity).now().ns());
+    if (m.src == 0) return;
+    const std::uint32_t next = m.entity == 0 ? 1 : 0;
+    engine.post_message(next, engine.shard_for(m.entity).now() + hop,
+                        m.src - 1, 0, {});
+  });
+  engine.post_message(0, SimTime::from_ms(1), 6, 0, {});
   EXPECT_EQ(engine.run(), 7u);
 
   ASSERT_EQ(arrivals.size(), 7u);
@@ -209,54 +205,60 @@ TEST(ParallelScheduler, LookaheadViolationThrows) {
   cfg.shards = 2;
   ParallelScheduler engine(ids(2), cfg, Duration::from_ms(1));
 
-  // A cross-shard post with zero latency lands inside the lookahead
+  // A cross-shard message with zero latency lands inside the lookahead
   // window; the engine refuses rather than silently racing.
-  engine.post(0, SimTime::from_ms(5), [&] {
-    engine.post(1, engine.shard_for(0).now(), [] {});
+  engine.set_message_sink([&](ShardMessage&& m) {
+    if (m.entity == 0) {
+      engine.post_message(1, engine.shard_for(0).now(), 0, 0, {});
+    }
   });
+  engine.post_message(0, SimTime::from_ms(5), 0, 0, {});
   EXPECT_THROW(engine.run(), std::logic_error);
 }
 
 // The workload for the thread-count determinism check: a deterministic
-// cascade over 64 entities where every callback logs (entity-local time,
-// sequence) and fans out to two other entities at >= lookahead latency.
-std::vector<std::string> run_cascade(std::uint32_t threads) {
+// cascade over 64 entities where every delivery logs (entity-local time,
+// tag) and fans out to two other entities at >= lookahead latency. A
+// message's `src` carries its tag, its `kind` the depth still to go.
+std::vector<std::string> run_cascade(ShardTransport transport,
+                                     std::uint32_t threads) {
   SimConfig cfg;
   cfg.threads = threads;
   cfg.shards = 4;  // fixed: results must not depend on `threads`
-  cfg.transport = ShardTransport::kInproc;  // raw closures cross shards
+  cfg.transport = transport;
   const std::uint32_t kEntities = 64;
   const Duration hop = Duration::from_ms(1);
   ParallelScheduler engine(ids(kEntities), cfg, hop);
 
   std::vector<std::string> logs(kEntities);
-  std::function<void(std::uint32_t, std::uint32_t, int)> visit =
-      [&](std::uint32_t entity, std::uint32_t tag, int depth) {
-        logs[entity] += std::to_string(tag) + "@" +
-                        std::to_string(engine.shard_for(entity).now().ns()) +
-                        ";";
-        if (depth == 0) return;
-        const SimTime now = engine.shard_for(entity).now();
-        const std::uint32_t a = (entity * 7 + 3) % kEntities;
-        const std::uint32_t b = (entity * 13 + 11) % kEntities;
-        engine.post(a, now + hop, [&, a, tag, depth] {
-          visit(a, tag * 2 + 1, depth - 1);
-        });
-        engine.post(b, now + hop + Duration::from_us(500),
-                    [&, b, tag, depth] { visit(b, tag * 2, depth - 1); });
-      };
+  engine.set_message_sink([&](ShardMessage&& m) {
+    const SimTime now = engine.shard_for(m.entity).now();
+    logs[m.entity] += std::to_string(m.src) + "@" +
+                      std::to_string(now.ns()) + ";";
+    if (m.kind == 0) return;
+    const std::uint32_t a = (m.entity * 7 + 3) % kEntities;
+    const std::uint32_t b = (m.entity * 13 + 11) % kEntities;
+    engine.post_message(a, now + hop, m.src * 2 + 1, m.kind - 1, {});
+    engine.post_message(b, now + hop + Duration::from_us(500), m.src * 2,
+                        m.kind - 1, {});
+  });
   for (std::uint32_t e = 0; e < kEntities; e += 9) {
-    engine.post(e, SimTime::from_ms(1 + e % 5),
-                [&, e] { visit(e, e, 5); });
+    engine.post_message(e, SimTime::from_ms(1 + e % 5), e, 5, {});
   }
   engine.run();
   return logs;
 }
 
 TEST(ParallelScheduler, DeterministicAcrossThreadCounts) {
-  const std::vector<std::string> serial = run_cascade(1);
-  EXPECT_EQ(run_cascade(2), serial);
-  EXPECT_EQ(run_cascade(8), serial);
+  const std::vector<std::string> serial =
+      run_cascade(ShardTransport::kInproc, 1);
+  for (const ShardTransport t :
+       {ShardTransport::kInproc, ShardTransport::kShm}) {
+    for (const std::uint32_t threads : {1u, 2u, 8u}) {
+      EXPECT_EQ(run_cascade(t, threads), serial)
+          << "transport=" << static_cast<int>(t) << " threads=" << threads;
+    }
+  }
 }
 
 TEST(ParallelScheduler, RunUntilAdvancesAllShardClocks) {

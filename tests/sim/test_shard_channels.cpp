@@ -5,7 +5,6 @@
 // for a fixed shard count.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <new>
@@ -280,18 +279,14 @@ TEST(ShmChannel, InProcessLaneSpillsPastItsRingInOrder) {
       ASSERT_NO_THROW((void)channel->post_message(0, 1, numbered(i)));
     }
     std::uint32_t next = 0;
-    channel->drain(
-        1, [](SimTime, Scheduler::Callback&&) { ADD_FAILURE(); },
-        [&](const ShardMessageView& v) {
-          const ShardMessage want = numbered(next++);
-          EXPECT_EQ(v.src, want.src);
-          EXPECT_EQ(v.at.ns(), want.at.ns());
-          EXPECT_EQ(v.entity, want.entity);
-          EXPECT_EQ(v.kind, want.kind);
-          EXPECT_TRUE(std::equal(v.payload.begin(), v.payload.end(),
-                                 want.payload.begin(), want.payload.end()))
-              << "record " << v.src;
-        });
+    channel->drain(1, [&](ShardMessage&& m) {
+      const ShardMessage want = numbered(next++);
+      EXPECT_EQ(m.src, want.src);
+      EXPECT_EQ(m.at.ns(), want.at.ns());
+      EXPECT_EQ(m.entity, want.entity);
+      EXPECT_EQ(m.kind, want.kind);
+      EXPECT_EQ(m.payload, want.payload) << "record " << m.src;
+    });
     EXPECT_EQ(next, kLaneRecords) << "epoch " << epoch;
   }
 }
@@ -347,17 +342,53 @@ TEST(EngineContract, ForeignThreadPostThrowsOnlyWhileRunning) {
   EXPECT_TRUE(ran);
 }
 
-TEST(EngineContract, ShmRejectsCrossShardClosures) {
-  SimConfig cfg;
-  cfg.threads = 1;
-  cfg.shards = 2;
-  cfg.transport = ShardTransport::kShm;
-  ParallelScheduler engine(std::vector<std::uint32_t>{0, 1, 2, 3}, cfg,
-                           Duration::from_ms(1));
-  engine.post(0, SimTime::from_ms(1), [&] {
-    engine.post(3, SimTime::from_ms(5), [] {});  // closure across shards
-  });
-  EXPECT_THROW(engine.run(), std::logic_error);
+TEST(EngineContract, EveryTransportRejectsCrossShardClosures) {
+  for (const ShardTransport t :
+       {ShardTransport::kInproc, ShardTransport::kShm}) {
+    SimConfig cfg;
+    cfg.threads = 1;
+    cfg.shards = 2;
+    cfg.transport = t;
+    ParallelScheduler engine(std::vector<std::uint32_t>{0, 1, 2, 3}, cfg,
+                             Duration::from_ms(1));
+    engine.post(0, SimTime::from_ms(1), [&] {
+      engine.post(3, SimTime::from_ms(5), [] {});  // closure across shards
+    });
+    EXPECT_THROW(engine.run(), std::logic_error)
+        << "transport=" << static_cast<int>(t);
+  }
+}
+
+TEST(EngineContract, UsableAfterAHandlerThrows) {
+  for (const ShardTransport t :
+       {ShardTransport::kInproc, ShardTransport::kShm}) {
+    for (const std::uint32_t threads : {1u, 4u}) {
+      SCOPED_TRACE("transport=" + std::to_string(static_cast<int>(t)) +
+                   " threads=" + std::to_string(threads));
+      SimConfig cfg;
+      cfg.threads = threads;
+      cfg.shards = 4;
+      cfg.transport = t;
+      ParallelScheduler engine(
+          std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}, cfg,
+          Duration::from_ms(1));
+      engine.post(0, SimTime::from_ms(1),
+                  [] { throw std::runtime_error("handler failed"); });
+      engine.post(6, SimTime::from_ms(3), [] {});  // still queued then
+      EXPECT_THROW(engine.run(), std::runtime_error);
+
+      // The engine is idle again: a post from a foreign thread
+      // schedules, and the next run() executes it.
+      bool ran = false;
+      std::thread setup([&] {
+        engine.post(5, engine.now() + Duration::from_ms(1),
+                    [&] { ran = true; });
+      });
+      setup.join();
+      EXPECT_NO_THROW(engine.run());
+      EXPECT_TRUE(ran);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------
