@@ -12,7 +12,7 @@
 
 namespace cra::wire {
 
-volatile std::sig_atomic_t AgentRunner::shutdown_requested_ = 0;
+std::atomic<int> AgentRunner::shutdown_requested_{0};
 
 namespace {
 
@@ -136,8 +136,7 @@ AgentRunner::AgentRunner(AgentRunnerConfig config)
                : next_agent_epoch(config_.journal_path);
   loop_.add_fd(socket_.fd(), EPOLLIN, [this](std::uint32_t) { on_readable(); });
   loop_.set_wakeup_hook([this] {
-    if (shutdown_requested_ != 0) {
-      shutdown_requested_ = 0;
+    if (shutdown_requested_.exchange(0) != 0) {
       // Goodbye is best-effort — the daemon re-classifies our devices
       // unreachable either way; the metrics export is the durable part.
       send_frame(FrameKind::kBye, 0, {});
@@ -299,26 +298,9 @@ void AgentRunner::run() {
   write_metrics();
 }
 
-void AgentRunner::sync_socket_stats() {
-  const UdpSocket::Stats& s = socket_.stats();
-  if (s.enobufs > stats_synced_.enobufs) {
-    metrics_.counter("wire.agent.tx_enobufs")
-        .inc(s.enobufs - stats_synced_.enobufs);
-  }
-  if (s.emsgsize > stats_synced_.emsgsize) {
-    metrics_.counter("wire.agent.tx_emsgsize")
-        .inc(s.emsgsize - stats_synced_.emsgsize);
-  }
-  if (s.econnrefused > stats_synced_.econnrefused) {
-    metrics_.counter("wire.agent.tx_econnrefused")
-        .inc(s.econnrefused - stats_synced_.econnrefused);
-  }
-  stats_synced_ = s;
-}
-
 void AgentRunner::write_metrics() {
   if (config_.metrics_path.empty()) return;
-  sync_socket_stats();
+  mirror_send_errors(socket_, stats_synced_, metrics_, "wire.agent");
   (void)write_text_atomic(config_.metrics_path, metrics_.to_json() + "\n");
 }
 

@@ -14,7 +14,7 @@
 // TrafficShaper that degrades its own uplink.
 #pragma once
 
-#include <csignal>
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <string>
@@ -112,9 +112,10 @@ class AgentRunner {
   std::uint16_t local_port() const { return socket_.local_port(); }
   std::uint64_t epoch() const noexcept { return epoch_; }
 
-  /// Async-signal-safe graceful shutdown (SIGTERM/SIGINT in
-  /// cra_agentd): tell the daemon goodbye, export metrics, leave run().
-  static void request_shutdown() noexcept { shutdown_requested_ = 1; }
+  /// Async-signal-safe and thread-safe graceful shutdown (SIGTERM/SIGINT
+  /// in cra_agentd): tell the daemon goodbye, export metrics, leave
+  /// run().
+  static void request_shutdown() noexcept { shutdown_requested_.store(1); }
 
  private:
   void on_readable();
@@ -123,8 +124,6 @@ class AgentRunner {
   void send_frame(FrameKind kind, std::uint32_t tick, BytesView payload);
   void flush_delayed();
   void write_metrics();
-  /// Mirror the socket's error tallies into wire.agent.* counters.
-  void sync_socket_stats();
 
   AgentRunnerConfig config_;
   AgentCore core_;
@@ -136,12 +135,14 @@ class AgentRunner {
   std::uint32_t seq_ = 0;
   std::uint64_t epoch_ = 0;  // session epoch carried in the hello
   bool registered_ = false;
-  TimerWheel::TimerId hello_timer_ = 0;
+  TimerQueue::TimerId hello_timer_ = 0;
   // Shaper-delayed datagrams waiting on their release timer.
   std::deque<Bytes> delayed_;
   UdpSocket::Stats stats_synced_;  // socket tallies already exported
 
-  static volatile std::sig_atomic_t shutdown_requested_;
+  // Lock-free, so safe from a signal handler and from another thread.
+  static std::atomic<int> shutdown_requested_;
+  static_assert(std::atomic<int>::is_always_lock_free);
 };
 
 }  // namespace cra::wire

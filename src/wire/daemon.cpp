@@ -12,8 +12,8 @@
 
 namespace cra::wire {
 
-volatile std::sig_atomic_t VerifierDaemon::snapshot_requested_ = 0;
-volatile std::sig_atomic_t VerifierDaemon::shutdown_requested_ = 0;
+std::atomic<int> VerifierDaemon::snapshot_requested_{0};
+std::atomic<int> VerifierDaemon::shutdown_requested_{0};
 
 namespace {
 
@@ -26,16 +26,30 @@ sap::SapConfig sap_config_for(const DaemonConfig& cfg) {
   return sap;
 }
 
+/// Devices claimed by the registered agents.
+std::uint64_t devices_covered(const VerifierState& st) {
+  std::uint64_t covered = 0;
+  for (const auto& [first_id, a] : st.agents) covered += a.count;
+  return covered;
+}
+
+Endpoint endpoint_of(const VerifierState::Agent& a) {
+  Endpoint ep;
+  ep.sa.sin_addr.s_addr = a.ip;
+  ep.sa.sin_port = a.port;
+  return ep;
+}
+
 }  // namespace
 
 VerifierDaemon::VerifierDaemon(DaemonConfig config)
     : config_(std::move(config)),
       verifier_(sap_config_for(config_), config_.devices, config_.master),
-      socket_(UdpSocket::bind(config_.port)),
-      have_(config_.devices, 0) {
+      socket_(UdpSocket::bind(config_.port)) {
   if (config_.devices == 0) {
     throw std::invalid_argument("VerifierDaemon: zero devices");
   }
+  state_.devices = config_.devices;
   // Seed the valid-state set VS: daemon and agents derive the same
   // per-device content (device_content) from the shared master, so no
   // provisioning round-trip is needed before attestation can start.
@@ -49,13 +63,9 @@ VerifierDaemon::VerifierDaemon(DaemonConfig config)
       });
   loop_.add_fd(socket_.fd(), EPOLLIN, [this](std::uint32_t) { on_readable(); });
   loop_.set_wakeup_hook([this] {
-    if (snapshot_requested_ != 0) {
-      snapshot_requested_ = 0;
-      write_snapshot();
-    }
-    if (shutdown_requested_ != 0) {
-      shutdown_requested_ = 0;
-      if (round_open_) {
+    if (snapshot_requested_.exchange(0) != 0) write_snapshot();
+    if (shutdown_requested_.exchange(0) != 0) {
+      if (state_.round_open) {
         // Drain: the re-poll ladder closes the round, finish_round sees
         // draining_ and finalizes.
         draining_ = true;
@@ -96,41 +106,6 @@ void VerifierDaemon::recover_from_journal() {
         .inc(jstats.truncated_bytes);
   }
   if (any) {
-    // Digest BEFORE adopting: the move below guts st.reports, and the
-    // chaos supervisor compares this value against its own replay of
-    // the same files.
-    const std::uint64_t digest_lo =
-        st.digest64(token_size) & 0x7fffffffffffffffull;
-    // Adopt the recovered state wholesale. Agent socket addresses come
-    // from the journal; an agent that restarted meanwhile re-hellos
-    // with a fresh epoch and heals its entry.
-    tick_ = st.tick;
-    rounds_done_ = st.rounds_done;
-    round_open_ = st.round_open;
-    repoll_attempt_ = st.repoll_attempt;
-    covered_ = 0;
-    agents_.clear();
-    for (const auto& [first_id, a] : st.agents) {
-      AgentEntry entry;
-      entry.first_id = a.first_id;
-      entry.count = a.count;
-      entry.epoch = a.epoch;
-      entry.addr.sa.sin_addr.s_addr = a.ip;
-      entry.addr.sa.sin_port = a.port;
-      agents_[first_id] = entry;
-      covered_ += a.count;
-    }
-    received_ = 0;
-    std::fill(have_.begin(), have_.end(), 0);
-    reports_.clear();
-    if (round_open_) {
-      have_ = st.have;
-      have_.resize(config_.devices, 0);
-      for (const std::uint8_t h : have_) {
-        received_ += h != 0 ? 1u : 0u;
-      }
-      reports_ = std::move(st.reports);
-    }
     recovered_ = true;
     recovery_pending_ = true;
     recovery_start_ns_ = monotonic_ns();
@@ -138,19 +113,20 @@ void VerifierDaemon::recover_from_journal() {
     metrics_.counter("wire.daemon.journal_records_replayed")
         .inc(jstats.records);
     // Low 63 bits of the recovered-state digest, for byte-identical
-    // replay checks across processes.
+    // replay checks across processes (the chaos supervisor compares it
+    // against its own replay of the same files).
     metrics_.gauge("wire.daemon.recovered_digest_lo")
-        .set(static_cast<std::int64_t>(digest_lo));
+        .set(static_cast<std::int64_t>(st.digest64(token_size) &
+                                       0x7fffffffffffffffull));
     metrics_.gauge("wire.daemon.devices_covered")
-        .set(static_cast<std::int64_t>(covered_));
+        .set(static_cast<std::int64_t>(devices_covered(st)));
   }
+  // Agent addresses come from the journal; an agent that restarted
+  // meanwhile re-hellos with a fresh epoch and heals its entry.
+  state_ = std::move(st);
   // Compact immediately: the snapshot now carries everything the WAL
   // said, and the WAL restarts empty.
   persist_state();
-}
-
-bool VerifierDaemon::coverage_complete() const noexcept {
-  return covered_ >= config_.devices;
 }
 
 void VerifierDaemon::handle_hello(const Frame& frame, const Endpoint& from) {
@@ -159,52 +135,57 @@ void VerifierDaemon::handle_hello(const Frame& frame, const Endpoint& from) {
     metrics_.counter("wire.daemon.decode_errors").inc();
     return;
   }
-  auto [it, fresh] = agents_.try_emplace(hello->first_id);
-  AgentEntry& entry = it->second;
+  // A re-hello may come from a new source port.
+  const VerifierState::Agent agent{hello->first_id, hello->count,
+                                   hello->epoch, from.sa.sin_addr.s_addr,
+                                   from.sa.sin_port};
+  const auto next = state_.agents.lower_bound(agent.first_id);
+  const bool fresh =
+      next == state_.agents.end() || next->first != agent.first_id;
   bool changed = fresh;
   if (fresh) {
     // Range sanity: inside [1, devices], no overlap with the neighbor
     // below or above (map order = id order).
     const std::uint64_t end =
-        static_cast<std::uint64_t>(hello->first_id) + hello->count;
-    bool ok = hello->first_id >= 1 && end <= config_.devices + 1ull;
-    if (ok && it != agents_.begin()) {
-      const AgentEntry& below = std::prev(it)->second;
-      ok = below.first_id + below.count <= hello->first_id;
+        static_cast<std::uint64_t>(agent.first_id) + agent.count;
+    bool ok = agent.first_id >= 1 && end <= config_.devices + 1ull;
+    if (ok && next != state_.agents.begin()) {
+      const VerifierState::Agent& below = std::prev(next)->second;
+      ok = below.first_id + below.count <= agent.first_id;
     }
-    if (ok && std::next(it) != agents_.end()) {
-      ok = end <= std::next(it)->second.first_id;
-    }
+    if (ok && next != state_.agents.end()) ok = end <= next->first;
     if (!ok) {
-      agents_.erase(it);
       metrics_.counter("wire.daemon.rejected_hellos").inc();
       return;
     }
-    entry.first_id = hello->first_id;
-    entry.count = hello->count;
-    entry.epoch = hello->epoch;
-    covered_ += hello->count;
     metrics_.counter("wire.daemon.agents_registered").inc();
-    metrics_.gauge("wire.daemon.devices_covered")
-        .set(static_cast<std::int64_t>(covered_));
   } else {
-    if (hello->count != entry.count) {
+    const VerifierState::Agent& known = next->second;
+    if (agent.count != known.count) {
       // A known range re-registering with a different width is a
       // config change, not a restart; don't let it corrupt coverage.
       metrics_.counter("wire.daemon.rejected_hellos").inc();
       return;
     }
-    if (hello->epoch != entry.epoch) {
+    if (agent.epoch != known.epoch) {
       // The agent restarted: new session, sequence space starts over.
-      entry.epoch = hello->epoch;
-      entry.seq.reset();
+      seq_[agent.first_id].reset();
       metrics_.counter("wire.daemon.agent_restarts").inc();
-      changed = true;
+    }
+    changed = agent.epoch != known.epoch || agent.ip != known.ip ||
+              agent.port != known.port;
+  }
+  if (changed) {
+    state_.put_agent(agent);
+    if (journaling_) {
+      journal_append(VerifierState::kAgentRecord,
+                     VerifierState::encode_agent(agent), /*sync=*/true);
     }
   }
-  if (!(entry.addr == from)) changed = true;
-  entry.addr = from;  // re-hello may carry a new source port
-  if (changed) journal_agent(entry, /*sync=*/true);
+  if (fresh) {
+    metrics_.gauge("wire.daemon.devices_covered")
+        .set(static_cast<std::int64_t>(devices_covered(state_)));
+  }
   FrameHeader ack;
   ack.kind = FrameKind::kHelloAck;
   ack.seq = 0;
@@ -215,8 +196,7 @@ void VerifierDaemon::handle_hello(const Frame& frame, const Endpoint& from) {
 }
 
 void VerifierDaemon::handle_tokens(const Frame& frame) {
-  const auto it = agents_.find(frame.header.sender);
-  if (it == agents_.end()) {
+  if (state_.agents.count(frame.header.sender) == 0) {
     metrics_.counter("wire.daemon.unknown_sender").inc();
     return;
   }
@@ -226,12 +206,12 @@ void VerifierDaemon::handle_tokens(const Frame& frame) {
   // not double-counted here. The tracker is epoch-aware — handle_hello
   // resets it when the agent restarts — so a fresh session's low seq is
   // kFirst, not a spurious reorder.
-  AgentEntry& agent = it->second;
-  if (agent.seq.observe(frame.header.seq) == SeqTracker::Verdict::kReorder) {
+  if (seq_[frame.header.sender].observe(frame.header.seq) ==
+      SeqTracker::Verdict::kReorder) {
     metrics_.counter("wire.daemon.reordered_datagrams").inc();
   }
 
-  if (!round_open_ || frame.header.tick != tick_) {
+  if (!state_.round_open || frame.header.tick != state_.tick) {
     metrics_.counter("wire.daemon.stale_tokens").inc();
     return;
   }
@@ -241,34 +221,34 @@ void VerifierDaemon::handle_tokens(const Frame& frame) {
     metrics_.counter("wire.daemon.decode_errors").inc();
     return;
   }
-  const std::size_t accepted_start = reports_.size();
-  for (const sap::DeviceReport& rep : *reports) {
-    if (rep.id == 0 || rep.id > config_.devices) {
-      metrics_.counter("wire.daemon.bogus_device_ids").inc();
-      continue;
-    }
-    if (have_[rep.id - 1] != 0) continue;  // re-poll duplicate
-    have_[rep.id - 1] = 1;
-    ++received_;
-    reports_.push_back(rep);
+  const auto bogus = std::count_if(
+      reports->begin(), reports->end(), [&](const sap::DeviceReport& rep) {
+        return rep.id == 0 || rep.id > config_.devices;
+      });
+  if (bogus > 0) {
+    metrics_.counter("wire.daemon.bogus_device_ids")
+        .inc(static_cast<std::uint64_t>(bogus));
   }
-  if (journaling_ && reports_.size() > accepted_start) {
+  const std::size_t added =
+      state_.accept_reports(state_.tick, reports->data(), reports->size());
+  if (journaling_ && added > 0) {
     // No sync: a lost unsynced report tail just re-polls on restart.
+    const sap::DeviceReport* appended =
+        state_.reports.data() + (state_.reports.size() - added);
     journal_append(VerifierState::kReports,
                    VerifierState::encode_reports(
-                       tick_, reports_.data() + accepted_start,
-                       reports_.size() - accepted_start,
+                       state_.tick, appended, added,
                        verifier_.config().token_size()),
                    /*sync=*/false);
   }
-  if (received_ >= config_.devices) finish_round();
+  if (state_.reports.size() >= config_.devices) finish_round();
 }
 
 std::vector<WantRange> VerifierDaemon::missing_ranges() const {
   std::vector<WantRange> ranges;
   std::uint32_t run_start = 0;
   for (std::uint32_t id = 1; id <= config_.devices + 1; ++id) {
-    const bool missing = id <= config_.devices && have_[id - 1] == 0;
+    const bool missing = id <= config_.devices && state_.have[id - 1] == 0;
     if (missing && run_start == 0) run_start = id;
     if (!missing && run_start != 0) {
       ranges.push_back(WantRange{run_start, id - run_start});
@@ -280,7 +260,8 @@ std::vector<WantRange> VerifierDaemon::missing_ranges() const {
 
 void VerifierDaemon::send_chal(const std::vector<WantRange>& want) {
   const std::size_t chal_size = verifier_.config().chal_size();
-  Bytes payload = sap::encode_chal(tick_, /*auth_key=*/{}, chal_size);
+  Bytes payload =
+      sap::encode_chal(state_.tick, /*auth_key=*/{}, chal_size);
   // The want trailer must fit the frame; if the missing set is too
   // fragmented, fall back to "everything" (correct, just more bytes).
   if (!want.empty() &&
@@ -289,15 +270,15 @@ void VerifierDaemon::send_chal(const std::vector<WantRange>& want) {
   }
   FrameHeader h;
   h.kind = FrameKind::kChal;
-  h.tick = tick_;
+  h.tick = state_.tick;
 
   // One frame per relevant agent. The reserve guarantees no
   // reallocation, so the SendDatagram views into `frames` stay valid.
   std::vector<Bytes> frames;
   std::vector<SendDatagram> out;
-  frames.reserve(agents_.size());
-  out.reserve(agents_.size());
-  for (const auto& [first_id, agent] : agents_) {
+  frames.reserve(state_.agents.size());
+  out.reserve(state_.agents.size());
+  for (const auto& [first_id, agent] : state_.agents) {
     // On re-polls, skip agents with nothing missing.
     if (!want.empty()) {
       bool relevant = false;
@@ -311,7 +292,7 @@ void VerifierDaemon::send_chal(const std::vector<WantRange>& want) {
       if (!relevant) continue;
     }
     frames.push_back(encode_frame(h, payload));
-    out.push_back(SendDatagram{agent.addr, frames.back()});
+    out.push_back(SendDatagram{endpoint_of(agent), frames.back()});
   }
   const std::size_t sent = socket_.send_batch(out.data(), out.size());
   metrics_.counter("wire.daemon.tx_datagrams").inc(sent);
@@ -325,20 +306,22 @@ void VerifierDaemon::send_chal(const std::vector<WantRange>& want) {
 
 void VerifierDaemon::arm_repoll() {
   const std::uint64_t backoff_ns = static_cast<std::uint64_t>(
-      verifier_.config().adaptive.backoff_for(repoll_attempt_ + 1).ns());
+      verifier_.config().adaptive.backoff_for(state_.repoll_attempt + 1)
+          .ns());
   repoll_timer_ = loop_.schedule_after(backoff_ns, [this] {
     repoll_timer_ = 0;
-    if (!round_open_) return;
-    if (repoll_attempt_ >= verifier_.config().adaptive.max_repolls) {
+    if (!state_.round_open) return;
+    if (state_.repoll_attempt >= verifier_.config().adaptive.max_repolls) {
       finish_round();  // budget spent: close degraded
       return;
     }
-    ++repoll_attempt_;
+    state_.note_repoll(state_.tick, state_.repoll_attempt + 1);
     metrics_.counter("wire.daemon.repolls").inc();
     if (journaling_) {
-      journal_append(VerifierState::kRepoll,
-                     VerifierState::encode_repoll(tick_, repoll_attempt_),
-                     /*sync=*/false);
+      journal_append(
+          VerifierState::kRepoll,
+          VerifierState::encode_repoll(state_.tick, state_.repoll_attempt),
+          /*sync=*/false);
     }
     send_chal(missing_ranges());
     arm_repoll();
@@ -347,29 +330,27 @@ void VerifierDaemon::arm_repoll() {
 
 void VerifierDaemon::start_round() {
   if (draining_) return;  // shutting down: no new rounds
-  if (round_open_) {
+  if (state_.round_open) {
     // Previous round still open at the next period boundary — the
     // re-poll ladder will close it; skip this slot rather than overlap.
     metrics_.counter("wire.daemon.rounds_overrun").inc();
     return;
   }
-  if (!coverage_complete()) {
+  if (devices_covered(state_) < config_.devices) {
     metrics_.counter("wire.daemon.rounds_waiting_coverage").inc();
     return;
   }
-  round_open_ = true;
-  ++tick_;
+  // Refused only once the 32-bit tick space is spent: reusing a tick
+  // would reissue an old challenge.
+  if (!state_.start_round(state_.tick + 1)) return;
   round_start_ns_ = loop_.now_ns();
-  received_ = 0;
-  std::fill(have_.begin(), have_.end(), 0);
-  reports_.clear();
-  repoll_attempt_ = 0;
   metrics_.counter("wire.daemon.rounds_started").inc();
   if (journaling_) {
     // Committed before the first challenge leaves: a crash after this
-    // point resumes tick_, it never reissues it as a fresh round.
+    // point resumes the tick, it never reissues it as a fresh round.
     journal_append(VerifierState::kRoundStart,
-                   VerifierState::encode_round_start(tick_), /*sync=*/true);
+                   VerifierState::encode_round_start(state_.tick),
+                   /*sync=*/true);
   }
   send_chal({});
   arm_repoll();
@@ -381,7 +362,7 @@ void VerifierDaemon::resume_round() {
   // the crashed process left it, re-challenging only the missing set.
   round_start_ns_ = loop_.now_ns();
   metrics_.counter("wire.daemon.rounds_resumed").inc();
-  if (received_ >= config_.devices) {
+  if (state_.reports.size() >= config_.devices) {
     finish_round();
     return;
   }
@@ -390,31 +371,31 @@ void VerifierDaemon::resume_round() {
 }
 
 void VerifierDaemon::finish_round() {
-  if (!round_open_) return;
-  round_open_ = false;
+  if (!state_.round_open) return;
   if (repoll_timer_ != 0) {
     loop_.cancel(repoll_timer_);
     repoll_timer_ = 0;
   }
 
   const std::uint64_t latency_ns = loop_.now_ns() - round_start_ns_;
+  const auto received = static_cast<std::uint32_t>(state_.reports.size());
   metrics_.histogram("wire.daemon.round_latency_us")
       .record(latency_ns / 1'000);
   metrics_.counter("wire.daemon.rounds_completed").inc();
-  metrics_.counter("wire.daemon.tokens_received").inc(received_);
+  metrics_.counter("wire.daemon.tokens_received").inc(received);
   metrics_.counter("wire.daemon.tokens_missing")
-      .inc(config_.devices - received_);
+      .inc(config_.devices - received);
 
   if (config_.mode == sap::QoaMode::kBinary) {
     // The transport always carries per-device tokens; binary mode is a
     // verifier-side fold, exactly like the in-tree aggregation.
-    if (received_ == config_.devices) {
+    if (received == config_.devices) {
       Bytes acc(verifier_.config().token_size(), 0);
-      for (const sap::DeviceReport& rep : reports_) {
+      for (const sap::DeviceReport& rep : state_.reports) {
         xor_inplace(acc, rep.token);
       }
       metrics_
-          .counter(verifier_.verify(acc, tick_)
+          .counter(verifier_.verify(acc, state_.tick)
                        ? "wire.daemon.rounds_verified"
                        : "wire.daemon.rounds_failed")
           .inc();
@@ -422,7 +403,7 @@ void VerifierDaemon::finish_round() {
       metrics_.counter("wire.daemon.rounds_incomplete").inc();
     }
   } else {
-    const auto verdict = verifier_.classify(reports_, tick_);
+    const auto verdict = verifier_.classify(state_.reports, state_.tick);
     metrics_.counter("wire.daemon.devices_healthy").inc(verdict.healthy);
     metrics_.counter("wire.daemon.devices_untrusted").inc(verdict.untrusted);
     metrics_.counter("wire.daemon.devices_unreachable")
@@ -434,19 +415,20 @@ void VerifierDaemon::finish_round() {
         .inc();
   }
 
-  ++rounds_done_;
+  state_.close_round(state_.tick, state_.rounds_done + 1);
   if (journaling_) {
     journal_append(VerifierState::kRoundClose,
-                   VerifierState::encode_round_close(tick_, rounds_done_),
+                   VerifierState::encode_round_close(state_.tick,
+                                                     state_.rounds_done),
                    /*sync=*/true);
     if (config_.snapshot_every != 0 &&
-        rounds_done_ % config_.snapshot_every == 0) {
+        state_.rounds_done % config_.snapshot_every == 0) {
       persist_state();
     }
   }
   if (recovery_pending_) {
     ++rounds_since_recovery_;
-    if (received_ >= config_.devices) {
+    if (received >= config_.devices) {
       // First fully-covered round since the restart: the service is
       // reconverged. recovery_rounds counts closed rounds including the
       // resumed one, so "extra rounds to reconverge" is this minus 1.
@@ -458,21 +440,22 @@ void VerifierDaemon::finish_round() {
           .set(static_cast<std::int64_t>(rounds_since_recovery_));
     }
   }
-  sync_socket_stats();
+  mirror_send_errors(socket_, stats_synced_, metrics_, "wire.daemon");
   if (draining_) {
     finalize_and_stop();
     return;
   }
-  if (config_.dump_every != 0 && rounds_done_ % config_.dump_every == 0) {
+  if (config_.dump_every != 0 &&
+      state_.rounds_done % config_.dump_every == 0) {
     write_snapshot();
   }
-  if (config_.rounds != 0 && rounds_done_ >= config_.rounds) {
+  if (config_.rounds != 0 && state_.rounds_done >= config_.rounds) {
     // Tell the agents the session is over, then leave the loop.
     FrameHeader bye;
     bye.kind = FrameKind::kBye;
     const Bytes frame = encode_frame(bye, {});
-    for (const auto& [first_id, agent] : agents_) {
-      (void)socket_.send_one(agent.addr, frame);
+    for (const auto& [first_id, agent] : state_.agents) {
+      (void)socket_.send_one(endpoint_of(agent), frame);
     }
     loop_.stop();
   }
@@ -519,8 +502,9 @@ void VerifierDaemon::run() {
   };
   // A journal recovered at the round limit means the previous
   // incarnation finished; don't run an extra round on restart.
-  if (config_.rounds == 0 || round_open_ || rounds_done_ < config_.rounds) {
-    if (round_open_) {
+  if (config_.rounds == 0 || state_.round_open ||
+      state_.rounds_done < config_.rounds) {
+    if (state_.round_open) {
       resume_round();  // recovered mid-round: finish it, don't restart
     } else {
       start_round();  // waits on coverage internally
@@ -538,45 +522,9 @@ void VerifierDaemon::journal_append(std::uint8_t kind, BytesView payload,
   if (sync) journal_.sync();
 }
 
-void VerifierDaemon::journal_agent(const AgentEntry& entry, bool sync) {
-  if (!journaling_) return;
-  VerifierState::Agent a;
-  a.first_id = entry.first_id;
-  a.count = entry.count;
-  a.epoch = entry.epoch;
-  a.ip = entry.addr.sa.sin_addr.s_addr;
-  a.port = entry.addr.sa.sin_port;
-  journal_append(VerifierState::kAgentRecord, VerifierState::encode_agent(a),
-                 sync);
-}
-
-VerifierState VerifierDaemon::current_state() const {
-  VerifierState st;
-  st.devices = config_.devices;
-  st.rounds_done = rounds_done_;
-  st.tick = tick_;
-  st.round_open = round_open_;
-  st.repoll_attempt = repoll_attempt_;
-  for (const auto& [first_id, entry] : agents_) {
-    VerifierState::Agent a;
-    a.first_id = entry.first_id;
-    a.count = entry.count;
-    a.epoch = entry.epoch;
-    a.ip = entry.addr.sa.sin_addr.s_addr;
-    a.port = entry.addr.sa.sin_port;
-    st.agents.emplace(first_id, a);
-  }
-  if (round_open_) {
-    st.have = have_;
-    st.reports = reports_;
-  }
-  return st;
-}
-
 void VerifierDaemon::persist_state() {
   if (!journaling_) return;
-  const Bytes payload =
-      current_state().encode(verifier_.config().token_size());
+  const Bytes payload = state_.encode(verifier_.config().token_size());
   if (write_snapshot_file(config_.journal_path + ".snap", payload)) {
     journal_.reset();
     metrics_.counter("wire.daemon.state_snapshots").inc();
@@ -592,28 +540,10 @@ void VerifierDaemon::finalize_and_stop() {
   loop_.stop();
 }
 
-void VerifierDaemon::sync_socket_stats() {
-  const UdpSocket::Stats& s = socket_.stats();
-  if (s.enobufs > stats_synced_.enobufs) {
-    metrics_.counter("wire.daemon.tx_enobufs")
-        .inc(s.enobufs - stats_synced_.enobufs);
-  }
-  if (s.emsgsize > stats_synced_.emsgsize) {
-    metrics_.counter("wire.daemon.tx_emsgsize")
-        .inc(s.emsgsize - stats_synced_.emsgsize);
-  }
-  if (s.econnrefused > stats_synced_.econnrefused) {
-    metrics_.counter("wire.daemon.tx_econnrefused")
-        .inc(s.econnrefused - stats_synced_.econnrefused);
-  }
-  stats_synced_ = s;
-}
-
 void VerifierDaemon::write_snapshot() {
   if (config_.metrics_path.empty()) return;
-  sync_socket_stats();
-  const std::string json = metrics_.to_json();
-  if (write_text_atomic(config_.metrics_path, json + "\n")) {
+  mirror_send_errors(socket_, stats_synced_, metrics_, "wire.daemon");
+  if (write_text_atomic(config_.metrics_path, metrics_.to_json() + "\n")) {
     metrics_.counter("wire.daemon.snapshots_written").inc();
   }
 }

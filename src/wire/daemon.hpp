@@ -16,13 +16,20 @@
 // Re-polls carry want-ranges, so a straggling agent re-sends only the
 // token frames the daemon is actually missing.
 //
+// State: the registration table and the round live in one
+// VerifierState (wire/journal.hpp), changed only through its
+// transitions — the same ones journal replay runs — so the state a
+// restart recovers is the state the daemon executed. Beside it the
+// daemon keeps only session state: per-agent sequence tracking, the
+// round's start time and re-poll timer, and recovery bookkeeping.
+//
 // Observability: every round updates an obs::MetricsRegistry, exported
 // as a JSON snapshot (atomic rename) to `metrics_path` every
 // `dump_every` rounds, at shutdown, and whenever request_snapshot() —
 // wired to SIGUSR1 in cra_verifierd — is flagged.
 #pragma once
 
-#include <csignal>
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <string>
@@ -55,10 +62,10 @@ struct DaemonConfig {
   std::uint32_t dump_every = 0;  // 0 = only at shutdown/signal
   /// Base path for crash-safe state journaling (wire/journal.hpp):
   /// `<path>.wal` is the write-ahead log, `<path>.snap` the compacted
-  /// snapshot. Empty = stateless (pre-PR-9 behavior). On construction
-  /// the daemon replays snapshot + WAL, adopts the recovered
-  /// registration table / round counter / in-flight round, and resumes
-  /// the interrupted round instead of starting a new one.
+  /// snapshot. Empty = nothing survives a restart. On construction the
+  /// daemon replays snapshot + WAL into its state — registration
+  /// table, round counter, in-flight round — and resumes the
+  /// interrupted round instead of starting a new one.
   std::string journal_path;
   /// Compact the WAL into a fresh snapshot every N closed rounds.
   std::uint32_t snapshot_every = 8;
@@ -75,18 +82,21 @@ class VerifierDaemon {
 
   std::uint16_t local_port() const { return socket_.local_port(); }
   const obs::MetricsRegistry& metrics() const noexcept { return metrics_; }
-  std::uint32_t rounds_completed() const noexcept { return rounds_done_; }
+  std::uint32_t rounds_completed() const noexcept {
+    return state_.rounds_done;
+  }
 
-  /// Async-signal-safe snapshot request; the loop writes the JSON on
-  /// its next iteration. The signal itself interrupts epoll_wait, so
-  /// the write happens promptly even on an idle daemon.
-  static void request_snapshot() noexcept { snapshot_requested_ = 1; }
+  /// Async-signal-safe and thread-safe snapshot request; the loop
+  /// writes the JSON on its next iteration. The signal itself
+  /// interrupts epoll_wait, so the write happens promptly even on an
+  /// idle daemon.
+  static void request_snapshot() noexcept { snapshot_requested_.store(1); }
 
-  /// Async-signal-safe graceful shutdown (SIGTERM/SIGINT in
-  /// cra_verifierd): the in-flight round drains through the re-poll
+  /// Async-signal-safe and thread-safe graceful shutdown (SIGTERM/SIGINT
+  /// in cra_verifierd): the in-flight round drains through the re-poll
   /// ladder, then a final state snapshot + metrics export are written
   /// before run() returns. An idle daemon exits on the next iteration.
-  static void request_shutdown() noexcept { shutdown_requested_ = 1; }
+  static void request_shutdown() noexcept { shutdown_requested_.store(1); }
 
   /// Write the metrics JSON to `metrics_path` now (tmp file + rename).
   void write_snapshot();
@@ -95,14 +105,6 @@ class VerifierDaemon {
   bool recovered() const noexcept { return recovered_; }
 
  private:
-  struct AgentEntry {
-    Endpoint addr;
-    std::uint32_t first_id = 0;
-    std::uint32_t count = 0;
-    std::uint64_t epoch = 0;  // agent session epoch from its hello
-    SeqTracker seq;
-  };
-
   void on_readable();
   void handle_hello(const Frame& frame, const Endpoint& from);
   void handle_tokens(const Frame& frame);
@@ -111,18 +113,13 @@ class VerifierDaemon {
   void send_chal(const std::vector<WantRange>& want);
   void finish_round();
   void arm_repoll();
-  bool coverage_complete() const noexcept;
   std::vector<WantRange> missing_ranges() const;
   void recover_from_journal();
   void journal_append(std::uint8_t kind, BytesView payload, bool sync);
-  void journal_agent(const AgentEntry& entry, bool sync);
-  VerifierState current_state() const;
   /// Compact: write the state snapshot, then reset the WAL.
   void persist_state();
   /// Final snapshot + metrics export, then leave the loop.
   void finalize_and_stop();
-  /// Mirror the socket's error tallies into wire.daemon.* counters.
-  void sync_socket_stats();
 
   DaemonConfig config_;
   sap::Verifier verifier_;
@@ -130,19 +127,10 @@ class VerifierDaemon {
   EventLoop loop_;
   obs::MetricsRegistry metrics_;
 
-  std::map<std::uint32_t, AgentEntry> agents_;  // keyed by first_id
-  std::uint32_t covered_ = 0;  // devices claimed by registered agents
-
-  // Round state.
-  bool round_open_ = false;
-  std::uint32_t tick_ = 0;
+  VerifierState state_;
+  std::map<std::uint32_t, SeqTracker> seq_;  // keyed by first_id
   std::uint64_t round_start_ns_ = 0;
-  std::uint32_t received_ = 0;
-  std::vector<std::uint8_t> have_;             // index id-1
-  std::vector<sap::DeviceReport> reports_;
-  std::uint32_t repoll_attempt_ = 0;
-  TimerWheel::TimerId repoll_timer_ = 0;
-  std::uint32_t rounds_done_ = 0;
+  TimerQueue::TimerId repoll_timer_ = 0;
 
   // Crash-safety state (see wire/journal.hpp).
   Journal journal_;
@@ -157,8 +145,10 @@ class VerifierDaemon {
   bool draining_ = false;  // SIGTERM received; close out, don't start
   UdpSocket::Stats stats_synced_;  // socket tallies already exported
 
-  static volatile std::sig_atomic_t snapshot_requested_;
-  static volatile std::sig_atomic_t shutdown_requested_;
+  // Lock-free, so safe from a signal handler and from another thread.
+  static std::atomic<int> snapshot_requested_;
+  static std::atomic<int> shutdown_requested_;
+  static_assert(std::atomic<int>::is_always_lock_free);
 };
 
 }  // namespace cra::wire

@@ -62,9 +62,44 @@ void EventLoop::remove_fd(int fd) {
   io_.erase(fd);
 }
 
-TimerWheel::TimerId EventLoop::schedule_after(std::uint64_t delay_ns,
-                                              TimerWheel::Callback cb) {
-  return wheel_.schedule(now_ns_ + delay_ns, std::move(cb));
+TimerQueue::TimerId TimerQueue::schedule(std::uint64_t deadline_ns,
+                                         Callback cb) {
+  const TimerId id = next_id_++;
+  timers_.emplace(deadline_ns, Timer{id, std::move(cb)});
+  return id;
+}
+
+bool TimerQueue::cancel(TimerId id) {
+  for (auto it = timers_.begin(); it != timers_.end(); ++it) {
+    if (it->second.id == id) {
+      timers_.erase(it);
+      return true;
+    }
+  }
+  return false;
+}
+
+std::size_t TimerQueue::advance(std::uint64_t now_ns) {
+  std::size_t fired = 0;
+  // Re-read the front each time: a callback may arm or cancel timers,
+  // and erasing before the call keeps cancel() of a running id false.
+  while (!timers_.empty() && timers_.begin()->first <= now_ns) {
+    const Callback cb = std::move(timers_.begin()->second.cb);
+    timers_.erase(timers_.begin());
+    ++fired;
+    cb();
+  }
+  return fired;
+}
+
+std::uint64_t TimerQueue::next_deadline() const noexcept {
+  return timers_.empty() ? std::numeric_limits<std::uint64_t>::max()
+                         : timers_.begin()->first;
+}
+
+TimerQueue::TimerId EventLoop::schedule_after(std::uint64_t delay_ns,
+                                              TimerQueue::Callback cb) {
+  return timers_.schedule(now_ns_ + delay_ns, std::move(cb));
 }
 
 void EventLoop::run() {
@@ -73,13 +108,13 @@ void EventLoop::run() {
   std::vector<epoll_event> events(64);
   while (!stop_requested_) {
     now_ns_ = monotonic_ns();
-    const std::uint64_t deadline = wheel_.next_deadline();
+    const std::uint64_t deadline = timers_.next_deadline();
     int timeout_ms = -1;  // idle: sleep until IO or a stop() poke
     if (deadline != std::numeric_limits<std::uint64_t>::max()) {
       const std::uint64_t gap = deadline > now_ns_ ? deadline - now_ns_ : 0;
       // Round up so we never spin on a deadline under 1 ms away; cap to
-      // keep the loop responsive to wheel entries armed from other
-      // callbacks' perspective.
+      // keep the loop responsive to timers armed from other callbacks'
+      // perspective.
       timeout_ms = static_cast<int>(
           std::min<std::uint64_t>((gap + 999'999) / 1'000'000, 1000));
     }
@@ -102,7 +137,7 @@ void EventLoop::run() {
         (*cb)(events[static_cast<std::size_t>(i)].events);
       }
     }
-    wheel_.advance(now_ns_);
+    timers_.advance(now_ns_);
 
     if (n == static_cast<int>(events.size()) && events.size() < 4096) {
       events.resize(events.size() * 2);

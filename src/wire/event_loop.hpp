@@ -1,11 +1,12 @@
-// Single-threaded epoll event loop.
+// Single-threaded epoll event loop and its timer queue.
 //
 // The daemon and the agent are both one loop around three sources:
-// readable sockets, the timer wheel (round periods and the adaptive
-// re-poll ladder), and out-of-band pokes (a signal's EINTR, or a
-// cross-thread stop() through an eventfd). The loop computes its
-// epoll_wait timeout from the wheel's next deadline, so an idle daemon
-// sleeps in the kernel instead of spinning.
+// readable sockets, a deadline-ordered timer queue (round periods, the
+// adaptive re-poll ladder, hello retries, shaper-delayed datagrams), and
+// out-of-band pokes (a signal's EINTR, or a cross-thread stop() through
+// an eventfd). The loop computes its epoll_wait timeout from the queue's
+// earliest deadline, so an idle daemon sleeps in the kernel instead of
+// spinning.
 //
 // Threading: everything except stop() must be called from the loop
 // thread. stop() is safe from any thread and from signal handlers'
@@ -16,15 +17,56 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_map>
-
-#include "wire/timer_wheel.hpp"
 
 namespace cra::wire {
 
 /// CLOCK_MONOTONIC in nanoseconds.
 std::uint64_t monotonic_ns() noexcept;
+
+/// One-shot timers ordered by absolute deadline. The wire loops hold
+/// few at once (a daemon: its period tick and one re-poll; an agent:
+/// its hello retry plus one per shaper-delayed datagram), so schedule
+/// is O(log n), next_deadline O(1), and cancel scans the live entries.
+/// Clock-agnostic: the event loop feeds it CLOCK_MONOTONIC, the unit
+/// tests a hand-rolled clock.
+class TimerQueue {
+ public:
+  using Callback = std::function<void()>;
+  /// 0 is never a live timer id.
+  using TimerId = std::uint64_t;
+
+  /// Arm a timer for absolute time `deadline_ns`. Deadlines in the past
+  /// fire on the next advance().
+  TimerId schedule(std::uint64_t deadline_ns, Callback cb);
+
+  /// Disarm. Returns false if the id already fired or was cancelled.
+  bool cancel(TimerId id);
+
+  /// Fire every timer with deadline <= now_ns, earliest first and ties
+  /// in arming order. Returns the number fired. Callbacks may freely
+  /// schedule() and cancel(), including re-arming themselves; a timer a
+  /// callback arms already due fires in this same call.
+  std::size_t advance(std::uint64_t now_ns);
+
+  /// Earliest pending deadline, or UINT64_MAX when idle — the event
+  /// loop's epoll_wait timeout.
+  std::uint64_t next_deadline() const noexcept;
+
+  std::size_t pending() const noexcept { return timers_.size(); }
+
+ private:
+  struct Timer {
+    TimerId id = 0;
+    Callback cb;
+  };
+
+  // Equal keys keep insertion order, which gives ties their arming order.
+  std::multimap<std::uint64_t, Timer> timers_;
+  TimerId next_id_ = 1;
+};
 
 class EventLoop {
  public:
@@ -41,13 +83,13 @@ class EventLoop {
   void remove_fd(int fd);
 
   /// Arm a one-shot timer `delay_ns` from now.
-  TimerWheel::TimerId schedule_after(std::uint64_t delay_ns,
-                                     TimerWheel::Callback cb);
-  bool cancel(TimerWheel::TimerId id) { return wheel_.cancel(id); }
+  TimerQueue::TimerId schedule_after(std::uint64_t delay_ns,
+                                     TimerQueue::Callback cb);
+  bool cancel(TimerQueue::TimerId id) { return timers_.cancel(id); }
 
   /// Hook invoked once per loop iteration, after epoll_wait returns
   /// (including EINTR returns) and before IO/timer dispatch — the place
-  /// to check sig_atomic_t flags set by signal handlers.
+  /// to check the flags signal handlers set.
   void set_wakeup_hook(std::function<void()> hook) {
     wakeup_hook_ = std::move(hook);
   }
@@ -72,7 +114,7 @@ class EventLoop {
   // shared_ptr so a handler that remove_fd()s itself mid-dispatch is
   // kept alive until its invocation returns.
   std::unordered_map<int, std::shared_ptr<IoCallback>> io_;
-  TimerWheel wheel_;
+  TimerQueue timers_;
   std::function<void()> wakeup_hook_;
   std::uint64_t now_ns_ = 0;
   std::atomic<bool> running_{false};

@@ -62,6 +62,32 @@ void fsync_parent_dir(const std::string& path) {
   ::close(fd);
 }
 
+/// Stage `data` in `path.tmp`, then rename it over `path`, so readers
+/// see the old file or the new one, never a partial write. `durable`
+/// also fsyncs the file before the rename and its directory after, so
+/// the same holds across a crash.
+bool replace_file(const std::string& path, BytesView data, bool durable) {
+  const std::string tmp = path + ".tmp";
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  bool ok = true;
+  try {
+    write_full(fd, data.data(), data.size());
+  } catch (const std::system_error&) {
+    ok = false;
+  }
+  if (ok && durable) ok = ::fsync(fd) == 0;
+  ::close(fd);
+  if (ok) ok = ::rename(tmp.c_str(), path.c_str()) == 0;
+  if (!ok) {
+    ::unlink(tmp.c_str());
+    return false;
+  }
+  if (durable) fsync_parent_dir(path);
+  return true;
+}
+
 const std::array<std::uint32_t, 256>& crc_table() {
   static const std::array<std::uint32_t, 256> table = [] {
     std::array<std::uint32_t, 256> t{};
@@ -189,37 +215,13 @@ void Journal::reset() {
 }
 
 bool write_snapshot_file(const std::string& path, BytesView payload) {
-  Bytes out;
+  Bytes out(kSnapMagic, kSnapMagic + 4);
   out.reserve(kSnapHeader + payload.size());
-  out.insert(out.end(), kSnapMagic, kSnapMagic + 4);
   out.push_back(kSnapVersion);
   append_u32le(out, static_cast<std::uint32_t>(payload.size()));
   append_u32le(out, crc32_ieee(payload));
   out.insert(out.end(), payload.begin(), payload.end());
-
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return false;
-  try {
-    write_full(fd, out.data(), out.size());
-  } catch (const std::system_error&) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  fsync_parent_dir(path);
-  return true;
+  return replace_file(path, out, /*durable=*/true);
 }
 
 std::optional<Bytes> read_snapshot_file(const std::string& path) {
@@ -246,26 +248,8 @@ std::optional<Bytes> read_snapshot_file(const std::string& path) {
 }
 
 bool write_text_atomic(const std::string& path, std::string_view text) {
-  const std::string tmp = path + ".tmp";
-  const int fd =
-      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return false;
-  try {
-    write_full(fd, reinterpret_cast<const std::uint8_t*>(text.data()),
-               text.size());
-    const std::uint8_t nl = '\n';
-    write_full(fd, &nl, 1);
-  } catch (const std::system_error&) {
-    ::close(fd);
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    ::unlink(tmp.c_str());
-    return false;
-  }
-  return true;
+  const auto* data = reinterpret_cast<const std::uint8_t*>(text.data());
+  return replace_file(path, BytesView(data, text.size()), /*durable=*/false);
 }
 
 // --- VerifierState ---
@@ -291,6 +275,20 @@ void append_report(Bytes& out, const sap::DeviceReport& rep,
   out.insert(out.end(), rep.token.begin(),
              rep.token.begin() + static_cast<std::ptrdiff_t>(n));
   out.insert(out.end(), token_size - n, 0);
+}
+
+/// The agent record at `off` (kAgentRecordSize bytes, caller-checked);
+/// nullopt for an empty range, which no hello can register.
+std::optional<VerifierState::Agent> parse_agent(BytesView data,
+                                                std::size_t off) {
+  VerifierState::Agent a;
+  a.first_id = read_u32le(data, off);
+  a.count = read_u32le(data, off + 4);
+  a.epoch = read_u64le(data, off + 8);
+  a.ip = read_u32le(data, off + 16);
+  a.port = static_cast<std::uint16_t>(data[off + 20] | (data[off + 21] << 8));
+  if (a.first_id == 0 || a.count == 0) return std::nullopt;
+  return a;
 }
 
 sap::DeviceReport parse_report(BytesView data, std::size_t off,
@@ -355,68 +353,79 @@ Bytes VerifierState::encode_round_close(std::uint32_t tick,
   return out;
 }
 
+void VerifierState::put_agent(const Agent& a) { agents[a.first_id] = a; }
+
+bool VerifierState::start_round(std::uint32_t t) {
+  if (t <= tick) return false;  // stale or duplicate on replay
+  tick = t;
+  round_open = true;
+  repoll_attempt = 0;
+  have.assign(devices, 0);
+  reports.clear();
+  return true;
+}
+
+std::size_t VerifierState::accept_reports(std::uint32_t t,
+                                          const sap::DeviceReport* reps,
+                                          std::size_t n) {
+  if (!round_open || t != tick) return 0;
+  const std::size_t before = reports.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    const sap::DeviceReport& rep = reps[i];
+    if (rep.id == 0 || rep.id > devices) continue;
+    if (have[rep.id - 1] != 0) continue;  // re-poll or replay duplicate
+    have[rep.id - 1] = 1;
+    reports.push_back(rep);
+  }
+  return reports.size() - before;
+}
+
+void VerifierState::note_repoll(std::uint32_t t, std::uint32_t attempt) {
+  if (!round_open || t != tick) return;
+  repoll_attempt = std::max(repoll_attempt, attempt);
+}
+
+void VerifierState::close_round(std::uint32_t t, std::uint32_t done) {
+  if (!round_open || t != tick) return;
+  round_open = false;
+  repoll_attempt = 0;
+  have.clear();
+  reports.clear();
+  rounds_done = std::max(rounds_done, done);
+}
+
 void VerifierState::apply(std::uint8_t kind, BytesView payload,
                           std::size_t token_size) {
   switch (kind) {
-    case kAgentRecord: {
+    case kAgentRecord:
       if (payload.size() != kAgentRecordSize) return;
-      Agent a;
-      a.first_id = read_u32le(payload, 0);
-      a.count = read_u32le(payload, 4);
-      a.epoch = read_u64le(payload, 8);
-      a.ip = read_u32le(payload, 16);
-      a.port = static_cast<std::uint16_t>(payload[20] |
-                                          (payload[21] << 8));
-      if (a.first_id == 0 || a.count == 0) return;
-      agents[a.first_id] = a;  // latest record wins (epoch/addr updates)
+      if (const auto a = parse_agent(payload, 0)) put_agent(*a);
       return;
-    }
-    case kRoundStart: {
+    case kRoundStart:
       if (payload.size() != 4) return;
-      const std::uint32_t t = read_u32le(payload, 0);
-      if (t <= tick) return;  // stale or duplicate on replay
-      tick = t;
-      round_open = true;
-      repoll_attempt = 0;
-      have.assign(devices, 0);
-      reports.clear();
+      (void)start_round(read_u32le(payload, 0));
       return;
-    }
     case kReports: {
       if (payload.size() < 8) return;
-      const std::uint32_t t = read_u32le(payload, 0);
       const std::uint32_t n = read_u32le(payload, 4);
-      if (!round_open || t != tick) return;
       const std::size_t entry = report_entry_size(token_size);
       if (payload.size() != 8 + static_cast<std::size_t>(n) * entry) return;
+      std::vector<sap::DeviceReport> reps;
+      reps.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
-        sap::DeviceReport rep = parse_report(payload, 8 + i * entry,
-                                             token_size);
-        if (rep.id == 0 || rep.id > devices) continue;
-        if (have[rep.id - 1] != 0) continue;  // replay duplicate
-        have[rep.id - 1] = 1;
-        reports.push_back(std::move(rep));
+        reps.push_back(parse_report(payload, 8 + i * entry, token_size));
       }
+      (void)accept_reports(read_u32le(payload, 0), reps.data(), reps.size());
       return;
     }
-    case kRepoll: {
+    case kRepoll:
       if (payload.size() != 8) return;
-      const std::uint32_t t = read_u32le(payload, 0);
-      if (!round_open || t != tick) return;
-      repoll_attempt = std::max(repoll_attempt, read_u32le(payload, 4));
+      note_repoll(read_u32le(payload, 0), read_u32le(payload, 4));
       return;
-    }
-    case kRoundClose: {
+    case kRoundClose:
       if (payload.size() != 8) return;
-      const std::uint32_t t = read_u32le(payload, 0);
-      if (!round_open || t != tick) return;
-      round_open = false;
-      repoll_attempt = 0;
-      have.clear();
-      reports.clear();
-      rounds_done = std::max(rounds_done, read_u32le(payload, 4));
+      close_round(read_u32le(payload, 0), read_u32le(payload, 4));
       return;
-    }
     default:
       return;  // future record kind: skip, don't fail recovery
   }
@@ -468,15 +477,9 @@ std::optional<VerifierState> VerifierState::decode(BytesView payload,
     return std::nullopt;
   }
   for (std::uint32_t i = 0; i < n_agents; ++i) {
-    Agent a;
-    a.first_id = read_u32le(payload, off);
-    a.count = read_u32le(payload, off + 4);
-    a.epoch = read_u64le(payload, off + 8);
-    a.ip = read_u32le(payload, off + 16);
-    a.port = static_cast<std::uint16_t>(payload[off + 20] |
-                                        (payload[off + 21] << 8));
-    if (a.first_id == 0 || a.count == 0) return std::nullopt;
-    st.agents[a.first_id] = a;
+    const auto a = parse_agent(payload, off);
+    if (!a.has_value()) return std::nullopt;
+    st.put_agent(*a);
     off += kAgentRecordSize;
   }
   if (st.round_open) {
@@ -492,9 +495,21 @@ std::optional<VerifierState> VerifierState::decode(BytesView payload,
       return std::nullopt;
     }
     st.reports.reserve(n_reports);
+    // The bitmap and the list must name the same ids, each once: the
+    // daemon counts coverage from the list and re-polls from the bitmap.
+    std::vector<std::uint8_t> unmatched = st.have;
     for (std::uint32_t i = 0; i < n_reports; ++i) {
       st.reports.push_back(parse_report(payload, off, token_size));
       off += entry;
+      const std::uint32_t id = st.reports.back().id;
+      if (id == 0 || id > st.devices || unmatched[id - 1] != 1) {
+        return std::nullopt;
+      }
+      unmatched[id - 1] = 0;
+    }
+    if (std::any_of(unmatched.begin(), unmatched.end(),
+                    [](std::uint8_t h) { return h != 0; })) {
+      return std::nullopt;
     }
   } else if (payload.size() != off) {
     return std::nullopt;

@@ -18,14 +18,18 @@
 //     read_snapshot_file() returns nullopt for missing, truncated, or
 //     bit-flipped snapshots and recovery falls back to the WAL alone.
 //
-//   * VerifierState — the VerifierDaemon's durable state (registration
-//     table with per-agent session epochs and addresses, round counter,
-//     per-round coverage bitmap + collected reports, re-poll attempt).
-//     apply() is idempotent keyed on the monotonic round tick, so
-//     replaying snapshot + WAL — or replaying the WAL twice, which a
-//     crash between snapshot and WAL reset produces — converges to the
-//     same state. digest() is a SHA-256 over the canonical encoding;
-//     two processes that replayed the same files agree byte-for-byte.
+//   * VerifierState — the VerifierDaemon's state, durable or not
+//     (registration table with per-agent session epochs and addresses,
+//     round counter, per-round coverage bitmap + collected reports,
+//     re-poll attempt). The daemon holds one and changes it only through
+//     its transitions; apply() decodes a WAL record and calls the same
+//     transition, so a replayed record does exactly what the live event
+//     did. The transitions are idempotent keyed on the monotonic round
+//     tick, so replaying snapshot + the WAL the daemon wrote — or that
+//     WAL twice, which a crash between snapshot and WAL reset produces —
+//     converges to the same state. digest() is a SHA-256 over the
+//     canonical encoding; two processes that replayed the same files
+//     agree byte-for-byte.
 //
 // The agent side persists one thing: its hello epoch
 // (next_agent_epoch()), bumped on every restart so the daemon can tell
@@ -108,11 +112,12 @@ bool write_snapshot_file(const std::string& path, BytesView payload);
 /// or fails its CRC — the caller recovers from the WAL alone.
 std::optional<Bytes> read_snapshot_file(const std::string& path);
 
-/// Atomic text-file write (tmp + rename), shared by the metrics
-/// snapshot paths of both daemons. Returns false on IO failure.
+/// Atomic text-file write (tmp + rename) of `text` as given, shared by
+/// the metrics exports of both daemons. Returns false on IO failure.
 bool write_text_atomic(const std::string& path, std::string_view text);
 
-/// The VerifierDaemon's durable state and its WAL record vocabulary.
+/// The VerifierDaemon's state, its transitions and its WAL record
+/// vocabulary.
 struct VerifierState {
   struct Agent {
     std::uint32_t first_id = 0;
@@ -135,7 +140,8 @@ struct VerifierState {
   bool round_open = false;
   std::uint32_t repoll_attempt = 0;
   std::map<std::uint32_t, Agent> agents;  // keyed by first_id
-  // Valid while round_open: per-device coverage and collected reports.
+  // Valid while round_open: per-device coverage and collected reports;
+  // have[id-1] is 1 exactly for the ids in `reports`.
   std::vector<std::uint8_t> have;  // index id-1
   std::vector<sap::DeviceReport> reports;
 
@@ -149,18 +155,33 @@ struct VerifierState {
   static Bytes encode_round_close(std::uint32_t tick,
                                   std::uint32_t rounds_done);
 
-  /// Apply one WAL record. Idempotent: re-applying a record the state
-  /// already reflects (stale tick, duplicate report id, lower attempt
-  /// or round counter) is a no-op, so snapshot + WAL replay — and
-  /// replay-twice after a crash between snapshot and WAL reset —
-  /// converge. Malformed payloads are ignored (counted nowhere: the
-  /// CRC layer already vouched for them, so this only guards against
-  /// version drift).
+  // --- Transitions, one per record kind. Each is idempotent, as replay
+  // needs: a stale tick, an already covered id, or a lower attempt or
+  // round counter is a no-op. ---
+
+  /// Register or update an agent (keyed by first_id; the latest wins).
+  void put_agent(const Agent& a);
+  /// Open round `t`. A no-op returning false unless `t` > tick.
+  bool start_round(std::uint32_t t);
+  /// Append the reports of open round `t` whose ids lie in [1, devices]
+  /// and are not yet covered; returns how many it appended.
+  std::size_t accept_reports(std::uint32_t t,
+                             const sap::DeviceReport* reports, std::size_t n);
+  /// Raise open round `t`'s re-poll attempt to `attempt`.
+  void note_repoll(std::uint32_t t, std::uint32_t attempt);
+  /// Close open round `t`, raising rounds_done to `done`.
+  void close_round(std::uint32_t t, std::uint32_t done);
+
+  /// Decode one WAL record and apply its transition. Malformed payloads
+  /// are ignored (counted nowhere: the CRC layer already vouched for
+  /// them, so this only guards against version drift).
   void apply(std::uint8_t kind, BytesView payload, std::size_t token_size);
 
   /// Canonical encoding (agents by first_id, reports by device id) —
   /// the snapshot payload and the digest preimage.
   Bytes encode(std::size_t token_size) const;
+  /// nullopt for a malformed payload, including an open round whose
+  /// coverage bitmap and report list disagree.
   static std::optional<VerifierState> decode(BytesView payload,
                                              std::size_t token_size);
 

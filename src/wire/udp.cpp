@@ -13,6 +13,8 @@
 #include <stdexcept>
 #include <system_error>
 
+#include "obs/metrics.hpp"
+
 namespace cra::wire {
 
 namespace {
@@ -206,6 +208,20 @@ std::size_t UdpSocket::send_batch(const SendDatagram* msgs, std::size_t n) {
 bool UdpSocket::send_one(const Endpoint& to, BytesView data) {
   const SendDatagram m{to, data};
   return send_batch(&m, 1) == 1;
+}
+
+void mirror_send_errors(const UdpSocket& socket, UdpSocket::Stats& synced,
+                        obs::MetricsRegistry& metrics,
+                        const std::string& prefix) {
+  const UdpSocket::Stats& s = socket.stats();
+  const auto mirror = [&](const char* name, std::uint64_t now,
+                          std::uint64_t before) {
+    if (now > before) metrics.counter(prefix + name).inc(now - before);
+  };
+  mirror(".tx_enobufs", s.enobufs, synced.enobufs);
+  mirror(".tx_emsgsize", s.emsgsize, synced.emsgsize);
+  mirror(".tx_econnrefused", s.econnrefused, synced.econnrefused);
+  synced = s;
 }
 
 }  // namespace cra::wire

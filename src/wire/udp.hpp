@@ -29,6 +29,10 @@
 
 #include "common/bytes.hpp"
 
+namespace cra::obs {
+class MetricsRegistry;
+}  // namespace cra::obs
+
 namespace cra::wire {
 
 /// IPv4 endpoint. The wire layer is deliberately v4-only: every
@@ -120,5 +124,12 @@ class UdpSocket {
   Bytes recv_pool_;
   Stats stats_;
 };
+
+/// Add the send errors `socket` tallied since `synced` to the
+/// `<prefix>.tx_enobufs`, `.tx_emsgsize` and `.tx_econnrefused`
+/// counters (each registered only once nonzero), then advance `synced`.
+void mirror_send_errors(const UdpSocket& socket, UdpSocket::Stats& synced,
+                        obs::MetricsRegistry& metrics,
+                        const std::string& prefix);
 
 }  // namespace cra::wire

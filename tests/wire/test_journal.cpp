@@ -15,9 +15,15 @@
 #include <vector>
 
 #include "wire/journal.hpp"
+#include "journal_samples.hpp"
 
 namespace cra::wire {
 namespace {
+
+using samples::kTok;
+using samples::Record;
+using samples::replay_stream;
+using samples::sample_stream;
 
 class JournalTest : public ::testing::Test {
  protected:
@@ -62,8 +68,6 @@ class JournalTest : public ::testing::Test {
   std::string dir_;
   std::vector<std::string> files_;
 };
-
-using Record = std::pair<std::uint8_t, Bytes>;
 
 std::vector<Record> replay_all(const std::string& p,
                                Journal::OpenStats* stats = nullptr) {
@@ -226,56 +230,6 @@ TEST_F(JournalTest, MissingTruncatedAndCorruptSnapshotsReadAsAbsent) {
 
 // --- VerifierState replay semantics ---
 
-constexpr std::size_t kTok = 8;
-
-sap::DeviceReport make_report(std::uint32_t id, std::uint32_t tick) {
-  sap::DeviceReport rep;
-  rep.id = id;
-  rep.tick = tick;
-  rep.status = sap::DeviceReportStatus::kEntryOk;
-  rep.token.assign(kTok, static_cast<std::uint8_t>(id * 13 + tick));
-  return rep;
-}
-
-/// The WAL record stream of a small deployment mid-round: two agents,
-/// one closed round, a second round open with partial coverage.
-std::vector<Record> sample_stream() {
-  std::vector<Record> recs;
-  VerifierState::Agent a1{1, 4, 11, 0x0100007Fu, 0x3412};
-  VerifierState::Agent a2{5, 4, 22, 0x0100007Fu, 0x7856};
-  recs.emplace_back(VerifierState::kAgentRecord,
-                    VerifierState::encode_agent(a1));
-  recs.emplace_back(VerifierState::kAgentRecord,
-                    VerifierState::encode_agent(a2));
-  recs.emplace_back(VerifierState::kRoundStart,
-                    VerifierState::encode_round_start(1));
-  std::vector<sap::DeviceReport> r1;
-  for (std::uint32_t id = 1; id <= 8; ++id) r1.push_back(make_report(id, 1));
-  recs.emplace_back(VerifierState::kReports,
-                    VerifierState::encode_reports(1, r1.data(), r1.size(),
-                                                  kTok));
-  recs.emplace_back(VerifierState::kRoundClose,
-                    VerifierState::encode_round_close(1, 1));
-  recs.emplace_back(VerifierState::kRoundStart,
-                    VerifierState::encode_round_start(2));
-  std::vector<sap::DeviceReport> r2;
-  for (std::uint32_t id = 1; id <= 5; ++id) r2.push_back(make_report(id, 2));
-  recs.emplace_back(VerifierState::kReports,
-                    VerifierState::encode_reports(2, r2.data(), r2.size(),
-                                                  kTok));
-  recs.emplace_back(VerifierState::kRepoll,
-                    VerifierState::encode_repoll(2, 1));
-  return recs;
-}
-
-VerifierState replay_stream(const std::vector<Record>& recs,
-                            std::uint32_t devices = 8) {
-  VerifierState st;
-  st.devices = devices;
-  for (const auto& [kind, payload] : recs) st.apply(kind, payload, kTok);
-  return st;
-}
-
 TEST_F(JournalTest, VerifierStateEncodeDecodeDigest) {
   const VerifierState st = replay_stream(sample_stream());
   EXPECT_EQ(st.rounds_done, 1u);
@@ -298,6 +252,34 @@ TEST_F(JournalTest, VerifierStateEncodeDecodeDigest) {
     EXPECT_FALSE(VerifierState::decode(BytesView(enc.data(), cut), kTok)
                      .has_value());
   }
+}
+
+TEST_F(JournalTest, SnapshotWhoseBitmapDisagreesWithItsReportsIsRejected) {
+  // The daemon counts coverage from the report list and re-polls from
+  // the bitmap: a device marked covered without a report would never be
+  // re-polled and would close the round unreachable.
+  const VerifierState st = replay_stream(sample_stream());
+  ASSERT_TRUE(st.round_open);
+  ASSERT_EQ(st.reports.size(), 5u);  // ids 1..5 of 8
+  const Bytes enc = st.encode(kTok);
+  ASSERT_TRUE(VerifierState::decode(enc, kTok).has_value());
+
+  // Canonical layout: 21 fixed bytes, 22 per agent, the bitmap, the
+  // report count, then the reports sorted by id.
+  const std::size_t have_at = 21 + st.agents.size() * 22;
+  const std::size_t reports_at = have_at + st.devices + 4;
+  const std::size_t entry = 9 + kTok;
+  const auto edited = [&](std::size_t at, std::uint8_t value) {
+    Bytes b = enc;
+    b[at] = value;
+    return VerifierState::decode(b, kTok);
+  };
+  EXPECT_FALSE(edited(have_at + 5, 1).has_value());  // 6 covered, no report
+  EXPECT_FALSE(edited(have_at + 2, 0).has_value());  // 3 reported, uncovered
+  EXPECT_FALSE(edited(have_at, 2).has_value());      // neither 0 nor 1
+  EXPECT_FALSE(edited(reports_at + entry, 1).has_value());  // id 1 twice
+  EXPECT_FALSE(edited(reports_at, 9).has_value());   // beyond the swarm
+  EXPECT_FALSE(edited(reports_at, 0).has_value());   // id 0
 }
 
 TEST_F(JournalTest, ReplayTwiceIsIdempotent) {

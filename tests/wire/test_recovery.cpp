@@ -6,6 +6,8 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -262,6 +264,19 @@ TEST_F(RecoveryTest, GracefulShutdownWritesFinalSnapshotAndMetrics) {
   EXPECT_EQ(restarted.rounds_completed(), daemon.rounds_completed());
   // And the metrics JSON export happened.
   EXPECT_EQ(::access((dir_ + "/metrics.json").c_str(), R_OK), 0);
+}
+
+TEST_F(RecoveryTest, MetricsExportEndsInOneNewline) {
+  DaemonConfig cfg = daemon_config("", 1);
+  cfg.metrics_path = dir_ + "/metrics.json";
+  VerifierDaemon daemon(std::move(cfg));
+  daemon.write_snapshot();
+  std::ifstream in(dir_ + "/metrics.json", std::ios::binary);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  ASSERT_GE(text.size(), 2u);
+  EXPECT_EQ(text.back(), '\n');
+  EXPECT_NE(text[text.size() - 2], '\n');
 }
 
 TEST_F(RecoveryTest, AgentEpochPersistsAndBumps) {
