@@ -95,15 +95,16 @@ Bytes Verifier::expected_token(net::NodeId id, std::uint32_t chal) const {
   return Bytes(buf.bytes.begin(), buf.bytes.begin() + buf.len);
 }
 
-Bytes Verifier::expected_result(std::uint32_t chal) const {
+void Verifier::sweep(std::uint32_t chal, Bytes& res_s,
+                     std::uint8_t* table) const {
   // RES_S is a pure fold over independent per-device MACs, so the whole
   // sweep batches through the active crypto backend: a SIMD backend
   // computes `lanes` device tokens per compression sweep, the scalar
   // reference walks them one by one — same tokens, same tally.
-  Bytes acc(config_.token_size(), 0);
   std::uint8_t chal_le[4];
   store_u32le(chal_le, chal);
   const BytesView chal_view(chal_le, 4);
+  const std::size_t token_size = config_.token_size();
   const crypto::Backend& backend = crypto::active_backend();
   constexpr std::size_t kChunk = 256;
   std::array<crypto::MacJob, kChunk> jobs;
@@ -116,9 +117,20 @@ Bytes Verifier::expected_result(std::uint32_t chal) const {
       jobs[i] = {&device_mac(id), expected_[id - 1], chal_view};
     }
     backend.hmac_batch(jobs.data(), n, outs.data());
-    for (std::size_t i = 0; i < n; ++i) xor_inplace(acc, outs[i].view());
+    for (std::size_t i = 0; i < n; ++i) {
+      xor_inplace(res_s, outs[i].view());
+      if (table != nullptr) {
+        std::copy_n(outs[i].bytes.data(), token_size,
+                    table + (base - 1 + i) * token_size);
+      }
+    }
     base += static_cast<net::NodeId>(n);
   }
+}
+
+Bytes Verifier::expected_result(std::uint32_t chal) const {
+  Bytes acc(config_.token_size(), 0);
+  sweep(chal, acc, nullptr);
   return acc;
 }
 
@@ -168,81 +180,89 @@ const char* Verifier::device_status_name(DeviceStatus status) noexcept {
   return "?";
 }
 
-Verifier::Classification Verifier::classify(
-    const std::vector<DeviceReport>& reports, std::uint32_t chal) const {
+void Verifier::Appraisal::begin(std::uint32_t chal) {
+  const Verifier& v = *verifier_;
+  const std::size_t token_size = v.config_.token_size();
+  chal_ = chal;
+  tokens_.resize(static_cast<std::size_t>(v.device_count_) * token_size);
+  res_s_.assign(token_size, 0);
+  v.sweep(chal, res_s_, tokens_.data());
+  status_.assign(v.device_count_, DeviceStatus::kUnreachable);
+}
+
+bool Verifier::Appraisal::matches_table(const DeviceReport& rep) const {
+  const std::size_t token_size = verifier_->config_.token_size();
+  return crypto::ct_equal(
+      rep.token,
+      BytesView(tokens_.data() + (rep.id - 1) * token_size, token_size));
+}
+
+Verifier::DeviceStatus Verifier::Appraisal::judge(const DeviceReport& rep,
+                                                  bool late_valid) const {
+  switch (rep.status) {
+    case DeviceReportStatus::kEntryOk:
+      return matches_table(rep) ? DeviceStatus::kHealthy
+                                : DeviceStatus::kUntrusted;
+    case DeviceReportStatus::kEntryRebooted:
+      return matches_table(rep) ? DeviceStatus::kRebooted
+                                : DeviceStatus::kUntrusted;
+    case DeviceReportStatus::kEntryLate: {
+      // A late joiner attested its *current* tick, which must not
+      // predate the challenge. Valid evidence at a later tick proves
+      // the state but not liveness through the round: rebooted.
+      if (rep.tick < chal_) return DeviceStatus::kUntrusted;
+      const bool valid = rep.tick == chal_ ? matches_table(rep) : late_valid;
+      return valid ? DeviceStatus::kRebooted : DeviceStatus::kUntrusted;
+    }
+    case DeviceReportStatus::kEntryUnreachable:
+      return DeviceStatus::kUnreachable;
+  }
+  // An undefined entry status (only a damaged journal can carry one)
+  // is no evidence either way.
+  return status_[rep.id - 1];
+}
+
+void Verifier::Appraisal::absorb(const DeviceReport* reports, std::size_t n) {
+  const Verifier& v = *verifier_;
+  const auto in_range = [&](const DeviceReport& rep) {
+    return rep.id != 0 && rep.id <= v.device_count_;
+  };
+  const auto on_demand = [&](const DeviceReport& rep) {
+    return rep.status == DeviceReportStatus::kEntryLate && rep.tick > chal_;
+  };
+  // Late entries at a tick after the challenge are the only ones the
+  // table cannot judge: one backend batch covers all of this call's.
+  std::vector<std::array<std::uint8_t, 4>> ticks;  // the jobs' suffixes
+  std::vector<crypto::VerifyJob> jobs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const DeviceReport& rep = reports[i];
+    if (!in_range(rep) || !on_demand(rep)) continue;
+    if (ticks.empty()) ticks.reserve(n);  // keeps the views below valid
+    ticks.push_back(u32le_bytes(rep.tick));
+    jobs.push_back({&v.device_mac(rep.id), v.expected_[rep.id - 1],
+                    BytesView(ticks.back().data(), 4), rep.token});
+  }
+  std::vector<std::uint8_t> late_ok(jobs.size());
+  if (!jobs.empty()) {
+    crypto::active_backend().verify_tokens_batch(jobs.data(), jobs.size(),
+                                                 late_ok.data());
+  }
+  std::size_t late = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const DeviceReport& rep = reports[i];
+    if (!in_range(rep)) continue;
+    const bool computed = on_demand(rep);
+    status_[rep.id - 1] = judge(rep, computed && late_ok[late] != 0);
+    late += computed ? 1 : 0;
+  }
+}
+
+Verifier::Classification Verifier::Appraisal::finish() const {
   Classification out;
   out.enabled = true;
-  out.status.assign(device_count_, DeviceStatus::kUnreachable);
-
-  // Pass 1: assign the verdicts that need no token (unreachable entries
-  // and late joiners whose tick predates the challenge — a stale tick
-  // would let Adv replay a pre-infection token, so those are untrusted
-  // WITHOUT computing the expected token, exactly as the scalar path
-  // short-circuited) and queue one token job per remaining entry.
-  struct PendingToken {
-    std::size_t report_idx;
-    DeviceStatus on_match;  // mismatch is always kUntrusted
-  };
-  std::vector<DeviceStatus> verdict(reports.size());
-  std::vector<bool> has_verdict(reports.size(), false);
-  std::vector<PendingToken> pending;
-  std::vector<std::array<std::uint8_t, 4>> tick_bytes;  // stable storage
-  pending.reserve(reports.size());
-  tick_bytes.reserve(reports.size());
-  for (std::size_t r = 0; r < reports.size(); ++r) {
-    const auto& report = reports[r];
-    if (report.id == 0 || report.id > device_count_) continue;
-    switch (report.status) {
-      case DeviceReportStatus::kEntryOk:
-        pending.push_back({r, DeviceStatus::kHealthy});
-        tick_bytes.push_back(u32le_bytes(chal));
-        break;
-      case DeviceReportStatus::kEntryLate:
-        // A late joiner attested its *current* tick, which must not
-        // predate the challenge. Valid evidence at a later tick proves
-        // the state but not liveness through the round: rebooted.
-        if (report.tick >= chal) {
-          pending.push_back({r, DeviceStatus::kRebooted});
-          tick_bytes.push_back(u32le_bytes(report.tick));
-        } else {
-          verdict[r] = DeviceStatus::kUntrusted;
-          has_verdict[r] = true;
-        }
-        break;
-      case DeviceReportStatus::kEntryRebooted:
-        pending.push_back({r, DeviceStatus::kRebooted});
-        tick_bytes.push_back(u32le_bytes(chal));
-        break;
-      case DeviceReportStatus::kEntryUnreachable:
-        verdict[r] = DeviceStatus::kUnreachable;
-        has_verdict[r] = true;
-        break;
-    }
-  }
-
-  // Pass 2: one backend batch for every token-bearing entry.
-  std::vector<crypto::VerifyJob> jobs(pending.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const auto& report = reports[pending[i].report_idx];
-    jobs[i] = {&device_mac(report.id), expected_[report.id - 1],
-               BytesView(tick_bytes[i].data(), 4), report.token};
-  }
-  std::vector<std::uint8_t> ok(jobs.size());
-  crypto::active_backend().verify_tokens_batch(jobs.data(), jobs.size(),
-                                               ok.data());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    verdict[pending[i].report_idx] =
-        ok[i] ? pending[i].on_match : DeviceStatus::kUntrusted;
-    has_verdict[pending[i].report_idx] = true;
-  }
-
-  // Apply in report order so a later entry for the same device still
-  // overwrites an earlier one, as the serial loop did.
-  for (std::size_t r = 0; r < reports.size(); ++r) {
-    if (has_verdict[r]) out.status[reports[r].id - 1] = verdict[r];
-  }
-  for (net::NodeId id = 1; id <= device_count_; ++id) {
-    switch (out.status[id - 1]) {
+  out.status = status_;
+  for (net::NodeId id = 1; id <= status_.size(); ++id) {
+    switch (status_[id - 1]) {
       case DeviceStatus::kHealthy: ++out.healthy; break;
       case DeviceStatus::kUnreachable:
         ++out.unreachable;
@@ -259,6 +279,14 @@ Verifier::Classification Verifier::classify(
     }
   }
   return out;
+}
+
+Verifier::Classification Verifier::classify(
+    const std::vector<DeviceReport>& reports, std::uint32_t chal) const {
+  Appraisal appraisal(*this);
+  appraisal.begin(chal);
+  appraisal.absorb(reports.data(), reports.size());
+  return appraisal.finish();
 }
 
 }  // namespace cra::sap

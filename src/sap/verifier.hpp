@@ -9,7 +9,12 @@
 //   verify(H_S) = [H_S == RES_S]
 //
 // Report verification is offline (excluded from T_CA): Vrf can precompute
-// RES_S for the chosen chal before the report returns.
+// RES_S for the chosen chal before the report returns. Appraisal does
+// exactly that: begin(chal) sweeps every res_i into a flat table and
+// folds RES_S, absorb() judges report entries against the table as
+// they arrive, and finish() returns the per-device census. classify()
+// is that path run on a whole report, so a live verifier that appraises
+// frame by frame and the simulator's one-shot verdict share one rule.
 //
 // Keys: K_{mi,Vrf} = HKDF(master, "sap-device-key" || i). Equivalent to
 // independently random keys under the PRF assumption, and it keeps Vrf's
@@ -120,14 +125,51 @@ class Verifier {
     }
   };
 
-  /// Classify every device from an extended-identify report under the
-  /// round challenge `chal`:
+  /// One round's appraisal of extended-identify report entries under
+  /// the round challenge. Entries are judged in order, and a later entry
+  /// for a device overwrites an earlier one:
+  ///   id 0 or above N   -> skipped
   ///   kEntryOk          -> token matches res_i(chal) ? healthy : untrusted
   ///   kEntryLate        -> tick >= chal and token valid at entry.tick
-  ///                        ? rebooted : untrusted
+  ///                        ? rebooted : untrusted; a tick before chal is
+  ///                        untrusted with no token computed (a stale tick
+  ///                        would let Adv replay a pre-infection token)
   ///   kEntryRebooted    -> token valid at chal ? rebooted : untrusted
   ///   kEntryUnreachable -> unreachable (no evidence)
   ///   no entry at all   -> unreachable
+  /// Buffers are kept from round to round.
+  class Appraisal {
+   public:
+    explicit Appraisal(const Verifier& verifier) : verifier_(&verifier) {}
+
+    /// Open a round: compute every device's res_i(chal) into the token
+    /// table in one chunked batch sweep, folding RES_S as it goes.
+    void begin(std::uint32_t chal);
+    /// Judge `n` entries against the table. Late entries at a tick after
+    /// the challenge are computed on demand, in one batch per call.
+    void absorb(const DeviceReport* reports, std::size_t n);
+    /// The census so far; devices never heard from are unreachable.
+    Classification finish() const;
+
+    /// RES_S for the round's challenge, folded by begin().
+    BytesView expected_result() const noexcept { return res_s_; }
+
+   private:
+    /// The verdict rule: the status one entry gives its device.
+    /// `late_valid` is the on-demand check of a kEntryLate token at a
+    /// tick after the challenge.
+    DeviceStatus judge(const DeviceReport& rep, bool late_valid) const;
+    bool matches_table(const DeviceReport& rep) const;
+
+    const Verifier* verifier_;
+    std::uint32_t chal_ = 0;
+    Bytes tokens_;  // res_i(chal) at (id-1) * token_size
+    Bytes res_s_;
+    std::vector<DeviceStatus> status_;  // index id-1
+  };
+
+  /// Classify every device from one whole extended-identify report:
+  /// an Appraisal's begin, one absorb, and finish.
   Classification classify(const std::vector<DeviceReport>& reports,
                           std::uint32_t chal) const;
 
@@ -135,6 +177,10 @@ class Verifier {
 
  private:
   void check_id(net::NodeId id) const;
+  /// res_i(chal) for every device, in chunks through the active
+  /// backend's hmac_batch: XORed into `res_s`, and also written to
+  /// `table` at (id-1) * token_size unless it is null.
+  void sweep(std::uint32_t chal, Bytes& res_s, std::uint8_t* table) const;
 
   SapConfig config_;
   std::uint32_t device_count_;

@@ -7,7 +7,9 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "crypto/ct.hpp"
 #include "crypto/kdf.hpp"
+#include "obs/trace.hpp"
 #include "sap/messages.hpp"
 
 namespace cra::wire {
@@ -215,7 +217,7 @@ void VerifierDaemon::handle_tokens(const Frame& frame) {
     metrics_.counter("wire.daemon.stale_tokens").inc();
     return;
   }
-  const auto reports =
+  auto reports =
       sap::decode_identify_ex(frame.payload, verifier_.config().token_size());
   if (!reports.has_value()) {
     metrics_.counter("wire.daemon.decode_errors").inc();
@@ -231,10 +233,12 @@ void VerifierDaemon::handle_tokens(const Frame& frame) {
   }
   const std::size_t added =
       state_.accept_reports(state_.tick, reports->data(), reports->size());
+  // accept_reports dropped covered ids, so each device is judged once.
+  const sap::DeviceReport* appended =
+      state_.reports.data() + (state_.reports.size() - added);
+  appraisal_.absorb(appended, added);
   if (journaling_ && added > 0) {
     // No sync: a lost unsynced report tail just re-polls on restart.
-    const sap::DeviceReport* appended =
-        state_.reports.data() + (state_.reports.size() - added);
     journal_append(VerifierState::kReports,
                    VerifierState::encode_reports(
                        state_.tick, appended, added,
@@ -353,6 +357,9 @@ void VerifierDaemon::start_round() {
                    /*sync=*/true);
   }
   send_chal({});
+  // The agents hash for a while before the first token frame lands:
+  // the expected-token sweep fills that window.
+  begin_appraisal();
   arm_repoll();
 }
 
@@ -362,12 +369,20 @@ void VerifierDaemon::resume_round() {
   // the crashed process left it, re-challenging only the missing set.
   round_start_ns_ = loop_.now_ns();
   metrics_.counter("wire.daemon.rounds_resumed").inc();
+  // The replayed reports were never judged by this process.
+  begin_appraisal();
+  appraisal_.absorb(state_.reports.data(), state_.reports.size());
   if (state_.reports.size() >= config_.devices) {
     finish_round();
     return;
   }
   send_chal(missing_ranges());
   arm_repoll();
+}
+
+void VerifierDaemon::begin_appraisal() {
+  obs::Span span("wire.daemon.expected_sweep");
+  appraisal_.begin(state_.tick);
 }
 
 void VerifierDaemon::finish_round() {
@@ -395,7 +410,7 @@ void VerifierDaemon::finish_round() {
         xor_inplace(acc, rep.token);
       }
       metrics_
-          .counter(verifier_.verify(acc, state_.tick)
+          .counter(crypto::ct_equal(acc, appraisal_.expected_result())
                        ? "wire.daemon.rounds_verified"
                        : "wire.daemon.rounds_failed")
           .inc();
@@ -403,7 +418,7 @@ void VerifierDaemon::finish_round() {
       metrics_.counter("wire.daemon.rounds_incomplete").inc();
     }
   } else {
-    const auto verdict = verifier_.classify(state_.reports, state_.tick);
+    const auto verdict = appraisal_.finish();
     metrics_.counter("wire.daemon.devices_healthy").inc(verdict.healthy);
     metrics_.counter("wire.daemon.devices_untrusted").inc(verdict.untrusted);
     metrics_.counter("wire.daemon.devices_unreachable")

@@ -5,12 +5,16 @@
 // each registered agent, collects identify-ex token frames, re-polls
 // stragglers on the AdaptiveTimeoutConfig backoff ladder (now in wall
 // time instead of simulated ticks — the same 25 ms × 2 up to 200 ms
-// defaults), and closes the round through sap::Verifier:
+// defaults), and appraises the round through a sap::Verifier::Appraisal
+// while it runs: right after the challenge frames leave, while the
+// agents hash, it sweeps every device's expected token for the tick;
+// each token frame's accepted entries are then judged on arrival by a
+// compare against that table. Closing a round is only a tally:
 //
-//   * kIdentify mode: classify() yields the degraded-mode census
-//     (healthy / untrusted / unreachable / rebooted) per round;
+//   * kIdentify mode: the appraisal's finish() yields the degraded-mode
+//     census (healthy / untrusted / unreachable / rebooted) per round;
 //   * kBinary mode: the XOR-fold of all received tokens is compared
-//     against expected_result(tick) — one bit per round, the paper's
+//     against the appraisal's RES_S — one bit per round, the paper's
 //     TCA-Model outcome.
 //
 // Re-polls carry want-ranges, so a straggling agent re-sends only the
@@ -110,6 +114,8 @@ class VerifierDaemon {
   void handle_tokens(const Frame& frame);
   void start_round();
   void resume_round();
+  /// Sweep the open round's expected tokens (wire.daemon.expected_sweep).
+  void begin_appraisal();
   void send_chal(const std::vector<WantRange>& want);
   void finish_round();
   void arm_repoll();
@@ -123,6 +129,7 @@ class VerifierDaemon {
 
   DaemonConfig config_;
   sap::Verifier verifier_;
+  sap::Verifier::Appraisal appraisal_{verifier_};  // of the open round
   UdpSocket socket_;
   EventLoop loop_;
   obs::MetricsRegistry metrics_;

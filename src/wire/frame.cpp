@@ -70,6 +70,8 @@ std::optional<Frame> decode_frame(BytesView datagram) noexcept {
     return std::nullopt;
   }
   const std::size_t payload_len = load_u16le(p + 18);
+  // The receive buffer holds more than kMaxDatagram; no encoder does.
+  if (payload_len > kMaxPayload) return std::nullopt;
   if (datagram.size() != kFrameHeaderSize + payload_len) return std::nullopt;
   Frame f;
   f.header.kind = static_cast<FrameKind>(kind);

@@ -72,7 +72,8 @@ std::size_t encode_frame_into(const FrameHeader& header, BytesView payload,
 
 /// Parse one datagram. Returns nullopt for anything malformed: short
 /// buffer, wrong magic/version, unknown kind, payload_len disagreeing
-/// with the datagram size. The returned payload view aliases `datagram`.
+/// with the datagram size or over kMaxPayload. The returned payload
+/// view aliases `datagram`.
 std::optional<Frame> decode_frame(BytesView datagram) noexcept;
 
 /// kHello / kHelloAck payload: the contiguous device-id range an agent

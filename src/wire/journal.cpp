@@ -366,16 +366,16 @@ bool VerifierState::start_round(std::uint32_t t) {
 }
 
 std::size_t VerifierState::accept_reports(std::uint32_t t,
-                                          const sap::DeviceReport* reps,
+                                          sap::DeviceReport* reps,
                                           std::size_t n) {
   if (!round_open || t != tick) return 0;
   const std::size_t before = reports.size();
   for (std::size_t i = 0; i < n; ++i) {
-    const sap::DeviceReport& rep = reps[i];
+    sap::DeviceReport& rep = reps[i];
     if (rep.id == 0 || rep.id > devices) continue;
     if (have[rep.id - 1] != 0) continue;  // re-poll or replay duplicate
     have[rep.id - 1] = 1;
-    reports.push_back(rep);
+    reports.push_back(std::move(rep));
   }
   return reports.size() - before;
 }

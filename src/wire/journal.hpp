@@ -163,10 +163,11 @@ struct VerifierState {
   void put_agent(const Agent& a);
   /// Open round `t`. A no-op returning false unless `t` > tick.
   bool start_round(std::uint32_t t);
-  /// Append the reports of open round `t` whose ids lie in [1, devices]
-  /// and are not yet covered; returns how many it appended.
-  std::size_t accept_reports(std::uint32_t t,
-                             const sap::DeviceReport* reports, std::size_t n);
+  /// Move the reports of open round `t` whose ids lie in [1, devices]
+  /// and are not yet covered to the end of `reports`; returns how many
+  /// it appended. Entries it skips are left as they were.
+  std::size_t accept_reports(std::uint32_t t, sap::DeviceReport* reports,
+                             std::size_t n);
   /// Raise open round `t`'s re-poll attempt to `attempt`.
   void note_repoll(std::uint32_t t, std::uint32_t attempt);
   /// Close open round `t`, raising rounds_done to `done`.

@@ -262,10 +262,15 @@ TEST(EventLoop, NowNsIsMonotonicAcrossCallbacks) {
   EventLoop loop;
   std::uint64_t first = 0;
   std::uint64_t second = 0;
-  loop.schedule_after(1'000'000, [&] { first = loop.now_ns(); });
-  loop.schedule_after(8'000'000, [&] {
-    second = loop.now_ns();
-    loop.stop();
+  // The second timer is armed from the first one's callback, so it is
+  // due after this iteration's now and fires in a later iteration, even
+  // when a stalled loop thread finds both delays elapsed at once.
+  loop.schedule_after(1'000'000, [&] {
+    first = loop.now_ns();
+    loop.schedule_after(7'000'000, [&] {
+      second = loop.now_ns();
+      loop.stop();
+    });
   });
   loop.run();
   ASSERT_NE(first, 0u);

@@ -72,6 +72,15 @@ TEST(Frame, RejectsOversizedPayload) {
   EXPECT_NO_THROW(encode_frame(h, some_payload(kMaxPayload)));
   EXPECT_THROW(encode_frame(h, some_payload(kMaxPayload + 1)),
                std::length_error);
+  // The decoder holds the same cap, even for a datagram whose length
+  // field agrees with its size.
+  Bytes wire = encode_frame(h, some_payload(kMaxPayload));
+  ASSERT_TRUE(decode_frame(wire).has_value());
+  wire.push_back(0);
+  wire[kFrameHeaderSize - 2] = static_cast<std::uint8_t>(kMaxPayload + 1);
+  wire[kFrameHeaderSize - 1] =
+      static_cast<std::uint8_t>((kMaxPayload + 1) >> 8);
+  EXPECT_FALSE(decode_frame(wire).has_value());
 }
 
 TEST(Frame, RejectsTruncatedDatagrams) {

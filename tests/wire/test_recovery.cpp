@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "sap/messages.hpp"
 #include "wire/agent.hpp"
 #include "wire/daemon.hpp"
 #include "wire/journal.hpp"
@@ -208,6 +209,53 @@ TEST_F(RecoveryTest, MidRoundJournalResumesSameRoundWithLiveAgents) {
             1u);
   EXPECT_EQ(daemon.metrics().counter_value("wire.daemon.devices_untrusted"),
             0u);
+}
+
+TEST_F(RecoveryTest, MidRoundJournalJudgesItsReplayedReports) {
+  // As above, but the killed verifier had already accepted the tokens of
+  // devices 1..10 for round 1, device 5's forged. The resumed round
+  // re-polls only the missing ranges, so the forged entry stays device
+  // 5's evidence: the replayed reports must be judged, not left to read
+  // as unreachable.
+  const std::size_t token_size = crypto::digest_size(crypto::HashAlg::kSha1);
+  AgentConfig acfg;
+  acfg.first_id = 1;
+  acfg.count = 10;
+  acfg.master = to_bytes(kMaster);
+  AgentCore core(acfg);
+  const std::vector<Bytes> payloads = core.token_payloads(1, {});
+  ASSERT_EQ(payloads.size(), 1u);
+  auto reports = sap::decode_identify_ex(payloads.front(), token_size);
+  ASSERT_TRUE(reports.has_value());
+  ASSERT_EQ(reports->size(), 10u);
+  (*reports)[4].token[0] ^= 0xff;
+  {
+    Journal j = Journal::open(journal() + ".wal", {});
+    VerifierState::Agent a;
+    a.first_id = 1;
+    a.count = kDevices;
+    a.epoch = 7;
+    a.ip = 0x0100007Fu;
+    a.port = 0xFFFF;
+    j.append(VerifierState::kAgentRecord, VerifierState::encode_agent(a));
+    j.append(VerifierState::kRoundStart,
+             VerifierState::encode_round_start(1));
+    j.append(VerifierState::kReports,
+             VerifierState::encode_reports(1, reports->data(),
+                                           reports->size(), token_size));
+    j.append(VerifierState::kRepoll, VerifierState::encode_repoll(1, 1));
+    j.sync();
+  }
+  VerifierDaemon daemon(daemon_config(journal(), 2));
+  ASSERT_TRUE(daemon.recovered());
+  run_with_agent(daemon);
+  EXPECT_EQ(daemon.rounds_completed(), 2u);
+  EXPECT_EQ(daemon.metrics().counter_value("wire.daemon.rounds_resumed"),
+            1u);
+  EXPECT_EQ(daemon.metrics().counter_value("wire.daemon.devices_untrusted"),
+            1u);
+  EXPECT_EQ(
+      daemon.metrics().counter_value("wire.daemon.devices_unreachable"), 0u);
 }
 
 TEST_F(RecoveryTest, RecoveredDigestMatchesIndependentReplay) {
