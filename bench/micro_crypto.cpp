@@ -217,6 +217,15 @@ void BM_X25519SharedSecret(benchmark::State& state) {
 }
 BENCHMARK(BM_X25519SharedSecret);
 
+void BM_X25519Keygen(benchmark::State& state) {
+  // One join-phase keypair: x25519_base's fixed-base comb.
+  const Bytes sk = make_input(32);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crypto::x25519_base(sk));
+  }
+}
+BENCHMARK(BM_X25519Keygen);
+
 void BM_DeriveDeviceKey(benchmark::State& state) {
   const Bytes master = make_input(32);
   std::uint32_t id = 0;

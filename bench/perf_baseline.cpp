@@ -6,7 +6,8 @@
 //      (20-byte PMEM digest + 4-byte challenge), one-shot vs the
 //      midstate-cached PrecomputedMac path.
 //   2. The same MAC pushed through the Backend batch API on the scalar
-//      reference and on the active backend, in alternating chunks.
+//      reference and on the active backend, in alternating chunks; then
+//      X25519 keygen on the ladder and on the comb, the same way.
 //   3. A two-round SAP attestation at a fixed swarm size on one shard,
 //      the serial event loop; round 2 runs with a warm payload pool.
 //   4. The same SAP workload on 8 shards at four placements.
@@ -16,9 +17,11 @@
 // hit/miss tallies, wire bytes) and are asserted byte-for-byte by the CI
 // perf-smoke job against the committed BENCH_perf.json — a change here
 // means the hot path did more or less *work*, not that the machine was
-// slow. The one gauge, wall.hmac_batch_simd_speedup_x100, is the median
-// active-backend over scalar batch speedup; it is a ratio of two timings
-// on the same host, so CI can put a floor under it.
+// slow. The two gauges are ratios of two timings on the same host, so CI
+// can put a floor under them: wall.hmac_batch_simd_speedup_x100 is the
+// median active-backend over scalar batch speedup, and
+// wall.x25519_base_speedup_x100 the median speedup of x25519_base's
+// fixed-base comb over the Montgomery ladder at u = 9.
 //
 // stdout carries the deterministic counter table; the speedup line goes
 // to stderr, matching the house bench convention.
@@ -34,6 +37,7 @@
 #include "crypto/hmac.hpp"
 #include "crypto/mac_cache.hpp"
 #include "crypto/tally.hpp"
+#include "crypto/x25519.hpp"
 #include "sap/swarm.hpp"
 #include "sim/parallel.hpp"
 #include "sim/process_group.hpp"
@@ -47,6 +51,14 @@ constexpr std::size_t kBatchJobs = 512;  // distinct per-device keys
 // of kChunkPasses, so both backends see the same host conditions.
 constexpr int kSpeedupChunks = 8;
 constexpr std::uint64_t kChunkPasses = 50;
+constexpr std::size_t kKeygenScalars = 64;  // X25519 calls per chunk
+
+/// The median of the per-chunk speedups.
+double median_speedup(std::vector<double> speedups) {
+  std::sort(speedups.begin(), speedups.end());
+  const std::size_t n = speedups.size();
+  return (speedups[n / 2 - 1] + speedups[n / 2]) / 2;
+}
 
 }  // namespace
 
@@ -139,9 +151,7 @@ int main(int argc, char** argv) {
     const double active_sec = chunk(lanesN, lanesN_comp);
     speedups.push_back(active_sec > 0.0 ? scalar_sec / active_sec : 0.0);
   }
-  std::sort(speedups.begin(), speedups.end());
-  const double speedup =
-      (speedups[kSpeedupChunks / 2 - 1] + speedups[kSpeedupChunks / 2]) / 2;
+  const double speedup = median_speedup(speedups);
 
   const std::uint64_t batch_total =
       kBatchJobs * kChunkPasses * kSpeedupChunks;
@@ -156,6 +166,41 @@ int main(int argc, char** argv) {
                lanesN.name(), lanesN.lanes(crypto::HashAlg::kSha1),
                lanes1.name(), speedup, kSpeedupChunks,
                static_cast<unsigned long long>(kChunkPasses));
+
+  // ---- Workload 1c: X25519 keygen, ladder vs fixed-base comb ----
+  // x25519(k, 9) and x25519_base(k) return the same public key; the
+  // ladder is the reference. Neither touches the compression tally, so
+  // this workload adds only the gauge. The first comb call, which builds
+  // its table, is outside the timed chunks.
+  std::vector<crypto::X25519Key> scalars(kKeygenScalars);
+  for (std::size_t i = 0; i < kKeygenScalars; ++i) {
+    for (std::size_t b = 0; b < crypto::kX25519KeySize; ++b) {
+      scalars[i][b] = static_cast<std::uint8_t>(i * 131 + b * 17 + 1);
+    }
+  }
+  crypto::X25519Key nine{};
+  nine[0] = 9;
+  (void)crypto::x25519_base(scalars[0]);
+  auto keygen_chunk = [&](bool comb) {
+    const benchargs::WallTimer wall;
+    for (const crypto::X25519Key& k : scalars) {
+      (void)(comb ? crypto::x25519_base(k) : crypto::x25519(k, nine));
+    }
+    return wall.sec();
+  };
+  std::vector<double> keygen_speedups;
+  for (int c = 0; c < kSpeedupChunks; ++c) {
+    const double ladder_sec = keygen_chunk(false);
+    const double comb_sec = keygen_chunk(true);
+    keygen_speedups.push_back(comb_sec > 0.0 ? ladder_sec / comb_sec : 0.0);
+  }
+  const double keygen_speedup = median_speedup(keygen_speedups);
+  reg.gauge("wall.x25519_base_speedup_x100")
+      .set(static_cast<std::int64_t>(keygen_speedup * 100.0));
+  std::fprintf(stderr,
+               "wall: x25519_base comb over the u=9 ladder: median speedup "
+               "x%.2f (%d alternating chunks of %zu keys)\n",
+               keygen_speedup, kSpeedupChunks, kKeygenScalars);
 
   // ---- Workload 2: SAP rounds on one shard ----
   // Two rounds: round 1 populates the payload freelist, round 2 is the

@@ -7,9 +7,19 @@
 // and the pairwise MAC key is HKDF of that secret.
 //
 // Implementation: 5×51-bit limb field arithmetic over 2^255 − 19 with
-// 128-bit intermediate products, constant-time conditional swaps, and
-// the RFC 7748 Montgomery ladder. Verified against the RFC test vectors
-// (including the 1,000-iteration vector) in tests/crypto/test_x25519.cpp.
+// 128-bit intermediate products, a dedicated squaring, and two paths:
+//   * x25519(k, u) runs the RFC 7748 Montgomery ladder with
+//     constant-time conditional swaps;
+//   * x25519_base(k) computes [k]B on the birationally equivalent
+//     edwards25519 with ref10's signed radix-16 fixed-base comb (64
+//     mixed additions and 4 doublings over a 32×8 table of affine
+//     points built once, on first use, and read through constant-time
+//     masked selects), then maps the point to u = (Z + Y)/(Z − Y).
+// Both clamp the scalar and return the same bytes for the base point:
+// X25519.BaseMatchesLadderOnSeededScalars in
+// tests/crypto/test_x25519.cpp checks x25519_base(k) == x25519(k, 9)
+// on 10⁴ seeded scalars and on edge scalars, beside the RFC test
+// vectors (including the 1,000-iteration vector).
 #pragma once
 
 #include <array>
@@ -27,6 +37,7 @@ using X25519Key = std::array<std::uint8_t, kX25519KeySize>;
 X25519Key x25519(const X25519Key& scalar, const X25519Key& u);
 
 /// scalar * base point (u = 9): derive the public key for a private key.
+/// Equal to x25519(scalar, 9), by the fixed-base comb.
 X25519Key x25519_base(const X25519Key& scalar);
 
 /// Convenience over Bytes (must be exactly 32 bytes; throws otherwise).

@@ -73,7 +73,7 @@ const crypto::PrecomputedMac& Verifier::device_mac(net::NodeId id) const {
   return cache;
 }
 
-void Verifier::provision(std::span<const net::NodeId> ids) {
+void Verifier::provision(std::span<const net::NodeId> ids) const {
   for (const net::NodeId id : ids) check_id(id);
   kdf_.device_keys(ids, config_.token_size(), crypto::kDeviceKeyLabel,
                    [this](net::NodeId id, BytesView key) {
@@ -109,9 +109,18 @@ void Verifier::sweep(std::uint32_t chal, Bytes& res_s,
   constexpr std::size_t kChunk = 256;
   std::array<crypto::MacJob, kChunk> jobs;
   std::array<crypto::MacBuf, kChunk> outs;
+  std::array<net::NodeId, kChunk> cold;
   for (net::NodeId base = 1; base <= device_count_;) {
     const std::size_t n = std::min<std::size_t>(
         kChunk, static_cast<std::size_t>(device_count_ - base) + 1);
+    // A fresh verifier's first sweep derives the chunk's keys in one
+    // batch, as provisioning does, not one HKDF per device_mac call.
+    std::size_t n_cold = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const net::NodeId id = base + static_cast<net::NodeId>(i);
+      if (!mac_cache_[id - 1].ready()) cold[n_cold++] = id;
+    }
+    if (n_cold != 0) provision(std::span(cold.data(), n_cold));
     for (std::size_t i = 0; i < n; ++i) {
       const net::NodeId id = base + static_cast<net::NodeId>(i);
       jobs[i] = {&device_mac(id), expected_[id - 1], chal_view};

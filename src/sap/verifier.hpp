@@ -52,9 +52,10 @@ class Verifier {
   /// simulated device, so each key is derived once per swarm.
   const crypto::PrecomputedMac& device_mac(net::NodeId id) const;
   /// Derive the keys of `ids` in one batch and cache their midstates, as
-  /// device_mac's first use would. Distinct threads may provision
-  /// disjoint id sets at once.
-  void provision(std::span<const net::NodeId> ids);
+  /// device_mac's first use would; a sweep does this for each chunk's
+  /// ids not yet cached. Distinct threads may provision disjoint id sets
+  /// at once.
+  void provision(std::span<const net::NodeId> ids) const;
 
   /// Group key authenticating Vrf's requests (§VIII DoS mitigation);
   /// empty when the feature is disabled.

@@ -291,8 +291,16 @@ std::optional<VerifierState::Agent> parse_agent(BytesView data,
   return a;
 }
 
-sap::DeviceReport parse_report(BytesView data, std::size_t off,
-                               std::size_t token_size) {
+/// The report entry at `off` (caller-checked length); nullopt for a
+/// status byte no DeviceReportStatus defines, which decode_identify_ex
+/// rejects too.
+std::optional<sap::DeviceReport> parse_report(BytesView data,
+                                              std::size_t off,
+                                              std::size_t token_size) {
+  if (data[off + 4] >
+      static_cast<std::uint8_t>(sap::DeviceReportStatus::kEntryRebooted)) {
+    return std::nullopt;
+  }
   sap::DeviceReport rep;
   rep.id = read_u32le(data, off);
   rep.status = static_cast<sap::DeviceReportStatus>(data[off + 4]);
@@ -413,7 +421,9 @@ void VerifierState::apply(std::uint8_t kind, BytesView payload,
       std::vector<sap::DeviceReport> reps;
       reps.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) {
-        reps.push_back(parse_report(payload, 8 + i * entry, token_size));
+        auto rep = parse_report(payload, 8 + i * entry, token_size);
+        if (!rep.has_value()) return;  // the whole record, as a frame
+        reps.push_back(std::move(*rep));
       }
       (void)accept_reports(read_u32le(payload, 0), reps.data(), reps.size());
       return;
@@ -499,13 +509,14 @@ std::optional<VerifierState> VerifierState::decode(BytesView payload,
     // daemon counts coverage from the list and re-polls from the bitmap.
     std::vector<std::uint8_t> unmatched = st.have;
     for (std::uint32_t i = 0; i < n_reports; ++i) {
-      st.reports.push_back(parse_report(payload, off, token_size));
+      auto rep = parse_report(payload, off, token_size);
       off += entry;
-      const std::uint32_t id = st.reports.back().id;
-      if (id == 0 || id > st.devices || unmatched[id - 1] != 1) {
+      if (!rep.has_value() || rep->id == 0 || rep->id > st.devices ||
+          unmatched[rep->id - 1] != 1) {
         return std::nullopt;
       }
-      unmatched[id - 1] = 0;
+      unmatched[rep->id - 1] = 0;
+      st.reports.push_back(std::move(*rep));
     }
     if (std::any_of(unmatched.begin(), unmatched.end(),
                     [](std::uint8_t h) { return h != 0; })) {

@@ -1,7 +1,12 @@
-// X25519 against the RFC 7748 test vectors and DH properties.
+// X25519 against the RFC 7748 test vectors and DH properties, and the
+// fixed-base comb in x25519_base against the Montgomery ladder.
 #include "crypto/x25519.hpp"
 
 #include <gtest/gtest.h>
+
+#include <latch>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 
@@ -96,6 +101,89 @@ TEST(X25519, HighBitOfUCoordinateIgnored) {
   Bytes u_highbit = u;
   u_highbit[31] = static_cast<std::uint8_t>(u_highbit[31] | 0x80);
   EXPECT_EQ(x25519(sk, u), x25519(sk, u_highbit));
+}
+
+X25519Key ladder_base(const X25519Key& k) {
+  X25519Key nine{};
+  nine[0] = 9;
+  return x25519(k, nine);
+}
+
+X25519Key random_scalar(Rng& rng) {
+  X25519Key k;
+  for (std::size_t w = 0; w < 4; ++w) {
+    const std::uint64_t v = rng.next();
+    for (std::size_t b = 0; b < 8; ++b) {
+      k[8 * w + b] = static_cast<std::uint8_t>(v >> (8 * b));
+    }
+  }
+  return k;
+}
+
+TEST(X25519, BaseMatchesLadderOnSeededScalars) {
+  std::vector<X25519Key> scalars;
+  scalars.push_back(X25519Key{});  // all zero
+  X25519Key ones;
+  ones.fill(0xff);
+  scalars.push_back(ones);
+  for (std::size_t bit = 0; bit < 256; ++bit) {
+    X25519Key k{};
+    k[bit / 8] = static_cast<std::uint8_t>(1u << (bit % 8));
+    scalars.push_back(k);
+  }
+  // Nibbles of 8, or of 7 after a carry, make every signed radix-16
+  // digit carry into the next, up to a top digit of 8.
+  for (const std::uint8_t first : {0x77, 0x78, 0x87, 0x88}) {
+    for (const std::uint8_t rest : {0x77, 0x88}) {
+      X25519Key k;
+      k.fill(rest);
+      k[0] = first;
+      scalars.push_back(k);
+    }
+  }
+  Rng rng(7748);
+  for (int i = 0; i < 10'000; ++i) scalars.push_back(random_scalar(rng));
+  for (const X25519Key& k : scalars) {
+    ASSERT_EQ(x25519_base(k), ladder_base(k))
+        << "scalar " << to_hex(BytesView(k.data(), k.size()));
+  }
+}
+
+TEST(X25519, ConcurrentCallsMatchSerial) {
+  // Run on its own, as ctest and the TSan job run it, the threads make
+  // the process's first x25519_base calls and race to build the comb
+  // table.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = 256;
+  struct Result {
+    X25519Key scalar, pub, shared;
+  };
+  std::vector<std::vector<Result>> results(kThreads);
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      Rng rng(100 + t);
+      const X25519Key peer = ladder_base(random_scalar(rng));
+      start.arrive_and_wait();
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        const X25519Key k = random_scalar(rng);
+        results[t].push_back({k, x25519_base(k), x25519(k, peer)});
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    Rng rng(100 + t);
+    const X25519Key peer = ladder_base(random_scalar(rng));
+    ASSERT_EQ(results[t].size(), kPerThread);
+    for (const Result& r : results[t]) {
+      ASSERT_EQ(r.scalar, random_scalar(rng));
+      EXPECT_EQ(r.pub, x25519_base(r.scalar)) << "thread " << t;
+      EXPECT_EQ(r.pub, ladder_base(r.scalar)) << "thread " << t;
+      EXPECT_EQ(r.shared, x25519(r.scalar, peer)) << "thread " << t;
+    }
+  }
 }
 
 }  // namespace

@@ -264,5 +264,49 @@ TEST(Appraisal, BeginDoesTheWorkOfExpectedResult) {
             res_s);
 }
 
+TEST(Appraisal, FirstBeginDerivesKeysLikeProvisioning) {
+  // A fresh verifier derives each sweep chunk's keys in one batch: the
+  // same token table and RES_S, for no more compressions, as a verifier
+  // provisioned up front. 600 devices make three chunks, the last
+  // partial.
+  constexpr std::uint32_t kMany = 600;
+  const auto make = [] {
+    Verifier v(SapConfig{}, kMany, to_bytes("appraisal-master"));
+    for (net::NodeId id = 1; id <= kMany; ++id) {
+      v.set_expected_content(id, to_bytes("cfg-" + std::to_string(id)));
+    }
+    return v;
+  };
+  const Verifier fresh = make();
+  const Verifier provisioned = make();
+  std::vector<net::NodeId> ids;
+  for (net::NodeId id = 1; id <= kMany; ++id) ids.push_back(id);
+  const std::uint32_t chal = 9;
+
+  const std::uint64_t t0 = crypto::compression_calls_executed();
+  provisioned.provision(ids);
+  Verifier::Appraisal warm(provisioned);
+  warm.begin(chal);
+  const std::uint64_t t1 = crypto::compression_calls_executed();
+  Verifier::Appraisal cold(fresh);
+  cold.begin(chal);
+  const std::uint64_t t2 = crypto::compression_calls_executed();
+  EXPECT_LE(t2 - t1, t1 - t0);
+  EXPECT_EQ(Bytes(cold.expected_result().begin(),
+                  cold.expected_result().end()),
+            Bytes(warm.expected_result().begin(),
+                  warm.expected_result().end()));
+
+  // Every table entry matches: the provisioned verifier's tokens are all
+  // healthy against the fresh one's table.
+  std::vector<DeviceReport> reports;
+  for (const net::NodeId id : ids) {
+    reports.push_back({id, provisioned.expected_token(id, chal),
+                       DeviceReportStatus::kEntryOk, chal});
+  }
+  cold.absorb(reports.data(), reports.size());
+  EXPECT_EQ(cold.finish().healthy, kMany);
+}
+
 }  // namespace
 }  // namespace cra::sap

@@ -282,6 +282,39 @@ TEST_F(JournalTest, SnapshotWhoseBitmapDisagreesWithItsReportsIsRejected) {
   EXPECT_FALSE(edited(reports_at, 0).has_value());   // id 0
 }
 
+TEST_F(JournalTest, ReportWithUndefinedStatusIsRejected) {
+  // decode_identify_ex rejects a frame with a status byte above
+  // kEntryRebooted. Replay must too: an accepted entry would cover its
+  // device, so it is never re-polled, while the appraisal gives it no
+  // verdict and it closes the round unreachable.
+  std::vector<samples::Record> recs = sample_stream();
+  recs.resize(6);  // up to round 2's start
+  std::vector<sap::DeviceReport> reps = {samples::make_report(1, 2),
+                                         samples::make_report(2, 2)};
+  const Bytes ok =
+      VerifierState::encode_reports(2, reps.data(), reps.size(), kTok);
+  Bytes bad = ok;
+  bad[8 + (9 + kTok) + 4] = 7;  // device 2's status byte
+  VerifierState st = replay_stream(recs);
+  st.apply(VerifierState::kReports, bad, kTok);
+  EXPECT_TRUE(st.reports.empty());
+  EXPECT_EQ(st.have[0], 0);  // the whole record, as a frame
+  EXPECT_EQ(st.have[1], 0);
+  st.apply(VerifierState::kReports, ok, kTok);
+  EXPECT_EQ(st.reports.size(), 2u);
+  EXPECT_EQ(st.have[1], 1);
+
+  // The snapshot of that state, with device 2's entry edited to 7.
+  const Bytes enc = st.encode(kTok);
+  ASSERT_TRUE(VerifierState::decode(enc, kTok).has_value());
+  const std::size_t reports_at = 21 + st.agents.size() * 22 + st.devices + 4;
+  Bytes edited = enc;
+  edited[reports_at + (9 + kTok) + 4] = 7;
+  EXPECT_FALSE(VerifierState::decode(edited, kTok).has_value());
+  edited[reports_at + (9 + kTok) + 4] = 3;  // kEntryRebooted is defined
+  EXPECT_TRUE(VerifierState::decode(edited, kTok).has_value());
+}
+
 TEST_F(JournalTest, ReplayTwiceIsIdempotent) {
   // A crash between snapshot write and WAL reset replays the same
   // records on top of a state that already reflects them.
