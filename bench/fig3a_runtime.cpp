@@ -7,7 +7,6 @@
 // and simulation can be compared at a glance.
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench_args.hpp"
@@ -33,59 +32,72 @@ int main(int argc, char** argv) {
                                       10'000u,  100'000u, 1'000'000u};
   if (args.devices != 0) sizes = {args.devices};
 
-  // Wall time of one run_round() on an already constructed swarm:
-  // construction is setup, not the round Fig. 3(a) plots.
-  const auto timed_round = [](auto& sim) {
+  // One round on a freshly built swarm: what a table row needs from it,
+  // and the wall time of run_round() alone (construction is setup, not
+  // the round Fig. 3(a) plots). The swarm dies on return, so one swarm
+  // is alive at a time. An empty `prefix` captures no metrics.
+  struct Point {
+    bool verified = false;
+    double sim_sec = 0;   // the simulated round
+    double wall_sec = 0;  // run_round() on the host
+    std::uint32_t depth = 0;
+    double model_sec = 0;  // the analytic prediction at this depth
+  };
+  const auto sap_point = [&obs](const sap::SapConfig& cfg, std::uint32_t n,
+                                const std::string& prefix) {
+    auto sim = sap::SapSimulation::balanced(cfg, n);
     const benchargs::WallTimer wall;
-    auto round = sim.run_round();
-    return std::pair{std::move(round), wall.sec()};
+    const sap::RoundReport round = sim.run_round();
+    const double wall_sec = wall.sec();
+    if (!prefix.empty()) obs.capture(sim.metrics(), prefix);
+    const std::uint32_t depth = sim.tree().max_depth();
+    return Point{round.verified, round.total().sec(), wall_sec, depth,
+                 sap::predicted_total(cfg, depth).sec()};
+  };
+  const auto seda_point = [&obs](const seda::SedaConfig& cfg,
+                                 std::uint32_t n, const std::string& prefix) {
+    auto sim = seda::SedaSimulation::balanced(cfg, n);
+    const benchargs::WallTimer wall;
+    const seda::SedaRoundReport round = sim.run_round();
+    const double wall_sec = wall.sec();
+    if (!prefix.empty()) obs.capture(sim.metrics(), prefix);
+    const std::uint32_t depth = sim.tree().max_depth();
+    return Point{round.verified, round.total_time().sec(), wall_sec, depth,
+                 sim.predicted_total(depth).sec()};
   };
 
   for (std::uint32_t n : sizes) {
-    auto sap_sim = sap::SapSimulation::balanced(sap_cfg, n);
-    const auto [sap_round, sap_wall] = timed_round(sap_sim);
-    obs.capture(sap_sim.metrics(), "sap/n=" + std::to_string(n) + "/");
-
-    auto seda_sim = seda::SedaSimulation::balanced(seda_cfg, n);
-    const auto [seda_round, seda_wall] = timed_round(seda_sim);
-    obs.capture(seda_sim.metrics(), "seda/n=" + std::to_string(n) + "/");
-
-    if (!sap_round.verified || !seda_round.verified) {
+    const Point sap_row =
+        sap_point(sap_cfg, n, "sap/n=" + std::to_string(n) + "/");
+    const Point seda_row =
+        seda_point(seda_cfg, n, "seda/n=" + std::to_string(n) + "/");
+    if (!sap_row.verified || !seda_row.verified) {
       std::fprintf(stderr, "N=%u: round failed to verify!\n", n);
       return 1;
     }
     std::fprintf(stderr,
                  "wall: N=%u threads=%u round sap=%.3fs seda=%.3fs\n", n,
-                 args.threads, sap_wall, seda_wall);
+                 args.threads, sap_row.wall_sec, seda_row.wall_sec);
     if (args.threads > 1) {
       // Speedup vs one shard (the serial event loop) on the same swarm.
       sap::SapConfig serial_sap = sap_cfg;
       serial_sap.sim = sim::SimConfig{};
       seda::SedaConfig serial_seda = seda_cfg;
       serial_seda.sim = sim::SimConfig{};
-      auto sap_serial = sap::SapSimulation::balanced(serial_sap, n);
-      const double sap_serial_sec = timed_round(sap_serial).second;
-      auto seda_serial = seda::SedaSimulation::balanced(serial_seda, n);
-      const double seda_serial_sec = timed_round(seda_serial).second;
+      const double sap_serial_sec = sap_point(serial_sap, n, "").wall_sec;
+      const double seda_serial_sec = seda_point(serial_seda, n, "").wall_sec;
       std::fprintf(stderr,
                    "wall: N=%u threads=1 round sap=%.3fs seda=%.3fs "
                    "(speedup sap=%.2fx seda=%.2fx)\n",
                    n, sap_serial_sec, seda_serial_sec,
-                   sap_serial_sec / sap_wall, seda_serial_sec / seda_wall);
+                   sap_serial_sec / sap_row.wall_sec,
+                   seda_serial_sec / seda_row.wall_sec);
     }
-    const double sap_sec = sap_round.total().sec();
-    const double seda_sec = seda_round.total_time().sec();
-    table.add_row({Table::count(n),
-                   std::to_string(sap_sim.tree().max_depth()),
-                   Table::num(sap_sec), Table::num(seda_sec),
-                   Table::num(seda_sec / sap_sec, 2),
-                   Table::num(sap::predicted_total(
-                                  sap_cfg, sap_sim.tree().max_depth())
-                                  .sec()),
-                   Table::num(seda_sim
-                                  .predicted_total(
-                                      seda_sim.tree().max_depth())
-                                  .sec())});
+    table.add_row({Table::count(n), std::to_string(sap_row.depth),
+                   Table::num(sap_row.sim_sec), Table::num(seda_row.sim_sec),
+                   Table::num(seda_row.sim_sec / sap_row.sim_sec, 2),
+                   Table::num(sap_row.model_sec),
+                   Table::num(seda_row.model_sec)});
   }
 
   std::printf("Figure 3(a) - cRA execution time vs swarm size\n");

@@ -59,13 +59,14 @@ LisaSimulation LisaSimulation::balanced(LisaConfig config,
 }
 
 void LisaSimulation::compromise_device(net::NodeId id) {
-  Dev& d = dev(id);
+  Dev& d = dev(rt_.device_id(id));
+  if (d.compromised) return;  // a second flip would restore cfg_i
   d.compromised = true;
   d.content[0] = static_cast<std::uint8_t>(d.content[0] ^ 0xff);
 }
 
 void LisaSimulation::restore_device(net::NodeId id) {
-  Dev& d = dev(id);
+  Dev& d = dev(rt_.device_id(id));
   if (d.compromised) {
     d.content[0] = static_cast<std::uint8_t>(d.content[0] ^ 0xff);
     d.compromised = false;
@@ -74,7 +75,7 @@ void LisaSimulation::restore_device(net::NodeId id) {
 
 void LisaSimulation::set_device_unresponsive(net::NodeId id,
                                              bool unresponsive) {
-  dev(id).unresponsive = unresponsive;
+  dev(rt_.device_id(id)).unresponsive = unresponsive;
 }
 
 void LisaSimulation::advance_time(sim::Duration d) { rt_.advance_time(d); }

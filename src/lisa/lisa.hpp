@@ -80,6 +80,9 @@ class LisaSimulation {
   const net::Tree& tree() const noexcept { return tree_; }
   std::uint32_t device_count() const noexcept { return tree_.device_count(); }
 
+  /// Per-device hooks: device ids 1..device_count(), else
+  /// std::out_of_range. A second compromise of an infected device
+  /// changes nothing.
   void compromise_device(net::NodeId id);
   void restore_device(net::NodeId id);
   void set_device_unresponsive(net::NodeId id, bool unresponsive);

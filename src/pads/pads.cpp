@@ -40,7 +40,7 @@ PadsSimulation::PadsSimulation(const obs::Span& /*setup*/, PadsConfig config,
         return ShardStats{&reg.counter("pads.merges"),
                           &reg.counter("pads.token_failures")};
       })),
-      devices_(tree_.device_count()) {
+      devices_(tree_.device_count() + 1) {
   if (config_.token_size == 0 ||
       config_.token_size > crypto::digest_size(config_.alg)) {
     throw std::invalid_argument(
@@ -62,8 +62,7 @@ PadsSimulation::PadsSimulation(const obs::Span& /*setup*/, PadsConfig config,
     obs::Span span("pads.provision");
     kdf.device_keys(rt_.entities_of(s, 0), crypto::digest_size(config_.alg),
                     "pads-key", [this](net::NodeId id, BytesView key) {
-                      (id == 0 ? vrf_mac_ : dev(id).mac).init(config_.alg,
-                                                              key);
+                      dev(id).mac.init(config_.alg, key);
                     });
   });
   present_.assign(tree_.size(), 1);
@@ -79,16 +78,16 @@ PadsSimulation PadsSimulation::balanced(PadsConfig config,
 }
 
 void PadsSimulation::compromise_device(net::NodeId id) {
-  dev(id).compromised = true;
+  dev(rt_.device_id(id)).compromised = true;
 }
 
 void PadsSimulation::restore_device(net::NodeId id) {
-  dev(id).compromised = false;
+  dev(rt_.device_id(id)).compromised = false;
 }
 
 void PadsSimulation::set_device_unresponsive(net::NodeId id,
                                              bool unresponsive) {
-  dev(id).unresponsive = unresponsive;
+  dev(rt_.device_id(id)).unresponsive = unresponsive;
 }
 
 void PadsSimulation::rebuild_topology(
@@ -267,12 +266,10 @@ void PadsSimulation::compute_round_tokens() {
   std::vector<crypto::MacJob> jobs(2 * n);
   std::vector<crypto::MacBuf> outs(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
-    const crypto::PrecomputedMac* mac =
-        i == 0 ? &vrf_mac_ : &devices_[i - 1].mac;
-    const bool infected = i != 0 && devices_[i - 1].compromised;
-    jobs[i] = {mac, BytesView(nonce.data(), nonce.size()),
-               BytesView(infected ? &kInfected : &kHealthy, 1)};
-    jobs[n + i] = {mac, BytesView(nonce.data(), nonce.size()),
+    const Dev& d = devices_[i];
+    jobs[i] = {&d.mac, BytesView(nonce.data(), nonce.size()),
+               BytesView(d.compromised ? &kInfected : &kHealthy, 1)};
+    jobs[n + i] = {&d.mac, BytesView(nonce.data(), nonce.size()),
                    BytesView(&kHealthy, 1)};
   }
   crypto::active_backend().hmac_batch(jobs.data(), jobs.size(), outs.data());
@@ -304,10 +301,8 @@ void PadsSimulation::gossip_tick(net::NodeId id, std::uint32_t epoch) {
         first_epoch_at_ + period_ * static_cast<std::int64_t>(epoch + 1),
         [this, id, epoch] { gossip_tick(id, epoch + 1); });
   }
-  if (id != 0) {
-    const Dev& d = dev(id);
-    if (!present_[id] || d.unresponsive || !d.attested) return;
-  }
+  const Dev& d = dev(id);
+  if (!present_[id] || d.unresponsive || !d.attested) return;
   // Route over the CURRENT tree: position lookups happen at send time,
   // so a rewire applied mid-round redirects the very next epoch.
   const net::NodeId pos = pos_of_[id];
@@ -342,10 +337,8 @@ void PadsSimulation::on_message(const net::Message& msg) {
     return;
   }
   const net::NodeId dst = msg.dst;
-  if (dst != 0) {
-    const Dev& d = dev(dst);
-    if (!present_[dst] || d.unresponsive) return;  // radio is off
-  }
+  if (dst > device_count()) return;  // stray/forged address
+  if (!present_[dst] || dev(dst).unresponsive) return;  // radio is off
   const Bytes& expect = expected_tokens_[v.sender];
   const bool authentic =
       v.token.size() == expect.size() &&
@@ -378,6 +371,7 @@ PadsRoundReport PadsSimulation::run_round() {
   known_.assign((static_cast<std::size_t>(device_count()) + 1) * blocks_, 0);
   bad_.assign(known_.size(), 0);
   for (auto& d : devices_) d.attested = false;
+  dev(0).attested = true;  // Vrf has no self-measurement
   consensus_reached_ = false;
   // The verifier's membership view starts from the authoritative one —
   // both are only written by the driver thread between rounds.

@@ -129,9 +129,7 @@ class PadsSimulation {
   const net::Tree& tree() const noexcept { return tree_; }
   /// The network configuration surface (see swarm/runtime.hpp).
   net::Network& network() noexcept { return rt_.network(); }
-  std::uint32_t device_count() const noexcept {
-    return static_cast<std::uint32_t>(devices_.size());
-  }
+  std::uint32_t device_count() const noexcept { return tree_.device_count(); }
   /// The engine (never null); see sap::SapSimulation::engine().
   const sim::ParallelScheduler* engine() const noexcept {
     return &rt_.engine();
@@ -142,6 +140,8 @@ class PadsSimulation {
   /// determinism contract as the SAP/SEDA registries.
   const obs::MetricsRegistry& metrics() const noexcept { return rt_.metrics(); }
 
+  /// Per-device hooks: device ids 1..device_count(), else
+  /// std::out_of_range.
   void compromise_device(net::NodeId id);
   void restore_device(net::NodeId id);
   void set_device_unresponsive(net::NodeId id, bool unresponsive);
@@ -184,15 +184,18 @@ class PadsSimulation {
   PadsSimulation(const obs::Span& setup, PadsConfig config, net::Tree tree,
                  std::uint64_t seed);
 
+  // One node's state, device or Vrf (node 0).
   struct Dev {
-    crypto::PrecomputedMac mac;  // midstate cache over the device key
+    crypto::PrecomputedMac mac;  // midstate cache over the node's key
     bool compromised = false;
     bool unresponsive = false;
-    bool attested = false;  // this round's self-attestation completed
+    // This round's self-attestation completed; Vrf has none to run, so
+    // its flag is set at round start.
+    bool attested = false;
   };
 
-  Dev& dev(net::NodeId id) { return devices_[id - 1]; }
-  const Dev& dev(net::NodeId id) const { return devices_[id - 1]; }
+  Dev& dev(net::NodeId id) { return devices_[id]; }
+  const Dev& dev(net::NodeId id) const { return devices_[id]; }
 
   struct ShardStats {
     obs::Counter* merges;   // "pads.merges"
@@ -239,8 +242,7 @@ class PadsSimulation {
 
   std::vector<net::RewireStep> rewires_;
 
-  std::vector<Dev> devices_;
-  crypto::PrecomputedMac vrf_mac_;
+  std::vector<Dev> devices_;  // by device id; 0 is Vrf
   /// Membership by device id; index 0 (the verifier) is always true.
   /// Written by fault events on the owning device's shard.
   std::vector<std::uint8_t> present_;

@@ -43,15 +43,15 @@ HeartbeatSimulation HeartbeatSimulation::balanced(HeartbeatConfig config,
 }
 
 void HeartbeatSimulation::capture_device(net::NodeId id) {
-  dev(id).captured = true;
+  dev(rt_.device_id(id)).captured = true;
 }
 
 void HeartbeatSimulation::release_device(net::NodeId id) {
-  dev(id).captured = false;
+  dev(rt_.device_id(id)).captured = false;
 }
 
 bool HeartbeatSimulation::is_captured(net::NodeId id) const {
-  return dev(id).captured;
+  return dev(rt_.device_id(id)).captured;
 }
 
 void HeartbeatSimulation::schedule_beat(net::NodeId id) {

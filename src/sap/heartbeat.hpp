@@ -72,7 +72,8 @@ class HeartbeatSimulation {
   const obs::MetricsRegistry& metrics() const noexcept { return rt_.metrics(); }
   std::uint32_t device_count() const noexcept { return tree_.device_count(); }
 
-  /// --- Adversary actions ---
+  /// --- Adversary actions (device ids 1..device_count(), else
+  /// std::out_of_range) ---
   /// Physically capture `id`: it stops beating and stops relaying (its
   /// subtree goes dark through it, which the report honestly reflects).
   void capture_device(net::NodeId id);

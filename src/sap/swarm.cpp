@@ -40,29 +40,31 @@ SapSimulation::SapSimulation(const obs::Span& /*setup*/, SapConfig config,
       })),
       clock_(config.device_hz, config.clock_divisor),
       verifier_(config, tree_.device_count(), master_from_seed(seed)),
-      devices_(tree_.device_count()) {
+      devices_(tree_.device_count() + 1) {
   auth_key_ = verifier_.request_auth_key();
 
   // setup: provision keys and synthetic "firmware" contents, both
   // derived through the verifier's extracted master; register cfg_i with
-  // the verifier. A device gets a copy of the verifier's midstate cache
-  // for its key, so K_{mi,Vrf} is derived once, here, and the raw key
-  // never outlives the derivation. Each shard's worker provisions the
-  // devices at that shard's positions (device i sits at position i). It
-  // only fills buffers allocated on this thread: long-lived allocations
-  // made on short-lived workers fragment the allocator's per-thread
-  // arenas, and peak RSS grew with every swarm built in one process.
-  for (Dev& d : devices_) d.content.resize(config_.token_size());
+  // the verifier. The verifier's midstate table is the one key table:
+  // every K_{mi,Vrf} is derived once, here, the raw key never outlives
+  // the derivation, and a device MACs through its table entry. Each
+  // shard's worker provisions the devices at that shard's positions
+  // (device i sits at position i), so every id is provisioned before a
+  // round reads the table. It only fills buffers allocated on this
+  // thread: long-lived allocations made on short-lived workers fragment
+  // the allocator's per-thread arenas, and peak RSS grew with every
+  // swarm built in one process.
+  for (net::NodeId id = 1; id <= device_count(); ++id) {
+    dev(id).content.resize(config_.token_size());
+  }
   rt_.for_each_shard([&](std::uint32_t s) {
     obs::Span span("sap.provision");
     const std::vector<net::NodeId> ids = rt_.entities_of(s, 1);
     verifier_.provision(ids);
     verifier_.kdf().device_keys(ids, config_.token_size(), "sap-firmware",
                                 [this](net::NodeId id, BytesView content) {
-                                  Dev& d = dev(id);
-                                  d.mac = verifier_.device_mac(id);
                                   std::copy(content.begin(), content.end(),
-                                            d.content.begin());
+                                            dev(id).content.begin());
                                 });
   });
   for (net::NodeId id = 1; id <= device_count(); ++id) {
@@ -121,7 +123,8 @@ SapSimulation SapSimulation::balanced(SapConfig config, std::uint32_t devices,
 }
 
 void SapSimulation::compromise_device(net::NodeId id) {
-  Dev& d = dev(id);
+  Dev& d = dev(rt_.device_id(id));
+  if (d.compromised) return;  // a second flip would restore cfg_i
   d.compromised = true;
   if (d.vm != nullptr) {
     // One-byte malware implant at PMEM offset 0.
@@ -135,7 +138,7 @@ void SapSimulation::compromise_device(net::NodeId id) {
 }
 
 void SapSimulation::restore_device(net::NodeId id) {
-  Dev& d = dev(id);
+  Dev& d = dev(rt_.device_id(id));
   d.compromised = false;
   if (d.vm != nullptr) {
     d.vm->memory().load(device::Section::kPmem,
@@ -146,18 +149,19 @@ void SapSimulation::restore_device(net::NodeId id) {
 }
 
 bool SapSimulation::is_compromised(net::NodeId id) const {
-  return dev(id).compromised;
+  return dev(rt_.device_id(id)).compromised;
 }
 
 void SapSimulation::set_device_unresponsive(net::NodeId id,
                                             bool unresponsive) {
-  dev(id).unresponsive = unresponsive;
+  dev(rt_.device_id(id)).unresponsive = unresponsive;
 }
 
 void SapSimulation::set_clock_skew(net::NodeId id, sim::Duration skew) {
-  dev(id).skew_ns = skew.ns();
-  if (dev(id).vm != nullptr) {
-    dev(id).vm->sync_clock(current_time(), skew);
+  Dev& d = dev(rt_.device_id(id));
+  d.skew_ns = skew.ns();
+  if (d.vm != nullptr) {
+    d.vm->sync_clock(current_time(), skew);
   }
 }
 
@@ -229,11 +233,11 @@ void SapSimulation::assign_device_class(net::NodeId id, std::uint8_t cls) {
   if (cls > config_.extra_classes.size()) {
     throw std::out_of_range("assign_device_class: unknown class");
   }
-  dev(id).cls = cls;
+  dev(rt_.device_id(id)).cls = cls;
 }
 
 sim::Duration SapSimulation::attest_time_for(net::NodeId id) const {
-  const std::uint8_t cls = dev(id).cls;
+  const std::uint8_t cls = dev(rt_.device_id(id)).cls;
   if (cls == 0) return attest_time(config_);
   const DeviceClassSpec& spec = config_.extra_classes[cls - 1];
   const std::uint64_t blocks =
@@ -260,8 +264,7 @@ void SapSimulation::attach_vm(net::NodeId id, device::Device* vm) {
   if (vm == nullptr) {
     throw std::invalid_argument("attach_vm: null device");
   }
-  Dev& d = dev(id);
-  d.vm = vm;
+  dev(rt_.device_id(id)).vm = vm;
   verifier_.set_expected_content(id, vm->expected_pmem());
 }
 
@@ -286,7 +289,10 @@ Bytes SapSimulation::compute_token(net::NodeId pos, std::uint32_t tick) {
     return d.vm->read_token();
   }
   // Synthetic path: the device's clock check, then
-  // HMAC_{K}(content || chal) — content stands in for PMEM(mi, t).
+  // HMAC_{K}(content || chal) — content stands in for PMEM(mi, t). In
+  // the swarm model K_{mi,Vrf} never changes (compromise rewrites PMEM;
+  // key extraction is modelled in device/), so the device resumes the
+  // verifier's midstates for it.
   const std::uint32_t local_tick = clock_.read_at_time(
       now, sim::Duration(d.skew_ns));
   if (local_tick != tick) {
@@ -294,7 +300,7 @@ Bytes SapSimulation::compute_token(net::NodeId pos, std::uint32_t tick) {
   }
   std::uint8_t tick_le[4];
   store_u32le(tick_le, tick);
-  return d.mac.mac(d.content, BytesView(tick_le, 4));
+  return verifier_.device_mac(id).mac(d.content, BytesView(tick_le, 4));
 }
 
 RoundReport SapSimulation::run_round() {
@@ -308,12 +314,12 @@ RoundReport SapSimulation::run_round() {
   // cached handles survive) and mirror the network configuration.
   rt_.begin_window();
 
-  // Reset per-round device state.
-  for (net::NodeId id = 1; id <= device_count(); ++id) {
+  // Reset per-round state, Vrf's included. Vrf has no self-measurement.
+  for (net::NodeId id = 0; id <= device_count(); ++id) {
     Dev& d = dev(id);
     d.tick = 0;
     d.got_chal = false;
-    d.responded_self = false;
+    d.responded_self = id == 0;
     d.sent = false;
     d.waiting =
         static_cast<std::uint32_t>(tree_.children(pos_of_[id]).size());
@@ -326,13 +332,6 @@ RoundReport SapSimulation::run_round() {
     d.reports.clear();
     d.deadline = sim::EventHandle();
   }
-  root_done_ = false;
-  root_retries_ = 0;
-  root_waiting_ = static_cast<std::uint32_t>(tree_.children(0).size());
-  root_count_ = 0;
-  root_got_children_.clear();
-  root_token_.assign(config_.token_size(), 0);
-  root_reports_.clear();
 
   RoundReport report;
   report.devices = device_count();
@@ -370,15 +369,12 @@ RoundReport SapSimulation::run_round() {
       config_.report_margin *
           static_cast<std::int64_t>(tree_.max_depth() + 2);
   t_resp_ = vrf_deadline;
-  if (config_.adaptive.enabled) {
-    // Vrf re-polls its own children through the same backoff schedule
-    // instead of giving up in one shot at the worst-case deadline.
-    root_deadline_ = rt_.sched(0).schedule_at(root_stage_deadline(),
-                                              [this] { root_flush(); });
-  } else {
-    root_deadline_ = rt_.sched(0).schedule_at(
-        vrf_deadline, [this] { root_complete(); });
-  }
+  // With re-polls, Vrf flushes at an inner node's deadline and re-polls
+  // its children through the same backoff schedule; without them it
+  // gives up once, at the worst-case deadline.
+  dev(0).deadline = rt_.sched(0).schedule_at(
+      config_.adaptive.enabled ? node_deadline(0) : vrf_deadline,
+      [this] { flush(0); });
 
   // Hand this window's scripted faults to the engines. The horizon
   // covers the whole round including every possible adaptive re-poll.
@@ -400,23 +396,24 @@ RoundReport SapSimulation::run_round() {
   report.messages = m.counter_value("net.messages_sent");
   report.dropped = m.counter_value("net.messages_dropped");
 
+  const Dev& vrf = dev(0);
   switch (config_.qoa) {
     case QoaMode::kBinary:
-      report.responded = root_waiting_ == 0 ? device_count() : 0;
-      report.verified = verifier_.verify(root_token_, round_tick_);
+      report.responded = vrf.waiting == 0 ? device_count() : 0;
+      report.verified = verifier_.verify(vrf.agg_token, round_tick_);
       break;
     case QoaMode::kCount:
-      report.responded = root_count_;
-      report.verified = root_count_ == device_count() &&
-                        verifier_.verify(root_token_, round_tick_);
+      report.responded = vrf.count;
+      report.verified = vrf.count == device_count() &&
+                        verifier_.verify(vrf.agg_token, round_tick_);
       break;
     case QoaMode::kIdentify:
       if (config_.adaptive.enabled) {
         // Degraded-mode verdict: classify every device instead of the
         // all-or-nothing identify outcome.
-        report.degraded = verifier_.classify(root_reports_, round_tick_);
+        report.degraded = verifier_.classify(vrf.reports, round_tick_);
         std::uint32_t responded = 0;
-        for (const auto& r : root_reports_) {
+        for (const auto& r : vrf.reports) {
           if (r.status != DeviceReportStatus::kEntryUnreachable) ++responded;
         }
         report.responded = responded;
@@ -424,9 +421,8 @@ RoundReport SapSimulation::run_round() {
         report.identify.missing = report.degraded.unreachable_ids;
         report.verified = report.degraded.all_healthy();
       } else {
-        report.responded = static_cast<std::uint32_t>(root_reports_.size());
-        report.identify =
-            verifier_.verify_identify(root_reports_, round_tick_);
+        report.responded = static_cast<std::uint32_t>(vrf.reports.size());
+        report.identify = verifier_.verify_identify(vrf.reports, round_tick_);
         report.verified = report.identify.all_good();
       }
       break;
@@ -451,13 +447,11 @@ RoundReport SapSimulation::run_round() {
 }
 
 void SapSimulation::on_message(const net::Message& msg) {
-  // Messages travel between tree positions; position 0 is Vrf.
-  if (msg.dst == 0) {
-    root_receive(msg);
-    return;
-  }
+  // Messages travel between tree positions; position 0 is Vrf, which
+  // takes reports only.
   if (msg.dst > device_count()) return;  // stray/tampered address
   if (dev_at_pos(msg.dst).unresponsive) return;
+  if (msg.dst == 0 && msg.kind != kTokenMsg) return;
 
   switch (msg.kind) {
     case kChalMsg:
@@ -722,6 +716,12 @@ void SapSimulation::mark_unreachable(net::NodeId pos, net::NodeId child) {
 
 void SapSimulation::send_report(net::NodeId pos) {
   Dev& d = dev_at_pos(pos);
+  d.sent = true;
+  if (pos == 0) {
+    // Vrf keeps the aggregate: this is the round's response.
+    t_resp_ = rt_.sched(0).now();
+    return;
+  }
   // Aggregation cost T_agg before the token leaves the node.
   const sim::Duration agg = aggregate_time(config_);
   Bytes payload;
@@ -738,7 +738,6 @@ void SapSimulation::send_report(net::NodeId pos) {
                     : encode_identify(d.reports, config_.token_size());
       break;
   }
-  d.sent = true;
   d.sent_payload = payload;
   const net::NodeId parent = tree_.parent(pos);
   rt_.sched(pos).schedule_after(agg, [this, pos, parent,
@@ -786,90 +785,6 @@ sim::SimTime SapSimulation::node_deadline(net::NodeId pos) const {
   const std::uint32_t levels_below = tree_.max_depth() - tree_.depth(pos);
   return t_att_time_ + max_attest_time() + report_chain_time(pos) +
          config_.report_margin * static_cast<std::int64_t>(levels_below + 1);
-}
-
-void SapSimulation::root_receive(const net::Message& msg) {
-  if (root_done_ || msg.kind != kTokenMsg) return;
-  if (std::find(root_got_children_.begin(), root_got_children_.end(),
-                msg.src) != root_got_children_.end()) {
-    return;  // duplicate child report
-  }
-  root_got_children_.push_back(msg.src);
-  switch (config_.qoa) {
-    case QoaMode::kBinary: {
-      if (msg.payload.size() != config_.token_size()) return;
-      xor_inplace(root_token_, msg.payload);
-      break;
-    }
-    case QoaMode::kCount: {
-      const auto ct = decode_count_token(msg.payload, config_.token_size());
-      if (!ct) return;
-      xor_inplace(root_token_, ct->token);
-      root_count_ += ct->count;
-      break;
-    }
-    case QoaMode::kIdentify: {
-      const auto reports =
-          config_.adaptive.enabled
-              ? decode_identify_ex(msg.payload, config_.token_size())
-              : decode_identify(msg.payload, config_.token_size());
-      if (!reports) return;
-      root_reports_.insert(root_reports_.end(), reports->begin(),
-                           reports->end());
-      break;
-    }
-  }
-  if (root_waiting_ > 0) --root_waiting_;
-  if (root_waiting_ == 0) {
-    rt_.sched(0).cancel(root_deadline_);
-    root_complete();
-  }
-}
-
-sim::SimTime SapSimulation::root_stage_deadline() const {
-  // Mirrors node_deadline for position 0: the latest a child report can
-  // arrive if everything below us is merely slow, not dead.
-  return t_att_time_ + max_attest_time() + report_chain_time(0) +
-         config_.report_margin *
-             static_cast<std::int64_t>(tree_.max_depth() + 1);
-}
-
-void SapSimulation::root_flush() {
-  if (root_done_) return;
-  std::vector<net::NodeId> missing;
-  for (net::NodeId child : tree_.children(0)) {
-    if (std::find(root_got_children_.begin(), root_got_children_.end(),
-                  child) == root_got_children_.end()) {
-      missing.push_back(child);
-    }
-  }
-  if (!missing.empty() && root_retries_ < config_.adaptive.max_repolls) {
-    ++root_retries_;
-    stats(0).repolls->inc();
-    for (net::NodeId child : missing) {
-      rt_.net_of(0).send(0, child, kRepollMsg, round_chal_);
-    }
-    const sim::Duration backoff = config_.adaptive.backoff_for(root_retries_);
-    stats(0).backoff_wait->inc(static_cast<std::uint64_t>(backoff.ns()));
-    root_deadline_ =
-        rt_.sched(0).schedule_after(backoff, [this] { root_flush(); });
-    return;
-  }
-  if (config_.qoa == QoaMode::kIdentify) {
-    for (net::NodeId child : missing) {
-      root_reports_.push_back(
-          DeviceReport{dev_at_[child], Bytes(config_.token_size(), 0),
-                       DeviceReportStatus::kEntryUnreachable, 0});
-      stats(0).unreachable->inc();
-    }
-  }
-  root_complete();
-}
-
-void SapSimulation::root_complete() {
-  if (root_done_) return;
-  root_done_ = true;
-  t_resp_ = rt_.sched(0).now();
 }
 
 }  // namespace cra::sap

@@ -9,17 +9,24 @@
 // timings and network utilization.
 //
 // Device agents come in two fidelities:
-//   * synthetic (default): per-device state is a key + a content buffer
-//     standing in for PMEM; attest cost is the analytic T_att. This is
-//     what scales to the paper's 10^6-device sweeps.
+//   * synthetic (default): per-device state is a content buffer standing
+//     in for PMEM; the device MACs it under its entry of the verifier's
+//     key table, and attest cost is the analytic T_att. This is what
+//     scales to the paper's 10^6-device sweeps.
 //   * VM-backed: attach_vm() binds a node to a full device::Device; the
 //     agent then drives the real machine — secure-clock check, MPU-
 //     protected key, HMAC over actual PMEM — for end-to-end fidelity at
 //     small N (integration tests and examples do this).
 //
+// Vrf is node 0 of the aggregation tree: it takes child reports through
+// the devices' handlers and keeps the aggregate instead of sending it up
+// (docs/protocols.md lists where it differs from a device).
+//
 // Adversary/fault hooks: compromise_device (malware in PMEM),
 // set_device_unresponsive (crash/jam), set_clock_skew (broken sync),
-// plus everything net::Network exposes (loss, tamper).
+// plus everything net::Network exposes (loss, tamper). The per-device
+// hooks take device ids 1..device_count() and throw std::out_of_range
+// for any other id.
 #pragma once
 
 #include <cstdint>
@@ -93,7 +100,8 @@ class SapSimulation {
   const obs::MetricsRegistry& metrics() const noexcept { return rt_.metrics(); }
 
   // --- Adversary / fault injection (between rounds) ---
-  /// Infect device `id`: its actual content diverges from cfg_i.
+  /// Infect device `id`: its actual content diverges from cfg_i. A
+  /// second call on an infected device changes nothing.
   void compromise_device(net::NodeId id);
   /// Disinfect: restore actual content to cfg_i.
   void restore_device(net::NodeId id);
@@ -125,7 +133,9 @@ class SapSimulation {
   /// 1..k index config().extra_classes). Throws std::out_of_range for
   /// unknown classes.
   void assign_device_class(net::NodeId id, std::uint8_t cls);
-  std::uint8_t device_class(net::NodeId id) const { return dev(id).cls; }
+  std::uint8_t device_class(net::NodeId id) const {
+    return dev(rt_.device_id(id)).cls;
+  }
   /// Attest duration of device `id` under its class.
   sim::Duration attest_time_for(net::NodeId id) const;
   /// The measurement phase of a heterogeneous round: slowest class wins.
@@ -173,11 +183,9 @@ class SapSimulation {
   SapSimulation(const obs::Span& setup, SapConfig config, net::Tree tree,
                 std::uint64_t seed);
 
+  // One node's state, device or Vrf. Keys are not here: a device MACs
+  // through the verifier's table (verifier_.device_mac).
   struct Dev {
-    // Midstate cache over K_{mi,Vrf}, copied from the verifier at
-    // provisioning: attest MACs resume it instead of re-running the
-    // HMAC key schedule per round.
-    crypto::PrecomputedMac mac;
     Bytes content;      // actual "PMEM" (synthetic path)
     bool compromised = false;
     bool unresponsive = false;
@@ -207,8 +215,8 @@ class SapSimulation {
     sim::EventHandle deadline;
   };
 
-  Dev& dev(net::NodeId id) { return devices_[id - 1]; }
-  const Dev& dev(net::NodeId id) const { return devices_[id - 1]; }
+  Dev& dev(net::NodeId id) { return devices_[id]; }
+  const Dev& dev(net::NodeId id) const { return devices_[id]; }
   /// Device state of the occupant of tree position `pos`.
   Dev& dev_at_pos(net::NodeId pos) { return dev(dev_at_[pos]); }
 
@@ -246,17 +254,11 @@ class SapSimulation {
   sim::SimTime node_deadline(net::NodeId pos) const;
   /// Adaptive mode: synthesize an unreachable entry for a silent child.
   void mark_unreachable(net::NodeId pos, net::NodeId child);
-  /// Vrf's first adaptive re-poll deadline (with adaptive off, Vrf gives
-  /// up once, at the round's worst-case deadline).
-  sim::SimTime root_stage_deadline() const;
-  void root_flush();
   void recompute_subtree_sizes();
   /// Worst-case time for the deepest descendant's report to climb into
   /// `id` after measurement ends (payload-size aware: kIdentify reports
   /// grow with the subtree).
   sim::Duration report_chain_time(net::NodeId id) const;
-  void root_receive(const net::Message& msg);
-  void root_complete();
 
   Bytes compute_token(net::NodeId pos, std::uint32_t tick);
 
@@ -269,26 +271,18 @@ class SapSimulation {
   device::SecureClock clock_;
   Verifier verifier_;
   Bytes auth_key_;
-  std::vector<Dev> devices_;
+  std::vector<Dev> devices_;  // by device id; 0 is Vrf
   std::vector<std::uint32_t> subtree_size_;  // per tree position
   std::vector<net::NodeId> dev_at_;          // position -> device id
   std::vector<net::NodeId> pos_of_;          // device id -> position
 
-  // Round bookkeeping. Root state is only ever touched by the shard
-  // owning tree position 0; per-shard counters live in stats_.
+  // Round bookkeeping. t_resp_ is only ever written by the shard owning
+  // tree position 0; per-shard counters live in stats_.
   bool round_active_ = false;
   std::uint32_t round_tick_ = 0;
   Bytes round_chal_;  // adaptive: re-polls carry the challenge payload
   sim::SimTime t_att_time_;
   sim::SimTime t_resp_;
-  bool root_done_ = false;
-  std::uint32_t root_retries_ = 0;  // adaptive re-polls issued by Vrf
-  std::uint32_t root_waiting_ = 0;
-  std::uint32_t root_count_ = 0;
-  std::vector<net::NodeId> root_got_children_;
-  Bytes root_token_;
-  std::vector<DeviceReport> root_reports_;
-  sim::EventHandle root_deadline_;
 };
 
 }  // namespace cra::sap

@@ -48,8 +48,8 @@ class Verifier {
   Bytes device_key(net::NodeId id) const;
 
   /// HMAC midstates under K_{mi,Vrf}, derived on first use and cached
-  /// for every later verification. Provisioning copies them into the
-  /// simulated device, so each key is derived once per swarm.
+  /// for every later verification. The simulated devices MAC through
+  /// this table too, so each key is derived once per swarm.
   const crypto::PrecomputedMac& device_mac(net::NodeId id) const;
   /// Derive the keys of `ids` in one batch and cache their midstates, as
   /// device_mac's first use would; a sweep does this for each chunk's
@@ -190,7 +190,10 @@ class Verifier {
   // Per-device HMAC midstate caches, filled by provision() or on first
   // use. Lazy mutation is safe because verification is offline and
   // single-threaded, and provisioning workers each own disjoint ids.
-  // Saves an HKDF expand plus two compressions per expected-token query.
+  // SapSimulation's shard workers read the table concurrently during a
+  // round: its constructor provisions every id first, so they never
+  // take device_mac's initialising branch. Saves an HKDF expand plus
+  // two compressions per expected-token query.
   mutable std::vector<crypto::PrecomputedMac> mac_cache_;  // index id-1
 };
 

@@ -54,11 +54,12 @@ SedaSimulation::SedaSimulation(const obs::Span& /*setup*/, SedaConfig config,
                           &reg.counter("seda.join_acks")};
       })),
       master_(master_from_seed(seed)),
-      devices_(tree_.device_count()),
+      devices_(tree_.device_count() + 1),
       mac_at_parent_(tree_.device_count() + 1) {
+  Dev& vrf = dev(0);
   crypto::SecureRandom vrf_rng(seed ^ 0x7672'666b'6579ULL);
-  vrf_sk_ = vrf_rng.bytes(32);
-  vrf_pk_ = crypto::x25519_base(vrf_sk_);
+  vrf.static_sk = vrf_rng.bytes(32);
+  vrf.static_pk = crypto::x25519_base(vrf.static_sk);
   // Provisioning-time pre-shared keys for the (parent(id), id) edge, on
   // the worker of id's shard; run_join() replaces them with X25519-agreed
   // ones. Both halves start equal, so the device copies the parent-side
@@ -82,16 +83,16 @@ SedaSimulation SedaSimulation::balanced(SedaConfig config,
 }
 
 void SedaSimulation::compromise_device(net::NodeId id) {
-  dev(id).compromised = true;
+  dev(rt_.device_id(id)).compromised = true;
 }
 
 void SedaSimulation::restore_device(net::NodeId id) {
-  dev(id).compromised = false;
+  dev(rt_.device_id(id)).compromised = false;
 }
 
 void SedaSimulation::set_device_unresponsive(net::NodeId id,
                                              bool unresponsive) {
-  dev(id).unresponsive = unresponsive;
+  dev(rt_.device_id(id)).unresponsive = unresponsive;
 }
 
 void SedaSimulation::advance_time(sim::Duration d) { rt_.advance_time(d); }
@@ -194,25 +195,10 @@ Bytes SedaSimulation::report_payload(net::NodeId id, std::uint32_t total,
   append_u32le(body, total);
   append_u32le(body, passed);
   crypto::MacBuf mac;
-  devices_[id - 1].mac_to_parent.mac_into(body, round_nonce_, mac);
+  devices_[id].mac_to_parent.mac_into(body, round_nonce_, mac);
   body.insert(body.end(), mac.bytes.begin(),
               mac.bytes.begin() + config_.report_mac_size);
   return body;
-}
-
-bool SedaSimulation::report_authentic(net::NodeId child,
-                                      BytesView payload) const {
-  // Verified with the PARENT's half of the key, through the active
-  // crypto backend (a batch of one falls back to the scalar reference,
-  // so the work tally is the same either way).
-  if (payload.size() != config_.report_size()) return false;
-  const crypto::MacJob job{&mac_at_parent_[child],
-                           BytesView(payload.data(), 8), round_nonce_};
-  crypto::MacBuf expected;
-  crypto::active_backend().hmac_batch(&job, 1, &expected);
-  return crypto::ct_equal(
-      BytesView(payload.data() + 8, config_.report_mac_size),
-      BytesView(expected.bytes.data(), config_.report_mac_size));
 }
 
 SedaJoinReport SedaSimulation::run_join() {
@@ -222,8 +208,7 @@ SedaJoinReport SedaSimulation::run_join() {
   const sim::SimTime start = current_time();
   // Vrf invites its children, carrying its public key; invites cascade.
   for (net::NodeId child : tree_.children(0)) {
-    Bytes invite = vrf_pk_;
-    rt_.net_of(0).send(0, child, kJoinInviteMsg, std::move(invite));
+    rt_.net_of(0).send(0, child, kJoinInviteMsg, dev(0).static_pk);
   }
   rt_.run_window();
 
@@ -283,24 +268,21 @@ void SedaSimulation::handle_join_ack(net::NodeId parent,
   if (child == 0 || child > device_count() || tree_.parent(child) != parent) {
     return;
   }
-  if (parent == 0) {
-    // Vrf derives instantly (it is not a constrained device).
-    init_pairwise_mac(mac_at_parent_[child], config_.alg,
-                      crypto::x25519(vrf_sk_, msg.payload));
-    stats(0).join_acks->inc();
-    return;
-  }
   // A device derives its keypair at its own invite, before it invites
   // its children, so an ack reaching a device never invited is forged.
-  if (dev(parent).unresponsive || dev(parent).static_sk.empty()) return;
-  const Bytes child_pk = msg.payload;
-  const sim::Duration dh =
-      sim::cycles_to_time(config_.dh_cycles, config_.device_hz);
-  rt_.sched(parent).schedule_after(dh, [this, parent, child, child_pk] {
+  if (dev(parent).static_sk.empty()) return;
+  auto agree = [this, parent, child, child_pk = msg.payload] {
     init_pairwise_mac(mac_at_parent_[child], config_.alg,
                       crypto::x25519(dev(parent).static_sk, child_pk));
     stats(parent).join_acks->inc();
-  });
+  };
+  if (parent == 0) {
+    agree();  // Vrf derives instantly (it is not a constrained device)
+    return;
+  }
+  const sim::Duration dh =
+      sim::cycles_to_time(config_.dh_cycles, config_.device_hz);
+  rt_.sched(parent).schedule_after(dh, std::move(agree));
 }
 
 SedaRoundReport SedaSimulation::run_round() {
@@ -309,10 +291,11 @@ SedaRoundReport SedaSimulation::run_round() {
   }
   round_active_ = true;
 
-  for (net::NodeId id = 1; id <= device_count(); ++id) {
+  // Reset per-round state, Vrf's included. Vrf has no self-measurement.
+  for (net::NodeId id = 0; id <= device_count(); ++id) {
     Dev& d = dev(id);
     d.got_request = false;
-    d.self_done = false;
+    d.self_done = id == 0;
     d.sent = false;
     d.waiting = static_cast<std::uint32_t>(tree_.children(id).size());
     d.total = 0;
@@ -321,12 +304,6 @@ SedaRoundReport SedaSimulation::run_round() {
     d.pending.clear();
     d.deadline = sim::EventHandle();
   }
-  root_done_ = false;
-  root_waiting_ = static_cast<std::uint32_t>(tree_.children(0).size());
-  root_total_ = 0;
-  root_passed_ = 0;
-  root_got_children_.clear();
-  mac_failures_ = 0;
   obs::Span round_span("seda.round");
   rt_.begin_window();
 
@@ -348,45 +325,40 @@ SedaRoundReport SedaSimulation::run_round() {
     net.send(0, child, kRequestMsg, std::move(fwd));
   }
 
-  // Vrf give-up deadline.
+  // Vrf's give-up deadline: it flushes what it holds, as a device does.
   const sim::SimTime give_up =
       current_time() +
       predicted_total(tree_.max_depth() == 0 ? 1 : tree_.max_depth()) +
       config_.report_margin *
           static_cast<std::int64_t>(tree_.max_depth() + 2);
   t_resp_ = give_up;
-  root_deadline_ =
-      rt_.sched(0).schedule_at(give_up, [this] { root_complete(); });
+  dev(0).deadline = rt_.sched(0).schedule_at(give_up, [this] { flush(0); });
 
   rt_.arm_faults(give_up);
   rt_.run_window();
 
   const obs::MetricsRegistry& m = rt_.metrics();
-  mac_failures_ =
-      static_cast<std::uint32_t>(m.counter_value("seda.mac_failures"));
+  const Dev& vrf = dev(0);
   report.t_resp = t_resp_;
-  report.total = root_total_;
-  report.passed = root_passed_;
+  report.total = vrf.total;
+  report.passed = vrf.passed;
   report.verified =
-      root_total_ == device_count() && root_passed_ == device_count();
+      vrf.total == device_count() && vrf.passed == device_count();
   report.u_ca_bytes = m.counter_value("net.bytes_transmitted");
   report.messages = m.counter_value("net.messages_sent");
-  report.mac_failures = mac_failures_;
+  report.mac_failures =
+      static_cast<std::uint32_t>(m.counter_value("seda.mac_failures"));
   round_active_ = false;
   round_span.sim_range(report.t_req.ns(), report.t_resp.ns());
   return report;
 }
 
 void SedaSimulation::on_message(const net::Message& msg) {
-  if (msg.dst == 0) {
-    if (msg.kind == kJoinAckMsg) {
-      handle_join_ack(0, msg);
-      return;
-    }
-    root_receive(msg);
+  if (msg.dst > device_count() || dev(msg.dst).unresponsive) return;
+  // Vrf takes reports and join acks only.
+  if (msg.dst == 0 && msg.kind != kReportMsg && msg.kind != kJoinAckMsg) {
     return;
   }
-  if (msg.dst > device_count() || dev(msg.dst).unresponsive) return;
   switch (msg.kind) {
     case kRequestMsg:
       handle_request(msg.dst, msg);
@@ -468,6 +440,11 @@ void SedaSimulation::handle_report(net::NodeId id, const net::Message& msg) {
   // batch when the first one completes (SEDA aggregation hot path).
   d.pending.push_back({child, Bytes(msg.payload.begin(), msg.payload.end()),
                        /*checked=*/false, /*ok=*/false});
+  if (id == 0) {
+    // Vrf is not a constrained device: it checks the report at once.
+    finish_report_check(id, child);
+    return;
+  }
   const sim::Duration verify =
       mac_time(config_, config_.report_size() + config_.nonce_size);
   rt_.sched(id).schedule_after(
@@ -476,8 +453,8 @@ void SedaSimulation::handle_report(net::NodeId id, const net::Message& msg) {
 
 void SedaSimulation::verify_pending_batch(net::NodeId id) {
   Dev& d = dev(id);
-  // Wrong-sized payloads fail without a MAC computation, exactly as the
-  // serial report_authentic() short-circuited (zero compressions).
+  // Wrong-sized payloads fail without a MAC computation (zero
+  // compressions).
   std::vector<Dev::PendingReport*> todo;
   todo.reserve(d.pending.size());
   for (auto& p : d.pending) {
@@ -544,6 +521,11 @@ void SedaSimulation::flush(net::NodeId id) {
 void SedaSimulation::send_report(net::NodeId id) {
   Dev& d = dev(id);
   d.sent = true;
+  if (id == 0) {
+    // Vrf keeps the aggregate: this is the round's response.
+    t_resp_ = rt_.sched(0).now();
+    return;
+  }
   const sim::Duration agg =
       sim::cycles_to_time(config_.aggregate_cycles, config_.device_hz);
   const Bytes payload = report_payload(id, d.total, d.passed);
@@ -552,32 +534,6 @@ void SedaSimulation::send_report(net::NodeId id) {
     if (dev(id).unresponsive) return;  // crashed mid-aggregation
     rt_.net_of(id).send(id, parent, kReportMsg, payload);
   });
-}
-
-void SedaSimulation::root_receive(const net::Message& msg) {
-  if (root_done_ || msg.kind != kReportMsg) return;
-  if (std::find(root_got_children_.begin(), root_got_children_.end(),
-                msg.src) != root_got_children_.end()) {
-    return;  // duplicate child report
-  }
-  root_got_children_.push_back(msg.src);
-  if (!report_authentic(msg.src, msg.payload)) {
-    stats(0).mac_failures->inc();
-  } else {
-    root_total_ += read_u32le(msg.payload, 0);
-    root_passed_ += read_u32le(msg.payload, 4);
-  }
-  if (root_waiting_ > 0) --root_waiting_;
-  if (root_waiting_ == 0) {
-    rt_.sched(0).cancel(root_deadline_);
-    root_complete();
-  }
-}
-
-void SedaSimulation::root_complete() {
-  if (root_done_) return;
-  root_done_ = true;
-  t_resp_ = rt_.sched(0).now();
 }
 
 }  // namespace cra::seda

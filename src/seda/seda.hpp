@@ -26,6 +26,12 @@
 // without it, provisioning-time pre-shared keys are used. A device's
 // static keypair is derived at its first join invite, so a swarm that
 // never joins computes none.
+//
+// Vrf is node 0 of the tree: it runs the devices' join-ack and report
+// handlers and keeps its aggregate instead of sending it up
+// (docs/protocols.md lists where it differs from a device). The
+// per-device hooks take device ids 1..device_count() and throw
+// std::out_of_range for any other id.
 #pragma once
 
 #include <cstdint>
@@ -181,11 +187,14 @@ class SedaSimulation {
   SedaSimulation(const obs::Span& setup, SedaConfig config, net::Tree tree,
                  std::uint64_t seed);
 
+  // One node's state, device or Vrf (node 0).
   struct Dev {
     // Midstate cache over this device's half of the uplink key; rebuilt
     // whenever join replaces the key.
     crypto::PrecomputedMac mac_to_parent;
-    Bytes static_sk;        // X25519 static secret, derived at first invite
+    // X25519 static keypair: a device's is derived at its first invite,
+    // Vrf's at construction.
+    Bytes static_sk;
     Bytes static_pk;
     Bytes parent_pk;        // learned during join
     bool joined = false;
@@ -215,7 +224,7 @@ class SedaSimulation {
     std::vector<PendingReport> pending;
   };
 
-  Dev& dev(net::NodeId id) { return devices_[id - 1]; }
+  Dev& dev(net::NodeId id) { return devices_[id]; }
 
   // Per-shard round accounting: handlers update their shard's
   // instruments through cached handles — shard-confined, so no locks,
@@ -236,7 +245,6 @@ class SedaSimulation {
   void handle_join_ack(net::NodeId id, const net::Message& msg);
   Bytes report_payload(net::NodeId id, std::uint32_t total,
                        std::uint32_t passed) const;
-  bool report_authentic(net::NodeId child, BytesView payload) const;
 
   void on_message(const net::Message& msg);
   void handle_request(net::NodeId id, const net::Message& msg);
@@ -247,8 +255,6 @@ class SedaSimulation {
   void try_forward(net::NodeId id);
   void flush(net::NodeId id);
   void send_report(net::NodeId id);
-  void root_receive(const net::Message& msg);
-  void root_complete();
 
   SedaConfig config_;
   net::Tree tree_;
@@ -256,23 +262,14 @@ class SedaSimulation {
   std::vector<ShardStats> stats_;  // indexed by shard
   crypto::Hkdf master_;  // provisioning and keypair derivation
   Bytes round_nonce_;
-  std::vector<Dev> devices_;
+  std::vector<Dev> devices_;  // by node id; 0 is Vrf
   /// Midstate caches over the parent-side half of each child's uplink
   /// key (index: child id).
   std::vector<crypto::PrecomputedMac> mac_at_parent_;
-  Bytes vrf_sk_;
-  Bytes vrf_pk_;
   std::uint32_t join_acks_done_ = 0;
 
   bool round_active_ = false;
-  sim::SimTime t_resp_;
-  bool root_done_ = false;
-  std::uint32_t root_waiting_ = 0;
-  std::uint32_t root_total_ = 0;
-  std::uint32_t root_passed_ = 0;
-  std::vector<net::NodeId> root_got_children_;
-  std::uint32_t mac_failures_ = 0;
-  sim::EventHandle root_deadline_;
+  sim::SimTime t_resp_;  // written only by node 0's shard
 };
 
 }  // namespace cra::seda

@@ -81,6 +81,13 @@ std::vector<std::uint32_t> SwarmRuntime::entities_of(
   return out;
 }
 
+net::NodeId SwarmRuntime::device_id(net::NodeId id) const {
+  if (id == 0 || id > tree_.device_count()) {
+    throw std::out_of_range("device id out of range");
+  }
+  return id;
+}
+
 obs::MetricsRegistry& SwarmRuntime::registry(std::uint32_t s) noexcept {
   // One shard writes the merged view directly; more shards write
   // shard-confined registries that run_window() folds in shard order.
@@ -160,9 +167,7 @@ void SwarmRuntime::replay(const fault::FaultEvent& ev) {
     case FaultKind::kLeave:
     case FaultKind::kJoin:
     case FaultKind::kClockSkew:
-      if (ev.device == 0 || ev.device > tree_.device_count()) {
-        throw std::out_of_range("fault plan: device id out of range");
-      }
+      (void)device_id(ev.device);
       on_device_fault_(ev);
       break;
     case FaultKind::kLinkDown:

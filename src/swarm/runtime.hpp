@@ -120,6 +120,10 @@ class SwarmRuntime {
   /// ascending.
   std::vector<std::uint32_t> entities_of(std::uint32_t s,
                                          std::uint32_t first) const;
+  /// `id` when it names a device, 1..device_count(); otherwise throws
+  /// std::out_of_range. Fault replay and the protocols' public
+  /// per-device hooks take device ids, and id 0 is Vrf.
+  net::NodeId device_id(net::NodeId id) const;
 
   /// Run `fn` now when `at` is not in the future, else at `at` on the
   /// shard owning `entity`. Driver thread, engine idle.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 namespace cra::lisa {
 namespace {
 
@@ -50,6 +52,21 @@ TEST_P(LisaBothVariants, RestoreHeals) {
   EXPECT_TRUE(sim.run_round().verified);
 }
 
+TEST_P(LisaBothVariants, SecondCompromiseChangesNothing) {
+  // Regression: every compromise flipped PMEM byte 0 but a restore
+  // flipped it back once, so compromising twice left the device clean,
+  // and restoring it then left the round failing.
+  auto sim = LisaSimulation::balanced(fast(GetParam()), 20);
+  sim.compromise_device(5);
+  sim.compromise_device(5);
+  const LisaRoundReport r = sim.run_round();
+  EXPECT_FALSE(r.verified);
+  EXPECT_EQ(r.bad, std::vector<net::NodeId>{5});
+  sim.restore_device(5);
+  sim.advance_time(sim::Duration::from_ms(50));
+  EXPECT_TRUE(sim.run_round().verified);
+}
+
 TEST_P(LisaBothVariants, SingleDevice) {
   auto sim = LisaSimulation::balanced(fast(GetParam()), 1);
   EXPECT_TRUE(sim.run_round().verified);
@@ -84,6 +101,17 @@ TEST(LisaShape, UnresponsiveInnerDarkensSubtreeInBothVariants) {
     // 1 and its whole subtree {1,3,4,7,8,9,10} never reach Vrf.
     EXPECT_EQ(r.missing.size(), 7u) << variant_name(v);
   }
+}
+
+TEST(LisaShape, PerDeviceHooksRejectIdsOutsideTheSwarm) {
+  auto sim = LisaSimulation::balanced(fast(LisaVariant::kS), 10);
+  for (const net::NodeId id : {0u, 11u}) {
+    EXPECT_THROW(sim.compromise_device(id), std::out_of_range) << id;
+    EXPECT_THROW(sim.restore_device(id), std::out_of_range) << id;
+    EXPECT_THROW(sim.set_device_unresponsive(id, true), std::out_of_range)
+        << id;
+  }
+  EXPECT_TRUE(sim.run_round().verified);
 }
 
 TEST(LisaShape, NoClockNeeded) {

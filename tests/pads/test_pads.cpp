@@ -5,12 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "fault/plan.hpp"
 #include "net/mobility.hpp"
 #include "net/topology.hpp"
+#include "pads/messages.hpp"
 
 namespace cra::pads {
 namespace {
@@ -186,6 +188,36 @@ TEST(PadsRound, TokenSizeValidated) {
   EXPECT_THROW(PadsSimulation::balanced(cfg, 4), std::invalid_argument);
   cfg.token_size = 64;  // > SHA-1 digest
   EXPECT_THROW(PadsSimulation::balanced(cfg, 4), std::invalid_argument);
+}
+
+TEST(PadsRound, PerDeviceHooksRejectIdsOutsideTheSwarm) {
+  auto sim = PadsSimulation::balanced(small_config(), 10);
+  for (const net::NodeId id : {0u, 11u}) {
+    EXPECT_THROW(sim.compromise_device(id), std::out_of_range) << id;
+    EXPECT_THROW(sim.restore_device(id), std::out_of_range) << id;
+    EXPECT_THROW(sim.set_device_unresponsive(id, true), std::out_of_range)
+        << id;
+  }
+  const PadsRoundReport r = sim.run_round();
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.untrusted, 0u);
+}
+
+TEST(PadsRound, WellFormedGossipToAStrayAddressIsDropped) {
+  // Regression: the handler indexed the membership and device tables by
+  // the destination unchecked, so a well-formed gossip message sent to
+  // an id outside the swarm read past both.
+  auto sim = PadsSimulation::balanced(small_config(), 10);
+  GossipMsg g;
+  g.sender = 1;
+  g.devices = 10;
+  g.token = Bytes(small_config().token_size, 0);
+  g.known.assign(knowledge_blocks(10), ~0ULL);
+  g.bad.assign(knowledge_blocks(10), ~0ULL);
+  sim.network().send(1, 5'000'000, kGossipKind, g.encode());
+  const PadsRoundReport r = sim.run_round();
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.untrusted, 0u);
 }
 
 TEST(PadsRound, RebuildTopologyValidatesShape) {

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sap/swarm.hpp"
 
 namespace cra::sap {
@@ -173,6 +175,17 @@ TEST(Heartbeat, SapAloneIsBlindToCaptureButHeartbeatIsNot) {
   const auto report = hb.collect();
   ASSERT_FALSE(report.empty());  // heartbeat: capture window exposed
   EXPECT_EQ(report[0].device, 12u);
+}
+
+TEST(Heartbeat, CaptureHooksRejectIdsOutsideTheFleet) {
+  auto hb = HeartbeatSimulation::balanced(fast_config(), 10);
+  for (const net::NodeId id : {0u, 11u}) {
+    EXPECT_THROW(hb.capture_device(id), std::out_of_range) << id;
+    EXPECT_THROW(hb.release_device(id), std::out_of_range) << id;
+    EXPECT_THROW((void)hb.is_captured(id), std::out_of_range) << id;
+  }
+  hb.run_monitoring(sim::Duration::from_sec(1.0));
+  EXPECT_TRUE(hb.collect().empty());
 }
 
 TEST(Heartbeat, MonitoringCostIsLinearPerPeriod) {

@@ -1,6 +1,8 @@
 // Protocol robustness under garbage: randomized malformed traffic must
 // never crash an agent, corrupt another round, or (worse) make a
 // compromised swarm verify. The network tamper hook plays a fuzzer.
+// Forged and wrong-kind messages addressed to Vrf (position 0) must be
+// dropped as a device drops them.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
@@ -136,7 +138,32 @@ TEST(Robustness, WrongKindMessagesIgnored) {
   // Inject stray messages with bogus kinds/addresses before the round.
   sim.network().send(0, 5, 999, Bytes(7, 0xee));
   sim.network().send(0, 2000, kChalMsg, Bytes(20, 0xee));  // bad address
-  EXPECT_TRUE(sim.run_round().verified);
+  // Vrf shares the devices' dispatch but takes reports only: a
+  // well-formed chal for a future tick, a re-poll carrying it and an
+  // unknown kind addressed to position 0 are all dropped.
+  const Bytes chal = encode_chal(1'000'000, {}, cfg().chal_size());
+  sim.network().send(1, 0, kChalMsg, chal);
+  sim.network().send(1, 0, kRepollMsg, chal);
+  sim.network().send(1, 0, 999, Bytes(7, 0xee));
+  const RoundReport r = sim.run_round();
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(r.responded, 10u);
+}
+
+TEST(Robustness, ForgedTokenAtVrfDoesNotCountItsChild) {
+  // Regression: Vrf recorded a child as heard before it checked the
+  // child's token, so one malformed token from position 1, sent before
+  // the round, made Vrf drop the child's real report as a duplicate.
+  // Binary and count rounds then failed, and identify lost the child's
+  // subtree. Vrf now runs the devices' token handler, which drops it.
+  for (QoaMode qoa : {QoaMode::kBinary, QoaMode::kCount, QoaMode::kIdentify}) {
+    auto sim = SapSimulation::balanced(cfg(qoa), 30, 1);
+    sim.network().send(1, 0, kTokenMsg, Bytes(3, 0xee));
+    const RoundReport r = sim.run_round();
+    EXPECT_TRUE(r.verified) << qoa_name(qoa);
+    EXPECT_EQ(r.responded, 30u) << qoa_name(qoa);
+    EXPECT_TRUE(r.identify.missing.empty()) << qoa_name(qoa);
+  }
 }
 
 }  // namespace

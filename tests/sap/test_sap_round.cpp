@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "device/device.hpp"
 #include "sap/analysis.hpp"
 
 namespace cra::sap {
@@ -181,6 +184,49 @@ TEST(SapRound, SecondRoundAfterCompromiseIsIndependent) {
   sim.compromise_device(11);
   sim.advance_time(sim::Duration::from_ms(30));
   EXPECT_FALSE(sim.run_round().verified);
+}
+
+TEST(SapRound, SecondCompromiseKeepsTheDeviceInfected) {
+  // Regression: every compromise flipped PMEM byte 0, so a second call
+  // restored cfg_i while is_compromised() stayed true, and the round
+  // verified.
+  auto sim = SapSimulation::balanced(small_config(), 30);
+  sim.compromise_device(5);
+  sim.compromise_device(5);
+  EXPECT_TRUE(sim.is_compromised(5));
+  EXPECT_FALSE(sim.run_round().verified);
+  sim.restore_device(5);
+  sim.advance_time(sim::Duration::from_ms(50));
+  EXPECT_TRUE(sim.run_round().verified);
+}
+
+TEST(SapRound, PerDeviceHooksRejectIdsOutsideTheSwarm) {
+  // Regression: the hooks indexed the device table unchecked, so id 0
+  // wrote before it and id N+1 past it. Record 0 is Vrf's round state,
+  // which no hook may reach: set_device_unresponsive(0, true) would make
+  // Vrf deaf.
+  const SapConfig cfg = small_config();
+  auto sim = SapSimulation::balanced(cfg, 10);
+  device::DeviceConfig dcfg;
+  dcfg.layout = device::MemoryLayout{256, cfg.pmem_size, 1024, 4096};
+  device::Device vm(1, dcfg, sim.verifier().device_key(1), Bytes(20, 1));
+  for (const net::NodeId id : {0u, 11u}) {
+    EXPECT_THROW(sim.compromise_device(id), std::out_of_range) << id;
+    EXPECT_THROW(sim.restore_device(id), std::out_of_range) << id;
+    EXPECT_THROW((void)sim.is_compromised(id), std::out_of_range) << id;
+    EXPECT_THROW(sim.set_device_unresponsive(id, true), std::out_of_range)
+        << id;
+    EXPECT_THROW(sim.set_clock_skew(id, sim::Duration::from_ms(1)),
+                 std::out_of_range)
+        << id;
+    EXPECT_THROW(sim.assign_device_class(id, 0), std::out_of_range) << id;
+    EXPECT_THROW((void)sim.device_class(id), std::out_of_range) << id;
+    EXPECT_THROW((void)sim.attest_time_for(id), std::out_of_range) << id;
+    EXPECT_THROW(sim.attach_vm(id, &vm), std::out_of_range) << id;
+  }
+  const RoundReport r = sim.run_round();
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(r.responded, 10u);
 }
 
 TEST(SapRound, Sha256ParameterAlsoWorks) {

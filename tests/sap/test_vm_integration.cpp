@@ -51,6 +51,18 @@ TEST(VmIntegration, RealMalwareInfectionDetected) {
   EXPECT_FALSE(swarm.sim->run_round().verified);
 }
 
+TEST(VmIntegration, SecondCompromiseKeepsTheVmInfected) {
+  // Regression: each compromise XORed PMEM byte 0 with 0xff, so the
+  // second implant undid the first and the round verified.
+  VmSwarm swarm(7);
+  swarm.sim->compromise_device(4);
+  swarm.sim->compromise_device(4);
+  EXPECT_FALSE(swarm.sim->run_round().verified);
+  swarm.sim->restore_device(4);
+  swarm.sim->advance_time(sim::Duration::from_ms(50));
+  EXPECT_TRUE(swarm.sim->run_round().verified);
+}
+
 TEST(VmIntegration, ReflashRestoresTrust) {
   VmSwarm swarm(7);
   swarm.vms[2]->adv_infect_pmem(0, to_bytes("evil"));

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sap/analysis.hpp"
 #include "sap/swarm.hpp"
 
@@ -57,6 +59,32 @@ TEST(Seda, TamperedReportRejectedByParent) {
   const SedaRoundReport r = sim.run_round();
   EXPECT_FALSE(r.verified);
   EXPECT_GE(r.mac_failures, 1u);  // hop-by-hop MAC check caught it
+}
+
+TEST(Seda, VrfIgnoresRequestsAndInvites) {
+  // Vrf is node 0 of the tree and shares the devices' dispatch, but it
+  // takes reports and join acks only: an invite or a request addressed
+  // to it is dropped, so it neither re-keys nor counts itself.
+  auto sim = SedaSimulation::balanced(small_config(), 14);
+  sim.network().send(1, 0, 3 /*join invite*/, Bytes(32, 0x42));
+  EXPECT_TRUE(sim.run_join().complete);
+  sim.network().send(1, 0, 1 /*request*/,
+                     Bytes(small_config().request_size(), 0xa5));
+  const SedaRoundReport r = sim.run_round();
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(r.total, 14u);
+  EXPECT_EQ(r.mac_failures, 0u);
+}
+
+TEST(Seda, PerDeviceHooksRejectIdsOutsideTheSwarm) {
+  auto sim = SedaSimulation::balanced(small_config(), 10);
+  for (const net::NodeId id : {0u, 11u}) {
+    EXPECT_THROW(sim.compromise_device(id), std::out_of_range) << id;
+    EXPECT_THROW(sim.restore_device(id), std::out_of_range) << id;
+    EXPECT_THROW(sim.set_device_unresponsive(id, true), std::out_of_range)
+        << id;
+  }
+  EXPECT_TRUE(sim.run_round().verified);
 }
 
 TEST(Seda, UtilizationMatchesPrediction) {
