@@ -34,7 +34,7 @@ LisaSimulation::LisaSimulation(LisaConfig config, net::Tree tree,
   Bytes master = crypto::SecureRandom(seed ^ 0x4c49'5341'6b65'79ULL).bytes(32);
   const crypto::Hkdf kdf(master);
   crypto::secure_wipe(master);
-  const std::vector<net::NodeId> ids = rt_.entities_of(0, 1);
+  const auto ids = rt_.entities_of(0, 1);
   const std::size_t len = crypto::digest_size(config_.alg);
   kdf.device_keys(ids, len, "lisa-device-key",
                   [this](net::NodeId id, BytesView key) {

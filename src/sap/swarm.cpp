@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "crypto/chacha20.hpp"
+#include "crypto/ct.hpp"
 #include "crypto/kdf.hpp"
 #include "obs/trace.hpp"
 #include "sap/analysis.hpp"
@@ -57,9 +58,10 @@ SapSimulation::SapSimulation(const obs::Span& /*setup*/, SapConfig config,
   for (net::NodeId id = 1; id <= device_count(); ++id) {
     dev(id).content.resize(config_.token_size());
   }
+  shares_.resize(stats_.size());
   rt_.for_each_shard([&](std::uint32_t s) {
     obs::Span span("sap.provision");
-    const std::vector<net::NodeId> ids = rt_.entities_of(s, 1);
+    const auto ids = rt_.entities_of(s, 1);
     verifier_.provision(ids);
     verifier_.kdf().device_keys(ids, config_.token_size(), "sap-firmware",
                                 [this](net::NodeId id, BytesView content) {
@@ -310,35 +312,12 @@ RoundReport SapSimulation::run_round() {
   round_active_ = true;
   obs::Span round_span("sap.round");
 
-  // Round boundary: zero every instrument and ledger (registrations and
-  // cached handles survive) and mirror the network configuration.
-  rt_.begin_window();
-
-  // Reset per-round state, Vrf's included. Vrf has no self-measurement.
-  for (net::NodeId id = 0; id <= device_count(); ++id) {
-    Dev& d = dev(id);
-    d.tick = 0;
-    d.got_chal = false;
-    d.responded_self = id == 0;
-    d.sent = false;
-    d.waiting =
-        static_cast<std::uint32_t>(tree_.children(pos_of_[id]).size());
-    d.count = 0;
-    d.retries = 0;
-    d.self_grace = 0;
-    d.got_children.clear();
-    d.agg_token.assign(config_.token_size(), 0);
-    d.sent_payload.clear();
-    d.reports.clear();
-    d.deadline = sim::EventHandle();
-  }
-
   RoundReport report;
   report.devices = device_count();
   report.t_chal = current_time();
 
   // request: pick t_att per Equation 9 (+ slack), quantized to the next
-  // secure-clock tick, and flood chal down the tree.
+  // secure-clock tick.
   const sim::SimTime lower_bound =
       report.t_chal + request_lead_time(config_, tree_.max_depth());
   round_tick_ = clock_.time_to_tick_ceil(lower_bound);
@@ -347,6 +326,15 @@ RoundReport SapSimulation::run_round() {
   report.t_att = t_att_time_;
   report.measurement_end = t_att_time_ + max_attest_time();
 
+  // Round boundary: zero every instrument and ledger (registrations and
+  // cached handles survive), mirror the network configuration, and open
+  // every shard on its worker. In the aggregated modes the parts of
+  // RES_S then fold, in shard order, before the challenge leaves.
+  rt_.begin_window([this](std::uint32_t s) { open_shard(s); });
+  Bytes res_s(config_.token_size(), 0);
+  for (const Bytes& share : shares_) xor_inplace(res_s, share);
+
+  // Flood chal down the tree.
   const Bytes chal =
       encode_chal(round_tick_, auth_key_, config_.chal_size());
   round_chal_ = chal;
@@ -400,12 +388,12 @@ RoundReport SapSimulation::run_round() {
   switch (config_.qoa) {
     case QoaMode::kBinary:
       report.responded = vrf.waiting == 0 ? device_count() : 0;
-      report.verified = verifier_.verify(vrf.agg_token, round_tick_);
+      report.verified = crypto::ct_equal(vrf.agg_token, res_s);
       break;
     case QoaMode::kCount:
       report.responded = vrf.count;
       report.verified = vrf.count == device_count() &&
-                        verifier_.verify(vrf.agg_token, round_tick_);
+                        crypto::ct_equal(vrf.agg_token, res_s);
       break;
     case QoaMode::kIdentify:
       if (config_.adaptive.enabled) {
@@ -444,6 +432,38 @@ RoundReport SapSimulation::run_round() {
                    report.t_resp.ns());
   }
   return report;
+}
+
+void SapSimulation::open_shard(std::uint32_t s) {
+  // Reset per-round state, Vrf's included. Vrf has no self-measurement.
+  for (const net::NodeId pos : rt_.entities_of(s)) {
+    const net::NodeId id = dev_at_[pos];
+    Dev& d = dev(id);
+    d.tick = 0;
+    d.got_chal = false;
+    d.responded_self = id == 0;
+    d.sent = false;
+    d.waiting = static_cast<std::uint32_t>(tree_.children(pos).size());
+    d.count = 0;
+    d.retries = 0;
+    d.self_grace = 0;
+    d.got_children.clear();
+    d.agg_token.assign(config_.token_size(), 0);
+    d.sent_payload.clear();
+    d.reports.clear();
+    d.deadline = sim::EventHandle();
+  }
+  // RES_S is offline work: a share needs only the challenge and the
+  // verifier's table, and any partition of the ids 1..N folds to it.
+  // The shard sweeps the ids equal to its positions: its own devices
+  // until rebuild_topology moves them, in ascending order either way.
+  // Identify modes judge each entry after the window; their share stays
+  // zero.
+  Bytes share(config_.token_size(), 0);
+  if (config_.qoa != QoaMode::kIdentify) {
+    verifier_.sweep(rt_.entities_of(s, 1), round_tick_, share, nullptr);
+  }
+  shares_[s] = std::move(share);
 }
 
 void SapSimulation::on_message(const net::Message& msg) {

@@ -233,6 +233,11 @@ class SapSimulation {
     return stats_[rt_.shard_of(pos)];
   }
 
+  /// The per-shard step of begin_window: reset the round state of the
+  /// nodes at shard `s`'s positions and fold the shard's share of RES_S
+  /// into shares_[s].
+  void open_shard(std::uint32_t s);
+
   /// Device-fault hook of the runtime's fault replay; runs on the shard
   /// owning the device's tree position.
   void apply_device_fault(const fault::FaultEvent& ev);
@@ -268,6 +273,7 @@ class SapSimulation {
   // replay. Entities are tree positions; position 0 is Vrf.
   swarm::SwarmRuntime rt_;
   std::vector<ShardStats> stats_;  // indexed by shard
+  std::vector<Bytes> shares_;      // RES_S share, indexed by shard
   device::SecureClock clock_;
   Verifier verifier_;
   Bytes auth_key_;

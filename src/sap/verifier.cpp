@@ -95,8 +95,14 @@ Bytes Verifier::expected_token(net::NodeId id, std::uint32_t chal) const {
   return Bytes(buf.bytes.begin(), buf.bytes.begin() + buf.len);
 }
 
-void Verifier::sweep(std::uint32_t chal, Bytes& res_s,
-                     std::uint8_t* table) const {
+std::vector<net::NodeId> Verifier::all_ids() const {
+  std::vector<net::NodeId> ids(device_count_);
+  for (net::NodeId id = 1; id <= device_count_; ++id) ids[id - 1] = id;
+  return ids;
+}
+
+void Verifier::sweep(std::span<const net::NodeId> ids, std::uint32_t chal,
+                     Bytes& res_s, std::uint8_t* table) const {
   // RES_S is a pure fold over independent per-device MACs, so the whole
   // sweep batches through the active crypto backend: a SIMD backend
   // computes `lanes` device tokens per compression sweep, the scalar
@@ -110,36 +116,36 @@ void Verifier::sweep(std::uint32_t chal, Bytes& res_s,
   std::array<crypto::MacJob, kChunk> jobs;
   std::array<crypto::MacBuf, kChunk> outs;
   std::array<net::NodeId, kChunk> cold;
-  for (net::NodeId base = 1; base <= device_count_;) {
-    const std::size_t n = std::min<std::size_t>(
-        kChunk, static_cast<std::size_t>(device_count_ - base) + 1);
+  while (!ids.empty()) {
+    const std::span<const net::NodeId> chunk =
+        ids.first(std::min(kChunk, ids.size()));
+    ids = ids.subspan(chunk.size());
     // A fresh verifier's first sweep derives the chunk's keys in one
     // batch, as provisioning does, not one HKDF per device_mac call.
     std::size_t n_cold = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const net::NodeId id = base + static_cast<net::NodeId>(i);
+    for (const net::NodeId id : chunk) {
+      check_id(id);
       if (!mac_cache_[id - 1].ready()) cold[n_cold++] = id;
     }
     if (n_cold != 0) provision(std::span(cold.data(), n_cold));
-    for (std::size_t i = 0; i < n; ++i) {
-      const net::NodeId id = base + static_cast<net::NodeId>(i);
-      jobs[i] = {&device_mac(id), expected_[id - 1], chal_view};
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
+      jobs[i] = {&mac_cache_[chunk[i] - 1], expected_[chunk[i] - 1],
+                 chal_view};
     }
-    backend.hmac_batch(jobs.data(), n, outs.data());
-    for (std::size_t i = 0; i < n; ++i) {
+    backend.hmac_batch(jobs.data(), chunk.size(), outs.data());
+    for (std::size_t i = 0; i < chunk.size(); ++i) {
       xor_inplace(res_s, outs[i].view());
       if (table != nullptr) {
         std::copy_n(outs[i].bytes.data(), token_size,
-                    table + (base - 1 + i) * token_size);
+                    table + (chunk[i] - 1) * token_size);
       }
     }
-    base += static_cast<net::NodeId>(n);
   }
 }
 
 Bytes Verifier::expected_result(std::uint32_t chal) const {
   Bytes acc(config_.token_size(), 0);
-  sweep(chal, acc, nullptr);
+  sweep(all_ids(), chal, acc, nullptr);
   return acc;
 }
 
@@ -193,9 +199,10 @@ void Verifier::Appraisal::begin(std::uint32_t chal) {
   const Verifier& v = *verifier_;
   const std::size_t token_size = v.config_.token_size();
   chal_ = chal;
+  if (ids_.empty()) ids_ = v.all_ids();
   tokens_.resize(static_cast<std::size_t>(v.device_count_) * token_size);
   res_s_.assign(token_size, 0);
-  v.sweep(chal, res_s_, tokens_.data());
+  v.sweep(ids_, chal, res_s_, tokens_.data());
   status_.assign(v.device_count_, DeviceStatus::kUnreachable);
 }
 

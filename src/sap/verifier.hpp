@@ -9,11 +9,14 @@
 //   verify(H_S) = [H_S == RES_S]
 //
 // Report verification is offline (excluded from T_CA): Vrf can precompute
-// RES_S for the chosen chal before the report returns. Appraisal does
-// exactly that: begin(chal) sweeps every res_i into a flat table and
-// folds RES_S, absorb() judges report entries against the table as
-// they arrive, and finish() returns the per-device census. classify()
-// is that path run on a whole report, so a live verifier that appraises
+// RES_S for the chosen chal before the report returns. sweep() is the
+// one pass that does it, over any set of ids, and XOR makes the fold
+// order-free: the simulator sweeps each shard's devices on that shard's
+// worker before the challenge leaves and XORs the parts. Appraisal
+// sweeps every id: begin(chal) fills a flat table of res_i and folds
+// RES_S, absorb() judges report entries against the table as they
+// arrive, and finish() returns the per-device census. classify() is
+// that path run on a whole report, so a live verifier that appraises
 // frame by frame and the simulator's one-shot verdict share one rule.
 //
 // Keys: K_{mi,Vrf} = HKDF(master, "sap-device-key" || i). Equivalent to
@@ -79,6 +82,14 @@ class Verifier {
   /// calls resume them (no HKDF, no pad compressions, no heap).
   void expected_token_into(net::NodeId id, std::uint32_t chal,
                            crypto::MacBuf& out) const;
+  /// res_i(chal) for every id in `ids`, in chunks through the active
+  /// backend's hmac_batch: XORed into `res_s` (token_size bytes), and
+  /// also written to `table` at (id-1) * token_size unless it is null.
+  /// Ids not yet provisioned are provisioned a chunk at a time, as
+  /// provision() does, so distinct threads may sweep disjoint id sets
+  /// at once.
+  void sweep(std::span<const net::NodeId> ids, std::uint32_t chal,
+             Bytes& res_s, std::uint8_t* table) const;
   /// RES_S = ⊕ res_i over all devices.
   Bytes expected_result(std::uint32_t chal) const;
   /// Binary verdict: H_S == RES_S (constant-time compare).
@@ -164,6 +175,7 @@ class Verifier {
 
     const Verifier* verifier_;
     std::uint32_t chal_ = 0;
+    std::vector<net::NodeId> ids_;  // 1..N, the sweep's id set
     Bytes tokens_;  // res_i(chal) at (id-1) * token_size
     Bytes res_s_;
     std::vector<DeviceStatus> status_;  // index id-1
@@ -178,10 +190,8 @@ class Verifier {
 
  private:
   void check_id(net::NodeId id) const;
-  /// res_i(chal) for every device, in chunks through the active
-  /// backend's hmac_batch: XORed into `res_s`, and also written to
-  /// `table` at (id-1) * token_size unless it is null.
-  void sweep(std::uint32_t chal, Bytes& res_s, std::uint8_t* table) const;
+  /// Every device id, 1..N.
+  std::vector<net::NodeId> all_ids() const;
 
   SapConfig config_;
   std::uint32_t device_count_;
@@ -189,11 +199,11 @@ class Verifier {
   std::vector<Bytes> expected_;  // index id-1
   // Per-device HMAC midstate caches, filled by provision() or on first
   // use. Lazy mutation is safe because verification is offline and
-  // single-threaded, and provisioning workers each own disjoint ids.
-  // SapSimulation's shard workers read the table concurrently during a
-  // round: its constructor provisions every id first, so they never
-  // take device_mac's initialising branch. Saves an HKDF expand plus
-  // two compressions per expected-token query.
+  // single-threaded, and provisioning and sweeping workers each own
+  // disjoint ids. SapSimulation's shard workers read the table
+  // concurrently during a round: its constructor provisions every id
+  // first, so they never take device_mac's initialising branch. Saves
+  // an HKDF expand plus two compressions per expected-token query.
   mutable std::vector<crypto::PrecomputedMac> mac_cache_;  // index id-1
 };
 

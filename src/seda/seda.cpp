@@ -290,22 +290,22 @@ SedaRoundReport SedaSimulation::run_round() {
     throw std::logic_error("SEDA run_round: round already active");
   }
   round_active_ = true;
-
-  // Reset per-round state, Vrf's included. Vrf has no self-measurement.
-  for (net::NodeId id = 0; id <= device_count(); ++id) {
-    Dev& d = dev(id);
-    d.got_request = false;
-    d.self_done = id == 0;
-    d.sent = false;
-    d.waiting = static_cast<std::uint32_t>(tree_.children(id).size());
-    d.total = 0;
-    d.passed = 0;
-    d.got_children.clear();
-    d.pending.clear();
-    d.deadline = sim::EventHandle();
-  }
   obs::Span round_span("seda.round");
-  rt_.begin_window();
+  rt_.begin_window([this](std::uint32_t s) {
+    // Reset per-round state, Vrf's included. Vrf has no self-measurement.
+    for (const net::NodeId id : rt_.entities_of(s)) {
+      Dev& d = dev(id);
+      d.got_request = false;
+      d.self_done = id == 0;
+      d.sent = false;
+      d.waiting = static_cast<std::uint32_t>(tree_.children(id).size());
+      d.total = 0;
+      d.passed = 0;
+      d.got_children.clear();
+      d.pending.clear();
+      d.deadline = sim::EventHandle();
+    }
+  });
 
   SedaRoundReport report;
   report.devices = device_count();
@@ -427,17 +427,22 @@ void SedaSimulation::self_attested(net::NodeId id) {
 void SedaSimulation::handle_report(net::NodeId id, const net::Message& msg) {
   Dev& d = dev(id);
   if (d.sent) return;
+  // Only a child reports to this node, under its own uplink key.
   const net::NodeId child = msg.src;
+  if (child == 0 || child > device_count() || tree_.parent(child) != id) {
+    return;
+  }
   if (std::find(d.got_children.begin(), d.got_children.end(), child) !=
       d.got_children.end()) {
-    return;  // duplicate child report
+    return;  // the child is counted already
   }
-  d.got_children.push_back(child);
   // Hop-by-hop verification: the parent authenticates every child report
   // with the pairwise key before aggregating. The MAC check costs
   // simulated CPU time per report; the host-side computation is queued
   // so overlapping checks at one parent resolve as a single backend
-  // batch when the first one completes (SEDA aggregation hot path).
+  // batch when the first one completes (SEDA aggregation hot path). A
+  // child is counted only once one of its reports passes, so a forged
+  // report from its address cannot take its place.
   d.pending.push_back({child, Bytes(msg.payload.begin(), msg.payload.end()),
                        /*checked=*/false, /*ok=*/false});
   if (id == 0) {
@@ -485,6 +490,8 @@ void SedaSimulation::verify_pending_batch(net::NodeId id) {
 void SedaSimulation::finish_report_check(net::NodeId id, net::NodeId child) {
   Dev& dd = dev(id);
   if (dd.sent) return;
+  // Every check takes the same modelled time, so a child's checks finish
+  // in the order its reports arrived: this one is its oldest pending.
   const auto it =
       std::find_if(dd.pending.begin(), dd.pending.end(),
                    [child](const Dev::PendingReport& p) {
@@ -496,11 +503,17 @@ void SedaSimulation::finish_report_check(net::NodeId id, net::NodeId child) {
   const Bytes payload = std::move(it->payload);
   dd.pending.erase(it);
   if (!ok) {
-    stats(id).mac_failures->inc();  // forged/tampered report: drop it
-  } else {
-    dd.total += read_u32le(payload, 0);
-    dd.passed += read_u32le(payload, 4);
+    // Forged or tampered: drop it, and keep waiting for the child.
+    stats(id).mac_failures->inc();
+    return;
   }
+  if (std::find(dd.got_children.begin(), dd.got_children.end(), child) !=
+      dd.got_children.end()) {
+    return;  // an earlier report of this child passed already
+  }
+  dd.got_children.push_back(child);
+  dd.total += read_u32le(payload, 0);
+  dd.passed += read_u32le(payload, 4);
   if (dd.waiting > 0) --dd.waiting;
   try_forward(id);
 }

@@ -42,8 +42,8 @@ std::uint32_t Scheduler::acquire_slot() {
     free_head_ = slots_[slot].next_free;
     return slot;
   }
-  slots_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  if (fresh_ == slots_.size()) slots_.emplace_back();
+  return fresh_++;
 }
 
 void Scheduler::release_slot(std::uint32_t slot) noexcept {
@@ -54,6 +54,12 @@ void Scheduler::release_slot(std::uint32_t slot) noexcept {
     --cancelled_;
   }
   if (++s.gen == 0) s.gen = 1;  // 0 marks the inert handle
+  if (queue_.empty()) {
+    // Quiescence: no slot is in use, so drop the free list.
+    free_head_ = kNoSlot;
+    fresh_ = 0;
+    return;
+  }
   s.next_free = free_head_;
   free_head_ = slot;
 }
@@ -117,8 +123,12 @@ void Scheduler::purge_cancelled() {
 bool Scheduler::step() { return dispatch_next(); }
 
 void Scheduler::clear_pending() noexcept {
-  for (const Entry& e : queue_) release_slot(e.slot);
-  queue_.clear();
+  // Release newest first, so the last release sees the empty queue.
+  while (!queue_.empty()) {
+    const std::uint32_t slot = queue_.back().slot;
+    queue_.pop_back();
+    release_slot(slot);
+  }
 }
 
 }  // namespace cra::sim

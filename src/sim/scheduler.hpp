@@ -14,6 +14,12 @@
 // whenever the slot is released, and a cancelled flag — so cancel() is
 // one index plus a generation compare, and a handle whose event already
 // ran (or was dropped) is inert even after its slot has been reused.
+//
+// Slots are handed out in index order again whenever the queue drains:
+// at that point every slot is free, so the free list is dropped and a
+// fresh-slot cursor restarts at slot 0. A LIFO free list alone would
+// scatter each round's callbacks further across the table, round after
+// round. Generations are never reset, so a stale handle stays inert.
 #pragma once
 
 #include <cstdint>
@@ -132,12 +138,15 @@ class Scheduler {
   Entry pop_earliest() noexcept;
   std::uint32_t acquire_slot();
   /// Destroy the slot's callback, clear its flag, bump its generation
-  /// (stale handles go inert) and put it on the free list.
+  /// (stale handles go inert) and put it on the free list; once the
+  /// queue is empty, restart the fresh-slot cursor at slot 0 instead.
   void release_slot(std::uint32_t slot) noexcept;
 
   std::vector<Entry> queue_;  // binary min-heap on (at, seq)
   std::vector<Slot> slots_;
   std::uint32_t free_head_ = kNoSlot;
+  // Slots at and above the cursor are free and on no list.
+  std::uint32_t fresh_ = 0;
   std::size_t cancelled_ = 0;  // queued events flagged cancelled
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;

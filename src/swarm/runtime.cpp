@@ -1,8 +1,10 @@
 #include "swarm/runtime.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "common/rng.hpp"
+#include "obs/trace.hpp"
 
 namespace cra::swarm {
 namespace {
@@ -37,8 +39,23 @@ SwarmRuntime::SwarmRuntime(const net::Tree& tree, const sim::SimConfig& sim,
   const sim::SimConfig cfg = engine_config(sim, link);
   engine_ = std::make_unique<sim::ParallelScheduler>(placement(tree, cfg), cfg,
                                                      link.per_hop_latency);
-  nets_.reserve(engine_->shard_count());
-  for (std::uint32_t s = 0; s < engine_->shard_count(); ++s) {
+  // Bucket the entities by owning shard once, in one counting pass, so
+  // every shard's run stays ascending.
+  const std::uint32_t shards = engine_->shard_count();
+  run_begin_.assign(shards + 1, 0);
+  for (std::uint32_t e = 0; e < tree_.size(); ++e) {
+    ++run_begin_[shard_of(e) + 1];
+  }
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    run_begin_[s + 1] += run_begin_[s];
+  }
+  std::vector<std::uint32_t> next(run_begin_.begin(), run_begin_.end() - 1);
+  entities_.resize(tree_.size());
+  for (std::uint32_t e = 0; e < tree_.size(); ++e) {
+    entities_[next[shard_of(e)]++] = e;
+  }
+  nets_.reserve(shards);
+  for (std::uint32_t s = 0; s < shards; ++s) {
     nets_.push_back(std::make_unique<ShardNetwork>(engine_->shard(s), link));
     nets_.back()->set_handler(on_message_);
     nets_.back()->bind_metrics(&registry(s));
@@ -71,14 +88,11 @@ void SwarmRuntime::for_each_shard(
   });
 }
 
-std::vector<std::uint32_t> SwarmRuntime::entities_of(
+std::span<const std::uint32_t> SwarmRuntime::entities_of(
     std::uint32_t s, std::uint32_t first) const {
-  std::vector<std::uint32_t> out;
-  out.reserve(tree_.size() / engine_->shard_count() + 1);
-  for (std::uint32_t e = first; e < tree_.size(); ++e) {
-    if (shard_of(e) == s) out.push_back(e);
-  }
-  return out;
+  const auto begin = entities_.begin() + run_begin_[s];
+  const auto end = entities_.begin() + run_begin_[s + 1];
+  return {std::lower_bound(begin, end, first), end};
 }
 
 net::NodeId SwarmRuntime::device_id(net::NodeId id) const {
@@ -114,24 +128,30 @@ std::uint64_t SwarmRuntime::shard_loss_seed(std::uint64_t seed,
   return mix.next();
 }
 
-void SwarmRuntime::begin_window() {
+void SwarmRuntime::begin_window(
+    const std::function<void(std::uint32_t)>& open_shard) {
   metrics_.reset_values();
   engine_->reset_shard_metrics();
   surface_->reset_accounting();
-  if (one_shard()) return;  // the surface is the live network
-  if (surface_->has_tamper_hook()) {
-    throw std::logic_error(
-        "SwarmRuntime: tamper hooks need a single shard (construct with "
-        "config.sim.shards == 1)");
+  if (!one_shard()) {
+    if (surface_->has_tamper_hook()) {
+      throw std::logic_error(
+          "SwarmRuntime: tamper hooks need a single shard (construct with "
+          "config.sim.shards == 1)");
+    }
+    const double rate = surface_->loss_rate();
+    for (std::uint32_t s = 0; s < nets_.size(); ++s) {
+      // A link's sender lives in exactly one shard, so the per-link maps
+      // never overlap; merged totals come out of the metrics layer.
+      nets_[s]->enable_per_link_accounting(surface_->per_link_accounting());
+      nets_[s]->reset_accounting();
+      nets_[s]->set_loss_rate(
+          rate, rate > 0.0 ? shard_loss_seed(surface_->loss_seed(), s) : 0);
+    }
   }
-  const double rate = surface_->loss_rate();
-  for (std::uint32_t s = 0; s < nets_.size(); ++s) {
-    // A link's sender lives in exactly one shard, so the per-link maps
-    // never overlap; merged totals come out of the metrics layer.
-    nets_[s]->enable_per_link_accounting(surface_->per_link_accounting());
-    nets_[s]->reset_accounting();
-    nets_[s]->set_loss_rate(
-        rate, rate > 0.0 ? shard_loss_seed(surface_->loss_seed(), s) : 0);
+  if (open_shard) {
+    obs::Span span("swarm.round_open");
+    for_each_shard(open_shard);
   }
 }
 

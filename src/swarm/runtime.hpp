@@ -30,12 +30,18 @@
 //   * Zero-latency links admit no lookahead and force one shard.
 //
 // A window is one completed run(): a protocol round or SEDA's join.
-// advance_time() and run_until() slices are not windows.
+// advance_time() and run_until() slices are not windows. A round's
+// window has one lifecycle: begin_window() zeroes the instruments and
+// runs the protocol's per-shard step on the shard workers (reset of the
+// shard's nodes, plus whatever the protocol precomputes per shard), the
+// driver starts the round, run_window() runs it to quiescence, and the
+// driver reads the verdict.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -106,20 +112,22 @@ class SwarmRuntime {
   }
 
   /// Call fn(s) once for every shard s: the per-shard work of setup,
-  /// such as provisioning the devices a shard owns. Shard s runs on
-  /// worker s mod threads, as in a run, on min(threads, shards) threads
-  /// started by sim::run_workers; worker 0 is the caller, so with one of
-  /// either it runs inline. Every thread is joined before this returns,
-  /// which rethrows the first exception (processes > 1 construct before
-  /// ProcessGroup::spawn, so no thread may be live at the fork, and the
-  /// constructing process covers every shard). fn(s) may write only
-  /// state of shard s's entities, and may not post or send. Driver
-  /// thread, engine idle.
+  /// such as provisioning the devices a shard owns, and of opening a
+  /// round (begin_window). Shard s runs on worker s mod threads, as in
+  /// a run, on min(threads, shards) threads started by
+  /// sim::run_workers; worker 0 is the caller, so with one of either it
+  /// runs inline. Every thread is joined before this returns, which
+  /// rethrows the first exception (processes > 1 construct before
+  /// ProcessGroup::spawn, so no thread may be live at the fork). Every
+  /// process covers every shard, as the constructing one does. fn(s) may
+  /// write only state of shard s's entities, and may not post or send.
+  /// Driver thread, engine idle.
   void for_each_shard(const std::function<void(std::uint32_t)>& fn);
   /// The entities from `first` up to the tree size that shard `s` owns,
-  /// ascending.
-  std::vector<std::uint32_t> entities_of(std::uint32_t s,
-                                         std::uint32_t first) const;
+  /// ascending: the shard's run of the placement, bucketed once at
+  /// construction.
+  std::span<const std::uint32_t> entities_of(std::uint32_t s,
+                                             std::uint32_t first = 0) const;
   /// `id` when it names a device, 1..device_count(); otherwise throws
   /// std::out_of_range. Fault replay and the protocols' public
   /// per-device hooks take device ids, and id 0 is Vrf.
@@ -139,10 +147,14 @@ class SwarmRuntime {
   }
 
   // --- Windows ---
-  /// Open a window: zero every instrument and ledger, and mirror the
-  /// configuration surface onto the shard networks. Throws
+  /// Open a window: zero every instrument and ledger, mirror the
+  /// configuration surface onto the shard networks, then run
+  /// `open_shard(s)` for every shard through for_each_shard (its
+  /// contract applies), inside one "swarm.round_open" span. A round's
+  /// step resets the round state of the shard's nodes. Throws
   /// std::logic_error for a tamper hook under more than one shard.
-  void begin_window();
+  void begin_window(
+      const std::function<void(std::uint32_t)>& open_shard = nullptr);
   /// Run to quiescence, close the window, merge the shard registries
   /// into metrics() and check the byte ledgers.
   void run_window();
@@ -188,6 +200,10 @@ class SwarmRuntime {
   Handler on_message_;
   DeviceFaultHook on_device_fault_;
   std::unique_ptr<sim::ParallelScheduler> engine_;
+  // Every entity, grouped by owning shard and ascending within a shard;
+  // shard s's run starts at run_begin_[s].
+  std::vector<std::uint32_t> entities_;
+  std::vector<std::uint32_t> run_begin_;  // shard count + 1 entries
   obs::MetricsRegistry metrics_;
   // A shard's network on cache lines of its own: its worker writes the
   // ledgers and the payload pool on every send, next to data that other

@@ -9,6 +9,7 @@
 // every count, status and id list.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <string>
 #include <vector>
@@ -16,7 +17,9 @@
 #include "common/rng.hpp"
 #include "crypto/backend.hpp"
 #include "crypto/tally.hpp"
+#include "net/topology.hpp"
 #include "sap/verifier.hpp"
+#include "swarm/runtime.hpp"
 
 namespace cra::sap {
 namespace {
@@ -306,6 +309,80 @@ TEST(Appraisal, FirstBeginDerivesKeysLikeProvisioning) {
   }
   cold.absorb(reports.data(), reports.size());
   EXPECT_EQ(cold.finish().healthy, kMany);
+}
+
+TEST(Sweep, AnyPartitionFoldsToTheWholeSweep) {
+  // The simulator folds RES_S per shard and XORs the parts. Over seeded
+  // random partitions of 1..N in random order, empty parts included,
+  // and over the deployment tree's shard runs at 1, 3 and 8 shards: the
+  // parts' RES_S fold to expected_result, every table row is that id's
+  // res_i, and the parts cost the whole sweep's compressions.
+  constexpr std::uint32_t kMany = 600;  // several 256-id chunks
+  Verifier v(SapConfig{}, kMany, to_bytes("appraisal-master"));
+  for (net::NodeId id = 1; id <= kMany; ++id) {
+    v.set_expected_content(id, to_bytes("cfg-" + std::to_string(id)));
+  }
+  const std::size_t ts = v.config().token_size();
+  const std::uint32_t chal = 31;
+  (void)v.expected_result(1);  // provision every key: tally sweeps only
+  const std::uint64_t t0 = crypto::compression_calls_executed();
+  const Bytes whole = v.expected_result(chal);
+  const std::uint64_t whole_cost = crypto::compression_calls_executed() - t0;
+  std::vector<Bytes> res_i(kMany + 1);
+  for (net::NodeId id = 1; id <= kMany; ++id) {
+    res_i[id] = v.expected_token(id, chal);
+  }
+
+  using Partition = std::vector<std::vector<net::NodeId>>;
+  std::vector<Partition> partitions;
+  Rng rng(2024);
+  for (int trial = 0; trial < 40; ++trial) {
+    Partition parts(1 + rng.next_below(6));
+    for (net::NodeId id = 1; id <= kMany; ++id) {
+      parts[rng.next_below(parts.size())].push_back(id);
+    }
+    for (auto& part : parts) std::shuffle(part.begin(), part.end(), rng);
+    parts.insert(parts.begin() + static_cast<std::ptrdiff_t>(
+                                     rng.next_below(parts.size() + 1)),
+                 std::vector<net::NodeId>{});
+    partitions.push_back(std::move(parts));
+  }
+  const net::Tree tree = net::balanced_kary_tree(kMany, 2);
+  for (const std::uint32_t shards : {1u, 3u, 8u}) {
+    sim::SimConfig placement;
+    placement.shards = shards;
+    const swarm::SwarmRuntime rt(tree, placement, net::LinkParams{},
+                                 [](const net::Message&) {},
+                                 [](const fault::FaultEvent&) {});
+    Partition parts;
+    for (std::uint32_t s = 0; s < shards; ++s) {
+      const auto run = rt.entities_of(s, 1);  // Vrf, entity 0, sweeps none
+      parts.emplace_back(run.begin(), run.end());
+    }
+    partitions.push_back(std::move(parts));
+  }
+
+  for (std::size_t p = 0; p < partitions.size(); ++p) {
+    SCOPED_TRACE("partition " + std::to_string(p));
+    Bytes folded(ts, 0);
+    Bytes table(std::size_t{kMany} * ts, 0);
+    std::uint64_t cost = 0;
+    for (const auto& part : partitions[p]) {
+      Bytes res_s(ts, 0);
+      const std::uint64_t before = crypto::compression_calls_executed();
+      v.sweep(part, chal, res_s, table.data());
+      cost += crypto::compression_calls_executed() - before;
+      xor_inplace(folded, res_s);
+    }
+    EXPECT_EQ(folded, whole);
+    EXPECT_EQ(cost, whole_cost);
+    for (net::NodeId id = 1; id <= kMany; ++id) {
+      ASSERT_EQ(Bytes(table.begin() + (id - 1) * ts,
+                      table.begin() + id * ts),
+                res_i[id])
+          << "id " << id;
+    }
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
 #include "sap/analysis.hpp"
 #include "sap/swarm.hpp"
@@ -59,6 +60,72 @@ TEST(Seda, TamperedReportRejectedByParent) {
   const SedaRoundReport r = sim.run_round();
   EXPECT_FALSE(r.verified);
   EXPECT_GE(r.mac_failures, 1u);  // hop-by-hop MAC check caught it
+}
+
+TEST(Seda, ForgedReportDoesNotTakeTheChildsPlace) {
+  // A 3-byte report (kind 2) from a child's address fails its parent's
+  // MAC check. The parent must keep waiting for the child's real report
+  // and count it: at Vrf (1 -> 0) and at an inner device (3 -> 1). A
+  // parent that counted the child before the check dropped the real
+  // report as a duplicate and lost the subtree (total 15 and 23).
+  for (const auto& [src, dst] :
+       {std::pair<net::NodeId, net::NodeId>{1, 0}, {3, 1}}) {
+    for (const std::uint32_t shards : {1u, 8u}) {
+      SCOPED_TRACE(testing::Message() << src << "->" << dst << " shards="
+                                      << shards);
+      SedaConfig cfg = small_config();
+      cfg.sim.shards = shards;
+      auto sim = SedaSimulation::balanced(cfg, 30);
+      sim.network().send(src, dst, 2 /*report*/, Bytes(3, 0x5a));
+      const SedaRoundReport r = sim.run_round();
+      EXPECT_TRUE(r.verified);
+      EXPECT_EQ(r.total, 30u);
+      EXPECT_EQ(r.passed, 30u);
+      EXPECT_EQ(r.mac_failures, 1u);
+    }
+  }
+}
+
+TEST(Seda, ReportFromANonChildIsDropped) {
+  // Only a child reports to a node, under its own uplink key: a
+  // full-size report from a grandchild (7 -> 1), from a sibling's child
+  // (5 -> 1) or from an address outside the swarm (31 -> 1) is dropped
+  // before any MAC check and takes no child's place.
+  for (const net::NodeId src : {7u, 5u, 31u}) {
+    SCOPED_TRACE(testing::Message() << "src " << src);
+    auto sim = SedaSimulation::balanced(small_config(), 30);
+    sim.network().send(src, 1, 2 /*report*/,
+                       Bytes(small_config().report_size(), 0x5a));
+    const SedaRoundReport r = sim.run_round();
+    EXPECT_TRUE(r.verified);
+    EXPECT_EQ(r.total, 30u);
+    EXPECT_EQ(r.mac_failures, 0u);
+  }
+}
+
+TEST(Seda, ChildCountedOnceForItsFirstPassingReport) {
+  // Leaf 7's report reaches node 3 behind a forged copy and an exact
+  // copy, all three pending at once. Each is checked: the forged one
+  // fails, the exact copy counts the child, and the original is not
+  // counted again.
+  auto sim = SedaSimulation::balanced(small_config(), 14);
+  net::Network& net = sim.network();
+  bool injecting = false;
+  net.set_tamper_hook([&](const net::Message& m) -> net::TamperResult {
+    if (injecting || m.kind != 2 || m.src != 7) return {};
+    injecting = true;
+    Bytes forged = m.payload;
+    forged.back() = static_cast<std::uint8_t>(forged.back() ^ 0x01);
+    net.send(m.src, m.dst, m.kind, std::move(forged));
+    net.send(m.src, m.dst, m.kind, m.payload);
+    injecting = false;
+    return {};
+  });
+  const SedaRoundReport r = sim.run_round();
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(r.total, 14u);
+  EXPECT_EQ(r.passed, 14u);
+  EXPECT_EQ(r.mac_failures, 1u);
 }
 
 TEST(Seda, VrfIgnoresRequestsAndInvites) {

@@ -328,22 +328,49 @@ TEST(ParallelProtocols, SedaRoundDigestIdenticalAcrossThreads) {
 
 TEST(ParallelProtocols, SapMultiRoundAndAdversaryUnderSharding) {
   // Compromise + unresponsiveness must localize identically in both
-  // engines across consecutive rounds.
+  // engines across consecutive rounds: in binary and count mode, and
+  // after a re-deployment, when a shard's positions no longer hold the
+  // devices with the same ids, so its share of RES_S covers other ids.
   auto run = [](std::uint32_t threads) {
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    constexpr std::uint32_t kDevices = 1'000;
     sap::SapConfig cfg;
     cfg.sim.threads = threads;
-    auto sim = sap::SapSimulation::balanced(cfg, 1'000, /*seed=*/7);
+    auto sim = sap::SapSimulation::balanced(cfg, kDevices, /*seed=*/7);
     std::string digest;
-    digest += sap_digest(sim.run_round()) + "#";
+    const auto round = [&](bool want_verified) {
+      const sap::RoundReport r = sim.run_round();
+      EXPECT_EQ(r.verified, want_verified) << digest;
+      digest += sap_digest(r) + "#";
+    };
+    round(true);
     sim.compromise_device(137);
-    digest += sap_digest(sim.run_round()) + "#";
+    round(false);
     sim.restore_device(137);
     sim.set_device_unresponsive(512, true);
-    digest += sap_digest(sim.run_round()) + "#";
+    round(false);
+    sim.set_device_unresponsive(512, false);
+    sim.set_qoa(sap::QoaMode::kCount);
+    round(true);
+    sim.compromise_device(300);
+    round(false);
+    sim.restore_device(300);
+    // Reverse the devices over the positions of a 3-ary tree.
+    std::vector<net::NodeId> device_at(kDevices + 1, 0);
+    for (net::NodeId pos = 1; pos <= kDevices; ++pos) {
+      device_at[pos] = kDevices + 1 - pos;
+    }
+    sim.rebuild_topology(net::balanced_kary_tree(kDevices, 3), device_at);
+    round(true);
+    sim.set_qoa(sap::QoaMode::kBinary);
+    round(true);
+    sim.compromise_device(42);
+    round(false);
     return digest;
   };
   const std::string serial = run(1);
   EXPECT_EQ(run(4), serial);
+  EXPECT_EQ(run(8), serial);
 }
 
 TEST(ParallelProtocols, SapLossyRunReproducibleForFixedShards) {

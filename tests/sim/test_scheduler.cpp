@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
 #include <optional>
 #include <string>
 #include <vector>
@@ -217,6 +219,37 @@ TEST(Scheduler, StaleHandleInertAfterSlotReuse) {
   EXPECT_TRUE(second_ran);
 }
 
+TEST(Scheduler, StaleHandlesInertAfterQuiescentRepack) {
+  // A drained queue hands out slots from slot 0 again, so the second
+  // wave reuses every slot of the first. No handle of the first wave —
+  // run or cancelled — may reach its slot's new event, and the second
+  // wave still runs in (time, seq) order.
+  Scheduler s;
+  std::vector<EventHandle> first;
+  for (int i = 0; i < 1'000; ++i) {
+    first.push_back(s.schedule_at(SimTime::from_us(1'000 - i), [] {}));
+  }
+  for (std::size_t i = 0; i < first.size(); i += 3) {
+    EXPECT_TRUE(s.cancel(first[i]));
+  }
+  EXPECT_EQ(s.run(), 666u);
+  EXPECT_EQ(s.pending(), 0u);
+
+  std::vector<int> ran;
+  for (int i = 0; i < 1'000; ++i) {
+    s.schedule_at(s.now() + Duration::from_us(i % 7),
+                  [&ran, i] { ran.push_back(i); });
+  }
+  for (const EventHandle& h : first) EXPECT_FALSE(s.cancel(h));
+  EXPECT_EQ(s.pending(), 1'000u);
+  EXPECT_EQ(s.run(), 1'000u);
+  std::vector<int> want(1'000);
+  std::iota(want.begin(), want.end(), 0);
+  std::stable_sort(want.begin(), want.end(),
+                   [](int a, int b) { return a % 7 < b % 7; });
+  EXPECT_EQ(ran, want);
+}
+
 // --- Randomized equivalence against a plain reference model ----------
 
 /// What an event does when it runs: it logs its id and, per a plan
@@ -371,11 +404,13 @@ TEST(Scheduler, MatchesReferenceModelUnderRandomOperations) {
     Scheduler& s = sub.sched();
     Rng rng(seed);
     std::uint64_t stale_cancels = 0;
+    std::uint64_t drains = 0;  // ops that left no event pending
     auto near = [&](std::uint64_t span_ms) {
       return ref.now() + Duration::from_ms(static_cast<std::int64_t>(
                              rng.next_below(span_ms + 1)));
     };
     for (int op = 0; op < 4'000; ++op) {
+      const std::size_t queued = ref.pending();
       const std::uint64_t pick = rng.next_below(100);
       if (pick < 40) {
         // Mostly near-future times (many ties); 1 in 16 in the past.
@@ -394,22 +429,23 @@ TEST(Scheduler, MatchesReferenceModelUnderRandomOperations) {
         const bool want = ref.cancel(id);
         ASSERT_EQ(sub.cancel(id), want) << "op " << op << " id " << id;
         if (!want) ++stale_cancels;
-      } else if (pick < 74) {
+      } else if (pick < 72) {
         const SimTime limit = near(4);
         ASSERT_EQ(s.run_before(limit), ref.run_before(limit)) << "op " << op;
-      } else if (pick < 84) {
+      } else if (pick < 80) {
         const SimTime until = near(4);
         ASSERT_EQ(s.run_until(until), ref.run_until(until)) << "op " << op;
-      } else if (pick < 91) {
+      } else if (pick < 86) {
         ASSERT_EQ(s.peek_next_time(), ref.peek_next_time()) << "op " << op;
-      } else if (pick < 96) {
+      } else if (pick < 90) {
         ASSERT_EQ(s.step(), ref.step()) << "op " << op;
-      } else if (pick < 98) {
+      } else if (pick < 93) {
         s.clear_pending();
         ref.clear_pending();
       } else {
         ASSERT_EQ(s.run(), ref.run()) << "op " << op;
       }
+      if (queued != 0 && ref.pending() == 0) ++drains;
       ASSERT_EQ(got_log, want_log) << "op " << op;
       ASSERT_EQ(s.pending(), ref.pending()) << "op " << op;
       ASSERT_EQ(s.now(), ref.now()) << "op " << op;
@@ -417,6 +453,7 @@ TEST(Scheduler, MatchesReferenceModelUnderRandomOperations) {
     }
     EXPECT_GT(want_log.size(), 500u);
     EXPECT_GT(stale_cancels, 100u);
+    EXPECT_GT(drains, 300u);
   }
 }
 

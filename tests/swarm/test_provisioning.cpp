@@ -17,6 +17,7 @@
 
 #include "crypto/hmac.hpp"
 #include "net/topology.hpp"
+#include "obs/trace.hpp"
 #include "pads/pads.hpp"
 #include "sap/swarm.hpp"
 #include "seda/seda.hpp"
@@ -101,6 +102,30 @@ TEST(EntitiesOf, PartitionsTheRangeByOwningShard) {
   }
   EXPECT_EQ(seen[0], 0);
   for (std::uint32_t e = 1; e < tree.size(); ++e) EXPECT_EQ(seen[e], 1) << e;
+}
+
+TEST(BeginWindow, RunsTheOpenStepOnEveryShardInsideOneSpan) {
+  // A round opens with the protocol's step on every shard, on the
+  // workers for_each_shard uses, inside one swarm.round_open span
+  // however many shards there are. A window with no step records none.
+  const net::Tree tree = net::balanced_kary_tree(100, 2);
+  SwarmRuntime rt(tree, placement(4, 8), net::LinkParams{},
+                  [](const net::Message&) {}, [](const fault::FaultEvent&) {});
+  obs::TraceSink sink;
+  obs::set_global_sink(&sink);
+  std::vector<int> calls(8, 0);
+  rt.begin_window([&](std::uint32_t s) { ++calls[s]; });
+  rt.begin_window();
+  obs::set_global_sink(nullptr);
+  for (std::uint32_t s = 0; s < 8; ++s) EXPECT_EQ(calls[s], 1) << s;
+  const std::string json = sink.to_json();
+  const std::string name = "\"name\":\"swarm.round_open\"";
+  std::size_t spans = 0;
+  for (auto at = json.find(name); at != std::string::npos;
+       at = json.find(name, at + 1)) {
+    ++spans;
+  }
+  EXPECT_EQ(spans, 1u);
 }
 
 // --- Protocol provisioning at (threads 1, shards 1) vs (threads 4, shards 8)
