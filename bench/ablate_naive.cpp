@@ -75,7 +75,7 @@ NaiveResult run_naive(std::uint32_t devices, const sap::SapConfig& cfg,
       },
       {});
 
-  rt.begin_window();
+  const auto window = rt.begin_window();
   // Vrf unicasts a fresh challenge to every device (its downlink also
   // serializes, the same per-message time each).
   sim::SimTime send_at = rt.now();

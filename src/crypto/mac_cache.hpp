@@ -122,7 +122,8 @@ using PrecomputedHmacSha256 = PrecomputedHmac<Sha256>;
 
 /// Runtime-tagged midstate cache matching the hmac(HashAlg, ...)
 /// dispatch layer. Holds midstates for the configured algorithm only;
-/// the inactive member stays zero. ~52 bytes of state either way.
+/// the inactive member stays zero. Both members are always there:
+/// sizeof is 116 B (gcc 12.2, x86-64) whichever is configured.
 class PrecomputedMac {
  public:
   PrecomputedMac() = default;

@@ -10,12 +10,18 @@ AttestMailboxes attest_mailboxes(const MemoryLayout& layout,
   return mb;
 }
 
+std::uint64_t attest_cycles(crypto::HashAlg alg, std::uint64_t message_len,
+                            std::uint64_t overhead_cycles,
+                            std::uint64_t cycles_per_block) {
+  return overhead_cycles +
+         crypto::hmac_compression_calls(alg, message_len) * cycles_per_block;
+}
+
 std::uint64_t attest_cycles(const AttestTcbConfig& config,
                             std::uint32_t pmem_size) {
   // HMAC over PMEM || chal (4 bytes).
-  const std::uint64_t blocks =
-      crypto::hmac_compression_calls(config.alg, pmem_size + 4);
-  return config.overhead_cycles + blocks * config.cycles_per_block;
+  return attest_cycles(config.alg, pmem_size + 4,
+                       config.overhead_cycles, config.cycles_per_block);
 }
 
 Cpu::NativeRoutine make_attest_routine(AttestTcbConfig config,

@@ -50,6 +50,12 @@ struct AttestMailboxes {
 AttestMailboxes attest_mailboxes(const MemoryLayout& layout,
                                  const AttestTcbConfig& config);
 
+/// The one attest cost model, in cycles: `overhead_cycles` plus an HMAC
+/// over `message_len` bytes at `cycles_per_block` cycles a compression
+/// (this TCB and the swarm simulations' synthetic devices).
+std::uint64_t attest_cycles(crypto::HashAlg alg, std::uint64_t message_len,
+                            std::uint64_t overhead_cycles,
+                            std::uint64_t cycles_per_block);
 /// Analytic execution cost of one attest call (T_att in cycles).
 std::uint64_t attest_cycles(const AttestTcbConfig& config,
                             std::uint32_t pmem_size);

@@ -1,10 +1,9 @@
 #include "lisa/lisa.hpp"
 
-#include <stdexcept>
-
 #include "crypto/chacha20.hpp"
 #include "crypto/ct.hpp"
 #include "crypto/kdf.hpp"
+#include "device/attest_tcb.hpp"
 
 namespace cra::lisa {
 namespace {
@@ -81,11 +80,12 @@ void LisaSimulation::set_device_unresponsive(net::NodeId id,
 void LisaSimulation::advance_time(sim::Duration d) { rt_.advance_time(d); }
 
 sim::Duration LisaSimulation::attest_time() const {
-  const std::uint64_t blocks =
-      crypto::hmac_compression_calls(config_.alg, config_.pmem_size +
-                                                      config_.nonce_size);
+  // LISA hashes PMEM || nonce.
   return sim::cycles_to_time(
-      config_.attest_overhead_cycles + blocks * config_.cycles_per_block,
+      device::attest_cycles(config_.alg,
+                            config_.pmem_size + config_.nonce_size,
+                            config_.attest_overhead_cycles,
+                            config_.cycles_per_block),
       config_.device_hz);
 }
 
@@ -101,21 +101,17 @@ Bytes LisaSimulation::make_entry(net::NodeId id) const {
 }
 
 LisaRoundReport LisaSimulation::run_round() {
-  if (round_active_) {
-    throw std::logic_error("LISA run_round: round already active");
-  }
-  round_active_ = true;
-  rt_.begin_window();
-
-  for (net::NodeId id = 1; id <= device_count(); ++id) {
-    Dev& d = dev(id);
-    d.got_request = false;
-    d.self_done = false;
-    d.sent = false;
-    d.waiting = static_cast<std::uint32_t>(tree_.children(id).size());
-    d.bundle.clear();
-    d.deadline = sim::EventHandle();
-  }
+  const auto window = rt_.begin_window([this](std::uint32_t s) {
+    for (const net::NodeId id : rt_.entities_of(s, 1)) {
+      Dev& d = dev(id);
+      d.got_request = false;
+      d.self_done = false;
+      d.sent = false;
+      d.waiting = static_cast<std::uint32_t>(tree_.children(id).size());
+      d.bundle.clear();
+      d.deadline = sim::EventHandle();
+    }
+  });
   done_ = false;
   root_seen_.assign(device_count() + 1, 0);
   root_reports_.clear();
@@ -187,7 +183,6 @@ LisaRoundReport LisaSimulation::run_round() {
     if (!root_seen_[id]) report.missing.push_back(id);
   }
   report.verified = report.bad.empty() && report.missing.empty();
-  round_active_ = false;
   return report;
 }
 

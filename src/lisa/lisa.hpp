@@ -130,7 +130,6 @@ class LisaSimulation {
   std::vector<Bytes> expected_;  // enrolled cfg_i per device
   std::vector<std::uint32_t> subtree_;  // per tree node, incl. itself
 
-  bool round_active_ = false;
   sim::SimTime t_resp_;
   bool done_ = false;
   std::vector<std::uint8_t> root_seen_;

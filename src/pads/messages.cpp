@@ -1,26 +1,34 @@
 #include "pads/messages.hpp"
 
+#include <algorithm>
 #include <limits>
 
 namespace cra::pads {
 
-void GossipMsg::encode_into(Bytes& out) const {
+void encode_gossip(Bytes& out, net::NodeId sender, std::uint32_t epoch,
+                   std::uint32_t devices, BytesView token,
+                   std::span<const std::uint64_t> known,
+                   std::span<const std::uint64_t> bad) {
   const std::size_t blocks = knowledge_blocks(devices);
-  out.reserve(out.size() + wire_size());
-  append_u32le(out, sender);
-  append_u32le(out, epoch);
-  append_u32le(out, devices);
-  out.push_back(static_cast<std::uint8_t>(token.size()));
-  out.insert(out.end(), token.begin(), token.end());
-  // encode() accepts vectors shorter than the declared width (treated as
-  // all-zero tail) so builders can stay sparse; the wire always carries
-  // full blocks.
-  for (std::size_t i = 0; i < blocks; ++i) {
-    append_u64le(out, i < known.size() ? known[i] : 0);
+  const std::size_t at = out.size();
+  out.resize(at + 13 + token.size() + 16 * blocks);  // zero-padded words
+  std::uint8_t* p = out.data() + at;
+  store_u32le(p, sender);
+  store_u32le(p + 4, epoch);
+  store_u32le(p + 8, devices);
+  p[12] = static_cast<std::uint8_t>(token.size());
+  p = std::copy(token.begin(), token.end(), p + 13);
+  // The words go out as stored: the format is LE, and so are our targets
+  // (load_u64le reads them back the same way).
+  for (const std::span<const std::uint64_t> words : {known, bad}) {
+    std::copy_n(reinterpret_cast<const std::uint8_t*>(words.data()),
+                8 * std::min(blocks, words.size()), p);
+    p += 8 * blocks;
   }
-  for (std::size_t i = 0; i < blocks; ++i) {
-    append_u64le(out, i < bad.size() ? bad[i] : 0);
-  }
+}
+
+void GossipMsg::encode_into(Bytes& out) const {
+  encode_gossip(out, sender, epoch, devices, token, known, bad);
 }
 
 Bytes GossipMsg::encode() const {

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <cstring>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.hpp"
@@ -45,6 +46,14 @@ inline std::uint64_t load_u64le(const std::uint8_t* p) noexcept {
   return v;
 }
 
+/// Append one gossip message to `out` (which may come from a payload
+/// pool). Each bitset fills knowledge_blocks(devices) words on the wire,
+/// zero-padded when shorter, so callers may pass sparse bitsets.
+void encode_gossip(Bytes& out, net::NodeId sender, std::uint32_t epoch,
+                   std::uint32_t devices, BytesView token,
+                   std::span<const std::uint64_t> known,
+                   std::span<const std::uint64_t> bad);
+
 struct GossipMsg {
   net::NodeId sender = 0;
   std::uint32_t epoch = 0;
@@ -57,8 +66,7 @@ struct GossipMsg {
     return 13 + token.size() + 16 * knowledge_blocks(devices);
   }
 
-  /// Append the wire encoding to `out` (which the caller may have
-  /// acquired from a payload pool).
+  /// Append the wire encoding to `out` (encode_gossip).
   void encode_into(Bytes& out) const;
   Bytes encode() const;
 

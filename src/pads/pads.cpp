@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/backend.hpp"
 #include "crypto/chacha20.hpp"
 #include "crypto/ct.hpp"
 #include "crypto/kdf.hpp"
 #include "crypto/sha256.hpp"
+#include "device/attest_tcb.hpp"
 #include "obs/trace.hpp"
 #include "pads/messages.hpp"
 
@@ -68,6 +70,10 @@ PadsSimulation::PadsSimulation(const obs::Span& /*setup*/, PadsConfig config,
   present_.assign(tree_.size(), 1);
   vrf_present_.assign(tree_.size(), 1);
   blocks_ = knowledge_blocks(device_count());
+  known_.assign(tree_.size() * blocks_, 0);
+  bad_.assign(known_.size(), 0);
+  tokens_.assign(tree_.size() * config_.token_size, 0);
+  expected_tokens_.assign(tokens_.size(), 0);
 }
 
 PadsSimulation PadsSimulation::balanced(PadsConfig config,
@@ -114,9 +120,7 @@ void PadsSimulation::rebuild_topology(
 }
 
 void PadsSimulation::set_rewire_schedule(std::vector<net::RewireStep> steps) {
-  if (round_active_) {
-    throw std::logic_error("set_rewire_schedule: round in progress");
-  }
+  rt_.require_idle("set_rewire_schedule");
   std::stable_sort(steps.begin(), steps.end(),
                    [](const net::RewireStep& a, const net::RewireStep& b) {
                      return a.at < b.at;
@@ -124,25 +128,7 @@ void PadsSimulation::set_rewire_schedule(std::vector<net::RewireStep> steps) {
   rewires_ = std::move(steps);
 }
 
-void PadsSimulation::apply_rewire(const net::RewireStep& step) {
-  rebuild_topology(step.tree, step.device_at_position);
-}
-
 void PadsSimulation::advance_time(sim::Duration d) { rt_.advance_time(d); }
-
-void PadsSimulation::attach_fault_plan(fault::FaultPlan plan) {
-  if (round_active_) {
-    throw std::logic_error("attach_fault_plan: round in progress");
-  }
-  rt_.attach_fault_plan(std::move(plan));
-}
-
-void PadsSimulation::clear_fault_plan() {
-  if (round_active_) {
-    throw std::logic_error("clear_fault_plan: round in progress");
-  }
-  rt_.clear_fault_plan();
-}
 
 void PadsSimulation::on_device_fault(const fault::FaultEvent& ev) {
   using fault::FaultKind;
@@ -202,10 +188,10 @@ void PadsSimulation::apply_device_fault(const fault::FaultEvent& ev) {
 }
 
 sim::Duration PadsSimulation::attest_time() const {
-  const std::uint64_t blocks =
-      crypto::hmac_compression_calls(config_.alg, config_.pmem_size + 4);
   return sim::cycles_to_time(
-      config_.attest_overhead_cycles + blocks * config_.cycles_per_block,
+      device::attest_cycles(config_.alg, config_.pmem_size + 4,
+                            config_.attest_overhead_cycles,
+                            config_.cycles_per_block),
       config_.device_hz);
 }
 
@@ -254,32 +240,35 @@ void PadsSimulation::note_verifier_progress(sim::SimTime at) noexcept {
   }
 }
 
-void PadsSimulation::compute_round_tokens() {
-  // One SIMD-friendly batch computes every node's round token twice:
-  // the value its hardware actually emits (state byte reflects
-  // compromise) and the healthy value receivers expect. 2(N+1) MACs.
-  const std::size_t n = static_cast<std::size_t>(device_count()) + 1;
-  std::array<std::uint8_t, 4> nonce{};
-  store_u32le(nonce.data(), round_nonce_);
+void PadsSimulation::open_shard(std::uint32_t s, std::uint32_t nonce) {
+  // One SIMD-friendly batch computes each node's round token twice: the
+  // value its hardware actually emits (state byte reflects compromise)
+  // and the healthy value receivers expect.
+  const std::span<const net::NodeId> ids = rt_.entities_of(s);
+  const std::size_t n = ids.size();
+  std::array<std::uint8_t, 4> nonce_le{};
+  store_u32le(nonce_le.data(), nonce);
+  const BytesView nonce_view(nonce_le.data(), nonce_le.size());
   static constexpr std::uint8_t kHealthy = 0x00;
   static constexpr std::uint8_t kInfected = 0xff;
   std::vector<crypto::MacJob> jobs(2 * n);
   std::vector<crypto::MacBuf> outs(2 * n);
   for (std::size_t i = 0; i < n; ++i) {
-    const Dev& d = devices_[i];
-    jobs[i] = {&d.mac, BytesView(nonce.data(), nonce.size()),
+    Dev& d = dev(ids[i]);
+    d.attested = ids[i] == 0;  // Vrf has no self-measurement
+    std::fill_n(known_row(ids[i]), blocks_, 0);
+    std::fill_n(bad_row(ids[i]), blocks_, 0);
+    jobs[i] = {&d.mac, nonce_view,
                BytesView(d.compromised ? &kInfected : &kHealthy, 1)};
-    jobs[n + i] = {&d.mac, BytesView(nonce.data(), nonce.size()),
-                   BytesView(&kHealthy, 1)};
+    jobs[n + i] = {&d.mac, nonce_view, BytesView(&kHealthy, 1)};
   }
   crypto::active_backend().hmac_batch(jobs.data(), jobs.size(), outs.data());
-  tokens_.assign(n, {});
-  expected_tokens_.assign(n, {});
+  const std::size_t token_size = config_.token_size;
   for (std::size_t i = 0; i < n; ++i) {
-    tokens_[i].assign(outs[i].bytes.begin(),
-                      outs[i].bytes.begin() + config_.token_size);
-    expected_tokens_[i].assign(outs[n + i].bytes.begin(),
-                               outs[n + i].bytes.begin() + config_.token_size);
+    const std::size_t row = std::size_t{ids[i]} * token_size;
+    std::copy_n(outs[i].bytes.data(), token_size, tokens_.data() + row);
+    std::copy_n(outs[n + i].bytes.data(), token_size,
+                expected_tokens_.data() + row);
   }
 }
 
@@ -306,20 +295,13 @@ void PadsSimulation::gossip_tick(net::NodeId id, std::uint32_t epoch) {
   // Route over the CURRENT tree: position lookups happen at send time,
   // so a rewire applied mid-round redirects the very next epoch.
   const net::NodeId pos = pos_of_[id];
-  const Bytes& token = tokens_[id];
-  const std::uint64_t* kr = known_row(id);
-  const std::uint64_t* br = bad_row(id);
+  const std::span<const std::uint64_t> known(known_row(id), blocks_);
+  const std::span<const std::uint64_t> bad(bad_row(id), blocks_);
   net::Network& net = rt_.net_of(id);
   auto send_to = [&](net::NodeId neighbor) {
     Bytes buf = net.acquire_payload();
-    buf.reserve(gossip_wire_size());
-    append_u32le(buf, id);
-    append_u32le(buf, epoch);
-    append_u32le(buf, device_count());
-    buf.push_back(static_cast<std::uint8_t>(token.size()));
-    buf.insert(buf.end(), token.begin(), token.end());
-    for (std::size_t b = 0; b < blocks_; ++b) append_u64le(buf, kr[b]);
-    for (std::size_t b = 0; b < blocks_; ++b) append_u64le(buf, br[b]);
+    encode_gossip(buf, id, epoch, device_count(), token_row(tokens_, id),
+                  known, bad);
     net.send(id, neighbor, kGossipKind, std::move(buf));
   };
   if (pos != 0) send_to(dev_at_[tree_.parent(pos)]);
@@ -339,10 +321,8 @@ void PadsSimulation::on_message(const net::Message& msg) {
   const net::NodeId dst = msg.dst;
   if (dst > device_count()) return;  // stray/forged address
   if (!present_[dst] || dev(dst).unresponsive) return;  // radio is off
-  const Bytes& expect = expected_tokens_[v.sender];
   const bool authentic =
-      v.token.size() == expect.size() &&
-      crypto::ct_equal(v.token, BytesView(expect.data(), expect.size()));
+      crypto::ct_equal(v.token, token_row(expected_tokens_, v.sender));
   if (!authentic) {
     stats(dst).rejects->inc();
     // The sender is alive but cannot produce the healthy token: that IS
@@ -362,34 +342,25 @@ void PadsSimulation::on_message(const net::Message& msg) {
 }
 
 PadsRoundReport PadsSimulation::run_round() {
-  if (round_active_) {
-    throw std::logic_error("PADS run_round: round already active");
-  }
-  round_active_ = true;
-
-  blocks_ = knowledge_blocks(device_count());
-  known_.assign((static_cast<std::size_t>(device_count()) + 1) * blocks_, 0);
-  bad_.assign(known_.size(), 0);
-  for (auto& d : devices_) d.attested = false;
-  dev(0).attested = true;  // Vrf has no self-measurement
+  obs::Span round_span("pads.round");
+  // Every shard resets its own nodes and MACs their round tokens on its
+  // worker; the nonce is fresh per completed window.
+  const auto nonce = static_cast<std::uint32_t>(rt_.windows() + 1);
+  const auto window = rt_.begin_window(
+      [this, nonce](std::uint32_t s) { open_shard(s, nonce); });
   consensus_reached_ = false;
   // The verifier's membership view starts from the authoritative one —
   // both are only written by the driver thread between rounds.
   vrf_present_ = present_;
-
-  obs::Span round_span("pads.round");
-  rt_.begin_window();
+  const std::vector<net::RewireStep> rewires = std::exchange(rewires_, {});
 
   t_start_ = current_time();
-  round_nonce_ = static_cast<std::uint32_t>(rt_.windows() + 1);
-  compute_round_tokens();
 
   // Rewires scheduled at or before the round start describe the initial
   // deployment: apply them before anything is in flight.
   std::size_t ri = 0;
-  while (ri < rewires_.size() && rewires_[ri].at <= t_start_) {
-    apply_rewire(rewires_[ri]);
-    ++ri;
+  for (; ri < rewires.size() && rewires[ri].at <= t_start_; ++ri) {
+    rebuild_topology(rewires[ri].tree, rewires[ri].device_at_position);
   }
 
   period_ = effective_gossip_period();
@@ -414,9 +385,9 @@ PadsRoundReport PadsSimulation::run_round() {
   // a quiescent barrier, the driver thread swaps the routing tables,
   // and the next slice (or the final run to quiescence) continues with
   // identical event order on every engine.
-  for (; ri < rewires_.size(); ++ri) {
-    rt_.run_until(rewires_[ri].at);
-    apply_rewire(rewires_[ri]);
+  for (; ri < rewires.size(); ++ri) {
+    rt_.run_until(rewires[ri].at);
+    rebuild_topology(rewires[ri].tree, rewires[ri].device_at_position);
   }
   rt_.run_window();
   const obs::MetricsRegistry& reg = rt_.metrics();
@@ -446,9 +417,6 @@ PadsRoundReport PadsSimulation::run_round() {
       static_cast<std::uint32_t>(reg.counter_value("pads.token_failures"));
   report.epochs = epochs_total_;
   report.digest = round_digest(report);
-
-  rewires_.clear();
-  round_active_ = false;
   round_span.sim_range(report.t_start.ns(), report.t_end.ns());
   return report;
 }

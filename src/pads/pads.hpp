@@ -155,7 +155,8 @@ class PadsSimulation {
 
   /// Mid-round mobility: apply each step's topology at its simulated
   /// time during the next run_round() (steps at or before round start
-  /// apply immediately). Cleared after the round.
+  /// apply immediately). The round that opens consumes the schedule,
+  /// whether or not it completes.
   void set_rewire_schedule(std::vector<net::RewireStep> steps);
 
   /// --- Scripted fault injection (src/fault) ---
@@ -163,8 +164,10 @@ class PadsSimulation {
   /// clock, so kClockSkew is accepted and ignored; kLeave/kJoin update
   /// swarm membership (absent devices are excluded from the consensus
   /// target).
-  void attach_fault_plan(fault::FaultPlan plan);
-  void clear_fault_plan();
+  void attach_fault_plan(fault::FaultPlan plan) {
+    rt_.attach_fault_plan(std::move(plan));
+  }
+  void clear_fault_plan() { rt_.clear_fault_plan(); }
   bool has_fault_plan() const noexcept { return rt_.has_fault_plan(); }
   const fault::FaultTally* fault_tally() const noexcept {
     return rt_.fault_tally();
@@ -209,7 +212,6 @@ class PadsSimulation {
   /// update two views; every other event runs on the device's shard.
   void on_device_fault(const fault::FaultEvent& ev);
   void apply_device_fault(const fault::FaultEvent& ev);
-  void apply_rewire(const net::RewireStep& step);
 
   // Knowledge plumbing. Vectors are rows of `blocks_` 64-bit words per
   // node id (verifier = row 0); bit d-1 = device d.
@@ -219,11 +221,18 @@ class PadsSimulation {
   std::uint64_t* bad_row(net::NodeId id) noexcept {
     return bad_.data() + static_cast<std::size_t>(id) * blocks_;
   }
+  /// Node `id`'s row of a token table.
+  BytesView token_row(const Bytes& table, net::NodeId id) const noexcept {
+    return {table.data() + std::size_t{id} * config_.token_size,
+            config_.token_size};
+  }
   void mark(net::NodeId owner, net::NodeId subject, bool is_bad) noexcept;
   bool verifier_covered() const noexcept;
   void note_verifier_progress(sim::SimTime at) noexcept;
 
-  void compute_round_tokens();
+  /// begin_window's step for the ids shard `s` owns: zero their
+  /// knowledge rows, reset `attested`, MAC both tokens under `nonce`.
+  void open_shard(std::uint32_t s, std::uint32_t nonce);
   void self_attest(net::NodeId id);
   void gossip_tick(net::NodeId id, std::uint32_t epoch);
   void on_message(const net::Message& msg);
@@ -251,18 +260,17 @@ class PadsSimulation {
   /// consensus check never reads cross-shard state.
   std::vector<std::uint8_t> vrf_present_;
 
-  // Per-round state.
+  // Per-round state, sized once at construction; each shard's open step
+  // rewrites its own nodes' rows.
   std::size_t blocks_ = 0;
   std::vector<std::uint64_t> known_;  // (devices+1) rows x blocks_
   std::vector<std::uint64_t> bad_;
-  std::vector<Bytes> tokens_;          // what each device actually sends
-  std::vector<Bytes> expected_tokens_; // the healthy value receivers check
-  std::uint32_t round_nonce_ = 0;
+  Bytes tokens_;           // (devices+1) rows: what each node sends
+  Bytes expected_tokens_;  // the healthy values receivers check
   std::uint32_t epochs_total_ = 0;
   sim::Duration period_;
   sim::SimTime t_start_;
   sim::SimTime first_epoch_at_;
-  bool round_active_ = false;
   bool consensus_reached_ = false;
   sim::SimTime consensus_at_;
 };

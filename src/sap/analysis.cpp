@@ -3,17 +3,6 @@
 #include "device/attest_tcb.hpp"
 
 namespace cra::sap {
-namespace {
-
-device::AttestTcbConfig tcb_config(const SapConfig& config) {
-  device::AttestTcbConfig tcb;
-  tcb.alg = config.alg;
-  tcb.overhead_cycles = config.attest_overhead_cycles;
-  tcb.cycles_per_block = config.cycles_per_block;
-  return tcb;
-}
-
-}  // namespace
 
 std::uint32_t predicted_depth(std::uint32_t devices, std::uint32_t arity) {
   // Heap layout: node i (0 = root) sits at depth floor(log_k(i(k-1)+1)).
@@ -33,7 +22,9 @@ std::uint32_t predicted_depth(std::uint32_t devices, std::uint32_t arity) {
 
 sim::Duration attest_time(const SapConfig& config) {
   return sim::cycles_to_time(
-      device::attest_cycles(tcb_config(config), config.pmem_size),
+      device::attest_cycles(config.alg, config.pmem_size + 4,
+                            config.attest_overhead_cycles,
+                            config.cycles_per_block),
       config.device_hz);
 }
 

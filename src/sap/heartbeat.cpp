@@ -1,7 +1,6 @@
 #include "sap/heartbeat.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "crypto/chacha20.hpp"
 #include "crypto/ct.hpp"
@@ -200,10 +199,8 @@ void HeartbeatSimulation::forward_log(net::NodeId id) {
 }
 
 std::vector<AbsenceReport> HeartbeatSimulation::collect() {
-  if (collect_active_) {
-    throw std::logic_error("HeartbeatSimulation: collect already running");
-  }
-  collect_active_ = true;
+  // The sweep's instruments add to the monitoring plane's.
+  const auto window = rt_.open_window();
   root_gathered_.clear();
   root_waiting_ = 0;
 
@@ -224,7 +221,6 @@ std::vector<AbsenceReport> HeartbeatSimulation::collect() {
             [](const AbsenceReport& a, const AbsenceReport& b) {
               return a.device < b.device;
             });
-  collect_active_ = false;
   return root_gathered_;
 }
 

@@ -129,8 +129,7 @@ class HeartbeatSimulation {
   std::uint64_t forged_ = 0;
   sim::SimTime monitor_until_;
 
-  // Collection bookkeeping (one sweep at a time).
-  bool collect_active_ = false;
+  // Collection bookkeeping (one sweep at a time: the runtime's window).
   std::uint32_t root_waiting_ = 0;
   std::vector<AbsenceReport> root_gathered_;
 };

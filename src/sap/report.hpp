@@ -2,11 +2,19 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "sap/verifier.hpp"
 #include "sim/time.hpp"
 
 namespace cra::sap {
+
+/// kIdentify-mode outcome, both lists ascending.
+struct IdentifyOutcome {
+  std::vector<net::NodeId> bad;      // last entry's token wrong
+  std::vector<net::NodeId> missing;  // no entry received
+  bool all_good() const noexcept { return bad.empty() && missing.empty(); }
+};
 
 struct RoundReport {
   bool verified = false;
@@ -44,7 +52,7 @@ struct RoundReport {
   std::uint32_t repolls = 0;  // lossy-network re-polls issued
 
   /// kIdentify mode only.
-  Verifier::IdentifyOutcome identify;
+  IdentifyOutcome identify;
 
   /// Degraded-mode per-device classification (adaptive-timeout rounds
   /// only; `degraded.enabled == false` otherwise).

@@ -6,6 +6,7 @@
 #include "crypto/chacha20.hpp"
 #include "crypto/ct.hpp"
 #include "crypto/kdf.hpp"
+#include "device/attest_tcb.hpp"
 #include "obs/trace.hpp"
 #include "sap/analysis.hpp"
 
@@ -95,9 +96,7 @@ void SapSimulation::recompute_subtree_sizes() {
 
 void SapSimulation::rebuild_topology(
     net::Tree tree, std::vector<net::NodeId> device_at_position) {
-  if (round_active_) {
-    throw std::logic_error("rebuild_topology: round in progress");
-  }
+  rt_.require_idle("rebuild_topology");
   if (tree.device_count() != device_count() ||
       device_at_position.size() != tree.size() ||
       device_at_position[0] != 0) {
@@ -167,20 +166,6 @@ void SapSimulation::set_clock_skew(net::NodeId id, sim::Duration skew) {
   }
 }
 
-void SapSimulation::attach_fault_plan(fault::FaultPlan plan) {
-  if (round_active_) {
-    throw std::logic_error("attach_fault_plan: round in progress");
-  }
-  rt_.attach_fault_plan(std::move(plan));
-}
-
-void SapSimulation::clear_fault_plan() {
-  if (round_active_) {
-    throw std::logic_error("clear_fault_plan: round in progress");
-  }
-  rt_.clear_fault_plan();
-}
-
 void SapSimulation::apply_device_fault(const fault::FaultEvent& ev) {
   using fault::FaultKind;
   const net::NodeId pos = pos_of_[ev.device];
@@ -238,26 +223,25 @@ void SapSimulation::assign_device_class(net::NodeId id, std::uint8_t cls) {
   dev(rt_.device_id(id)).cls = cls;
 }
 
-sim::Duration SapSimulation::attest_time_for(net::NodeId id) const {
-  const std::uint8_t cls = dev(rt_.device_id(id)).cls;
+sim::Duration SapSimulation::class_attest_time(std::uint8_t cls) const {
   if (cls == 0) return attest_time(config_);
   const DeviceClassSpec& spec = config_.extra_classes[cls - 1];
-  const std::uint64_t blocks =
-      crypto::hmac_compression_calls(config_.alg, spec.pmem_size + 4);
   return sim::cycles_to_time(
-      config_.attest_overhead_cycles + blocks * spec.cycles_per_block,
+      device::attest_cycles(config_.alg, spec.pmem_size + 4,
+                            config_.attest_overhead_cycles,
+                            spec.cycles_per_block),
       spec.hz);
 }
 
+sim::Duration SapSimulation::attest_time_for(net::NodeId id) const {
+  return class_attest_time(dev(rt_.device_id(id)).cls);
+}
+
 sim::Duration SapSimulation::max_attest_time() const {
-  sim::Duration worst = attest_time(config_);
-  for (const DeviceClassSpec& spec : config_.extra_classes) {
-    const std::uint64_t blocks =
-        crypto::hmac_compression_calls(config_.alg, spec.pmem_size + 4);
-    const sim::Duration t = sim::cycles_to_time(
-        config_.attest_overhead_cycles + blocks * spec.cycles_per_block,
-        spec.hz);
-    if (t > worst) worst = t;
+  sim::Duration worst = class_attest_time(0);
+  for (std::size_t cls = 1; cls <= config_.extra_classes.size(); ++cls) {
+    worst = std::max(worst,
+                     class_attest_time(static_cast<std::uint8_t>(cls)));
   }
   return worst;
 }
@@ -273,9 +257,7 @@ void SapSimulation::attach_vm(net::NodeId id, device::Device* vm) {
 void SapSimulation::advance_time(sim::Duration d) { rt_.advance_time(d); }
 
 void SapSimulation::set_qoa(QoaMode mode) {
-  if (round_active_) {
-    throw std::logic_error("set_qoa: round in progress");
-  }
+  rt_.require_idle("set_qoa");
   config_.qoa = mode;
 }
 
@@ -306,10 +288,7 @@ Bytes SapSimulation::compute_token(net::NodeId pos, std::uint32_t tick) {
 }
 
 RoundReport SapSimulation::run_round() {
-  if (round_active_) {
-    throw std::logic_error("run_round: round already active");
-  }
-  round_active_ = true;
+  rt_.require_idle("run_round");  // the tick changes before begin_window
   obs::Span round_span("sap.round");
 
   RoundReport report;
@@ -328,9 +307,12 @@ RoundReport SapSimulation::run_round() {
 
   // Round boundary: zero every instrument and ledger (registrations and
   // cached handles survive), mirror the network configuration, and open
-  // every shard on its worker. In the aggregated modes the parts of
-  // RES_S then fold, in shard order, before the challenge leaves.
-  rt_.begin_window([this](std::uint32_t s) { open_shard(s); });
+  // every shard on its worker. The parts of RES_S then fold, in shard
+  // order, before the challenge leaves; identify rounds have filled the
+  // appraisal's token table instead.
+  if (config_.qoa == QoaMode::kIdentify) appraisal_.open(round_tick_);
+  const auto window =
+      rt_.begin_window([this](std::uint32_t s) { open_shard(s); });
   Bytes res_s(config_.token_size(), 0);
   for (const Bytes& share : shares_) xor_inplace(res_s, share);
 
@@ -395,28 +377,24 @@ RoundReport SapSimulation::run_round() {
       report.verified = vrf.count == device_count() &&
                         crypto::ct_equal(vrf.agg_token, res_s);
       break;
-    case QoaMode::kIdentify:
-      if (config_.adaptive.enabled) {
-        // Degraded-mode verdict: classify every device instead of the
-        // all-or-nothing identify outcome.
-        report.degraded = verifier_.classify(vrf.reports, round_tick_);
-        std::uint32_t responded = 0;
-        for (const auto& r : vrf.reports) {
-          if (r.status != DeviceReportStatus::kEntryUnreachable) ++responded;
-        }
-        report.responded = responded;
-        report.identify.bad = report.degraded.untrusted_ids;
-        report.identify.missing = report.degraded.unreachable_ids;
-        report.verified = report.degraded.all_healthy();
-      } else {
-        report.responded = static_cast<std::uint32_t>(vrf.reports.size());
-        report.identify = verifier_.verify_identify(vrf.reports, round_tick_);
-        report.verified = report.identify.all_good();
-      }
+    case QoaMode::kIdentify: {
+      // Each entry is a compare against the table the open step swept;
+      // a device's last entry decides, and one with none is missing.
+      appraisal_.absorb(vrf.reports.data(), vrf.reports.size());
+      Verifier::Classification census = appraisal_.finish();
+      report.responded = static_cast<std::uint32_t>(std::count_if(
+          vrf.reports.begin(), vrf.reports.end(), [](const DeviceReport& r) {
+            return r.status != DeviceReportStatus::kEntryUnreachable;
+          }));
+      report.identify.bad = census.untrusted_ids;
+      report.identify.missing = census.unreachable_ids;
+      report.verified = census.all_healthy();
+      // Legacy entries are never late, rebooted or unreachable; only
+      // adaptive rounds report the degraded census.
+      if (config_.adaptive.enabled) report.degraded = std::move(census);
       break;
+    }
   }
-
-  round_active_ = false;
 
   // Trace the round on both clocks: the wall-clock span closes when
   // round_span dies; the simulated-time lane gets the Figure 3(b)
@@ -435,6 +413,20 @@ RoundReport SapSimulation::run_round() {
 }
 
 void SapSimulation::open_shard(std::uint32_t s) {
+  // RES_S is offline work: a share needs only the challenge and the
+  // verifier's table, and any partition of the ids 1..N folds to it.
+  // The shard sweeps the ids equal to its positions: its own devices
+  // until rebuild_topology moves them, in ascending order either way.
+  // Identify rounds keep each res_i too, in the shard's rows of the
+  // appraisal's token table, so their verdict is one compare per entry.
+  // The sweep runs before the reset: an identify reset frees the last
+  // round's report entries, and a sweep beside those frees on other
+  // workers ran up to 7x slower.
+  Bytes share(config_.token_size(), 0);
+  verifier_.sweep(rt_.entities_of(s, 1), round_tick_, share,
+                  config_.qoa == QoaMode::kIdentify ? appraisal_.table()
+                                                    : nullptr);
+  shares_[s] = std::move(share);
   // Reset per-round state, Vrf's included. Vrf has no self-measurement.
   for (const net::NodeId pos : rt_.entities_of(s)) {
     const net::NodeId id = dev_at_[pos];
@@ -453,17 +445,6 @@ void SapSimulation::open_shard(std::uint32_t s) {
     d.reports.clear();
     d.deadline = sim::EventHandle();
   }
-  // RES_S is offline work: a share needs only the challenge and the
-  // verifier's table, and any partition of the ids 1..N folds to it.
-  // The shard sweeps the ids equal to its positions: its own devices
-  // until rebuild_topology moves them, in ascending order either way.
-  // Identify modes judge each entry after the window; their share stays
-  // zero.
-  Bytes share(config_.token_size(), 0);
-  if (config_.qoa != QoaMode::kIdentify) {
-    verifier_.sweep(rt_.entities_of(s, 1), round_tick_, share, nullptr);
-  }
-  shares_[s] = std::move(share);
 }
 
 void SapSimulation::on_message(const net::Message& msg) {

@@ -118,10 +118,14 @@ class SapSimulation {
   /// its horizon) and applied on the scheduler shard owning the touched
   /// state, so replay is byte-identical at any thread count. Crash/sleep
   /// events use *device ids*; link/partition events use *tree
-  /// positions* (identical under the default deployment).
-  /// Throws std::logic_error mid-round.
-  void attach_fault_plan(fault::FaultPlan plan);
-  void clear_fault_plan();
+  /// positions* (identical under the default deployment). Throws
+  /// std::logic_error mid-round, and std::out_of_range for an event
+  /// naming a device or position outside the swarm (see
+  /// swarm::SwarmRuntime::attach_fault_plan).
+  void attach_fault_plan(fault::FaultPlan plan) {
+    rt_.attach_fault_plan(std::move(plan));
+  }
+  void clear_fault_plan() { rt_.clear_fault_plan(); }
   bool has_fault_plan() const noexcept { return rt_.has_fault_plan(); }
   /// Armed-event tally of the attached plan (nullptr without a plan).
   const fault::FaultTally* fault_tally() const noexcept {
@@ -235,8 +239,11 @@ class SapSimulation {
 
   /// The per-shard step of begin_window: reset the round state of the
   /// nodes at shard `s`'s positions and fold the shard's share of RES_S
-  /// into shares_[s].
+  /// into shares_[s]; identify rounds also fill the shard's rows of the
+  /// appraisal's token table.
   void open_shard(std::uint32_t s);
+  /// T_att of hardware class `cls`.
+  sim::Duration class_attest_time(std::uint8_t cls) const;
 
   /// Device-fault hook of the runtime's fault replay; runs on the shard
   /// owning the device's tree position.
@@ -276,6 +283,9 @@ class SapSimulation {
   std::vector<Bytes> shares_;      // RES_S share, indexed by shard
   device::SecureClock clock_;
   Verifier verifier_;
+  // Identify rounds' verdict: the open step sweeps each shard's rows of
+  // its token table, and Vrf's entries are judged against it.
+  Verifier::Appraisal appraisal_{verifier_};
   Bytes auth_key_;
   std::vector<Dev> devices_;  // by device id; 0 is Vrf
   std::vector<std::uint32_t> subtree_size_;  // per tree position
@@ -284,7 +294,6 @@ class SapSimulation {
 
   // Round bookkeeping. t_resp_ is only ever written by the shard owning
   // tree position 0; per-shard counters live in stats_.
-  bool round_active_ = false;
   std::uint32_t round_tick_ = 0;
   Bytes round_chal_;  // adaptive: re-polls carry the challenge payload
   sim::SimTime t_att_time_;

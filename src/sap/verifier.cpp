@@ -81,17 +81,10 @@ void Verifier::provision(std::span<const net::NodeId> ids) const {
                    });
 }
 
-void Verifier::expected_token_into(net::NodeId id, std::uint32_t chal,
-                                   crypto::MacBuf& out) const {
-  std::uint8_t chal_le[4];
-  store_u32le(chal_le, chal);
-  const crypto::PrecomputedMac& mac = device_mac(id);  // checks the id
-  mac.mac_into(expected_[id - 1], BytesView(chal_le, 4), out);
-}
-
 Bytes Verifier::expected_token(net::NodeId id, std::uint32_t chal) const {
+  const auto chal_le = u32le_bytes(chal);
   crypto::MacBuf buf;
-  expected_token_into(id, chal, buf);
+  device_mac(id).mac_into(expected_[id - 1], chal_le, buf);  // checks the id
   return Bytes(buf.bytes.begin(), buf.bytes.begin() + buf.len);
 }
 
@@ -149,61 +142,21 @@ Bytes Verifier::expected_result(std::uint32_t chal) const {
   return acc;
 }
 
-bool Verifier::verify(BytesView h_s, std::uint32_t chal) const {
-  return crypto::ct_equal(h_s, expected_result(chal));
-}
-
-Verifier::IdentifyOutcome Verifier::verify_identify(
-    const std::vector<DeviceReport>& reports, std::uint32_t chal) const {
-  IdentifyOutcome out;
-  std::vector<bool> seen(device_count_ + 1, false);
-  std::uint8_t chal_le[4];
-  store_u32le(chal_le, chal);
-  const BytesView chal_view(chal_le, 4);
-  // All valid reports share the round challenge, so their expected
-  // tokens form one batch for the active backend.
-  std::vector<crypto::VerifyJob> jobs;
-  std::vector<net::NodeId> job_ids;
-  jobs.reserve(reports.size());
-  job_ids.reserve(reports.size());
-  for (const auto& report : reports) {
-    if (report.id == 0 || report.id > device_count_) continue;
-    seen[report.id] = true;
-    jobs.push_back({&device_mac(report.id), expected_[report.id - 1],
-                    chal_view, report.token});
-    job_ids.push_back(report.id);
-  }
-  std::vector<std::uint8_t> ok(jobs.size());
-  crypto::active_backend().verify_tokens_batch(jobs.data(), jobs.size(),
-                                               ok.data());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (!ok[i]) out.bad.push_back(job_ids[i]);
-  }
-  for (net::NodeId id = 1; id <= device_count_; ++id) {
-    if (!seen[id]) out.missing.push_back(id);
-  }
-  return out;
-}
-
-const char* Verifier::device_status_name(DeviceStatus status) noexcept {
-  switch (status) {
-    case DeviceStatus::kHealthy: return "healthy";
-    case DeviceStatus::kUnreachable: return "unreachable";
-    case DeviceStatus::kUntrusted: return "untrusted";
-    case DeviceStatus::kRebooted: return "rebooted";
-  }
-  return "?";
+void Verifier::Appraisal::open(std::uint32_t chal) {
+  const Verifier& v = *verifier_;
+  chal_ = chal;
+  tokens_.resize(static_cast<std::size_t>(v.device_count_) *
+                 v.config_.token_size());
+  res_s_.clear();
+  status_.assign(v.device_count_, DeviceStatus::kUnreachable);
 }
 
 void Verifier::Appraisal::begin(std::uint32_t chal) {
   const Verifier& v = *verifier_;
-  const std::size_t token_size = v.config_.token_size();
-  chal_ = chal;
+  open(chal);
   if (ids_.empty()) ids_ = v.all_ids();
-  tokens_.resize(static_cast<std::size_t>(v.device_count_) * token_size);
-  res_s_.assign(token_size, 0);
+  res_s_.assign(v.config_.token_size(), 0);
   v.sweep(ids_, chal, res_s_, tokens_.data());
-  status_.assign(v.device_count_, DeviceStatus::kUnreachable);
 }
 
 bool Verifier::Appraisal::matches_table(const DeviceReport& rep) const {

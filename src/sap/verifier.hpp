@@ -13,11 +13,10 @@
 // one pass that does it, over any set of ids, and XOR makes the fold
 // order-free: the simulator sweeps each shard's devices on that shard's
 // worker before the challenge leaves and XORs the parts. Appraisal
-// sweeps every id: begin(chal) fills a flat table of res_i and folds
-// RES_S, absorb() judges report entries against the table as they
-// arrive, and finish() returns the per-device census. classify() is
-// that path run on a whole report, so a live verifier that appraises
-// frame by frame and the simulator's one-shot verdict share one rule.
+// keeps every res_i in a flat table that sweeps fill (begin(chal) sweeps
+// every id), absorb() judges report entries against it as they arrive,
+// and finish() returns the per-device census: the live verifier, the
+// simulator's identify rounds and classify() share this one rule.
 //
 // Keys: K_{mi,Vrf} = HKDF(master, "sap-device-key" || i). Equivalent to
 // independently random keys under the PRF assumption, and it keeps Vrf's
@@ -77,11 +76,6 @@ class Verifier {
   /// --- Offline verification (Definition: verify) ---
   /// res_i for one device under challenge `chal`.
   Bytes expected_token(net::NodeId id, std::uint32_t chal) const;
-  /// Allocation-free res_i into a caller-owned buffer. First use for a
-  /// device derives K_{mi,Vrf} and caches its HMAC midstates; later
-  /// calls resume them (no HKDF, no pad compressions, no heap).
-  void expected_token_into(net::NodeId id, std::uint32_t chal,
-                           crypto::MacBuf& out) const;
   /// res_i(chal) for every id in `ids`, in chunks through the active
   /// backend's hmac_batch: XORed into `res_s` (token_size bytes), and
   /// also written to `table` at (id-1) * token_size unless it is null.
@@ -92,19 +86,8 @@ class Verifier {
              Bytes& res_s, std::uint8_t* table) const;
   /// RES_S = ⊕ res_i over all devices.
   Bytes expected_result(std::uint32_t chal) const;
-  /// Binary verdict: H_S == RES_S (constant-time compare).
-  bool verify(BytesView h_s, std::uint32_t chal) const;
 
-  /// kIdentify-mode verdict: classify every device.
-  struct IdentifyOutcome {
-    std::vector<net::NodeId> bad;      // token present but wrong
-    std::vector<net::NodeId> missing;  // no report received
-    bool all_good() const noexcept { return bad.empty() && missing.empty(); }
-  };
-  IdentifyOutcome verify_identify(const std::vector<DeviceReport>& reports,
-                                  std::uint32_t chal) const;
-
-  /// Degraded-mode per-device verdict (adaptive-timeout rounds).
+  /// Per-device verdict of an identify round.
   enum class DeviceStatus : std::uint8_t {
     kHealthy = 0,      // valid token for this round's challenge
     kUnreachable = 1,  // no token — crashed, asleep, or partitioned
@@ -137,9 +120,9 @@ class Verifier {
     }
   };
 
-  /// One round's appraisal of extended-identify report entries under
-  /// the round challenge. Entries are judged in order, and a later entry
-  /// for a device overwrites an earlier one:
+  /// One round's appraisal of identify report entries under the round
+  /// challenge (legacy entries are kEntryOk). Entries are judged in
+  /// order, and a later entry for a device overwrites an earlier one:
   ///   id 0 or above N   -> skipped
   ///   kEntryOk          -> token matches res_i(chal) ? healthy : untrusted
   ///   kEntryLate        -> tick >= chal and token valid at entry.tick
@@ -154,8 +137,14 @@ class Verifier {
    public:
     explicit Appraisal(const Verifier& verifier) : verifier_(&verifier) {}
 
-    /// Open a round: compute every device's res_i(chal) into the token
-    /// table in one chunked batch sweep, folding RES_S as it goes.
+    /// Open a round on `chal`: size the token table and mark every
+    /// device unheard; sweep any partition of the ids into table().
+    void open(std::uint32_t chal);
+    /// res_i(chal) at (id-1) * token_size, as Verifier::sweep writes it
+    /// (disjoint id sets from distinct threads at once).
+    std::uint8_t* table() noexcept { return tokens_.data(); }
+    /// open(chal), then one chunked batch sweep of every id into the
+    /// table, folding RES_S as it goes.
     void begin(std::uint32_t chal);
     /// Judge `n` entries against the table. Late entries at a tick after
     /// the challenge are computed on demand, in one batch per call.
@@ -163,7 +152,8 @@ class Verifier {
     /// The census so far; devices never heard from are unreachable.
     Classification finish() const;
 
-    /// RES_S for the round's challenge, folded by begin().
+    /// RES_S for the round's challenge, folded by begin() (empty after
+    /// a bare open()).
     BytesView expected_result() const noexcept { return res_s_; }
 
    private:
@@ -185,8 +175,6 @@ class Verifier {
   /// an Appraisal's begin, one absorb, and finish.
   Classification classify(const std::vector<DeviceReport>& reports,
                           std::uint32_t chal) const;
-
-  static const char* device_status_name(DeviceStatus status) noexcept;
 
  private:
   void check_id(net::NodeId id) const;

@@ -1,7 +1,6 @@
 #include "seda/seda.hpp"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "crypto/backend.hpp"
 #include "crypto/chacha20.hpp"
@@ -9,6 +8,7 @@
 #include "crypto/ct.hpp"
 #include "crypto/kdf.hpp"
 #include "crypto/x25519.hpp"
+#include "device/attest_tcb.hpp"
 
 namespace cra::seda {
 namespace {
@@ -97,20 +97,6 @@ void SedaSimulation::set_device_unresponsive(net::NodeId id,
 
 void SedaSimulation::advance_time(sim::Duration d) { rt_.advance_time(d); }
 
-void SedaSimulation::attach_fault_plan(fault::FaultPlan plan) {
-  if (round_active_) {
-    throw std::logic_error("attach_fault_plan: round in progress");
-  }
-  rt_.attach_fault_plan(std::move(plan));
-}
-
-void SedaSimulation::clear_fault_plan() {
-  if (round_active_) {
-    throw std::logic_error("clear_fault_plan: round in progress");
-  }
-  rt_.clear_fault_plan();
-}
-
 void SedaSimulation::apply_device_fault(const fault::FaultEvent& ev) {
   using fault::FaultKind;
   Dev& d = dev(ev.device);
@@ -145,10 +131,10 @@ void SedaSimulation::apply_device_fault(const fault::FaultEvent& ev) {
 }
 
 sim::Duration SedaSimulation::attest_time() const {
-  const std::uint64_t blocks =
-      crypto::hmac_compression_calls(config_.alg, config_.pmem_size + 4);
   return sim::cycles_to_time(
-      config_.attest_overhead_cycles + blocks * config_.cycles_per_block,
+      device::attest_cycles(config_.alg, config_.pmem_size + 4,
+                            config_.attest_overhead_cycles,
+                            config_.cycles_per_block),
       config_.device_hz);
 }
 
@@ -203,7 +189,7 @@ Bytes SedaSimulation::report_payload(net::NodeId id, std::uint32_t total,
 
 SedaJoinReport SedaSimulation::run_join() {
   obs::Span join_span("seda.join");
-  rt_.begin_window();
+  const auto window = rt_.begin_window();
   join_acks_done_ = 0;
   const sim::SimTime start = current_time();
   // Vrf invites its children, carrying its public key; invites cascade.
@@ -286,12 +272,8 @@ void SedaSimulation::handle_join_ack(net::NodeId parent,
 }
 
 SedaRoundReport SedaSimulation::run_round() {
-  if (round_active_) {
-    throw std::logic_error("SEDA run_round: round already active");
-  }
-  round_active_ = true;
   obs::Span round_span("seda.round");
-  rt_.begin_window([this](std::uint32_t s) {
+  const auto window = rt_.begin_window([this](std::uint32_t s) {
     // Reset per-round state, Vrf's included. Vrf has no self-measurement.
     for (const net::NodeId id : rt_.entities_of(s)) {
       Dev& d = dev(id);
@@ -348,7 +330,6 @@ SedaRoundReport SedaSimulation::run_round() {
   report.messages = m.counter_value("net.messages_sent");
   report.mac_failures =
       static_cast<std::uint32_t>(m.counter_value("seda.mac_failures"));
-  round_active_ = false;
   round_span.sim_range(report.t_req.ns(), report.t_resp.ns());
   return report;
 }

@@ -153,8 +153,10 @@ class SedaSimulation {
   /// has no secure clock, so kClockSkew events are accepted and ignored;
   /// reboots only clear the crash (there is no rebooted report status in
   /// SEDA's count-aggregate wire format).
-  void attach_fault_plan(fault::FaultPlan plan);
-  void clear_fault_plan();
+  void attach_fault_plan(fault::FaultPlan plan) {
+    rt_.attach_fault_plan(std::move(plan));
+  }
+  void clear_fault_plan() { rt_.clear_fault_plan(); }
   bool has_fault_plan() const noexcept { return rt_.has_fault_plan(); }
   const fault::FaultTally* fault_tally() const noexcept {
     return rt_.fault_tally();
@@ -268,7 +270,6 @@ class SedaSimulation {
   std::vector<crypto::PrecomputedMac> mac_at_parent_;
   std::uint32_t join_acks_done_ = 0;
 
-  bool round_active_ = false;
   sim::SimTime t_resp_;  // written only by node 0's shard
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hpp"
 #include "obs/trace.hpp"
@@ -128,17 +129,30 @@ std::uint64_t SwarmRuntime::shard_loss_seed(std::uint64_t seed,
   return mix.next();
 }
 
-void SwarmRuntime::begin_window(
+void SwarmRuntime::require_idle(const char* caller) const {
+  if (window_open_) {
+    throw std::logic_error(std::string(caller) + ": round in progress");
+  }
+}
+
+SwarmRuntime::Window SwarmRuntime::open_window() {
+  require_idle("SwarmRuntime::open_window");
+  window_open_ = true;
+  return Window(*this);
+}
+
+SwarmRuntime::Window SwarmRuntime::begin_window(
     const std::function<void(std::uint32_t)>& open_shard) {
+  if (!one_shard() && surface_->has_tamper_hook()) {
+    throw std::logic_error(
+        "SwarmRuntime: tamper hooks need a single shard (construct with "
+        "config.sim.shards == 1)");
+  }
+  Window window = open_window();
   metrics_.reset_values();
   engine_->reset_shard_metrics();
   surface_->reset_accounting();
   if (!one_shard()) {
-    if (surface_->has_tamper_hook()) {
-      throw std::logic_error(
-          "SwarmRuntime: tamper hooks need a single shard (construct with "
-          "config.sim.shards == 1)");
-    }
     const double rate = surface_->loss_rate();
     for (std::uint32_t s = 0; s < nets_.size(); ++s) {
       // A link's sender lives in exactly one shard, so the per-link maps
@@ -153,20 +167,70 @@ void SwarmRuntime::begin_window(
     obs::Span span("swarm.round_open");
     for_each_shard(open_shard);
   }
+  return window;
 }
 
 void SwarmRuntime::run_window() {
+  if (!window_open_) {
+    throw std::logic_error("SwarmRuntime::run_window: no window open");
+  }
   engine_->run();
+  window_open_ = false;
   ++windows_;
   engine_->merge_metrics_into(metrics_);
   for (const auto& net : nets_) net->assert_ledgers_consistent();
   if (config_net_) config_net_->assert_ledgers_consistent();
 }
 
+void SwarmRuntime::abort_window() noexcept {
+  if (!window_open_) return;
+  // The epoch loop ends on a drain, so the shard queues hold all that
+  // is left; clocks agree between windows, as after a completed run.
+  const sim::SimTime t = now();
+  for (std::uint32_t s = 0; s < engine_->shard_count(); ++s) {
+    sim::Scheduler& sched = engine_->shard(s);
+    sched.clear_pending();
+    sched.run_until(t);
+  }
+  window_open_ = false;
+}
+
 void SwarmRuntime::advance_time(sim::Duration d) {
   const sim::SimTime target = now() + d;
   arm_faults(target);
   engine_->run_until(target);
+}
+
+void SwarmRuntime::attach_fault_plan(fault::FaultPlan plan) {
+  require_idle("attach_fault_plan");
+  for (const fault::FaultEvent& ev : plan.events()) check_fault(ev);
+  faults_ = std::make_unique<fault::FaultInjector>(std::move(plan));
+}
+
+void SwarmRuntime::clear_fault_plan() {
+  require_idle("clear_fault_plan");
+  faults_.reset();
+}
+
+void SwarmRuntime::check_fault(const fault::FaultEvent& ev) const {
+  using fault::FaultKind;
+  const auto in_tree = [this](net::NodeId pos) { return pos < tree_.size(); };
+  switch (ev.kind) {
+    case FaultKind::kLinkDown:
+    case FaultKind::kLinkUp:
+      if (in_tree(ev.device) && in_tree(ev.peer)) return;
+      throw std::out_of_range("fault plan: link endpoint out of range");
+    case FaultKind::kPartition:
+    case FaultKind::kHeal:
+      if (std::all_of(ev.island.begin(), ev.island.end(), in_tree)) return;
+      throw std::out_of_range("fault plan: island position out of range");
+    case FaultKind::kLossSpike:
+    case FaultKind::kLossClear:
+    case FaultKind::kProcKill:  // names a process, not a device
+      return;
+    default:  // the device events replay hands to the protocol
+      (void)device_id(ev.device);
+  }
 }
 
 void SwarmRuntime::arm_faults(sim::SimTime horizon) {
@@ -187,14 +251,10 @@ void SwarmRuntime::replay(const fault::FaultEvent& ev) {
     case FaultKind::kLeave:
     case FaultKind::kJoin:
     case FaultKind::kClockSkew:
-      (void)device_id(ev.device);
       on_device_fault_(ev);
       break;
     case FaultKind::kLinkDown:
     case FaultKind::kLinkUp: {
-      if (ev.device >= tree_.size() || ev.peer >= tree_.size()) {
-        throw std::out_of_range("fault plan: link endpoint out of range");
-      }
       const bool down = ev.kind == FaultKind::kLinkDown;
       set_link(ev.device, ev.peer, down, ev.at);
       set_link(ev.peer, ev.device, down, ev.at);
@@ -202,11 +262,6 @@ void SwarmRuntime::replay(const fault::FaultEvent& ev) {
     }
     case FaultKind::kPartition:
     case FaultKind::kHeal: {
-      for (net::NodeId pos : ev.island) {
-        if (pos >= tree_.size()) {
-          throw std::out_of_range("fault plan: island position out of range");
-        }
-      }
       const bool down = ev.kind == FaultKind::kPartition;
       for (const auto& [a, b] : fault::partition_cut(tree_, ev.island)) {
         set_link(a, b, down, ev.at);

@@ -29,13 +29,15 @@
 //     concurrently on every worker.
 //   * Zero-latency links admit no lookahead and force one shard.
 //
-// A window is one completed run(): a protocol round or SEDA's join.
-// advance_time() and run_until() slices are not windows. A round's
-// window has one lifecycle: begin_window() zeroes the instruments and
-// runs the protocol's per-shard step on the shard workers (reset of the
-// shard's nodes, plus whatever the protocol precomputes per shard), the
-// driver starts the round, run_window() runs it to quiescence, and the
-// driver reads the verdict.
+// A window is one run to quiescence: a protocol round, SEDA's join or
+// the Heartbeat monitor's collect sweep; advance_time() and run_until()
+// slices are not windows. A round's window has one lifecycle:
+// begin_window() zeroes the instruments and runs the protocol's
+// per-shard step on the shard workers (reset of the shard's nodes, plus
+// whatever the protocol precomputes per shard), the driver starts the
+// round, run_window() runs it to quiescence, and the driver reads the
+// verdict. At most one window is open (the one round flag); the
+// between-round setters ask require_idle().
 #pragma once
 
 #include <cstdint>
@@ -59,8 +61,9 @@ class SwarmRuntime {
   using Handler = net::Network::Handler;
   /// Applies one device fault (crash, reboot, sleep, wake, leave, join,
   /// clock skew). Called on the driver thread when the event is armed,
-  /// with the device id already range-checked; the protocol places the
-  /// change on the owning shard, usually through apply_at().
+  /// with the device id range-checked when the plan was attached; the
+  /// protocol places the change on the owning shard, usually through
+  /// apply_at().
   using DeviceFaultHook = std::function<void(const fault::FaultEvent&)>;
 
   /// Entities are the protocol's wire addresses: tree positions for SAP
@@ -147,17 +150,41 @@ class SwarmRuntime {
   }
 
   // --- Windows ---
-  /// Open a window: zero every instrument and ledger, mirror the
-  /// configuration surface onto the shard networks, then run
+  /// The guard of an open window, held by the scope that opened it.
+  /// Destroyed while the window is open (an exception unwinding the
+  /// round), it drops every event pending on every shard, the armed
+  /// faults included, brings every shard clock to now() and closes it.
+  class [[nodiscard]] Window {
+   public:
+    Window(Window&& other) noexcept : rt_(std::exchange(other.rt_, nullptr)) {}
+    ~Window() {
+      if (rt_ != nullptr) rt_->abort_window();
+    }
+
+   private:
+    friend class SwarmRuntime;
+    explicit Window(SwarmRuntime& rt) noexcept : rt_(&rt) {}
+    SwarmRuntime* rt_;
+  };
+
+  /// Open a round's window: zero every instrument and ledger, mirror
+  /// the configuration surface onto the shard networks, then run
   /// `open_shard(s)` for every shard through for_each_shard (its
   /// contract applies), inside one "swarm.round_open" span. A round's
   /// step resets the round state of the shard's nodes. Throws
-  /// std::logic_error for a tamper hook under more than one shard.
-  void begin_window(
+  /// std::logic_error, before anything changes, for a tamper hook under
+  /// more than one shard or while another window is open.
+  Window begin_window(
       const std::function<void(std::uint32_t)>& open_shard = nullptr);
+  /// Open a window that keeps every instrument and ledger (the
+  /// Heartbeat monitor's collect sweep). Throws as begin_window does.
+  Window open_window();
   /// Run to quiescence, close the window, merge the shard registries
-  /// into metrics() and check the byte ledgers.
+  /// into metrics() and check the byte ledgers. Requires an open window.
   void run_window();
+  /// Throws std::logic_error naming `caller` while a window is open:
+  /// the between-round setters call it first. Any thread.
+  void require_idle(const char* caller) const;
   /// Run events up to `t` (a slice of the open window).
   void run_until(sim::SimTime t) { engine_->run_until(t); }
   /// Arm the faults up to now + d, then run to that time.
@@ -165,10 +192,11 @@ class SwarmRuntime {
   std::uint64_t windows() const noexcept { return windows_; }
 
   // --- Scripted faults ---
-  void attach_fault_plan(fault::FaultPlan plan) {
-    faults_ = std::make_unique<fault::FaultInjector>(std::move(plan));
-  }
-  void clear_fault_plan() { faults_.reset(); }
+  /// Both between windows only. attach_fault_plan throws
+  /// std::out_of_range, before anything changes, for a device event
+  /// outside 1..device_count() or a position outside the tree.
+  void attach_fault_plan(fault::FaultPlan plan);
+  void clear_fault_plan();
   bool has_fault_plan() const noexcept { return faults_ != nullptr; }
   const fault::FaultTally* fault_tally() const noexcept {
     return faults_ ? &faults_->tally() : nullptr;
@@ -186,6 +214,10 @@ class SwarmRuntime {
     }
     engine_->shard(s).schedule_at(at, std::forward<F>(fn));
   }
+  /// The Window guard's unwind path: no-op unless a window is open.
+  void abort_window() noexcept;
+  /// The range checks of attach_fault_plan for one event.
+  void check_fault(const fault::FaultEvent& ev) const;
   obs::MetricsRegistry& registry(std::uint32_t s) noexcept;
   net::Network::Router route_from(net::Network& sender);
   std::uint64_t shard_loss_seed(std::uint64_t seed,
@@ -215,6 +247,7 @@ class SwarmRuntime {
   std::unique_ptr<net::Network> config_net_;  // more than one shard only
   net::Network* surface_ = nullptr;
   std::uint64_t windows_ = 0;
+  bool window_open_ = false;  // written only while the engine is idle
   std::unique_ptr<fault::FaultInjector> faults_;
   // The loss baseline is captured when a spike first fires so a later
   // clear can restore the user's configuration.

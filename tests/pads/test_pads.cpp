@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -228,6 +230,86 @@ TEST(PadsRound, RebuildTopologyValidatesShape) {
   std::vector<net::NodeId> not_perm(9, 0);
   EXPECT_THROW(sim.rebuild_topology(net::balanced_kary_tree(8), not_perm),
                std::invalid_argument);
+}
+
+TEST(PadsRound, FaultPlanNamingAStrangerIsRefusedAtAttach) {
+  // As for SAP: refused at attach, the plan before stays, and the next
+  // round converges.
+  PadsConfig cfg = small_config();
+  cfg.sim.threads = 2;
+  cfg.sim.shards = 2;
+  auto sim = PadsSimulation::balanced(cfg, 64);
+  const sim::SimTime t = sim.current_time() + sim::Duration::from_ms(1);
+  EXPECT_THROW(sim.attach_fault_plan(fault::FaultPlan().leave(t, 65)),
+               std::out_of_range);
+  EXPECT_FALSE(sim.has_fault_plan());
+  sim.attach_fault_plan(fault::FaultPlan().wake(t, 3));
+  EXPECT_THROW(sim.attach_fault_plan(fault::FaultPlan().crash(t, 65)),
+               std::out_of_range);
+  const PadsRoundReport r = sim.run_round();
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.known, 64u);
+  ASSERT_NE(sim.fault_tally(), nullptr);
+  EXPECT_EQ(sim.fault_tally()->wakes, 1u);
+}
+
+TEST(PadsRound, MalformedRewireAbortsOnlyItsRound) {
+  // A rewire step that rebuild_topology refuses throws between two
+  // run_until slices of the round. The round unwinds, drops its pending
+  // gossip and closes; the schedule went with it, and the next round
+  // converges.
+  PadsConfig cfg = small_config();
+  cfg.sim.threads = 2;
+  cfg.sim.shards = 2;
+  auto sim = PadsSimulation::balanced(cfg, 40);
+  std::vector<net::RewireStep> steps;
+  steps.push_back(net::RewireStep{
+      sim.current_time() + sim::Duration::from_ms(300),
+      net::balanced_kary_tree(39), std::vector<net::NodeId>(40)});
+  sim.set_rewire_schedule(std::move(steps));
+  EXPECT_THROW((void)sim.run_round(), std::invalid_argument);
+  EXPECT_NO_THROW(sim.set_rewire_schedule({}));
+  const PadsRoundReport r = sim.run_round();
+  EXPECT_TRUE(r.converged);
+  EXPECT_EQ(r.known, 40u);
+  EXPECT_EQ(r.token_failures, 0u);
+}
+
+TEST(PadsRound, EveryGossipPayloadDecodesToItsSender) {
+  // gossip_tick and GossipMsg share one encoder. Every payload a round
+  // sends decodes, and re-encodes byte for byte, to its sender's id,
+  // the swarm's width, an epoch of the round and one token per sender;
+  // receivers reject exactly the compromised sender's.
+  const PadsConfig cfg = small_config();
+  auto sim = PadsSimulation::balanced(cfg, 30);
+  sim.compromise_device(9);
+  std::vector<net::Message> sent;
+  sim.network().set_tamper_hook([&sent](const net::Message& m) {
+    if (m.kind == kGossipKind) sent.push_back(m);
+    return net::TamperResult{};
+  });
+  const PadsRoundReport r = sim.run_round();
+  ASSERT_FALSE(sent.empty());
+  std::map<net::NodeId, Bytes> token_of;
+  std::set<std::uint32_t> epochs;
+  std::uint32_t from_nine = 0;
+  for (const net::Message& m : sent) {
+    const auto g = GossipMsg::decode(m.payload);
+    ASSERT_TRUE(g.has_value());
+    EXPECT_EQ(g->sender, m.src);
+    EXPECT_EQ(g->devices, 30u);
+    EXPECT_LT(g->epoch, r.epochs);
+    EXPECT_EQ(g->token.size(), cfg.token_size);
+    EXPECT_EQ(g->encode(), m.payload);
+    EXPECT_EQ(token_of.emplace(g->sender, g->token).first->second, g->token)
+        << g->sender;
+    epochs.insert(g->epoch);
+    from_nine += g->sender == 9 ? 1 : 0;
+  }
+  EXPECT_EQ(token_of.size(), 31u);  // every device and Vrf gossiped
+  EXPECT_EQ(epochs.size(), r.epochs);
+  EXPECT_GT(from_nine, 0u);
+  EXPECT_EQ(r.token_failures, from_nine);
 }
 
 TEST(PadsRound, SmallCrossEngineDigestsMatch) {

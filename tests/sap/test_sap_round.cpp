@@ -229,6 +229,29 @@ TEST(SapRound, PerDeviceHooksRejectIdsOutsideTheSwarm) {
   EXPECT_EQ(r.responded, 10u);
 }
 
+TEST(SapRound, FaultPlanNamingAStrangerIsRefusedAtAttach) {
+  // A plan is checked when it is attached, not when a round arms it
+  // after the challenge has left: one naming device N+1 is refused, the
+  // plan attached before it (or none) stays, and the next round
+  // verifies.
+  SapConfig cfg = small_config();
+  cfg.sim.threads = 2;
+  cfg.sim.shards = 2;
+  auto sim = SapSimulation::balanced(cfg, 64);
+  const sim::SimTime t = sim.current_time() + sim::Duration::from_ms(1);
+  EXPECT_THROW(sim.attach_fault_plan(fault::FaultPlan().crash(t, 65)),
+               std::out_of_range);
+  EXPECT_FALSE(sim.has_fault_plan());
+  sim.attach_fault_plan(fault::FaultPlan().wake(t, 3));
+  EXPECT_THROW(sim.attach_fault_plan(fault::FaultPlan().wake(t, 3).crash(t, 65)),
+               std::out_of_range);
+  const RoundReport r = sim.run_round();
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(r.responded, 64u);
+  ASSERT_NE(sim.fault_tally(), nullptr);
+  EXPECT_EQ(sim.fault_tally()->wakes, 1u);  // the plan before was armed
+}
+
 TEST(SapRound, Sha256ParameterAlsoWorks) {
   SapConfig cfg = small_config();
   cfg.alg = crypto::HashAlg::kSha256;

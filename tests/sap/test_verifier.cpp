@@ -4,8 +4,12 @@
 
 #include <set>
 
+#include "crypto/ct.hpp"
+
 namespace cra::sap {
 namespace {
+
+using DeviceStatus = Verifier::DeviceStatus;
 
 SapConfig cfg() {
   SapConfig c;
@@ -40,23 +44,28 @@ TEST(Verifier, ExpectedResultIsXorOfTokens) {
   EXPECT_EQ(v.expected_result(chal), acc);
 }
 
+/// The binary verdict: H_S == RES_S, compared in constant time.
+bool verify(const Verifier& v, BytesView h_s, std::uint32_t chal) {
+  return crypto::ct_equal(h_s, v.expected_result(chal));
+}
+
 TEST(Verifier, VerifyAcceptsCorrectAggregate) {
   Verifier v = make_verifier();
-  EXPECT_TRUE(v.verify(v.expected_result(9), 9));
+  EXPECT_TRUE(verify(v, v.expected_result(9), 9));
 }
 
 TEST(Verifier, VerifyRejectsCorruptAggregate) {
   Verifier v = make_verifier();
   Bytes h = v.expected_result(9);
   h[0] = static_cast<std::uint8_t>(h[0] ^ 1);
-  EXPECT_FALSE(v.verify(h, 9));
-  EXPECT_FALSE(v.verify(Bytes(20, 0), 9));
-  EXPECT_FALSE(v.verify(Bytes(19, 0), 9));  // wrong length
+  EXPECT_FALSE(verify(v, h, 9));
+  EXPECT_FALSE(verify(v, Bytes(20, 0), 9));
+  EXPECT_FALSE(verify(v, Bytes(19, 0), 9));  // wrong length
 }
 
 TEST(Verifier, VerifyIsChallengeSpecific) {
   Verifier v = make_verifier();
-  EXPECT_FALSE(v.verify(v.expected_result(9), 10));
+  EXPECT_FALSE(verify(v, v.expected_result(9), 10));
 }
 
 TEST(Verifier, TokensDependOnContentKeyAndChal) {
@@ -75,10 +84,11 @@ TEST(Verifier, IdentifyClassification) {
   reports.push_back({2, Bytes(20, 0xff)});              // bad token
   reports.push_back({3, v.expected_token(3, 3)});       // good
   // device 4 missing
-  const auto outcome = v.verify_identify(reports, 3);
-  EXPECT_EQ(outcome.bad, std::vector<net::NodeId>{2});
-  EXPECT_EQ(outcome.missing, std::vector<net::NodeId>{4});
-  EXPECT_FALSE(outcome.all_good());
+  const auto census = v.classify(reports, 3);
+  EXPECT_EQ(census.untrusted_ids, std::vector<net::NodeId>{2});
+  EXPECT_EQ(census.unreachable_ids, std::vector<net::NodeId>{4});
+  EXPECT_EQ(census.healthy, 2u);
+  EXPECT_FALSE(census.all_healthy());
 }
 
 TEST(Verifier, IdentifyAllGood) {
@@ -87,7 +97,7 @@ TEST(Verifier, IdentifyAllGood) {
   for (net::NodeId id = 1; id <= 3; ++id) {
     reports.push_back({id, v.expected_token(id, 7)});
   }
-  EXPECT_TRUE(v.verify_identify(reports, 7).all_good());
+  EXPECT_TRUE(v.classify(reports, 7).all_healthy());
 }
 
 TEST(Verifier, IdentifyIgnoresBogusIds) {
@@ -96,7 +106,25 @@ TEST(Verifier, IdentifyIgnoresBogusIds) {
   reports.push_back({1, v.expected_token(1, 7)});
   reports.push_back({2, v.expected_token(2, 7)});
   reports.push_back({999, Bytes(20, 0)});  // out-of-range id: ignored
-  EXPECT_TRUE(v.verify_identify(reports, 7).all_good());
+  reports.push_back({0, Bytes(20, 0)});    // Vrf's id: ignored
+  EXPECT_TRUE(v.classify(reports, 7).all_healthy());
+}
+
+TEST(Verifier, IdentifyLastEntryForADeviceDecides) {
+  // A report may carry two entries for one id (a duplicate, or a forged
+  // copy beside the real one): the last decides, and the id is listed
+  // once either way.
+  Verifier v = make_verifier(3);
+  const DeviceReport good{2, v.expected_token(2, 7)};
+  const DeviceReport bad{2, Bytes(20, 0x5a)};
+  const DeviceReport others[] = {{1, v.expected_token(1, 7)},
+                                 {3, v.expected_token(3, 7)}};
+  auto census = v.classify({others[0], good, others[1], bad}, 7);
+  EXPECT_EQ(census.untrusted_ids, std::vector<net::NodeId>{2});
+  EXPECT_EQ(census.status[1], DeviceStatus::kUntrusted);
+  census = v.classify({bad, others[0], bad, others[1], good}, 7);
+  EXPECT_TRUE(census.all_healthy());
+  EXPECT_EQ(census.healthy, 3u);
 }
 
 TEST(Verifier, InputValidation) {

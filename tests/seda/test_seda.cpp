@@ -202,6 +202,27 @@ ComparisonPoint compare_at(std::uint32_t n) {
           sap_round.u_ca_bytes, seda_round.u_ca_bytes};
 }
 
+TEST(Seda, FaultPlanNamingAStrangerIsRefusedAtAttach) {
+  // As for SAP: refused at attach, the plan before stays, and the next
+  // round verifies.
+  SedaConfig cfg = small_config();
+  cfg.sim.threads = 2;
+  cfg.sim.shards = 2;
+  auto sim = SedaSimulation::balanced(cfg, 64);
+  const sim::SimTime t = sim.current_time() + sim::Duration::from_ms(1);
+  EXPECT_THROW(sim.attach_fault_plan(fault::FaultPlan().sleep(t, 65)),
+               std::out_of_range);
+  EXPECT_FALSE(sim.has_fault_plan());
+  sim.attach_fault_plan(fault::FaultPlan().wake(t, 3));
+  EXPECT_THROW(sim.attach_fault_plan(fault::FaultPlan().crash(t, 65)),
+               std::out_of_range);
+  const SedaRoundReport r = sim.run_round();
+  EXPECT_TRUE(r.verified);
+  EXPECT_EQ(r.total, 64u);
+  ASSERT_NE(sim.fault_tally(), nullptr);
+  EXPECT_EQ(sim.fault_tally()->wakes, 1u);
+}
+
 TEST(SapVsSeda, SapFasterAtEverySize) {
   for (std::uint32_t n : {10u, 1000u, 100'000u}) {
     const ComparisonPoint p = compare_at(n);

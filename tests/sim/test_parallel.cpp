@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -439,6 +440,95 @@ TEST(ParallelProtocols, TamperHooksRejectedUnderSharding) {
   });
   EXPECT_TRUE(sim.run_round().verified);
   EXPECT_GT(seen, 0u);
+}
+
+TEST(ParallelProtocols, RoundAfterARejectedTamperHookRuns) {
+  // A round refused before it opens leaves no round open: once the hook
+  // is gone, the between-round setters work and the next round verifies
+  // (for PADS, converges).
+  const auto hook = [](const net::Message&) { return net::TamperResult{}; };
+  SimConfig two;
+  two.threads = 2;
+  two.shards = 2;
+
+  sap::SapConfig sap_cfg;
+  sap_cfg.sim = two;
+  auto sap_sim = sap::SapSimulation::balanced(sap_cfg, 64);
+  sap_sim.network().set_tamper_hook(hook);
+  EXPECT_THROW((void)sap_sim.run_round(), std::logic_error);
+  sap_sim.network().set_tamper_hook({});
+  EXPECT_NO_THROW(sap_sim.clear_fault_plan());
+  EXPECT_NO_THROW(sap_sim.set_qoa(sap::QoaMode::kBinary));
+  const sap::RoundReport sap_round = sap_sim.run_round();
+  EXPECT_TRUE(sap_round.verified);
+  EXPECT_EQ(sap_round.responded, 64u);
+
+  seda::SedaConfig seda_cfg;
+  seda_cfg.sim = two;
+  auto seda_sim = seda::SedaSimulation::balanced(seda_cfg, 64);
+  seda_sim.network().set_tamper_hook(hook);
+  EXPECT_THROW((void)seda_sim.run_round(), std::logic_error);
+  seda_sim.network().set_tamper_hook({});
+  EXPECT_NO_THROW(seda_sim.clear_fault_plan());
+  EXPECT_TRUE(seda_sim.run_round().verified);
+
+  pads::PadsConfig pads_cfg;
+  pads_cfg.sim = two;
+  auto pads_sim = pads::PadsSimulation::balanced(pads_cfg, 64);
+  pads_sim.network().set_tamper_hook(hook);
+  EXPECT_THROW((void)pads_sim.run_round(), std::logic_error);
+  pads_sim.network().set_tamper_hook({});
+  EXPECT_NO_THROW(pads_sim.set_rewire_schedule({}));
+  const pads::PadsRoundReport pads_round = pads_sim.run_round();
+  EXPECT_TRUE(pads_round.converged);
+  EXPECT_EQ(pads_round.known, 64u);
+}
+
+TEST(ParallelProtocols, SetterCalledMidRoundAbortsOnlyThatRound) {
+  // SAP's own set_qoa, called from a driver's callback mid-round,
+  // throws. The round unwinds with it, drops what it left pending and
+  // closes, and the next round verifies. A handler that catches what
+  // run_round and the guarded setters throw mid-round leaves its round
+  // running.
+  for (const std::uint32_t threads : {1u, 2u}) {
+    SCOPED_TRACE(testing::Message() << "threads=" << threads);
+    sap::SapConfig cfg;
+    cfg.sim.threads = threads;
+    cfg.sim.shards = 2;
+    auto sim = sap::SapSimulation::balanced(cfg, 64);
+    sim.schedule_at(40, SimTime::from_ms(1),
+                    [&sim] { sim.set_qoa(sap::QoaMode::kCount); });
+    EXPECT_THROW((void)sim.run_round(), std::logic_error);
+    EXPECT_EQ(sim.config().qoa, sap::QoaMode::kBinary);
+    const sap::RoundReport after = sim.run_round();
+    EXPECT_TRUE(after.verified);
+    EXPECT_EQ(after.responded, 64u);
+
+    int refused = 0;  // written on device 40's shard only
+    sim.schedule_at(40, sim.current_time() + Duration::from_ms(1), [&] {
+      const std::function<void()> calls[] = {
+          [&] { (void)sim.run_round(); },
+          [&] { sim.set_qoa(sap::QoaMode::kCount); },
+          [&] { sim.attach_fault_plan(fault::FaultPlan{}); },
+          [&] { sim.clear_fault_plan(); },
+          [&] {
+            std::vector<net::NodeId> same(sim.tree().size());
+            std::iota(same.begin(), same.end(), 0u);
+            sim.rebuild_topology(sim.tree(), same);
+          }};
+      for (const auto& call : calls) {
+        try {
+          call();
+        } catch (const std::logic_error&) {
+          ++refused;
+        }
+      }
+    });
+    const sap::RoundReport caught = sim.run_round();
+    EXPECT_EQ(refused, 5);
+    EXPECT_TRUE(caught.verified);
+    EXPECT_EQ(caught.responded, 64u);
+  }
 }
 
 TEST(ParallelProtocols, DriverScheduledCallbackFires) {

@@ -114,8 +114,13 @@ TEST(BeginWindow, RunsTheOpenStepOnEveryShardInsideOneSpan) {
   obs::TraceSink sink;
   obs::set_global_sink(&sink);
   std::vector<int> calls(8, 0);
-  rt.begin_window([&](std::uint32_t s) { ++calls[s]; });
-  rt.begin_window();
+  {
+    const SwarmRuntime::Window window =
+        rt.begin_window([&](std::uint32_t s) { ++calls[s]; });
+    rt.run_window();
+  }
+  const SwarmRuntime::Window window = rt.begin_window();
+  rt.run_window();
   obs::set_global_sink(nullptr);
   for (std::uint32_t s = 0; s < 8; ++s) EXPECT_EQ(calls[s], 1) << s;
   const std::string json = sink.to_json();
@@ -126,6 +131,105 @@ TEST(BeginWindow, RunsTheOpenStepOnEveryShardInsideOneSpan) {
     ++spans;
   }
   EXPECT_EQ(spans, 1u);
+}
+
+TEST(RoundFlag, OneWindowAtATimeAndTheSettersWaitForIt) {
+  const net::Tree tree = net::balanced_kary_tree(100, 2);
+  SwarmRuntime rt(tree, placement(2, 4), net::LinkParams{},
+                  [](const net::Message&) {}, [](const fault::FaultEvent&) {});
+  EXPECT_THROW(rt.run_window(), std::logic_error);  // nothing open
+  {
+    const SwarmRuntime::Window window = rt.begin_window();
+    EXPECT_THROW((void)rt.begin_window(), std::logic_error);
+    EXPECT_THROW((void)rt.open_window(), std::logic_error);
+    EXPECT_THROW(rt.require_idle("set_qoa"), std::logic_error);
+    EXPECT_THROW(rt.attach_fault_plan(fault::FaultPlan{}), std::logic_error);
+    EXPECT_THROW(rt.clear_fault_plan(), std::logic_error);
+    rt.run_window();
+    EXPECT_NO_THROW(rt.require_idle("set_qoa"));
+  }
+  {
+    const SwarmRuntime::Window window = rt.open_window();
+    EXPECT_THROW((void)rt.begin_window(), std::logic_error);
+    rt.run_window();
+  }
+  EXPECT_EQ(rt.windows(), 2u);
+  rt.attach_fault_plan(fault::FaultPlan{});
+  EXPECT_TRUE(rt.has_fault_plan());
+}
+
+TEST(RoundFlag, AnUnwoundWindowDropsWhatItLeftPendingAndCloses) {
+  // A handler throws in the first epoch. Every event the window left
+  // pending, on every shard, is dropped when its guard unwinds, the
+  // shard clocks agree again, and the next window opens and runs only
+  // its own events: at one shard and at eight on four threads.
+  for (const auto& [threads, shards] :
+       {std::pair<std::uint32_t, std::uint32_t>{1, 1}, {4, 8}}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads, " << shards
+                                    << " shards");
+    const net::Tree tree = net::balanced_kary_tree(100, 2);
+    SwarmRuntime rt(tree, placement(threads, shards), net::LinkParams{},
+                    [](const net::Message&) {},
+                    [](const fault::FaultEvent&) {});
+    // Each element is written only on its entity's shard.
+    std::vector<int> stale(tree.size(), 0);
+    std::vector<int> fresh(tree.size(), 0);
+    try {
+      const SwarmRuntime::Window window = rt.begin_window();
+      for (std::uint32_t e = 0; e < tree.size(); ++e) {
+        rt.post(e, sim::SimTime::from_ms(1), [&rt, &stale, e] {
+          if (e == 37) throw std::runtime_error("handler");
+          rt.post(e, sim::SimTime::from_sec(5), [&stale, e] { ++stale[e]; });
+        });
+      }
+      rt.run_window();
+      ADD_FAILURE() << "the handler's exception was swallowed";
+    } catch (const std::runtime_error&) {
+    }
+    EXPECT_EQ(rt.windows(), 0u);
+    for (std::uint32_t e = 0; e < tree.size(); ++e) {
+      ASSERT_EQ(rt.sched(e).now(), rt.now()) << e;
+    }
+    const sim::SimTime next = rt.now() + sim::Duration::from_ms(1);
+    {
+      const SwarmRuntime::Window window = rt.begin_window();
+      for (std::uint32_t e = 0; e < tree.size(); ++e) {
+        rt.post(e, next, [&fresh, e] { ++fresh[e]; });
+      }
+      rt.run_window();
+    }
+    for (std::uint32_t e = 0; e < tree.size(); ++e) {
+      EXPECT_EQ(stale[e], 0) << e;
+      EXPECT_EQ(fresh[e], 1) << e;
+    }
+    EXPECT_LT(rt.now(), sim::SimTime::from_sec(5));
+  }
+}
+
+TEST(AttachFaultPlan, RefusesEventsOutsideTheSwarmBeforeChangingAnything) {
+  const net::Tree tree = net::balanced_kary_tree(100, 2);  // positions 0..100
+  SwarmRuntime rt(tree, placement(1, 1), net::LinkParams{},
+                  [](const net::Message&) {}, [](const fault::FaultEvent&) {});
+  const sim::SimTime t = sim::SimTime::from_ms(1);
+  const auto refused = [&](const fault::FaultPlan& plan) {
+    EXPECT_THROW(rt.attach_fault_plan(plan), std::out_of_range);
+  };
+  refused(fault::FaultPlan().crash(t, 101));
+  refused(fault::FaultPlan().sleep(t, 0));  // Vrf is not a device
+  refused(fault::FaultPlan().clock_skew(t, 1000, sim::Duration::from_ms(1)));
+  refused(fault::FaultPlan().wake(t, 5).link_down(t, 3, 101));
+  refused(fault::FaultPlan().partition(t, {4, 9, 101}));
+  EXPECT_FALSE(rt.has_fault_plan());  // none before, none after
+
+  rt.attach_fault_plan(fault::FaultPlan()
+                           .crash(t, 100)
+                           .link_down(t, 0, 100)
+                           .partition(t, {0, 50})
+                           .loss_spike(t, 0.5)
+                           .proc_kill(t, 1000));  // a process, not a device
+  const fault::FaultTally* tally = rt.fault_tally();
+  refused(fault::FaultPlan().leave(t, 101));
+  EXPECT_EQ(rt.fault_tally(), tally);  // the plan before stays
 }
 
 // --- Protocol provisioning at (threads 1, shards 1) vs (threads 4, shards 8)
