@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -156,7 +157,7 @@ FaultPlan& FaultPlan::partition_subtree(sim::SimTime at,
 }
 
 FaultPlan& FaultPlan::loss_spike(sim::SimTime at, double rate) {
-  if (rate < 0.0 || rate > 1.0) {
+  if (!(rate >= 0.0 && rate <= 1.0)) {  // NaN too: parse() refuses it
     throw std::invalid_argument("FaultPlan: loss rate must be in [0,1]");
   }
   add(at, FaultKind::kLossSpike).rate = rate;
@@ -170,7 +171,7 @@ FaultPlan& FaultPlan::loss_clear(sim::SimTime at) {
 
 FaultPlan& FaultPlan::loss_spike_for(sim::SimTime at, double rate,
                                      sim::Duration downtime) {
-  if (rate < 0.0 || rate > 1.0) {
+  if (!(rate >= 0.0 && rate <= 1.0)) {
     throw std::invalid_argument("FaultPlan: loss rate must be in [0,1]");
   }
   FaultEvent& ev = add(at, FaultKind::kLossSpike);
@@ -355,6 +356,10 @@ std::uint32_t parse_node(const Token& tok, std::size_t line_no) {
   return parse_node(tok.text, tok.col, line_no);
 }
 
+// Positions one node list may name: 16x the largest swarm simulated, and
+// small enough that a mistyped range cannot ask for gigabytes.
+constexpr std::size_t kMaxNodeList = std::size_t{1} << 24;
+
 std::vector<net::NodeId> parse_node_list(const Token& tok,
                                          std::size_t line_no) {
   std::vector<net::NodeId> out;
@@ -380,7 +385,14 @@ std::vector<net::NodeId> parse_node_list(const Token& tok,
       const std::uint32_t hi =
           parse_node(part.substr(dash + 1), part_col + dash + 1, line_no);
       if (hi < lo) parse_fail(line_no, part_col, "descending range");
-      for (std::uint32_t n = lo; n <= hi; ++n) out.push_back(n);
+      if (out.size() + (hi - lo) >= kMaxNodeList) {
+        parse_fail(line_no, part_col, "node list longer than " +
+                                          std::to_string(kMaxNodeList));
+      }
+      // A 64-bit counter: "4294967295-4294967295" must end.
+      for (std::uint64_t n = lo; n <= hi; ++n) {
+        out.push_back(static_cast<net::NodeId>(n));
+      }
     }
     if (comma == t.size()) break;
     pos = comma + 1;
@@ -459,8 +471,9 @@ std::string FaultPlan::format() const {
         out += format_node_list(ev.island);
         break;
       case FaultKind::kLossSpike:
-        std::snprintf(buf, sizeof buf, " %.6f", ev.rate);
-        out += buf;
+        // The shortest form that strtod reads back to the same double.
+        out += ' ';
+        out.append(buf, std::to_chars(buf, buf + sizeof buf, ev.rate).ptr);
         break;
       case FaultKind::kLossClear:
         break;

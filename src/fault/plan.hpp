@@ -128,7 +128,10 @@ class FaultPlan {
   std::size_t size() const noexcept { return events_.size(); }
 
   /// Canonical text form (one event per line); parse(format()) is the
-  /// identity on the event list.
+  /// identity on each event's time, kind, targets, loss rate (printed in
+  /// the shortest form that reads back to the same double), skew and
+  /// proc-kill downtime. Islands print ascending. The text carries no
+  /// pre-drawn `draw` and no span `duration` of the paired builders.
   std::string format() const;
   /// Parse the text grammar (see docs/robustness.md). Throws
   /// std::invalid_argument with a line number on malformed input.

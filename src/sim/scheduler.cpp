@@ -10,10 +10,20 @@ EventHandle Scheduler::schedule_at(SimTime at, Callback cb) {
     throw std::invalid_argument("Scheduler: cannot schedule in the past");
   }
   const std::uint32_t slot = acquire_slot();
-  slots_[slot].cb = std::move(cb);
-  queue_.push_back(Entry{at, next_seq_++, slot});
-  std::push_heap(queue_.begin(), queue_.end(), Later{});
-  return EventHandle(slot, slots_[slot].gen);
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  s.next_free = kNoSlot;
+  Newest& newest = newest_for(at);
+  if (newest.at == at) {
+    slots_[newest.tail].next_free = slot;
+  } else {
+    heap_.push_back(Bucket{at, next_seq_++, slot});
+    std::push_heap(heap_.begin(), heap_.end(), Later{});
+    newest.at = at;
+  }
+  newest.tail = slot;
+  ++queued_;
+  return EventHandle(slot, s.gen);
 }
 
 EventHandle Scheduler::schedule_after(Duration delay, Callback cb) {
@@ -29,11 +39,20 @@ bool Scheduler::cancel(EventHandle handle) {
   return true;
 }
 
-Scheduler::Entry Scheduler::pop_earliest() noexcept {
-  std::pop_heap(queue_.begin(), queue_.end(), Later{});
-  const Entry e = queue_.back();
-  queue_.pop_back();
-  return e;
+std::uint32_t Scheduler::pop_earliest() noexcept {
+  Bucket& front = heap_.front();
+  const std::uint32_t slot = front.head;
+  front.head = slots_[slot].next_free;
+  --queued_;
+  if (front.head == kNoSlot) {
+    // The slot was the tail, so the index still names this bucket only
+    // if it names that slot at this time.
+    Newest& newest = newest_for(front.at);
+    if (newest.at == front.at && newest.tail == slot) newest = Newest{};
+    std::pop_heap(heap_.begin(), heap_.end(), Later{});
+    heap_.pop_back();
+  }
+  return slot;
 }
 
 std::uint32_t Scheduler::acquire_slot() {
@@ -54,7 +73,7 @@ void Scheduler::release_slot(std::uint32_t slot) noexcept {
     --cancelled_;
   }
   if (++s.gen == 0) s.gen = 1;  // 0 marks the inert handle
-  if (queue_.empty()) {
+  if (queued_ == 0) {
     // Quiescence: no slot is in use, so drop the free list.
     free_head_ = kNoSlot;
     fresh_ = 0;
@@ -65,15 +84,16 @@ void Scheduler::release_slot(std::uint32_t slot) noexcept {
 }
 
 bool Scheduler::dispatch_next() {
-  while (!queue_.empty()) {
-    const Entry e = pop_earliest();
-    const bool cancelled = slots_[e.slot].cancelled;
+  while (!heap_.empty()) {
+    const SimTime at = heap_.front().at;
+    const std::uint32_t slot = pop_earliest();
+    const bool cancelled = slots_[slot].cancelled;
     // Move the callback out before releasing the slot: the callback may
     // schedule events that reuse the slot or grow the table.
-    Callback cb = std::move(slots_[e.slot].cb);
-    release_slot(e.slot);
+    Callback cb = std::move(slots_[slot].cb);
+    release_slot(slot);
     if (cancelled) continue;
-    now_ = e.at;
+    now_ = at;
     ++dispatched_;
     cb();
     return true;
@@ -90,7 +110,7 @@ std::size_t Scheduler::run() {
 std::size_t Scheduler::run_until(SimTime until) {
   std::size_t n = 0;
   purge_cancelled();
-  while (!queue_.empty() && queue_.front().at <= until) {
+  while (!heap_.empty() && heap_.front().at <= until) {
     if (dispatch_next()) ++n;
     purge_cancelled();
   }
@@ -101,7 +121,7 @@ std::size_t Scheduler::run_until(SimTime until) {
 std::size_t Scheduler::run_before(SimTime limit) {
   std::size_t n = 0;
   purge_cancelled();
-  while (!queue_.empty() && queue_.front().at < limit) {
+  while (!heap_.empty() && heap_.front().at < limit) {
     if (dispatch_next()) ++n;
     purge_cancelled();
   }
@@ -110,25 +130,30 @@ std::size_t Scheduler::run_before(SimTime limit) {
 
 std::optional<SimTime> Scheduler::peek_next_time() {
   purge_cancelled();
-  if (queue_.empty()) return std::nullopt;
-  return queue_.front().at;
+  if (heap_.empty()) return std::nullopt;
+  return heap_.front().at;
 }
 
 void Scheduler::purge_cancelled() {
-  while (!queue_.empty() && slots_[queue_.front().slot].cancelled) {
-    release_slot(pop_earliest().slot);
+  while (!heap_.empty() && slots_[heap_.front().head].cancelled) {
+    release_slot(pop_earliest());
   }
 }
 
 bool Scheduler::step() { return dispatch_next(); }
 
 void Scheduler::clear_pending() noexcept {
-  // Release newest first, so the last release sees the empty queue.
-  while (!queue_.empty()) {
-    const std::uint32_t slot = queue_.back().slot;
-    queue_.pop_back();
-    release_slot(slot);
+  for (const Bucket& b : heap_) {
+    newest_for(b.at) = Newest{};
+    for (std::uint32_t slot = b.head; slot != kNoSlot;) {
+      // Read the link first: the release reuses it for the free list.
+      const std::uint32_t next = slots_[slot].next_free;
+      --queued_;
+      release_slot(slot);
+      slot = next;
+    }
   }
+  heap_.clear();
 }
 
 }  // namespace cra::sim

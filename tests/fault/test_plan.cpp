@@ -4,7 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
+
+#include "../common/fuzz_mutate.hpp"
 
 namespace cra::fault {
 namespace {
@@ -76,6 +83,36 @@ TEST(FaultPlan, EveryEventCarriesAFreshDraw) {
   }
 }
 
+/// parse(format(p)) must give p's events back: time, kind, device,
+/// peer, island (the text lists it ascending), the rate bit for bit,
+/// skew and proc-kill's downtime. The text form has no pre-drawn `draw`
+/// and no span `duration` of the paired builders.
+void expect_text_round_trip(const FaultPlan& p) {
+  const std::string text = p.format();
+  const FaultPlan q = FaultPlan::parse(text);
+  ASSERT_EQ(q.size(), p.size());
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const FaultEvent& a = p.events()[i];
+    const FaultEvent& b = q.events()[i];
+    std::vector<net::NodeId> island = a.island;
+    std::sort(island.begin(), island.end());
+    EXPECT_EQ(a.at, b.at) << "event " << i;
+    EXPECT_EQ(a.kind, b.kind) << "event " << i;
+    EXPECT_EQ(a.device, b.device) << "event " << i;
+    EXPECT_EQ(a.peer, b.peer) << "event " << i;
+    EXPECT_EQ(island, b.island) << "event " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.rate),
+              std::bit_cast<std::uint64_t>(b.rate))
+        << "event " << i << ": rate " << a.rate << " read back as "
+        << b.rate;
+    EXPECT_EQ(a.skew_ns, b.skew_ns) << "event " << i;
+    if (a.kind == FaultKind::kProcKill) {
+      EXPECT_EQ(a.duration, b.duration) << "event " << i;
+    }
+  }
+  EXPECT_EQ(q.format(), text);
+}
+
 TEST(FaultPlan, FormatParseRoundTrip) {
   const net::Tree tree = net::balanced_kary_tree(14, 2);
   FaultPlan plan;
@@ -85,22 +122,7 @@ TEST(FaultPlan, FormatParseRoundTrip) {
       .partition_subtree(SimTime::from_ms(30), tree, 2, Duration::from_ms(20))
       .loss_spike_for(SimTime::from_ms(40), 0.25, Duration::from_ms(15))
       .clock_skew(SimTime::from_ms(50), 9, Duration::from_ms(-3));
-
-  const FaultPlan parsed = FaultPlan::parse(plan.format());
-  ASSERT_EQ(parsed.size(), plan.size());
-  for (std::size_t i = 0; i < plan.size(); ++i) {
-    const FaultEvent& a = plan.events()[i];
-    const FaultEvent& b = parsed.events()[i];
-    EXPECT_EQ(a.at, b.at) << i;
-    EXPECT_EQ(a.kind, b.kind) << i;
-    EXPECT_EQ(a.device, b.device) << i;
-    EXPECT_EQ(a.peer, b.peer) << i;
-    EXPECT_EQ(a.island, b.island) << i;
-    EXPECT_DOUBLE_EQ(a.rate, b.rate) << i;
-    EXPECT_EQ(a.skew_ns, b.skew_ns) << i;
-  }
-  // format() of the parse is stable (canonical form).
-  EXPECT_EQ(parsed.format(), plan.format());
+  expect_text_round_trip(plan);
 }
 
 TEST(FaultPlan, ParseRejectsGarbageWithLineNumber) {
@@ -295,6 +317,183 @@ TEST(FaultPlan, ZeroRatesYieldAnEmptyPlan) {
   const FaultPlan plan = FaultPlan::churn(
       11, tree, SimTime::zero(), SimTime::from_sec(10), quiet);
   EXPECT_TRUE(plan.empty());
+}
+
+// --- parse(format(p)) on random plans, and on mutated text ------------
+
+/// A loss rate in [0, 1]: thirds, subnormals, every binary exponent,
+/// and the ends of the range.
+double random_rate(Rng& rng) {
+  switch (rng.next_below(6)) {
+    case 0:
+      return 1.0 / 3.0;
+    case 1:
+      return std::numeric_limits<double>::denorm_min() *
+             static_cast<double>(1 + rng.next_below(1'000'000));
+    case 2:
+      return std::ldexp(rng.next_double(),
+                        -static_cast<int>(rng.next_below(1'080)));
+    case 3:
+      return rng.next_double();
+    case 4:
+      return std::nextafter(1.0, 0.0);
+    default:
+      return static_cast<double>(rng.next_below(2));  // 0 or 1
+  }
+}
+
+/// Forty builder calls with random arguments; a quarter of the events
+/// share the previous event's time, and node ids reach 2^32 - 1.
+FaultPlan random_plan(std::uint64_t seed) {
+  Rng rng(seed);
+  FaultPlan plan(seed);
+  SimTime last;
+  auto time = [&] {
+    if (rng.next_below(4) != 0) {
+      last = SimTime(static_cast<std::int64_t>(
+          rng.next_below(10'000'000'000ULL)));
+    }
+    return last;
+  };
+  auto node = [&]() -> net::NodeId {
+    if (rng.next_below(8) == 0) {
+      return std::numeric_limits<net::NodeId>::max() -
+             static_cast<net::NodeId>(rng.next_below(3));
+    }
+    return static_cast<net::NodeId>(rng.next_below(1'000));
+  };
+  auto span = [&] {
+    return Duration(static_cast<std::int64_t>(1 + rng.next_below(
+                                                      1'000'000'000)));
+  };
+  auto island = [&] {
+    std::vector<net::NodeId> out(1 + rng.next_below(12));
+    for (net::NodeId& n : out) n = node();
+    if (rng.next_bool(0.5)) {  // a run, which prints as a range
+      const std::uint64_t from = node();
+      const std::uint64_t to = std::min<std::uint64_t>(
+          from + 4, std::numeric_limits<net::NodeId>::max());
+      for (std::uint64_t n = from; n <= to; ++n) {
+        out.push_back(static_cast<net::NodeId>(n));
+      }
+    }
+    return out;
+  };
+  for (int i = 0; i < 40; ++i) {
+    switch (rng.next_below(12)) {
+      case 0: plan.crash_for(time(), node(), span()); break;
+      case 1: plan.sleep_for(time(), node(), span()); break;
+      case 2: plan.link_down_for(time(), node(), node(), span()); break;
+      case 3: plan.partition_for(time(), island(), span()); break;
+      case 4: plan.heal(time(), island()); break;
+      case 5: plan.loss_spike_for(time(), random_rate(rng), span()); break;
+      case 6: plan.loss_spike(time(), random_rate(rng)); break;
+      case 7:
+        plan.clock_skew(time(), node(),
+                        Duration(static_cast<std::int64_t>(
+                                     rng.next_below(2'000'000'001)) -
+                                 1'000'000'000));
+        break;
+      case 8: plan.leave_for(time(), node(), span()); break;
+      case 9: plan.join(time(), node()); break;
+      case 10: plan.proc_kill(time(), node()); break;
+      default: plan.proc_kill_for(time(), node(), span()); break;
+    }
+  }
+  return plan;
+}
+
+FaultPlan random_churn(std::uint64_t seed) {
+  Rng rng(seed);
+  const net::Tree tree =
+      net::balanced_kary_tree(static_cast<std::uint32_t>(
+                                  30 + rng.next_below(200)),
+                              2 + static_cast<std::uint32_t>(
+                                      rng.next_below(3)));
+  FaultPlan::ChurnProfile profile;
+  profile.crash_rate = rng.next_double() * 0.05;
+  profile.sleep_rate = rng.next_double() * 0.05;
+  profile.partition_rate = rng.next_double();
+  profile.loss_spike_rate = rng.next_double();
+  profile.loss_spike = random_rate(rng);
+  profile.leave_rate = rng.next_double() * 0.02;
+  profile.join_rate = rng.next_double() * 0.02;
+  return FaultPlan::churn(seed, tree, SimTime::from_ms(10),
+                          SimTime::from_ms(3'000), profile);
+}
+
+TEST(FaultPlan, FormatParseIsExactOnRandomPlans) {
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    expect_text_round_trip(random_plan(seed));
+    expect_text_round_trip(random_churn(seed));
+  }
+  // The rates the old fixed six decimals lost.
+  for (const double rate : {0.1234567890123, 1e-320, 1.0 / 3.0}) {
+    FaultPlan plan;
+    plan.loss_spike(SimTime::from_ms(1), rate);
+    EXPECT_EQ(FaultPlan::parse(plan.format()).events()[0].rate, rate);
+  }
+  // The builders refuse what parse() refuses.
+  FaultPlan plan;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(plan.loss_spike(SimTime::zero(), nan), std::invalid_argument);
+  EXPECT_THROW(plan.loss_spike_for(SimTime::zero(), nan, Duration::from_ms(1)),
+               std::invalid_argument);
+}
+
+TEST(FaultPlan, NodeRangesEndAtTheLastIdAndStayBounded) {
+  // A range ending at 2^32 - 1 used to wrap its counter and never end.
+  const FaultPlan plan =
+      FaultPlan::parse("@1ms partition 4294967294-4294967295\n");
+  ASSERT_EQ(plan.size(), 1u);
+  EXPECT_EQ(plan.events()[0].island,
+            (std::vector<net::NodeId>{4294967294u, 4294967295u}));
+  // One list names at most 2^24 positions.
+  EXPECT_EQ(FaultPlan::parse("@1ms heal 0-16777215\n").events()[0]
+                .island.size(),
+            16'777'216u);
+  EXPECT_THROW((void)FaultPlan::parse("@1ms heal 0-16777216\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("@1ms heal 7,0-16777215\n"),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("@1ms partition 0-4294967295\n"),
+               std::invalid_argument);
+}
+
+TEST(FaultPlan, MutatedTextParsesCanonicallyOrThrows) {
+  // Formatted plans as the corpus; every mutation must be refused with
+  // std::invalid_argument, or parse to a plan whose text parses back to
+  // the same text.
+  std::vector<Bytes> corpus;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    for (const FaultPlan& p : {random_plan(seed), random_churn(seed)}) {
+      const std::string text = p.format();
+      corpus.emplace_back(text.begin(), text.end());
+    }
+  }
+  std::size_t accepted = 0;
+  std::size_t refused = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    for (int iter = 0; iter < 2'000; ++iter) {
+      const Bytes& in = corpus[rng.next_below(corpus.size())];
+      const Bytes mutated = fuzz::mutate(rng, in, corpus, {});
+      const std::string text(mutated.begin(), mutated.end());
+      try {
+        const std::string canonical = FaultPlan::parse(text).format();
+        ++accepted;
+        EXPECT_EQ(FaultPlan::parse(canonical).format(), canonical)
+            << "seed " << seed << " iter " << iter;
+      } catch (const std::invalid_argument&) {
+        ++refused;
+      }
+    }
+  }
+  // Truncations and splices mostly keep whole lines, so both outcomes
+  // occur often.
+  EXPECT_GT(accepted, 1'000u);
+  EXPECT_GT(refused, 1'000u);
 }
 
 }  // namespace

@@ -252,6 +252,64 @@ TEST(Scheduler, StaleHandlesInertAfterQuiescentRepack) {
 
 // --- Randomized equivalence against a plain reference model ----------
 
+/// Where a model run puts its times. `near(rng, now, span)` draws an
+/// event time or a run horizon in [now, now + span] units of the
+/// regime; `child(v)` turns a plan's draw into a child's delay.
+struct TimeRegime {
+  SimTime (*near)(Rng& rng, SimTime now, std::uint64_t span);
+  Duration (*child)(std::uint64_t v);
+};
+
+/// Near-future milliseconds: many ties, a few distinct times pending.
+constexpr TimeRegime kMilliseconds{
+    [](Rng& rng, SimTime now, std::uint64_t span) {
+      return now + Duration::from_ms(
+                       static_cast<std::int64_t>(rng.next_below(span + 1)));
+    },
+    [](std::uint64_t v) {
+      return Duration::from_ms(static_cast<std::int64_t>(v % 3));
+    }};
+
+/// At most two distinct times pending, now() and 1 ms later, so buckets
+/// grow long and every child lands at now(), behind its parent's bucket.
+constexpr TimeRegime kTwoTimes{
+    [](Rng& rng, SimTime now, std::uint64_t) {
+      return now + Duration::from_ms(
+                       static_cast<std::int64_t>(rng.next_below(2)));
+    },
+    [](std::uint64_t) { return Duration::zero(); }};
+
+/// The smallest stride whose first 16 multiples share the index entry of
+/// time zero: times a few strides apart then collide in the index.
+Duration colliding_stride() {
+  for (std::int64_t d = 1;; ++d) {
+    bool shared = true;
+    for (std::int64_t j = 1; j <= 16 && shared; ++j) {
+      shared = time_index_of(SimTime(j * d)) == time_index_of(SimTime(0));
+    }
+    if (shared) return Duration::from_ns(d);
+  }
+}
+
+/// Times spread over nanoseconds: most buckets hold one event. Half the
+/// draws fall on a grid of colliding_stride(), so distinct pending times
+/// often share an index entry.
+constexpr TimeRegime kNanoseconds{
+    [](Rng& rng, SimTime now, std::uint64_t span) {
+      static const Duration stride = colliding_stride();
+      const auto ns = static_cast<std::int64_t>(span) * 1'000'000;
+      if (rng.next_below(2) == 0) {
+        return now + Duration::from_ns(static_cast<std::int64_t>(
+                         rng.next_below(static_cast<std::uint64_t>(ns) + 1)));
+      }
+      return now + stride * static_cast<std::int64_t>(rng.next_below(
+                                static_cast<std::uint64_t>(ns / stride.ns()) +
+                                1));
+    },
+    [](std::uint64_t v) {
+      return Duration::from_ns(static_cast<std::int64_t>(v % 3'000'000));
+    }};
+
 /// What an event does when it runs: it logs its id and, per a plan
 /// drawn from the id alone (so both sides agree), schedules one child.
 struct Plan {
@@ -259,27 +317,42 @@ struct Plan {
   Duration child_delay;
 };
 
-Plan plan_for(std::uint64_t seed, std::uint32_t id) {
+Plan plan_for(const TimeRegime& regime, std::uint64_t seed,
+              std::uint32_t id) {
   SplitMix64 mix(seed * 0x9e3779b97f4a7c15ULL + id);
   const std::uint64_t v = mix.next();
-  return {v % 4 == 0, Duration::from_ms(static_cast<std::int64_t>(v / 4 % 3))};
+  return {v % 4 == 0, regime.child(v / 4)};
 }
 
 /// The reference: pending events in a flat list, dispatch by linear
 /// scan for the smallest (time, seq); cancellation removes the event.
 class ReferenceScheduler {
  public:
-  ReferenceScheduler(std::uint64_t seed, std::vector<std::uint32_t>& log)
-      : seed_(seed), log_(log) {}
+  ReferenceScheduler(const TimeRegime& regime, std::uint64_t seed,
+                     std::vector<std::uint32_t>& log)
+      : regime_(regime), seed_(seed), log_(log) {}
 
   SimTime now() const { return now_; }
   std::size_t pending() const { return events_.size(); }
   std::uint64_t dispatched() const { return dispatched_; }
   std::uint32_t issued() const { return next_id_; }
+  /// Most events ever pending at one time.
+  std::size_t longest_tie() const { return longest_tie_; }
+  /// Pushes made while another time sharing their index entry was
+  /// pending.
+  std::uint64_t index_collisions() const { return index_collisions_; }
 
   /// Returns the new event's id, or nullopt when `at` is in the past.
   std::optional<std::uint32_t> schedule_at(SimTime at) {
     if (at < now_) return std::nullopt;
+    std::size_t tie = 1;
+    bool collides = false;
+    for (const Event& e : events_) {
+      if (e.at == at) ++tie;
+      collides |= e.at != at && time_index_of(e.at) == time_index_of(at);
+    }
+    longest_tie_ = std::max(longest_tie_, tie);
+    index_collisions_ += collides;
     events_.push_back({at, next_seq_++, next_id_});
     return next_id_++;
   }
@@ -350,10 +423,11 @@ class ReferenceScheduler {
     now_ = e.at;
     ++dispatched_;
     log_.push_back(e.id);
-    const Plan plan = plan_for(seed_, e.id);
+    const Plan plan = plan_for(regime_, seed_, e.id);
     if (plan.spawn) schedule_at(now_ + plan.child_delay);
   }
 
+  const TimeRegime& regime_;
   std::uint64_t seed_;
   std::vector<std::uint32_t>& log_;
   std::vector<Event> events_;
@@ -361,13 +435,16 @@ class ReferenceScheduler {
   std::uint64_t next_seq_ = 0;
   std::uint32_t next_id_ = 0;
   std::uint64_t dispatched_ = 0;
+  std::size_t longest_tie_ = 0;
+  std::uint64_t index_collisions_ = 0;
 };
 
 /// The scheduler under test, driven with the same ids and plans.
 class Subject {
  public:
-  Subject(std::uint64_t seed, std::vector<std::uint32_t>& log)
-      : seed_(seed), log_(log) {}
+  Subject(const TimeRegime& regime, std::uint64_t seed,
+          std::vector<std::uint32_t>& log)
+      : regime_(regime), seed_(seed), log_(log) {}
 
   Scheduler& sched() { return s_; }
 
@@ -385,35 +462,46 @@ class Subject {
  private:
   void ran(std::uint32_t id) {
     log_.push_back(id);
-    const Plan plan = plan_for(seed_, id);
+    const Plan plan = plan_for(regime_, seed_, id);
     if (plan.spawn) schedule_at(s_.now() + plan.child_delay);
   }
 
+  const TimeRegime& regime_;
   std::uint64_t seed_;
   std::vector<std::uint32_t>& log_;
   Scheduler s_;
   std::vector<EventHandle> handles_;  // index = event id
 };
 
-TEST(Scheduler, MatchesReferenceModelUnderRandomOperations) {
+/// What the reference model saw over every seed of one regime.
+struct ModelStats {
+  std::size_t longest_tie = 0;
+  std::uint64_t index_collisions = 0;
+};
+
+/// Drive the scheduler and the reference model with one seeded stream of
+/// random operations, times drawn per `regime`, and compare every
+/// dispatch, every cancel result, pending(), now() and dispatched().
+/// `stats` gathers what the model saw.
+void expect_matches_reference_model(const TimeRegime& regime,
+                                    ModelStats& stats) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::vector<std::uint32_t> want_log, got_log;
-    ReferenceScheduler ref(seed, want_log);
-    Subject sub(seed, got_log);
+    ReferenceScheduler ref(regime, seed, want_log);
+    Subject sub(regime, seed, got_log);
     Scheduler& s = sub.sched();
     Rng rng(seed);
     std::uint64_t stale_cancels = 0;
     std::uint64_t drains = 0;  // ops that left no event pending
-    auto near = [&](std::uint64_t span_ms) {
-      return ref.now() + Duration::from_ms(static_cast<std::int64_t>(
-                             rng.next_below(span_ms + 1)));
+    auto near = [&](std::uint64_t span) {
+      return regime.near(rng, ref.now(), span);
     };
     for (int op = 0; op < 4'000; ++op) {
       const std::size_t queued = ref.pending();
       const std::uint64_t pick = rng.next_below(100);
       if (pick < 40) {
-        // Mostly near-future times (many ties); 1 in 16 in the past.
+        // Near-future times; 1 in 16 in the past.
         SimTime at = near(5);
         if (rng.next_below(16) == 0 && ref.now() > SimTime::zero()) {
           at = ref.now() - Duration::from_ms(1);
@@ -454,6 +542,80 @@ TEST(Scheduler, MatchesReferenceModelUnderRandomOperations) {
     EXPECT_GT(want_log.size(), 500u);
     EXPECT_GT(stale_cancels, 100u);
     EXPECT_GT(drains, 300u);
+    stats.longest_tie = std::max(stats.longest_tie, ref.longest_tie());
+    stats.index_collisions += ref.index_collisions();
+  }
+}
+
+TEST(Scheduler, MatchesReferenceModelUnderRandomOperations) {
+  ModelStats stats;
+  expect_matches_reference_model(kMilliseconds, stats);
+}
+
+TEST(Scheduler, MatchesReferenceModelWithTwoPendingTimes) {
+  ModelStats stats;
+  expect_matches_reference_model(kTwoTimes, stats);
+  EXPECT_GE(stats.longest_tie, 12u);  // 7 with kMilliseconds
+}
+
+TEST(Scheduler, MatchesReferenceModelWithNanosecondTimes) {
+  ModelStats stats;
+  expect_matches_reference_model(kNanoseconds, stats);
+  EXPECT_LE(stats.longest_tie, 3u);
+  EXPECT_GT(stats.index_collisions, 500u);  // 0 with kMilliseconds
+}
+
+TEST(Scheduler, BucketsKeepTimeThenPushOrder) {
+  // An event scheduled at now() by the last event of now()'s bucket, and
+  // by an earlier one, runs before anything later.
+  {
+    Scheduler s;
+    std::vector<int> order;
+    const SimTime t = SimTime::from_us(5);
+    s.schedule_at(t + Duration::from_ns(1), [&] { order.push_back(9); });
+    s.schedule_at(t, [&] {
+      order.push_back(1);
+      s.schedule_at(s.now(), [&] { order.push_back(3); });
+    });
+    s.schedule_at(t, [&] {
+      order.push_back(2);
+      s.schedule_at(s.now(), [&] {
+        order.push_back(4);
+        s.schedule_at(s.now(), [&] { order.push_back(5); });
+      });
+    });
+    EXPECT_EQ(s.run(), 6u);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 9}));
+  }
+  // Two distinct times that share an index entry: alternating pushes
+  // each open a new bucket, so each time gets many buckets, and those
+  // must still dispatch in (time, push) order.
+  const SimTime t1 = SimTime::from_us(7);
+  SimTime t2 = t1 + Duration::from_ns(1);
+  while (time_index_of(t2) != time_index_of(t1)) t2 += Duration::from_ns(1);
+  for (const bool later_first : {false, true}) {
+    SCOPED_TRACE(later_first ? "t2 pushed first" : "t1 pushed first");
+    Scheduler s;
+    std::vector<int> ran;
+    std::vector<int> want_t1, want_t2;
+    for (int i = 0; i < 400; ++i) {
+      const bool at_t1 = (i % 2 == 0) != later_first;
+      s.schedule_at(at_t1 ? t1 : t2, [&ran, i] { ran.push_back(i); });
+      (at_t1 ? want_t1 : want_t2).push_back(i);
+    }
+    // Half of t1's events run; later pushes at t1 (now()) must queue
+    // behind the other half, spread over buckets opened before them.
+    for (int k = 0; k < 100; ++k) ASSERT_TRUE(s.step());
+    EXPECT_EQ(s.now(), t1);
+    for (int i = 400; i < 600; ++i) {
+      const bool at_t1 = i % 2 == 0;
+      s.schedule_at(at_t1 ? t1 : t2, [&ran, i] { ran.push_back(i); });
+      (at_t1 ? want_t1 : want_t2).push_back(i);
+    }
+    EXPECT_EQ(s.run(), 500u);
+    std::vector<int> want = want_t1;
+    want.insert(want.end(), want_t2.begin(), want_t2.end());
+    EXPECT_EQ(ran, want);
   }
 }
 
