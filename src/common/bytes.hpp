@@ -53,6 +53,15 @@ inline void store_u32le(std::uint8_t* out, std::uint32_t v) noexcept {
   out[3] = static_cast<std::uint8_t>(v >> 24);
 }
 
+/// Read the little-endian value at `p[0..3]`; the caller guarantees the
+/// bytes. The unchecked counterpart of read_u32le.
+inline std::uint32_t load_u32le(const std::uint8_t* p) noexcept {
+  return static_cast<std::uint32_t>(p[0]) |
+         (static_cast<std::uint32_t>(p[1]) << 8) |
+         (static_cast<std::uint32_t>(p[2]) << 16) |
+         (static_cast<std::uint32_t>(p[3]) << 24);
+}
+
 /// Read little-endian integers back; throws std::out_of_range if the
 /// buffer is too short.
 std::uint32_t read_u32le(BytesView data, std::size_t offset);

@@ -15,13 +15,6 @@ inline void quarter_round(std::uint32_t& a, std::uint32_t& b, std::uint32_t& c,
   c += d; b ^= c; b = std::rotl(b, 7);
 }
 
-std::uint32_t load_u32le(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 }  // namespace
 
 ChaCha20::ChaCha20(BytesView key, BytesView nonce, std::uint32_t counter) {

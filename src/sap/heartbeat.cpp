@@ -80,14 +80,13 @@ void HeartbeatSimulation::run_monitoring(sim::Duration duration) {
 }
 
 void HeartbeatSimulation::on_message(const net::Message& msg) {
+  if (msg.dst > device_count()) return;  // stray/tampered address
   switch (msg.kind) {
     case kBeatMsg:
       handle_beat(msg.dst, msg);
       break;
     case kCollectMsg:
-      if (msg.dst >= 1 && msg.dst <= device_count()) {
-        handle_collect(msg.dst);
-      }
+      if (msg.dst != 0) handle_collect(msg.dst);
       break;
     case kLogMsg:
       handle_log(msg.dst, msg);

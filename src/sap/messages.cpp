@@ -63,36 +63,6 @@ bool chal_authentic(const ChalView& chal, BytesView auth_key) {
   return crypto::ct_equal(chal.auth, chal_auth_tag(chal.tick, auth_key));
 }
 
-Bytes encode_identify(const std::vector<DeviceReport>& reports,
-                      std::size_t token_size) {
-  Bytes out;
-  out.reserve(reports.size() * (4 + token_size));
-  for (const auto& r : reports) {
-    if (r.token.size() != token_size) {
-      throw std::invalid_argument("encode_identify: bad token size");
-    }
-    append_u32le(out, r.id);
-    out.insert(out.end(), r.token.begin(), r.token.end());
-  }
-  return out;
-}
-
-std::optional<std::vector<DeviceReport>> decode_identify(
-    BytesView payload, std::size_t token_size) {
-  const std::size_t entry = 4 + token_size;
-  if (payload.size() % entry != 0) return std::nullopt;
-  std::vector<DeviceReport> out;
-  out.reserve(payload.size() / entry);
-  for (std::size_t off = 0; off < payload.size(); off += entry) {
-    DeviceReport r;
-    r.id = read_u32le(payload, off);
-    r.token.assign(payload.begin() + static_cast<std::ptrdiff_t>(off + 4),
-                   payload.begin() + static_cast<std::ptrdiff_t>(off + entry));
-    out.push_back(std::move(r));
-  }
-  return out;
-}
-
 const char* entry_status_name(DeviceReportStatus status) noexcept {
   switch (status) {
     case DeviceReportStatus::kEntryOk: return "ok";
@@ -103,43 +73,65 @@ const char* entry_status_name(DeviceReportStatus status) noexcept {
   return "?";
 }
 
-Bytes encode_identify_ex(const std::vector<DeviceReport>& reports,
-                         std::size_t token_size) {
-  Bytes out;
-  out.reserve(reports.size() * (9 + token_size));
-  for (const auto& r : reports) {
-    if (r.token.size() != token_size) {
-      throw std::invalid_argument("encode_identify_ex: bad token size");
-    }
-    append_u32le(out, r.id);
-    out.push_back(static_cast<std::uint8_t>(r.status));
-    append_u32le(out, r.tick);
-    out.insert(out.end(), r.token.begin(), r.token.end());
-  }
-  return out;
+std::size_t IdentifyCodec::entry_size() const noexcept {
+  // id(4) [|| status(1) || tick(4)] || token
+  return (format_ == IdentifyFormat::kExtended ? 9 : 4) + token_size_;
 }
 
-std::optional<std::vector<DeviceReport>> decode_identify_ex(
-    BytesView payload, std::size_t token_size) {
-  const std::size_t entry = 9 + token_size;
-  if (payload.size() % entry != 0) return std::nullopt;
-  std::vector<DeviceReport> out;
-  out.reserve(payload.size() / entry);
-  for (std::size_t off = 0; off < payload.size(); off += entry) {
-    DeviceReport r;
-    r.id = read_u32le(payload, off);
-    const std::uint8_t raw_status = payload[off + 4];
-    if (raw_status >
-        static_cast<std::uint8_t>(DeviceReportStatus::kEntryRebooted)) {
-      return std::nullopt;
-    }
-    r.status = static_cast<DeviceReportStatus>(raw_status);
-    r.tick = read_u32le(payload, off + 5);
-    r.token.assign(payload.begin() + static_cast<std::ptrdiff_t>(off + 9),
-                   payload.begin() + static_cast<std::ptrdiff_t>(off + entry));
-    out.push_back(std::move(r));
+void IdentifyCodec::append(Bytes& out, std::uint32_t id, BytesView token,
+                           DeviceReportStatus status,
+                           std::uint32_t tick) const {
+  if (token.size() != token_size_) {
+    throw std::invalid_argument("identify entry: bad token size");
   }
-  return out;
+  const std::size_t at = out.size();
+  out.resize(at + entry_size());
+  store_u32le(out.data() + at, id);
+  if (format_ == IdentifyFormat::kExtended) {
+    out[at + 4] = static_cast<std::uint8_t>(status);
+    store_u32le(out.data() + at + 5, tick);
+  }
+  std::copy(token.begin(), token.end(), out.data() + out.size() - token_size_);
+}
+
+void IdentifyCodec::append(Bytes& out, const DeviceReport* reports,
+                           std::size_t n) const {
+  out.reserve(out.size() + n * entry_size());
+  for (std::size_t i = 0; i < n; ++i) {
+    append(out, reports[i].id, reports[i].token, reports[i].status,
+           reports[i].tick);
+  }
+}
+
+bool IdentifyCodec::well_formed(BytesView payload) const noexcept {
+  const std::size_t entry = entry_size();
+  if (payload.size() % entry != 0) return false;
+  if (format_ == IdentifyFormat::kLegacy) return true;
+  for (std::size_t off = 4; off < payload.size(); off += entry) {
+    if (payload[off] >
+        static_cast<std::uint8_t>(DeviceReportStatus::kEntryRebooted)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+bool IdentifyCodec::decode(BytesView payload,
+                           std::vector<DeviceReport>& out) const {
+  if (!well_formed(payload)) return false;
+  const std::size_t entry = entry_size();
+  const bool extended = format_ == IdentifyFormat::kExtended;
+  const std::uint8_t* p = payload.data();
+  out.resize(payload.size() / entry);
+  for (DeviceReport& r : out) {
+    r.id = load_u32le(p);
+    r.status = extended ? static_cast<DeviceReportStatus>(p[4])
+                        : DeviceReportStatus::kEntryOk;
+    r.tick = extended ? load_u32le(p + 5) : 0;
+    r.token.assign(p + entry - token_size_, p + entry);
+    p += entry;
+  }
+  return true;
 }
 
 Bytes encode_count_token(BytesView token, std::uint32_t count) {

@@ -9,8 +9,12 @@
 //                                               truncated, or zero padding
 //   token = l bytes                           -- kBinary
 //   token = l bytes || count(4, LE)           -- kCount
-//   token = repeated { id(4, LE) || l bytes } -- kIdentify (one entry per
+//   token = repeated entry                    -- kIdentify (one entry per
 //                                                device in the subtree)
+//
+// The kIdentify entry has one owner, IdentifyCodec below: SAP's nodes,
+// cra_agentd's token frames, cra_verifierd's decoder and its journal
+// (wire/journal.hpp) all write and read entries through it.
 #pragma once
 
 #include <cstdint>
@@ -67,19 +71,74 @@ struct DeviceReport {
   std::uint32_t tick = 0;  // tick the token was computed at (kEntryLate)
 };
 
-Bytes encode_identify(const std::vector<DeviceReport>& reports,
-                      std::size_t token_size);
-std::optional<std::vector<DeviceReport>> decode_identify(
-    BytesView payload, std::size_t token_size);
+/// The two kIdentify entry forms:
+///   legacy   entry = id(4, LE) || token(l bytes)
+///   extended entry = id(4, LE) || status(1) || tick(4, LE) || token(l)
+/// Adaptive-timeout rounds, the wire agents and the verifier daemon's
+/// journal use the extended form. Unreachable entries still carry a
+/// (zero) token so entries stay fixed-size and the report-chain deadline
+/// math holds.
+enum class IdentifyFormat : std::uint8_t { kLegacy, kExtended };
 
-/// Extended kIdentify wire format used by adaptive-timeout rounds:
-///   entry = id(4, LE) || status(1) || tick(4, LE) || token(l bytes)
-/// Unreachable entries still carry a (zero) token so entries stay
-/// fixed-size and the report-chain deadline math holds.
-Bytes encode_identify_ex(const std::vector<DeviceReport>& reports,
-                         std::size_t token_size);
-std::optional<std::vector<DeviceReport>> decode_identify_ex(
-    BytesView payload, std::size_t token_size);
+/// The kIdentify entry of one format and token size: its width, its
+/// writer and its reader. A report is a concatenation of entries, so a
+/// relay aggregates by appending a child's payload once well_formed()
+/// accepts it.
+class IdentifyCodec {
+ public:
+  IdentifyCodec(IdentifyFormat format, std::size_t token_size) noexcept
+      : format_(format), token_size_(token_size) {}
+
+  /// Bytes per entry.
+  std::size_t entry_size() const noexcept;
+  /// Append one entry; the legacy form drops `status` and `tick`. Throws
+  /// std::invalid_argument unless `token` is token_size bytes.
+  void append(Bytes& out, std::uint32_t id, BytesView token,
+              DeviceReportStatus status = DeviceReportStatus::kEntryOk,
+              std::uint32_t tick = 0) const;
+  /// Append the entries of `n` reports.
+  void append(Bytes& out, const DeviceReport* reports, std::size_t n) const;
+  /// The entries of `reports` as one payload.
+  Bytes encode(const std::vector<DeviceReport>& reports) const {
+    Bytes out;
+    append(out, reports.data(), reports.size());
+    return out;
+  }
+  /// The reader's rule: a whole number of entries, each extended entry
+  /// with a status DeviceReportStatus defines.
+  bool well_formed(BytesView payload) const noexcept;
+  /// Replace `out` with the entries of a well-formed payload, in order,
+  /// reusing the token buffers of the reports already in it; false, with
+  /// `out` as it was, for any other payload.
+  bool decode(BytesView payload, std::vector<DeviceReport>& out) const;
+  std::optional<std::vector<DeviceReport>> decode(BytesView payload) const {
+    std::vector<DeviceReport> out;
+    if (!decode(payload, out)) return std::nullopt;
+    return out;
+  }
+
+ private:
+  IdentifyFormat format_;
+  std::size_t token_size_;
+};
+
+/// Whole kIdentify payloads of DeviceReports, legacy and extended.
+inline Bytes encode_identify(const std::vector<DeviceReport>& reports,
+                             std::size_t token_size) {
+  return IdentifyCodec(IdentifyFormat::kLegacy, token_size).encode(reports);
+}
+inline std::optional<std::vector<DeviceReport>> decode_identify(
+    BytesView payload, std::size_t token_size) {
+  return IdentifyCodec(IdentifyFormat::kLegacy, token_size).decode(payload);
+}
+inline Bytes encode_identify_ex(const std::vector<DeviceReport>& reports,
+                                std::size_t token_size) {
+  return IdentifyCodec(IdentifyFormat::kExtended, token_size).encode(reports);
+}
+inline std::optional<std::vector<DeviceReport>> decode_identify_ex(
+    BytesView payload, std::size_t token_size) {
+  return IdentifyCodec(IdentifyFormat::kExtended, token_size).decode(payload);
+}
 
 /// kCount payload helpers.
 Bytes encode_count_token(BytesView token, std::uint32_t count);

@@ -27,6 +27,9 @@ SapSimulation::SapSimulation(SapConfig config, net::Tree tree,
 SapSimulation::SapSimulation(const obs::Span& /*setup*/, SapConfig config,
                              net::Tree tree, std::uint64_t seed)
     : config_(config),
+      identify_(config.adaptive.enabled ? IdentifyFormat::kExtended
+                                        : IdentifyFormat::kLegacy,
+                config.token_size()),
       tree_(std::move(tree)),
       rt_(tree_, config.sim, config.link,
           [this](const net::Message& m) { on_message(m); },
@@ -378,12 +381,16 @@ RoundReport SapSimulation::run_round() {
                         crypto::ct_equal(vrf.agg_token, res_s);
       break;
     case QoaMode::kIdentify: {
-      // Each entry is a compare against the table the open step swept;
-      // a device's last entry decides, and one with none is missing.
-      appraisal_.absorb(vrf.reports.data(), vrf.reports.size());
+      // Vrf's entries passed the reader's rule as they arrived; each is
+      // a compare against the table the open step swept. A device's last
+      // entry decides, and one with none is missing.
+      if (!identify_.decode(vrf.reports, vrf_entries_)) {
+        throw std::logic_error("run_round: Vrf holds malformed entries");
+      }
+      appraisal_.absorb(vrf_entries_.data(), vrf_entries_.size());
       Verifier::Classification census = appraisal_.finish();
       report.responded = static_cast<std::uint32_t>(std::count_if(
-          vrf.reports.begin(), vrf.reports.end(), [](const DeviceReport& r) {
+          vrf_entries_.begin(), vrf_entries_.end(), [](const DeviceReport& r) {
             return r.status != DeviceReportStatus::kEntryUnreachable;
           }));
       report.identify.bad = census.untrusted_ids;
@@ -419,9 +426,6 @@ void SapSimulation::open_shard(std::uint32_t s) {
   // until rebuild_topology moves them, in ascending order either way.
   // Identify rounds keep each res_i too, in the shard's rows of the
   // appraisal's token table, so their verdict is one compare per entry.
-  // The sweep runs before the reset: an identify reset frees the last
-  // round's report entries, and a sweep beside those frees on other
-  // workers ran up to 7x slower.
   Bytes share(config_.token_size(), 0);
   verifier_.sweep(rt_.entities_of(s, 1), round_tick_, share,
                   config_.qoa == QoaMode::kIdentify ? appraisal_.table()
@@ -533,16 +537,12 @@ void SapSimulation::accumulate_self(net::NodeId pos, Bytes token) {
   if (d.unresponsive) return;  // crashed between attest and aggregation
   d.responded_self = true;
   if (config_.qoa == QoaMode::kIdentify) {
-    if (config_.adaptive.enabled) {
-      d.reports.push_back(DeviceReport{
-          id, token,
-          d.rebooted ? DeviceReportStatus::kEntryRebooted
-                     : DeviceReportStatus::kEntryOk,
-          d.tick});
-      d.rebooted = false;  // evidence delivered; flag is consumed
-    } else {
-      d.reports.push_back(DeviceReport{id, token});  // stable device id
-    }
+    // Keyed by the stable device id; the legacy form drops status and tick.
+    identify_.append(d.reports, id, token,
+                     d.rebooted ? DeviceReportStatus::kEntryRebooted
+                                : DeviceReportStatus::kEntryOk,
+                     d.tick);
+    d.rebooted = false;  // evidence delivered; flag is consumed
   }
   xor_inplace(d.agg_token, token);
   ++d.count;
@@ -572,12 +572,11 @@ void SapSimulation::handle_token(net::NodeId pos, const net::Message& msg) {
       break;
     }
     case QoaMode::kIdentify: {
-      const auto reports =
-          config_.adaptive.enabled
-              ? decode_identify_ex(msg.payload, config_.token_size())
-              : decode_identify(msg.payload, config_.token_size());
-      if (!reports) return;
-      d.reports.insert(d.reports.end(), reports->begin(), reports->end());
+      // A report is a concatenation of entries: checked, then kept as
+      // received.
+      if (!identify_.well_formed(msg.payload)) return;
+      d.reports.insert(d.reports.end(), msg.payload.begin(),
+                       msg.payload.end());
       break;
     }
   }
@@ -620,12 +619,11 @@ void SapSimulation::late_join(net::NodeId pos, const net::Message& msg) {
   const sim::SimTime now = rt_.sched(pos).now();
   const std::uint32_t local_tick =
       clock_.read_at_time(now, sim::Duration(d.skew_ns));
-  Bytes token = compute_token(pos, local_tick);
-  DeviceReport entry{id, std::move(token), DeviceReportStatus::kEntryLate,
-                     local_tick};
+  Bytes payload;
+  identify_.append(payload, id, compute_token(pos, local_tick),
+                   DeviceReportStatus::kEntryLate, local_tick);
   d.rebooted = false;
   d.sent = true;  // self-only report; the subtree recovers next round
-  Bytes payload = encode_identify_ex({entry}, config_.token_size());
   const net::NodeId parent = tree_.parent(pos);
   // The report leaves once the attest computation and aggregation are
   // done; only then does it become available for re-poll resends.
@@ -708,10 +706,9 @@ void SapSimulation::mark_unreachable(net::NodeId pos, net::NodeId child) {
   // One synthesized entry for the silent child itself; its descendants
   // simply have no entry, which the verifier classifies as unreachable
   // too. The zero token keeps extended entries fixed-size.
-  Dev& d = dev_at_pos(pos);
-  d.reports.push_back(DeviceReport{dev_at_[child],
-                                   Bytes(config_.token_size(), 0),
-                                   DeviceReportStatus::kEntryUnreachable, 0});
+  identify_.append(dev_at_pos(pos).reports, dev_at_[child],
+                   Bytes(config_.token_size(), 0),
+                   DeviceReportStatus::kEntryUnreachable);
   stats(pos).unreachable->inc();
 }
 
@@ -734,9 +731,7 @@ void SapSimulation::send_report(net::NodeId pos) {
       payload = encode_count_token(d.agg_token, d.count);
       break;
     case QoaMode::kIdentify:
-      payload = config_.adaptive.enabled
-                    ? encode_identify_ex(d.reports, config_.token_size())
-                    : encode_identify(d.reports, config_.token_size());
+      payload = d.reports;
       break;
   }
   d.sent_payload = payload;
@@ -763,8 +758,7 @@ sim::Duration SapSimulation::report_chain_time(net::NodeId pos) const {
       // Reports grow with the subtree: along the deepest chain the
       // payload roughly doubles per level, so transmission time is
       // bounded by pushing ~2x this node's whole subtree once.
-      const std::uint64_t entry =
-          (config_.adaptive.enabled ? 9 : 4) + config_.token_size();
+      const std::uint64_t entry = identify_.entry_size();
       const std::uint64_t worst_bytes =
           2ULL * subtree_size_[pos] * entry + levels_below *
               static_cast<std::uint64_t>(config_.link.header_bytes);

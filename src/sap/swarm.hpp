@@ -215,7 +215,7 @@ class SapSimulation {
     std::vector<net::NodeId> got_children;  // children whose token arrived
     Bytes agg_token;
     Bytes sent_payload;  // cache for repoll answers
-    std::vector<DeviceReport> reports;  // kIdentify buffer
+    Bytes reports;  // kIdentify: the subtree's entries, as sent up
     sim::EventHandle deadline;
   };
 
@@ -275,6 +275,9 @@ class SapSimulation {
   Bytes compute_token(net::NodeId pos, std::uint32_t tick);
 
   SapConfig config_;
+  // kIdentify entries: the legacy form, or the extended one when the
+  // adaptive timeouts are on.
+  const IdentifyCodec identify_;
   net::Tree tree_;
   // Engine, per-shard networks, merged metrics and network-level fault
   // replay. Entities are tree positions; position 0 is Vrf.
@@ -286,6 +289,9 @@ class SapSimulation {
   // Identify rounds' verdict: the open step sweeps each shard's rows of
   // its token table, and Vrf's entries are judged against it.
   Verifier::Appraisal appraisal_{verifier_};
+  // Vrf's entries, decoded for that verdict over the last round's, so a
+  // warm round's decode allocates nothing.
+  std::vector<DeviceReport> vrf_entries_;
   Bytes auth_key_;
   std::vector<Dev> devices_;  // by device id; 0 is Vrf
   std::vector<std::uint32_t> subtree_size_;  // per tree position

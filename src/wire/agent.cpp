@@ -14,15 +14,6 @@ namespace cra::wire {
 
 std::atomic<int> AgentRunner::shutdown_requested_{0};
 
-namespace {
-
-/// identify-ex entry size: id(4) || status(1) || tick(4) || token(l).
-std::size_t entry_size(std::size_t token_size) noexcept {
-  return 9 + token_size;
-}
-
-}  // namespace
-
 AgentCore::AgentCore(AgentConfig config)
     : config_(std::move(config)),
       macs_(config_.count),
@@ -77,44 +68,40 @@ void AgentCore::compute_round(std::uint32_t tick) {
 std::vector<Bytes> AgentCore::token_payloads(
     std::uint32_t tick, const std::vector<WantRange>& want) {
   compute_round(tick);
-  const std::size_t token_size = crypto::digest_size(config_.alg);
-  const std::size_t per_frame = kMaxPayload / entry_size(token_size);
+  const sap::IdentifyCodec codec(sap::IdentifyFormat::kExtended,
+                                 crypto::digest_size(config_.alg));
+  const std::size_t per_frame = kMaxPayload / codec.entry_size();
 
-  // Resolve the wanted ids (clipped to our range) into one flat list.
-  std::vector<std::uint32_t> ids;
-  const std::uint32_t lo = config_.first_id;
-  const std::uint32_t hi = config_.first_id + config_.count;  // exclusive
-  if (want.empty()) {
-    ids.resize(config_.count);
-    for (std::uint32_t i = 0; i < config_.count; ++i) ids[i] = lo + i;
-  } else {
-    for (const WantRange& r : want) {
-      const std::uint32_t from = std::max(r.start, lo);
-      const std::uint64_t r_end =
-          static_cast<std::uint64_t>(r.start) + r.count;
-      const std::uint32_t to =
-          static_cast<std::uint32_t>(std::min<std::uint64_t>(r_end, hi));
-      for (std::uint32_t id = from; id < to; ++id) ids.push_back(id);
-    }
+  // The wanted ids, clipped to our range, as [from, to) spans; one span
+  // of the whole range when `want` is empty.
+  const std::uint64_t lo = config_.first_id;
+  const std::uint64_t hi = lo + config_.count;  // exclusive
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> spans;
+  if (want.empty()) spans.emplace_back(lo, hi);
+  for (const WantRange& r : want) {
+    const std::uint64_t from = std::max<std::uint64_t>(r.start, lo);
+    const std::uint64_t to = std::min<std::uint64_t>(
+        static_cast<std::uint64_t>(r.start) + r.count, hi);
+    if (from < to) spans.emplace_back(from, to);
   }
-
+  // Answer their union once, ascending: ranges may overlap or repeat,
+  // and the daemon's own are disjoint and ascending already.
+  std::sort(spans.begin(), spans.end());
   std::vector<Bytes> payloads;
-  std::vector<sap::DeviceReport> chunk;
-  chunk.reserve(per_frame);
-  for (std::size_t i = 0; i < ids.size(); i += per_frame) {
-    const std::size_t n = std::min(per_frame, ids.size() - i);
-    chunk.clear();
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::uint32_t id = ids[i + j];
-      sap::DeviceReport rep;
-      rep.id = id;
-      rep.status = sap::DeviceReportStatus::kEntryOk;
-      rep.tick = tick;
-      const crypto::MacBuf& tok = tokens_[id - lo];
-      rep.token.assign(tok.view().begin(), tok.view().end());
-      chunk.push_back(std::move(rep));
+  std::size_t in_frame = per_frame;
+  std::uint64_t next = lo;  // the lowest id not answered yet
+  for (const auto& [from, to] : spans) {
+    for (std::uint64_t id = std::max(from, next); id < to; ++id) {
+      if (in_frame == per_frame) {
+        payloads.emplace_back().reserve(per_frame * codec.entry_size());
+        in_frame = 0;
+      }
+      codec.append(payloads.back(), static_cast<std::uint32_t>(id),
+                   tokens_[id - lo].view(), sap::DeviceReportStatus::kEntryOk,
+                   tick);
+      ++in_frame;
     }
-    payloads.push_back(sap::encode_identify_ex(chunk, token_size));
+    next = std::max(next, to);
   }
   return payloads;
 }

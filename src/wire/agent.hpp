@@ -5,9 +5,9 @@
 // single process: one contiguous id range, one UDP socket, and one
 // crypto::Backend hmac_batch sweep per challenge — the same SIMD lane
 // packing the simulator's verifier uses, now producing the device side
-// of the protocol. Token payloads use the extended identify wire format
-// (sap/messages.hpp encode_identify_ex) packed to MTU-sized kTokens
-// frames.
+// of the protocol. Token payloads are extended identify entries, which
+// sap::IdentifyCodec (sap/messages.hpp) writes straight from the token
+// cache into MTU-sized kTokens frames.
 //
 // AgentCore is pure protocol state (testable without sockets);
 // AgentRunner owns the socket, the event loop, and the optional
@@ -52,6 +52,8 @@ class AgentCore {
   /// Compute tokens for challenge tick `tick` and pack them into
   /// MTU-sized kTokens payloads (identify-ex entries). `want` limits
   /// the answer to the daemon's missing-id ranges; empty = all devices.
+  /// Each wanted id in our range is answered once, in ascending order,
+  /// however the ranges overlap.
   /// Tokens for one tick are computed once and cached until the next
   /// tick arrives, so re-polls cost packing, not hashing.
   std::vector<Bytes> token_payloads(std::uint32_t tick,

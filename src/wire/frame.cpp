@@ -17,13 +17,6 @@ std::uint16_t load_u16le(const std::uint8_t* p) noexcept {
   return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
 
-std::uint32_t load_u32le(const std::uint8_t* p) noexcept {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 }  // namespace
 
 const char* frame_kind_name(FrameKind kind) noexcept {

@@ -258,25 +258,6 @@ namespace {
 
 constexpr std::size_t kAgentRecordSize = 4 + 4 + 8 + 4 + 2;
 
-/// identify-ex-shaped report entry inside kReports / snapshots:
-/// id(4) || status(1) || tick(4) || token(l).
-std::size_t report_entry_size(std::size_t token_size) noexcept {
-  return 9 + token_size;
-}
-
-void append_report(Bytes& out, const sap::DeviceReport& rep,
-                   std::size_t token_size) {
-  append_u32le(out, rep.id);
-  out.push_back(static_cast<std::uint8_t>(rep.status));
-  append_u32le(out, rep.tick);
-  // Tokens are fixed-size per deployment; pad/trim defensively so a
-  // malformed in-memory report cannot skew the framing.
-  const std::size_t n = std::min(token_size, rep.token.size());
-  out.insert(out.end(), rep.token.begin(),
-             rep.token.begin() + static_cast<std::ptrdiff_t>(n));
-  out.insert(out.end(), token_size - n, 0);
-}
-
 /// The agent record at `off` (kAgentRecordSize bytes, caller-checked);
 /// nullopt for an empty range, which no hello can register.
 std::optional<VerifierState::Agent> parse_agent(BytesView data,
@@ -291,24 +272,10 @@ std::optional<VerifierState::Agent> parse_agent(BytesView data,
   return a;
 }
 
-/// The report entry at `off` (caller-checked length); nullopt for a
-/// status byte no DeviceReportStatus defines, which decode_identify_ex
-/// rejects too.
-std::optional<sap::DeviceReport> parse_report(BytesView data,
-                                              std::size_t off,
-                                              std::size_t token_size) {
-  if (data[off + 4] >
-      static_cast<std::uint8_t>(sap::DeviceReportStatus::kEntryRebooted)) {
-    return std::nullopt;
-  }
-  sap::DeviceReport rep;
-  rep.id = read_u32le(data, off);
-  rep.status = static_cast<sap::DeviceReportStatus>(data[off + 4]);
-  rep.tick = read_u32le(data, off + 5);
-  rep.token.assign(data.begin() + static_cast<std::ptrdiff_t>(off + 9),
-                   data.begin() +
-                       static_cast<std::ptrdiff_t>(off + 9 + token_size));
-  return rep;
+/// kReports records and snapshots hold report entries in SAP's
+/// extended identify form.
+sap::IdentifyCodec report_codec(std::size_t token_size) noexcept {
+  return sap::IdentifyCodec(sap::IdentifyFormat::kExtended, token_size);
 }
 
 }  // namespace
@@ -336,12 +303,9 @@ Bytes VerifierState::encode_reports(std::uint32_t tick,
                                     std::size_t count,
                                     std::size_t token_size) {
   Bytes out;
-  out.reserve(8 + count * report_entry_size(token_size));
   append_u32le(out, tick);
   append_u32le(out, static_cast<std::uint32_t>(count));
-  for (std::size_t i = 0; i < count; ++i) {
-    append_report(out, reports[i], token_size);
-  }
+  report_codec(token_size).append(out, reports, count);
   return out;
 }
 
@@ -415,17 +379,10 @@ void VerifierState::apply(std::uint8_t kind, BytesView payload,
       return;
     case kReports: {
       if (payload.size() < 8) return;
-      const std::uint32_t n = read_u32le(payload, 4);
-      const std::size_t entry = report_entry_size(token_size);
-      if (payload.size() != 8 + static_cast<std::size_t>(n) * entry) return;
-      std::vector<sap::DeviceReport> reps;
-      reps.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        auto rep = parse_report(payload, 8 + i * entry, token_size);
-        if (!rep.has_value()) return;  // the whole record, as a frame
-        reps.push_back(std::move(*rep));
-      }
-      (void)accept_reports(read_u32le(payload, 0), reps.data(), reps.size());
+      // A bad count or entry drops the whole record, as it does a frame.
+      auto reps = report_codec(token_size).decode(payload.subspan(8));
+      if (!reps.has_value() || reps->size() != read_u32le(payload, 4)) return;
+      (void)accept_reports(read_u32le(payload, 0), reps->data(), reps->size());
       return;
     }
     case kRepoll:
@@ -461,9 +418,7 @@ Bytes VerifierState::encode(std::size_t token_size) const {
                 return a.id < b.id;
               });
     append_u32le(out, static_cast<std::uint32_t>(sorted.size()));
-    for (const sap::DeviceReport& rep : sorted) {
-      append_report(out, rep, token_size);
-    }
+    report_codec(token_size).append(out, sorted.data(), sorted.size());
   }
   return out;
 }
@@ -498,30 +453,24 @@ std::optional<VerifierState> VerifierState::decode(BytesView payload,
                    payload.begin() +
                        static_cast<std::ptrdiff_t>(off + st.devices));
     off += st.devices;
-    const std::uint32_t n_reports = read_u32le(payload, off);
-    off += 4;
-    const std::size_t entry = report_entry_size(token_size);
-    if (payload.size() != off + static_cast<std::size_t>(n_reports) * entry) {
+    auto reps = report_codec(token_size).decode(payload.subspan(off + 4));
+    if (!reps.has_value() || reps->size() != read_u32le(payload, off)) {
       return std::nullopt;
     }
-    st.reports.reserve(n_reports);
     // The bitmap and the list must name the same ids, each once: the
     // daemon counts coverage from the list and re-polls from the bitmap.
     std::vector<std::uint8_t> unmatched = st.have;
-    for (std::uint32_t i = 0; i < n_reports; ++i) {
-      auto rep = parse_report(payload, off, token_size);
-      off += entry;
-      if (!rep.has_value() || rep->id == 0 || rep->id > st.devices ||
-          unmatched[rep->id - 1] != 1) {
+    for (const sap::DeviceReport& rep : *reps) {
+      if (rep.id == 0 || rep.id > st.devices || unmatched[rep.id - 1] != 1) {
         return std::nullopt;
       }
-      unmatched[rep->id - 1] = 0;
-      st.reports.push_back(std::move(*rep));
+      unmatched[rep.id - 1] = 0;
     }
     if (std::any_of(unmatched.begin(), unmatched.end(),
                     [](std::uint8_t h) { return h != 0; })) {
       return std::nullopt;
     }
+    st.reports = std::move(*reps);
   } else if (payload.size() != off) {
     return std::nullopt;
   }

@@ -31,6 +31,11 @@
 //     canonical encoding; two processes that replayed the same files
 //     agree byte-for-byte.
 //
+// Report entries, in kReports records (`tick || count || entries`) and
+// in an open round's snapshot (`count || entries`), are SAP's extended
+// identify entries, written and read by sap::IdentifyCodec
+// (sap/messages.hpp), the codec of the daemon's token frames.
+//
 // The agent side persists one thing: its hello epoch
 // (next_agent_epoch()), bumped on every restart so the daemon can tell
 // a rebooted agent from a reordered datagram.

@@ -188,6 +188,31 @@ TEST(Heartbeat, CaptureHooksRejectIdsOutsideTheFleet) {
   EXPECT_TRUE(hb.collect().empty());
 }
 
+TEST(Heartbeat, MessagesToAStrayAddressAreDropped) {
+  // Regression: beats and logs reached their handlers with the
+  // destination unchecked, and dev(dst) read past the device table. The
+  // beat here is a real one of device 7, recorded before its capture, so
+  // a monitor that took it would lose 7's absence.
+  auto hb = HeartbeatSimulation::balanced(fast_config(), 7);
+  Bytes beat_of_7;
+  hb.network().set_tamper_hook(
+      [&beat_of_7](const net::Message& m) -> net::TamperResult {
+        if (m.kind == 10 /*beat*/ && m.src == 7) beat_of_7 = m.payload;
+        return {};
+      });
+  hb.run_monitoring(sim::Duration::from_ms(200));
+  ASSERT_FALSE(beat_of_7.empty());
+  hb.capture_device(7);
+  hb.run_monitoring(sim::Duration::from_ms(400));
+  const net::NodeId stray = hb.device_count() + 1;
+  hb.network().send(7, stray, 10 /*beat*/, beat_of_7);
+  hb.network().send(1, stray, 12 /*log*/, Bytes{});
+  const auto report = hb.collect();
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report[0].device, 7u);
+  EXPECT_EQ(hb.forged_beats(), 0u);
+}
+
 TEST(Heartbeat, MonitoringCostIsLinearPerPeriod) {
   auto hb = HeartbeatSimulation::balanced(fast_config(), 50);
   hb.network().reset_accounting();

@@ -82,6 +82,40 @@ TEST(IdentifyCodec, RejectsMisalignedPayload) {
                std::invalid_argument);
 }
 
+TEST(IdentifyCodec, DecodeIntoUsedReportsOverwritesEveryField) {
+  // SAP's Vrf decodes each round's entries over the last round's reports,
+  // so every field of a reused report must come from the payload.
+  const IdentifyCodec extended(IdentifyFormat::kExtended, 20);
+  const IdentifyCodec legacy(IdentifyFormat::kLegacy, 20);
+  std::vector<DeviceReport> reports = {
+      {1, Bytes(20, 1), DeviceReportStatus::kEntryLate, 9},
+      {2, Bytes(20, 2), DeviceReportStatus::kEntryRebooted, 8},
+      {3, Bytes(20, 3), DeviceReportStatus::kEntryUnreachable, 0}};
+  std::vector<DeviceReport> out;
+  ASSERT_TRUE(extended.decode(extended.encode(reports), out));
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[1].status, DeviceReportStatus::kEntryRebooted);
+  EXPECT_EQ(out[1].tick, 8u);
+
+  const Bytes two = legacy.encode({{5, Bytes(20, 5)}, {6, Bytes(20, 6)}});
+  ASSERT_TRUE(legacy.decode(two, out));
+  ASSERT_EQ(out.size(), 2u);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].id, 5 + i);
+    EXPECT_EQ(out[i].token, Bytes(20, static_cast<std::uint8_t>(5 + i)));
+    EXPECT_EQ(out[i].status, DeviceReportStatus::kEntryOk);
+    EXPECT_EQ(out[i].tick, 0u);
+  }
+
+  // A payload the reader rejects leaves the reports as they were.
+  Bytes bad = extended.encode(reports);
+  bad[4] = 4;  // no status 4
+  EXPECT_FALSE(extended.decode(bad, out));
+  EXPECT_FALSE(extended.decode(Bytes(30, 0), out));
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].id, 5u);
+}
+
 TEST(CountCodec, RoundTrip) {
   const Bytes token(20, 0xaa);
   const Bytes payload = encode_count_token(token, 999);

@@ -1,4 +1,5 @@
-// Seeded-mutation fuzzing of the verifier daemon's inbound decoders.
+// Seeded-mutation fuzzing of the wire's inbound decoders: the verifier
+// daemon's, then the agent's.
 //
 // A datagram reaches the daemon's round through decode_frame, then
 // decode_identify_ex (kTokens) or decode_hello (kHello), then
@@ -16,8 +17,20 @@
 //     gets a verdict;
 //   * absorbing each frame's accepted entries on arrival gives the
 //     Classification that classify() gives on all of them.
+//
+// A chal frame reaches the agent's answer through decode_frame, then
+// decode_chal, decode_want_ranges and AgentCore::token_payloads, the
+// path AgentRunner::handle_chal takes. Chal frames carry no
+// authentication on the wire. The seed corpus holds a plain challenge,
+// re-polls whose want trailers are disjoint, overlapping, repeated or
+// outside the agent's range, and a frame one range past the payload
+// cap. Properties:
+//   * an accepted trailer re-encodes to its own bytes;
+//   * the agent answers exactly the wanted ids of its range (all of them
+//     without a trailer), each once, at the challenge's tick.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -247,6 +260,122 @@ TEST(FrameFuzz, MutatedFramesDecodeCanonicallyAndAppraiseAsClassify) {
   // The mutations must leave the decoders real work, not only rejections.
   EXPECT_GT(accepted, 0u);
   for (const std::uint32_t n : verdicts_seen) EXPECT_GT(n, 0u);
+}
+
+constexpr std::uint32_t kAgentFirst = 17;  // ids 17..80
+constexpr std::uint32_t kAgentCount = 64;
+
+/// A kChal frame's payload: the challenge, then `want` as its trailer.
+Bytes chal_payload(const std::vector<WantRange>& want) {
+  Bytes payload = sap::encode_chal(kTick, to_bytes("chal-auth"), kTok);
+  append_want_ranges(payload, want);
+  return payload;
+}
+
+Corpus make_chal_corpus() {
+  Corpus c;
+  const std::vector<std::vector<WantRange>> trailers = {
+      {},                                            // poll everything
+      {{17, 5}, {30, 10}, {70, 11}},                 // the daemon's kind
+      {{20, 30}, {25, 10}, {1, 100}, {60, 4}},       // overlapping
+      std::vector<WantRange>(8, WantRange{17, 64}),  // repeated
+      {{50, 4}, {1, 16}, {81, 100}, {0xfffffff0u, 0x20}, {40, 20}},
+  };
+  std::uint32_t seq = 0;
+  for (const auto& want : trailers) {
+    c.frames.push_back(
+        frame_of(FrameKind::kChal, kTick, seq++, chal_payload(want)));
+  }
+  // As many ranges as fit, plus one more, with a payload length that
+  // matches: over the payload cap, but within the receive buffer.
+  const std::size_t fit = (kMaxPayload - kTok) / 8;
+  Bytes oversized = frame_of(
+      FrameKind::kChal, kTick, seq++,
+      chal_payload(std::vector<WantRange>(fit, WantRange{40, 3})));
+  append_want_ranges(oversized, {{41, 1}});
+  const std::size_t len = oversized.size() - kFrameHeaderSize;
+  oversized[18] = static_cast<std::uint8_t>(len);
+  oversized[19] = static_cast<std::uint8_t>(len >> 8);
+  c.frames.push_back(oversized);
+  // sender, tick, seq, the challenge's tick, and the first two ranges.
+  const std::size_t ranges = kFrameHeaderSize + kTok;
+  c.fields = {6,          10,         14,          kFrameHeaderSize,
+              ranges,     ranges + 4, ranges + 8,  ranges + 12};
+  return c;
+}
+
+struct ChalTally {
+  std::size_t trailers = 0;  // accepted chal frames with a trailer
+  std::size_t answered = 0;  // entries answered
+};
+
+/// One datagram through the agent's inbound path and its answer.
+void answer(const Bytes& datagram, AgentCore& agent, ChalTally& tally,
+            const std::string& at) {
+  const auto frame = decode_frame(datagram);
+  if (!frame.has_value() || frame->header.kind != FrameKind::kChal) return;
+  ASSERT_LE(frame->payload.size(), kMaxPayload) << at;
+  if (frame->payload.size() < kTok) return;  // handle_chal's bad_chal
+  const auto chal = sap::decode_chal(frame->payload.subspan(0, kTok), kTok);
+  if (!chal.has_value()) return;
+  const auto want = decode_want_ranges(frame->payload, kTok);
+  if (!want.has_value()) return;
+  Bytes again(frame->payload.begin(), frame->payload.begin() + kTok);
+  append_want_ranges(again, *want);
+  EXPECT_TRUE(std::equal(again.begin(), again.end(), frame->payload.begin(),
+                         frame->payload.end()))
+      << at;
+  tally.trailers += want->empty() ? 0 : 1;
+
+  std::vector<int> times(kAgentCount, 0);
+  for (const Bytes& payload : agent.token_payloads(chal->tick, *want)) {
+    EXPECT_LE(payload.size(), kMaxPayload) << at;
+    const auto entries = sap::decode_identify_ex(payload, kTok);
+    ASSERT_TRUE(entries.has_value()) << at;
+    for (const sap::DeviceReport& e : *entries) {
+      ASSERT_GE(e.id, kAgentFirst) << at;
+      ASSERT_LT(e.id - kAgentFirst, kAgentCount) << at;
+      EXPECT_EQ(e.tick, chal->tick) << at;
+      ++times[e.id - kAgentFirst];
+      ++tally.answered;
+    }
+  }
+  for (std::uint32_t i = 0; i < kAgentCount; ++i) {
+    const std::uint32_t id = kAgentFirst + i;
+    const bool wanted =
+        want->empty() ||
+        std::any_of(want->begin(), want->end(), [id](const WantRange& r) {
+          return id >= r.start && id - r.start < r.count;
+        });
+    EXPECT_EQ(times[i], wanted ? 1 : 0) << at << " id " << id;
+  }
+}
+
+TEST(FrameFuzz, MutatedChalFramesAnswerEachWantedIdOnce) {
+  const Corpus corpus = make_chal_corpus();
+  for (std::size_t i = 0; i < corpus.frames.size(); ++i) {
+    EXPECT_EQ(decode_frame(corpus.frames[i]).has_value(),
+              i + 1 < corpus.frames.size())
+        << "seed frame " << i;
+  }
+  AgentConfig acfg;
+  acfg.first_id = kAgentFirst;
+  acfg.count = kAgentCount;
+  acfg.master = to_bytes(kMaster);
+  AgentCore agent(acfg);
+  ChalTally tally;
+  for (const std::uint64_t seed : kSeeds) {
+    Rng rng(seed);
+    for (int i = 0; i < kIterations; ++i) {
+      const Bytes& seed_frame =
+          corpus.frames[rng.next_below(corpus.frames.size())];
+      answer(mutate(rng, seed_frame, corpus.frames, corpus.fields), agent,
+             tally, where(seed, i));
+    }
+  }
+  // The mutations must leave the decoders real work, not only rejections.
+  EXPECT_GT(tally.trailers, 0u);
+  EXPECT_GT(tally.answered, 0u);
 }
 
 }  // namespace

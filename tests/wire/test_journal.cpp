@@ -315,6 +315,65 @@ TEST_F(JournalTest, ReportWithUndefinedStatusIsRejected) {
   EXPECT_TRUE(VerifierState::decode(edited, kTok).has_value());
 }
 
+TEST_F(JournalTest, ReportRecordAndSnapshotBytesAreKnownAnswers) {
+  // A kReports record and an open round's snapshot, byte for byte, with
+  // an entry of every status: the entry format may move between modules
+  // only if these bytes stay. The record keeps arrival order; the
+  // snapshot sorts by id.
+  using S = sap::DeviceReportStatus;
+  std::vector<sap::DeviceReport> reps = {
+      samples::make_report(5, 4), samples::make_report(2, 4),
+      samples::make_report(6, 0), samples::make_report(3, 9)};
+  reps[0].status = S::kEntryRebooted;
+  reps[2].status = S::kEntryUnreachable;
+  reps[2].token.assign(kTok, 0);
+  reps[3].status = S::kEntryLate;
+  const std::string record_hex =
+      "04000000040000000500000003040000004545454545454545020000000004000000"
+      "1e1e1e1e1e1e1e1e0600000002000000000000000000000000030000000109000000"
+      "3030303030303030";
+  const std::string snapshot_hex =
+      "08000000000000000400000001020000000100000001000000080000000b00000000"
+      "0000007f00000112340001010001010000040000000200000000040000001e1e1e1e"
+      "1e1e1e1e030000000109000000303030303030303005000000030400000045454545"
+      "454545450600000002000000000000000000000000";
+  const Bytes record =
+      VerifierState::encode_reports(4, reps.data(), reps.size(), kTok);
+  EXPECT_EQ(to_hex(record), record_hex);
+
+  VerifierState st;
+  st.devices = 8;
+  st.put_agent({1, 8, 11, 0x0100007Fu, 0x3412});
+  ASSERT_TRUE(st.start_round(4));
+  st.apply(VerifierState::kReports, from_hex(record_hex), kTok);
+  st.note_repoll(4, 2);
+  ASSERT_EQ(st.reports.size(), reps.size());
+  for (std::size_t i = 0; i < reps.size(); ++i) {
+    EXPECT_EQ(st.reports[i].id, reps[i].id) << i;
+    EXPECT_EQ(st.reports[i].status, reps[i].status) << i;
+    EXPECT_EQ(st.reports[i].tick, reps[i].tick) << i;
+    EXPECT_EQ(st.reports[i].token, reps[i].token) << i;
+  }
+  const Bytes snapshot = st.encode(kTok);
+  EXPECT_EQ(to_hex(snapshot), snapshot_hex);
+
+  const auto back = VerifierState::decode(from_hex(snapshot_hex), kTok);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->encode(kTok), snapshot);
+  EXPECT_EQ(back->digest(kTok), st.digest(kTok));
+  EXPECT_EQ(back->have, st.have);
+  EXPECT_EQ(back->repoll_attempt, 2u);
+  ASSERT_EQ(back->reports.size(), reps.size());
+  const std::size_t by_id[] = {1, 3, 0, 2};  // ids 2, 3, 5, 6
+  for (std::size_t i = 0; i < reps.size(); ++i) {
+    const sap::DeviceReport& want = reps[by_id[i]];
+    EXPECT_EQ(back->reports[i].id, want.id) << i;
+    EXPECT_EQ(back->reports[i].status, want.status) << i;
+    EXPECT_EQ(back->reports[i].tick, want.tick) << i;
+    EXPECT_EQ(back->reports[i].token, want.token) << i;
+  }
+}
+
 TEST_F(JournalTest, ReplayTwiceIsIdempotent) {
   // A crash between snapshot write and WAL reset replays the same
   // records on top of a state that already reflects them.

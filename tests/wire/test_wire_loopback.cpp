@@ -8,6 +8,7 @@
 #include <thread>
 #include <vector>
 
+#include "crypto/sha256.hpp"
 #include "wire/agent.hpp"
 #include "wire/daemon.hpp"
 
@@ -191,6 +192,91 @@ TEST(WireLoopback, AgentCoreCachesTokensAcrossRepolls) {
   // A new tick invalidates the cache.
   (void)core.token_payloads(8, {});
   EXPECT_EQ(core.tokens_computed(), 200u);
+}
+
+AgentConfig want_agent() {
+  AgentConfig cfg;
+  cfg.first_id = 1;
+  cfg.count = 5000;
+  cfg.master = to_bytes("core-want-master");
+  return cfg;
+}
+
+/// The entries of an agent's token payloads, in order.
+std::vector<sap::DeviceReport> entries_of(const std::vector<Bytes>& payloads,
+                                          std::size_t token_size) {
+  std::vector<sap::DeviceReport> out;
+  for (const Bytes& p : payloads) {
+    EXPECT_LE(p.size(), kMaxPayload);
+    auto reports = sap::decode_identify_ex(p, token_size);
+    EXPECT_TRUE(reports.has_value());
+    if (reports) out.insert(out.end(), reports->begin(), reports->end());
+  }
+  return out;
+}
+
+TEST(WireLoopback, AgentCoreAnswersEachWantedIdOnce) {
+  // Chal frames carry no authentication, and a want trailer that repeats
+  // the agent's whole range as often as one chal frame holds (179 times)
+  // once drew 179 copies of every token.
+  const AgentConfig cfg = want_agent();
+  AgentCore core(cfg);
+  const std::size_t token_size = crypto::digest_size(cfg.alg);
+  const std::vector<WantRange> flood((kMaxPayload - token_size) / 8,
+                                     WantRange{cfg.first_id, cfg.count});
+  ASSERT_EQ(flood.size(), 179u);
+  const std::vector<Bytes> all = core.token_payloads(7, {});
+  const std::vector<Bytes> flooded = core.token_payloads(7, flood);
+  EXPECT_EQ(entries_of(flooded, token_size).size(), 5000u);
+  EXPECT_TRUE(flooded == all);
+
+  // Overlapping, repeated and out-of-order ranges: their union, ascending.
+  const std::vector<sap::DeviceReport> got = entries_of(
+      core.token_payloads(7, {{120, 100}, {100, 50}, {1, 10}, {4, 3},
+                              {4990, 4000}, {120, 100}}),
+      token_size);
+  std::vector<std::uint32_t> want_ids;
+  for (std::uint32_t id = 1; id <= 10; ++id) want_ids.push_back(id);
+  for (std::uint32_t id = 100; id < 220; ++id) want_ids.push_back(id);
+  for (std::uint32_t id = 4990; id <= 5000; ++id) want_ids.push_back(id);
+  ASSERT_EQ(got.size(), want_ids.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want_ids[i]) << i;
+  }
+}
+
+TEST(WireLoopback, AgentCoreKeepsItsAnswerToDisjointAscendingRanges) {
+  // The daemon's re-polls want disjoint ranges in ascending order; the
+  // answer is those ids in order, 50 to a frame, as it always was: the
+  // digest was taken before the agent answered a union of ranges.
+  const AgentConfig cfg = want_agent();
+  AgentCore core(cfg);
+  const std::size_t token_size = crypto::digest_size(cfg.alg);
+  const std::vector<WantRange> want = {{3, 4}, {40, 300}, {4990, 50}};
+  const std::vector<Bytes> payloads = core.token_payloads(7, want);
+
+  std::vector<sap::DeviceReport> expected;
+  for (const sap::DeviceReport& rep :
+       entries_of(core.token_payloads(7, {}), token_size)) {
+    for (const WantRange& r : want) {
+      if (rep.id >= r.start && rep.id - r.start < r.count) {
+        expected.push_back(rep);
+      }
+    }
+  }
+  ASSERT_EQ(expected.size(), 4u + 300u + 11u);
+  ASSERT_EQ(payloads.size(), (expected.size() + 49) / 50);
+  Bytes all;
+  for (std::size_t f = 0; f < payloads.size(); ++f) {
+    const auto first = expected.begin() + static_cast<std::ptrdiff_t>(f * 50);
+    const auto last =
+        f + 1 == payloads.size() ? expected.end() : first + 50;
+    EXPECT_EQ(payloads[f], sap::encode_identify_ex({first, last}, token_size))
+        << f;
+    all.insert(all.end(), payloads[f].begin(), payloads[f].end());
+  }
+  EXPECT_EQ(to_hex(crypto::Sha256::digest(all)),
+            "cc4bcd6bb5b32212c81fb9e2ce746a535dd36d9c771e2709d2bb6c16e9218f94");
 }
 
 }  // namespace
