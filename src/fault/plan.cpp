@@ -236,23 +236,26 @@ const std::vector<FaultEvent>& FaultPlan::events() const {
 
 // --- Text grammar ---
 //
-//   @<time> crash <device>
+//   @<time> crash <device> [<duration>]
 //   @<time> reboot <device>
-//   @<time> sleep <device>
+//   @<time> sleep <device> [<duration>]
 //   @<time> wake <device>
-//   @<time> leave <device>
+//   @<time> leave <device> [<duration>]
 //   @<time> join <device>
-//   @<time> link-down <a> <b>
+//   @<time> link-down <a> <b> [<duration>]
 //   @<time> link-up <a> <b>
-//   @<time> partition <nodes>      nodes: comma list with ranges, 3,9-12
+//   @<time> partition <nodes> [<duration>]
+//                                  nodes: comma list with ranges, 3,9-12
 //   @<time> heal <nodes>
-//   @<time> loss <rate>
+//   @<time> loss <rate> [<duration>]
 //   @<time> loss-clear
 //   @<time> skew <device> <signed duration>
 //   @<time> proc-kill <proc> [<downtime>]
 //
 // with <time>/<duration> = <number><unit>, unit in {ns, us, ms, s}.
-// '#' starts a comment; blank lines are ignored.
+// The optional <duration> is the span the paired builders (crash_for,
+// ...) put on their first event; it sets only that event's field and
+// adds no closing event. '#' starts a comment; blank lines are ignored.
 
 namespace {
 
@@ -455,6 +458,7 @@ std::string FaultPlan::format() const {
       case FaultKind::kWake:
       case FaultKind::kLeave:
       case FaultKind::kJoin:
+      case FaultKind::kProcKill:
         out += ' ';
         out += std::to_string(ev.device);
         break;
@@ -483,14 +487,11 @@ std::string FaultPlan::format() const {
         out += ' ';
         out += format_ns(ev.skew_ns);
         break;
-      case FaultKind::kProcKill:
-        out += ' ';
-        out += std::to_string(ev.device);
-        if (ev.duration > sim::Duration::zero()) {
-          out += ' ';
-          out += format_ns(ev.duration.ns());
-        }
-        break;
+    }
+    // Only the kinds whose text takes one carry a span (see parse).
+    if (ev.duration > sim::Duration::zero()) {
+      out += ' ';
+      out += format_ns(ev.duration.ns());
     }
     out += '\n';
   }
@@ -542,26 +543,36 @@ FaultPlan FaultPlan::parse(std::string_view text) {
                        " argument(s)");
       }
     };
+    // The kinds whose paired builder sets a span take it as an optional
+    // last argument. Every unit ends in 's', so a token there that does
+    // not is trailing garbage, not a malformed duration.
+    const Token* span = nullptr;
+    auto want_span = [&](std::size_t n) {
+      if (toks.size() > 2 + n && toks[2 + n].text.back() == 's') {
+        span = &toks[2 + n];
+      }
+      want(span != nullptr ? n + 1 : n);
+    };
     if (kind == "crash") {
-      want(1);
+      want_span(1);
       plan.crash(at, parse_node(toks[2], line_no));
     } else if (kind == "reboot") {
       want(1);
       plan.reboot(at, parse_node(toks[2], line_no));
     } else if (kind == "sleep") {
-      want(1);
+      want_span(1);
       plan.sleep(at, parse_node(toks[2], line_no));
     } else if (kind == "wake") {
       want(1);
       plan.wake(at, parse_node(toks[2], line_no));
     } else if (kind == "leave") {
-      want(1);
+      want_span(1);
       plan.leave(at, parse_node(toks[2], line_no));
     } else if (kind == "join") {
       want(1);
       plan.join(at, parse_node(toks[2], line_no));
     } else if (kind == "link-down") {
-      want(2);
+      want_span(2);
       plan.link_down(at, parse_node(toks[2], line_no),
                      parse_node(toks[3], line_no));
     } else if (kind == "link-up") {
@@ -569,13 +580,13 @@ FaultPlan FaultPlan::parse(std::string_view text) {
       plan.link_up(at, parse_node(toks[2], line_no),
                    parse_node(toks[3], line_no));
     } else if (kind == "partition") {
-      want(1);
+      want_span(1);
       plan.partition(at, parse_node_list(toks[2], line_no));
     } else if (kind == "heal") {
       want(1);
       plan.heal(at, parse_node_list(toks[2], line_no));
     } else if (kind == "loss") {
-      want(1);
+      want_span(1);
       char* end = nullptr;
       const std::string s(toks[2].text);
       const double rate = std::strtod(s.c_str(), &end);
@@ -593,19 +604,16 @@ FaultPlan FaultPlan::parse(std::string_view text) {
           sim::Duration(parse_duration_ns(toks[3], line_no,
                                           /*allow_negative=*/true)));
     } else if (kind == "proc-kill") {
-      // One or two args: the restart downtime is optional.
-      if (toks.size() == 3) {
-        plan.proc_kill(at, parse_node(toks[2], line_no));
-      } else {
-        want(2);
-        plan.proc_kill_for(
-            at, parse_node(toks[2], line_no),
-            sim::Duration(parse_duration_ns(toks[3], line_no,
-                                            /*allow_negative=*/false)));
-      }
+      want_span(1);  // the restart downtime
+      plan.proc_kill(at, parse_node(toks[2], line_no));
     } else {
       parse_fail(line_no, toks[1].col,
                  "unknown fault kind '" + std::string(kind) + "'");
+    }
+    // Only the event's own field: no closing event is added.
+    if (span != nullptr) {
+      plan.events_.back().duration = sim::Duration(
+          parse_duration_ns(*span, line_no, /*allow_negative=*/false));
     }
   }
   return plan;

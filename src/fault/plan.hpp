@@ -64,8 +64,9 @@ struct FaultEvent {
   double rate = 0.0;                // kLossSpike
   std::int64_t skew_ns = 0;         // kClockSkew
   /// Paired-builder duration (crash_for/partition_for/...): how long the
-  /// fault lasts before its matching recovery event. Zero for unpaired
-  /// events; used for trace spans only.
+  /// fault lasts before its matching recovery event; the text form
+  /// carries it as the event's optional last argument. Zero for
+  /// unpaired events; used for trace spans only.
   sim::Duration duration = sim::Duration::zero();
   /// Pre-drawn per-event randomness: any stochastic consequence of the
   /// fault (e.g. per-shard loss sub-streams) derives from this value, so
@@ -130,8 +131,8 @@ class FaultPlan {
   /// Canonical text form (one event per line); parse(format()) is the
   /// identity on each event's time, kind, targets, loss rate (printed in
   /// the shortest form that reads back to the same double), skew and
-  /// proc-kill downtime. Islands print ascending. The text carries no
-  /// pre-drawn `draw` and no span `duration` of the paired builders.
+  /// span `duration` (a paired builder's span, proc-kill's downtime).
+  /// Islands print ascending. The text carries no pre-drawn `draw`.
   std::string format() const;
   /// Parse the text grammar (see docs/robustness.md). Throws
   /// std::invalid_argument with a line number on malformed input.

@@ -114,6 +114,13 @@ void HeartbeatSimulation::handle_beat(net::NodeId parent,
     ++forged_;  // presence cannot be forged without the pairwise key
     return;
   }
+  // Nor replayed: a beat recorded before a capture would mask it.
+  const std::uint32_t seq = read_u32le(msg.payload, 4);
+  if (seq <= dev(child).heard_seq) {
+    ++forged_;
+    return;
+  }
+  dev(child).heard_seq = seq;
   last_seen_[child] = rt_.sched(parent).now();
 }
 

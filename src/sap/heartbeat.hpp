@@ -89,7 +89,8 @@ class HeartbeatSimulation {
   /// the threshold at sweep time, sorted by id.
   std::vector<AbsenceReport> collect();
 
-  /// Heartbeats rejected due to bad MACs (forgery attempts).
+  /// Heartbeats rejected as forgeries: a bad MAC, or a replay whose
+  /// sequence number is not above the last one accepted from its device.
   std::uint64_t forged_beats() const noexcept { return forged_; }
 
  private:
@@ -100,7 +101,9 @@ class HeartbeatSimulation {
     crypto::PrecomputedMac beat_mac;
     bool captured = false;
     std::uint32_t seq = 0;
-    sim::SimTime last_seen;   // parent-side, per child: see last_seen_
+    // Parent-side: the highest beat sequence number the parent accepted
+    // from this device; a beat at or below it is a replay.
+    std::uint32_t heard_seq = 0;
     // Collection state.
     bool collecting = false;
     std::uint32_t waiting = 0;

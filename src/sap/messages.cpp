@@ -73,11 +73,6 @@ const char* entry_status_name(DeviceReportStatus status) noexcept {
   return "?";
 }
 
-std::size_t IdentifyCodec::entry_size() const noexcept {
-  // id(4) [|| status(1) || tick(4)] || token
-  return (format_ == IdentifyFormat::kExtended ? 9 : 4) + token_size_;
-}
-
 void IdentifyCodec::append(Bytes& out, std::uint32_t id, BytesView token,
                            DeviceReportStatus status,
                            std::uint32_t tick) const {
@@ -116,22 +111,15 @@ bool IdentifyCodec::well_formed(BytesView payload) const noexcept {
   return true;
 }
 
-bool IdentifyCodec::decode(BytesView payload,
-                           std::vector<DeviceReport>& out) const {
-  if (!well_formed(payload)) return false;
-  const std::size_t entry = entry_size();
-  const bool extended = format_ == IdentifyFormat::kExtended;
-  const std::uint8_t* p = payload.data();
-  out.resize(payload.size() / entry);
-  for (DeviceReport& r : out) {
-    r.id = load_u32le(p);
-    r.status = extended ? static_cast<DeviceReportStatus>(p[4])
-                        : DeviceReportStatus::kEntryOk;
-    r.tick = extended ? load_u32le(p + 5) : 0;
-    r.token.assign(p + entry - token_size_, p + entry);
-    p += entry;
+std::optional<std::vector<DeviceReport>> IdentifyCodec::decode(
+    BytesView payload) const {
+  if (!well_formed(payload)) return std::nullopt;
+  std::vector<DeviceReport> out(entry_count(payload));
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const IdentifyEntry e = entry(payload, i);
+    out[i] = {e.id, Bytes(e.token.begin(), e.token.end()), e.status, e.tick};
   }
-  return true;
+  return out;
 }
 
 Bytes encode_count_token(BytesView token, std::uint32_t count) {

@@ -13,8 +13,9 @@
 //                                                device in the subtree)
 //
 // The kIdentify entry has one owner, IdentifyCodec below: SAP's nodes,
-// cra_agentd's token frames, cra_verifierd's decoder and its journal
-// (wire/journal.hpp) all write and read entries through it.
+// cra_agentd's token frames, cra_verifierd's round and its journal
+// (wire/journal.hpp) all write entries through it, and the verifier's
+// appraisal reads them in place (IdentifyEntry).
 #pragma once
 
 #include <cstdint>
@@ -71,6 +72,14 @@ struct DeviceReport {
   std::uint32_t tick = 0;  // tick the token was computed at (kEntryLate)
 };
 
+/// An entry as IdentifyCodec::entry() reads it: `token` views the payload.
+struct IdentifyEntry {
+  std::uint32_t id = 0;
+  DeviceReportStatus status = DeviceReportStatus::kEntryOk;
+  std::uint32_t tick = 0;
+  BytesView token;
+};
+
 /// The two kIdentify entry forms:
 ///   legacy   entry = id(4, LE) || token(l bytes)
 ///   extended entry = id(4, LE) || status(1) || tick(4, LE) || token(l)
@@ -89,8 +98,11 @@ class IdentifyCodec {
   IdentifyCodec(IdentifyFormat format, std::size_t token_size) noexcept
       : format_(format), token_size_(token_size) {}
 
-  /// Bytes per entry.
-  std::size_t entry_size() const noexcept;
+  IdentifyFormat format() const noexcept { return format_; }
+  /// Bytes per entry: id(4) [|| status(1) || tick(4)] || token.
+  std::size_t entry_size() const noexcept {
+    return (format_ == IdentifyFormat::kExtended ? 9 : 4) + token_size_;
+  }
   /// Append one entry; the legacy form drops `status` and `tick`. Throws
   /// std::invalid_argument unless `token` is token_size bytes.
   void append(Bytes& out, std::uint32_t id, BytesView token,
@@ -107,15 +119,25 @@ class IdentifyCodec {
   /// The reader's rule: a whole number of entries, each extended entry
   /// with a status DeviceReportStatus defines.
   bool well_formed(BytesView payload) const noexcept;
-  /// Replace `out` with the entries of a well-formed payload, in order,
-  /// reusing the token buffers of the reports already in it; false, with
-  /// `out` as it was, for any other payload.
-  bool decode(BytesView payload, std::vector<DeviceReport>& out) const;
-  std::optional<std::vector<DeviceReport>> decode(BytesView payload) const {
-    std::vector<DeviceReport> out;
-    if (!decode(payload, out)) return std::nullopt;
+  /// Whole entries in `payload`.
+  std::size_t entry_count(BytesView payload) const noexcept {
+    return payload.size() / entry_size();
+  }
+  /// Entry `i` (< entry_count) of a well-formed payload, read in place;
+  /// legacy entries read as kEntryOk at tick 0.
+  IdentifyEntry entry(BytesView payload, std::size_t i) const noexcept {
+    const std::uint8_t* p = payload.data() + i * entry_size();
+    IdentifyEntry out;
+    out.id = load_u32le(p);
+    if (format_ == IdentifyFormat::kExtended) {
+      out.status = static_cast<DeviceReportStatus>(p[4]);
+      out.tick = load_u32le(p + 5);
+    }
+    out.token = BytesView(p + entry_size() - token_size_, token_size_);
     return out;
   }
+  /// A well-formed payload's entries, in order; nullopt for any other.
+  std::optional<std::vector<DeviceReport>> decode(BytesView payload) const;
 
  private:
   IdentifyFormat format_;

@@ -381,18 +381,17 @@ RoundReport SapSimulation::run_round() {
                         crypto::ct_equal(vrf.agg_token, res_s);
       break;
     case QoaMode::kIdentify: {
-      // Vrf's entries passed the reader's rule as they arrived; each is
-      // a compare against the table the open step swept. A device's last
-      // entry decides, and one with none is missing.
-      if (!identify_.decode(vrf.reports, vrf_entries_)) {
-        throw std::logic_error("run_round: Vrf holds malformed entries");
-      }
-      appraisal_.absorb(vrf_entries_.data(), vrf_entries_.size());
+      // Vrf's entries passed the reader's rule as they arrived; the
+      // appraisal reads each in place and compares it against the table
+      // the open step swept. A device's last entry decides, and one with
+      // none is missing.
+      appraisal_.absorb(vrf.reports);
       Verifier::Classification census = appraisal_.finish();
-      report.responded = static_cast<std::uint32_t>(std::count_if(
-          vrf_entries_.begin(), vrf_entries_.end(), [](const DeviceReport& r) {
-            return r.status != DeviceReportStatus::kEntryUnreachable;
-          }));
+      const std::size_t entries = identify_.entry_count(vrf.reports);
+      for (std::size_t i = 0; i < entries; ++i) {
+        report.responded += identify_.entry(vrf.reports, i).status !=
+                            DeviceReportStatus::kEntryUnreachable;
+      }
       report.identify.bad = census.untrusted_ids;
       report.identify.missing = census.unreachable_ids;
       report.verified = census.all_healthy();

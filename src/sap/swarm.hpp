@@ -287,11 +287,8 @@ class SapSimulation {
   device::SecureClock clock_;
   Verifier verifier_;
   // Identify rounds' verdict: the open step sweeps each shard's rows of
-  // its token table, and Vrf's entries are judged against it.
-  Verifier::Appraisal appraisal_{verifier_};
-  // Vrf's entries, decoded for that verdict over the last round's, so a
-  // warm round's decode allocates nothing.
-  std::vector<DeviceReport> vrf_entries_;
+  // its token table, and Vrf's entries are judged against it in place.
+  Verifier::Appraisal appraisal_{verifier_, identify_.format()};
   Bytes auth_key_;
   std::vector<Dev> devices_;  // by device id; 0 is Vrf
   std::vector<std::uint32_t> subtree_size_;  // per tree position

@@ -159,57 +159,59 @@ void Verifier::Appraisal::begin(std::uint32_t chal) {
   v.sweep(ids_, chal, res_s_, tokens_.data());
 }
 
-bool Verifier::Appraisal::matches_table(const DeviceReport& rep) const {
+bool Verifier::Appraisal::matches_table(const IdentifyEntry& entry) const {
   const std::size_t token_size = verifier_->config_.token_size();
   return crypto::ct_equal(
-      rep.token,
-      BytesView(tokens_.data() + (rep.id - 1) * token_size, token_size));
+      entry.token,
+      BytesView(tokens_.data() + (entry.id - 1) * token_size, token_size));
 }
 
-Verifier::DeviceStatus Verifier::Appraisal::judge(const DeviceReport& rep,
+Verifier::DeviceStatus Verifier::Appraisal::judge(const IdentifyEntry& entry,
                                                   bool late_valid) const {
-  switch (rep.status) {
+  switch (entry.status) {
     case DeviceReportStatus::kEntryOk:
-      return matches_table(rep) ? DeviceStatus::kHealthy
-                                : DeviceStatus::kUntrusted;
+      return matches_table(entry) ? DeviceStatus::kHealthy
+                                  : DeviceStatus::kUntrusted;
     case DeviceReportStatus::kEntryRebooted:
-      return matches_table(rep) ? DeviceStatus::kRebooted
-                                : DeviceStatus::kUntrusted;
+      return matches_table(entry) ? DeviceStatus::kRebooted
+                                  : DeviceStatus::kUntrusted;
     case DeviceReportStatus::kEntryLate: {
       // A late joiner attested its *current* tick, which must not
       // predate the challenge. Valid evidence at a later tick proves
       // the state but not liveness through the round: rebooted.
-      if (rep.tick < chal_) return DeviceStatus::kUntrusted;
-      const bool valid = rep.tick == chal_ ? matches_table(rep) : late_valid;
+      if (entry.tick < chal_) return DeviceStatus::kUntrusted;
+      const bool valid =
+          entry.tick == chal_ ? matches_table(entry) : late_valid;
       return valid ? DeviceStatus::kRebooted : DeviceStatus::kUntrusted;
     }
     case DeviceReportStatus::kEntryUnreachable:
       return DeviceStatus::kUnreachable;
   }
-  // An undefined entry status (only a damaged journal can carry one)
-  // is no evidence either way.
-  return status_[rep.id - 1];
+  // well_formed() admits no other status.
+  return status_[entry.id - 1];
 }
 
-void Verifier::Appraisal::absorb(const DeviceReport* reports, std::size_t n) {
+void Verifier::Appraisal::absorb(BytesView entries) {
+  if (!codec_.well_formed(entries)) return;
   const Verifier& v = *verifier_;
-  const auto in_range = [&](const DeviceReport& rep) {
-    return rep.id != 0 && rep.id <= v.device_count_;
+  const std::size_t n = codec_.entry_count(entries);
+  const auto in_range = [&](const IdentifyEntry& e) {
+    return e.id != 0 && e.id <= v.device_count_;
   };
-  const auto on_demand = [&](const DeviceReport& rep) {
-    return rep.status == DeviceReportStatus::kEntryLate && rep.tick > chal_;
+  const auto on_demand = [&](const IdentifyEntry& e) {
+    return e.status == DeviceReportStatus::kEntryLate && e.tick > chal_;
   };
   // Late entries at a tick after the challenge are the only ones the
   // table cannot judge: one backend batch covers all of this call's.
   std::vector<std::array<std::uint8_t, 4>> ticks;  // the jobs' suffixes
   std::vector<crypto::VerifyJob> jobs;
   for (std::size_t i = 0; i < n; ++i) {
-    const DeviceReport& rep = reports[i];
-    if (!in_range(rep) || !on_demand(rep)) continue;
+    const IdentifyEntry e = codec_.entry(entries, i);
+    if (!in_range(e) || !on_demand(e)) continue;
     if (ticks.empty()) ticks.reserve(n);  // keeps the views below valid
-    ticks.push_back(u32le_bytes(rep.tick));
-    jobs.push_back({&v.device_mac(rep.id), v.expected_[rep.id - 1],
-                    BytesView(ticks.back().data(), 4), rep.token});
+    ticks.push_back(u32le_bytes(e.tick));
+    jobs.push_back({&v.device_mac(e.id), v.expected_[e.id - 1],
+                    BytesView(ticks.back().data(), 4), e.token});
   }
   std::vector<std::uint8_t> late_ok(jobs.size());
   if (!jobs.empty()) {
@@ -218,10 +220,10 @@ void Verifier::Appraisal::absorb(const DeviceReport* reports, std::size_t n) {
   }
   std::size_t late = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    const DeviceReport& rep = reports[i];
-    if (!in_range(rep)) continue;
-    const bool computed = on_demand(rep);
-    status_[rep.id - 1] = judge(rep, computed && late_ok[late] != 0);
+    const IdentifyEntry e = codec_.entry(entries, i);
+    if (!in_range(e)) continue;
+    const bool computed = on_demand(e);
+    status_[e.id - 1] = judge(e, computed && late_ok[late] != 0);
     late += computed ? 1 : 0;
   }
 }
@@ -252,9 +254,12 @@ Verifier::Classification Verifier::Appraisal::finish() const {
 
 Verifier::Classification Verifier::classify(
     const std::vector<DeviceReport>& reports, std::uint32_t chal) const {
-  Appraisal appraisal(*this);
+  Bytes entries;
+  IdentifyCodec(IdentifyFormat::kExtended, config_.token_size())
+      .append(entries, reports.data(), reports.size());
+  Appraisal appraisal(*this, IdentifyFormat::kExtended);
   appraisal.begin(chal);
-  appraisal.absorb(reports.data(), reports.size());
+  appraisal.absorb(entries);
   return appraisal.finish();
 }
 

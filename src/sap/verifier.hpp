@@ -14,8 +14,8 @@
 // order-free: the simulator sweeps each shard's devices on that shard's
 // worker before the challenge leaves and XORs the parts. Appraisal
 // keeps every res_i in a flat table that sweeps fill (begin(chal) sweeps
-// every id), absorb() judges report entries against it as they arrive,
-// and finish() returns the per-device census: the live verifier, the
+// every id), absorb() reads encoded entries in place and judges them
+// against it, and finish() returns the census: the live verifier, the
 // simulator's identify rounds and classify() share this one rule.
 //
 // Keys: K_{mi,Vrf} = HKDF(master, "sap-device-key" || i). Equivalent to
@@ -120,9 +120,9 @@ class Verifier {
     }
   };
 
-  /// One round's appraisal of identify report entries under the round
-  /// challenge (legacy entries are kEntryOk). Entries are judged in
-  /// order, and a later entry for a device overwrites an earlier one:
+  /// One round's appraisal of identify entries of one format under the
+  /// round challenge (legacy entries are kEntryOk). Entries are judged
+  /// in order, and a later entry for a device overwrites an earlier one:
   ///   id 0 or above N   -> skipped
   ///   kEntryOk          -> token matches res_i(chal) ? healthy : untrusted
   ///   kEntryLate        -> tick >= chal and token valid at entry.tick
@@ -135,7 +135,9 @@ class Verifier {
   /// Buffers are kept from round to round.
   class Appraisal {
    public:
-    explicit Appraisal(const Verifier& verifier) : verifier_(&verifier) {}
+    Appraisal(const Verifier& verifier, IdentifyFormat format) noexcept
+        : verifier_(&verifier),
+          codec_(format, verifier.config().token_size()) {}
 
     /// Open a round on `chal`: size the token table and mark every
     /// device unheard; sweep any partition of the ids into table().
@@ -146,9 +148,10 @@ class Verifier {
     /// open(chal), then one chunked batch sweep of every id into the
     /// table, folding RES_S as it goes.
     void begin(std::uint32_t chal);
-    /// Judge `n` entries against the table. Late entries at a tick after
-    /// the challenge are computed on demand, in one batch per call.
-    void absorb(const DeviceReport* reports, std::size_t n);
+    /// Judge a payload's entries in place; one the codec rejects changes
+    /// no status. Late entries at a tick after the challenge are
+    /// computed on demand, in one batch per call.
+    void absorb(BytesView entries);
     /// The census so far; devices never heard from are unreachable.
     Classification finish() const;
 
@@ -160,10 +163,11 @@ class Verifier {
     /// The verdict rule: the status one entry gives its device.
     /// `late_valid` is the on-demand check of a kEntryLate token at a
     /// tick after the challenge.
-    DeviceStatus judge(const DeviceReport& rep, bool late_valid) const;
-    bool matches_table(const DeviceReport& rep) const;
+    DeviceStatus judge(const IdentifyEntry& entry, bool late_valid) const;
+    bool matches_table(const IdentifyEntry& entry) const;
 
     const Verifier* verifier_;
+    IdentifyCodec codec_;
     std::uint32_t chal_ = 0;
     std::vector<net::NodeId> ids_;  // 1..N, the sweep's id set
     Bytes tokens_;  // res_i(chal) at (id-1) * token_size
@@ -172,7 +176,8 @@ class Verifier {
   };
 
   /// Classify every device from one whole extended-identify report:
-  /// an Appraisal's begin, one absorb, and finish.
+  /// its encoding, an Appraisal's begin, one absorb, and finish. Throws
+  /// std::invalid_argument for a token that is not token_size bytes.
   Classification classify(const std::vector<DeviceReport>& reports,
                           std::uint32_t chal) const;
 

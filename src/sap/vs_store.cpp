@@ -45,7 +45,7 @@ std::vector<Bytes> vs_from_string(const std::string& text,
   if (!(is >> key >> devices) || key != "devices" || devices == 0) {
     throw std::invalid_argument("vs_from_string: missing device count");
   }
-  if (expect_devices != 0 && devices != expect_devices) {
+  if (devices != expect_devices) {
     throw std::invalid_argument("vs_from_string: device count mismatch");
   }
 

@@ -29,10 +29,11 @@ std::string vs_to_string(const Verifier& verifier);
 
 /// Parse a VS dump; returns the per-device contents indexed by id-1.
 /// Throws std::invalid_argument on malformed input or if `expect_alg` /
-/// `expect_devices` (when nonzero) disagree with the header.
+/// `expect_devices` disagree with the header, so the header's count
+/// never sizes an allocation the caller did not ask for.
 std::vector<Bytes> vs_from_string(const std::string& text,
                                   crypto::HashAlg expect_alg,
-                                  std::uint32_t expect_devices = 0);
+                                  std::uint32_t expect_devices);
 
 /// Convenience: write/read the dump to a file. Write throws
 /// std::runtime_error on I/O failure; load applies the contents into

@@ -2,7 +2,6 @@
 
 #include <sys/epoll.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <numeric>
 #include <stdexcept>
@@ -217,35 +216,28 @@ void VerifierDaemon::handle_tokens(const Frame& frame) {
     metrics_.counter("wire.daemon.stale_tokens").inc();
     return;
   }
-  auto reports =
-      sap::decode_identify_ex(frame.payload, verifier_.config().token_size());
-  if (!reports.has_value()) {
+  const std::size_t token_size = verifier_.config().token_size();
+  const sap::IdentifyCodec codec = VerifierState::report_codec(token_size);
+  if (!codec.well_formed(frame.payload)) {
     metrics_.counter("wire.daemon.decode_errors").inc();
     return;
   }
-  const auto bogus = std::count_if(
-      reports->begin(), reports->end(), [&](const sap::DeviceReport& rep) {
-        return rep.id == 0 || rep.id > config_.devices;
-      });
-  if (bogus > 0) {
-    metrics_.counter("wire.daemon.bogus_device_ids")
-        .inc(static_cast<std::uint64_t>(bogus));
-  }
   const std::size_t added =
-      state_.accept_reports(state_.tick, reports->data(), reports->size());
-  // accept_reports dropped covered ids, so each device is judged once.
-  const sap::DeviceReport* appended =
-      state_.reports.data() + (state_.reports.size() - added);
-  appraisal_.absorb(appended, added);
+      state_.accept_reports(state_.tick, frame.payload, token_size);
+  // accept_reports dropped covered ids, so each device is judged once;
+  // the round's appraisal and its journal take the appended bytes as
+  // they are.
+  const BytesView appended =
+      BytesView(state_.reports).last(added * codec.entry_size());
+  appraisal_.absorb(appended);
   if (journaling_ && added > 0) {
     // No sync: a lost unsynced report tail just re-polls on restart.
     journal_append(VerifierState::kReports,
-                   VerifierState::encode_reports(
-                       state_.tick, appended, added,
-                       verifier_.config().token_size()),
+                   VerifierState::encode_reports(state_.tick, appended,
+                                                 token_size),
                    /*sync=*/false);
   }
-  if (state_.reports.size() >= config_.devices) finish_round();
+  if (state_.report_count(token_size) >= config_.devices) finish_round();
 }
 
 std::vector<WantRange> VerifierDaemon::missing_ranges() const {
@@ -371,8 +363,9 @@ void VerifierDaemon::resume_round() {
   metrics_.counter("wire.daemon.rounds_resumed").inc();
   // The replayed reports were never judged by this process.
   begin_appraisal();
-  appraisal_.absorb(state_.reports.data(), state_.reports.size());
-  if (state_.reports.size() >= config_.devices) {
+  appraisal_.absorb(state_.reports);
+  if (state_.report_count(verifier_.config().token_size()) >=
+      config_.devices) {
     finish_round();
     return;
   }
@@ -392,8 +385,10 @@ void VerifierDaemon::finish_round() {
     repoll_timer_ = 0;
   }
 
+  const std::size_t token_size = verifier_.config().token_size();
   const std::uint64_t latency_ns = loop_.now_ns() - round_start_ns_;
-  const auto received = static_cast<std::uint32_t>(state_.reports.size());
+  const auto received =
+      static_cast<std::uint32_t>(state_.report_count(token_size));
   metrics_.histogram("wire.daemon.round_latency_us")
       .record(latency_ns / 1'000);
   metrics_.counter("wire.daemon.rounds_completed").inc();
@@ -405,9 +400,10 @@ void VerifierDaemon::finish_round() {
     // The transport always carries per-device tokens; binary mode is a
     // verifier-side fold, exactly like the in-tree aggregation.
     if (received == config_.devices) {
-      Bytes acc(verifier_.config().token_size(), 0);
-      for (const sap::DeviceReport& rep : state_.reports) {
-        xor_inplace(acc, rep.token);
+      const sap::IdentifyCodec codec = VerifierState::report_codec(token_size);
+      Bytes acc(token_size, 0);
+      for (std::uint32_t i = 0; i < received; ++i) {
+        xor_inplace(acc, codec.entry(state_.reports, i).token);
       }
       metrics_
           .counter(crypto::ct_equal(acc, appraisal_.expected_result())

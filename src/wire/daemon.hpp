@@ -8,8 +8,9 @@
 // defaults), and appraises the round through a sap::Verifier::Appraisal
 // while it runs: right after the challenge frames leave, while the
 // agents hash, it sweeps every device's expected token for the tick;
-// each token frame's accepted entries are then judged on arrival by a
-// compare against that table. Closing a round is only a tally:
+// each token frame's accepted entries are then judged in place on
+// arrival, by a compare against that table, and journaled as they
+// came. Closing a round is only a tally:
 //
 //   * kIdentify mode: the appraisal's finish() yields the degraded-mode
 //     census (healthy / untrusted / unreachable / rebooted) per round;
@@ -129,7 +130,8 @@ class VerifierDaemon {
 
   DaemonConfig config_;
   sap::Verifier verifier_;
-  sap::Verifier::Appraisal appraisal_{verifier_};  // of the open round
+  sap::Verifier::Appraisal appraisal_{
+      verifier_, sap::IdentifyFormat::kExtended};  // of the open round
   UdpSocket socket_;
   EventLoop loop_;
   obs::MetricsRegistry metrics_;

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstring>
 #include <system_error>
+#include <utility>
 
 namespace cra::wire {
 
@@ -272,12 +273,6 @@ std::optional<VerifierState::Agent> parse_agent(BytesView data,
   return a;
 }
 
-/// kReports records and snapshots hold report entries in SAP's
-/// extended identify form.
-sap::IdentifyCodec report_codec(std::size_t token_size) noexcept {
-  return sap::IdentifyCodec(sap::IdentifyFormat::kExtended, token_size);
-}
-
 }  // namespace
 
 Bytes VerifierState::encode_agent(const Agent& a) {
@@ -298,15 +293,24 @@ Bytes VerifierState::encode_round_start(std::uint32_t tick) {
   return out;
 }
 
+Bytes VerifierState::encode_reports(std::uint32_t tick, BytesView entries,
+                                    std::size_t token_size) {
+  Bytes out;
+  out.reserve(8 + entries.size());
+  append_u32le(out, tick);
+  append_u32le(out, static_cast<std::uint32_t>(
+                        report_codec(token_size).entry_count(entries)));
+  out.insert(out.end(), entries.begin(), entries.end());
+  return out;
+}
+
 Bytes VerifierState::encode_reports(std::uint32_t tick,
                                     const sap::DeviceReport* reports,
                                     std::size_t count,
                                     std::size_t token_size) {
-  Bytes out;
-  append_u32le(out, tick);
-  append_u32le(out, static_cast<std::uint32_t>(count));
-  report_codec(token_size).append(out, reports, count);
-  return out;
+  Bytes entries;
+  report_codec(token_size).append(entries, reports, count);
+  return encode_reports(tick, entries, token_size);
 }
 
 Bytes VerifierState::encode_repoll(std::uint32_t tick,
@@ -337,19 +341,23 @@ bool VerifierState::start_round(std::uint32_t t) {
   return true;
 }
 
-std::size_t VerifierState::accept_reports(std::uint32_t t,
-                                          sap::DeviceReport* reps,
-                                          std::size_t n) {
+std::size_t VerifierState::accept_reports(std::uint32_t t, BytesView entries,
+                                          std::size_t token_size) {
   if (!round_open || t != tick) return 0;
-  const std::size_t before = reports.size();
+  const sap::IdentifyCodec codec = report_codec(token_size);
+  const std::size_t entry = codec.entry_size();
+  const std::size_t n = codec.entry_count(entries);
+  std::size_t added = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    sap::DeviceReport& rep = reps[i];
-    if (rep.id == 0 || rep.id > devices) continue;
-    if (have[rep.id - 1] != 0) continue;  // re-poll or replay duplicate
-    have[rep.id - 1] = 1;
-    reports.push_back(std::move(rep));
+    const std::uint32_t id = codec.entry(entries, i).id;
+    if (id == 0 || id > devices) continue;
+    if (have[id - 1] != 0) continue;  // re-poll or replay duplicate
+    have[id - 1] = 1;
+    const auto at = entries.begin() + static_cast<std::ptrdiff_t>(i * entry);
+    reports.insert(reports.end(), at, at + static_cast<std::ptrdiff_t>(entry));
+    ++added;
   }
-  return reports.size() - before;
+  return added;
 }
 
 void VerifierState::note_repoll(std::uint32_t t, std::uint32_t attempt) {
@@ -380,9 +388,13 @@ void VerifierState::apply(std::uint8_t kind, BytesView payload,
     case kReports: {
       if (payload.size() < 8) return;
       // A bad count or entry drops the whole record, as it does a frame.
-      auto reps = report_codec(token_size).decode(payload.subspan(8));
-      if (!reps.has_value() || reps->size() != read_u32le(payload, 4)) return;
-      (void)accept_reports(read_u32le(payload, 0), reps->data(), reps->size());
+      const BytesView entries = payload.subspan(8);
+      const sap::IdentifyCodec codec = report_codec(token_size);
+      if (!codec.well_formed(entries) ||
+          codec.entry_count(entries) != read_u32le(payload, 4)) {
+        return;
+      }
+      (void)accept_reports(read_u32le(payload, 0), entries, token_size);
       return;
     }
     case kRepoll:
@@ -412,13 +424,20 @@ Bytes VerifierState::encode(std::size_t token_size) const {
   }
   if (round_open) {
     out.insert(out.end(), have.begin(), have.end());
-    std::vector<sap::DeviceReport> sorted = reports;
-    std::sort(sorted.begin(), sorted.end(),
-              [](const sap::DeviceReport& a, const sap::DeviceReport& b) {
-                return a.id < b.id;
-              });
-    append_u32le(out, static_cast<std::uint32_t>(sorted.size()));
-    report_codec(token_size).append(out, sorted.data(), sorted.size());
+    // The entries sorted by id; `have` admits each id once.
+    const sap::IdentifyCodec codec = report_codec(token_size);
+    const std::size_t entry = codec.entry_size();
+    std::vector<std::pair<std::uint32_t, std::size_t>> by_id(
+        codec.entry_count(reports));
+    for (std::size_t i = 0; i < by_id.size(); ++i) {
+      by_id[i] = {codec.entry(reports, i).id, i * entry};
+    }
+    std::sort(by_id.begin(), by_id.end());
+    append_u32le(out, static_cast<std::uint32_t>(by_id.size()));
+    for (const auto& [id, at] : by_id) {
+      out.insert(out.end(), reports.begin() + static_cast<std::ptrdiff_t>(at),
+                 reports.begin() + static_cast<std::ptrdiff_t>(at + entry));
+    }
   }
   return out;
 }
@@ -449,28 +468,21 @@ std::optional<VerifierState> VerifierState::decode(BytesView payload,
   }
   if (st.round_open) {
     if (payload.size() < off + st.devices + 4) return std::nullopt;
-    st.have.assign(payload.begin() + static_cast<std::ptrdiff_t>(off),
-                   payload.begin() +
-                       static_cast<std::ptrdiff_t>(off + st.devices));
+    const BytesView bitmap = payload.subspan(off, st.devices);
     off += st.devices;
-    auto reps = report_codec(token_size).decode(payload.subspan(off + 4));
-    if (!reps.has_value() || reps->size() != read_u32le(payload, off)) {
-      return std::nullopt;
-    }
+    const BytesView entries = payload.subspan(off + 4);
+    const sap::IdentifyCodec codec = report_codec(token_size);
+    const std::size_t n = codec.entry_count(entries);
     // The bitmap and the list must name the same ids, each once: the
     // daemon counts coverage from the list and re-polls from the bitmap.
-    std::vector<std::uint8_t> unmatched = st.have;
-    for (const sap::DeviceReport& rep : *reps) {
-      if (rep.id == 0 || rep.id > st.devices || unmatched[rep.id - 1] != 1) {
-        return std::nullopt;
-      }
-      unmatched[rep.id - 1] = 0;
-    }
-    if (std::any_of(unmatched.begin(), unmatched.end(),
-                    [](std::uint8_t h) { return h != 0; })) {
+    // accept_reports takes the whole list only if its ids are distinct
+    // and in [1, devices], and then covers exactly those ids.
+    st.have.assign(st.devices, 0);
+    if (!codec.well_formed(entries) || n != read_u32le(payload, off) ||
+        st.accept_reports(st.tick, entries, token_size) != n ||
+        !std::equal(st.have.begin(), st.have.end(), bitmap.begin())) {
       return std::nullopt;
     }
-    st.reports = std::move(*reps);
   } else if (payload.size() != off) {
     return std::nullopt;
   }

@@ -31,10 +31,11 @@
 //     canonical encoding; two processes that replayed the same files
 //     agree byte-for-byte.
 //
-// Report entries, in kReports records (`tick || count || entries`) and
-// in an open round's snapshot (`count || entries`), are SAP's extended
-// identify entries, written and read by sap::IdentifyCodec
-// (sap/messages.hpp), the codec of the daemon's token frames.
+// Report entries are SAP's extended identify entries, the form of the
+// daemon's token frames (sap::IdentifyCodec), and stay bytes throughout:
+// the open round's accepted entries, kReports records (`tick || count ||
+// entries`, a frame's entries as accepted) and an open round's snapshot
+// (`count || entries`, sorted by id).
 //
 // The agent side persists one thing: its hello epoch
 // (next_agent_epoch()), bumped on every restart so the daemon can tell
@@ -145,14 +146,23 @@ struct VerifierState {
   bool round_open = false;
   std::uint32_t repoll_attempt = 0;
   std::map<std::uint32_t, Agent> agents;  // keyed by first_id
-  // Valid while round_open: per-device coverage and collected reports;
-  // have[id-1] is 1 exactly for the ids in `reports`.
+  // Valid while round_open: per-device coverage and the accepted
+  // entries in arrival order; have[id-1] is 1 exactly for their ids.
   std::vector<std::uint8_t> have;  // index id-1
-  std::vector<sap::DeviceReport> reports;
+  Bytes reports;
+
+  /// The codec of `reports`, kReports records and snapshots.
+  static sap::IdentifyCodec report_codec(std::size_t token_size) noexcept {
+    return sap::IdentifyCodec(sap::IdentifyFormat::kExtended, token_size);
+  }
 
   // --- Record payload builders (what the daemon appends) ---
   static Bytes encode_agent(const Agent& a);
   static Bytes encode_round_start(std::uint32_t tick);
+  /// A kReports record of well-formed entries, copied as given.
+  static Bytes encode_reports(std::uint32_t tick, BytesView entries,
+                              std::size_t token_size);
+  /// The same from DeviceReports; throws for a wrong-size token.
   static Bytes encode_reports(std::uint32_t tick,
                               const sap::DeviceReport* reports,
                               std::size_t count, std::size_t token_size);
@@ -168,11 +178,15 @@ struct VerifierState {
   void put_agent(const Agent& a);
   /// Open round `t`. A no-op returning false unless `t` > tick.
   bool start_round(std::uint32_t t);
-  /// Move the reports of open round `t` whose ids lie in [1, devices]
-  /// and are not yet covered to the end of `reports`; returns how many
-  /// it appended. Entries it skips are left as they were.
-  std::size_t accept_reports(std::uint32_t t, sap::DeviceReport* reports,
-                             std::size_t n);
+  /// Append to `reports` the entries of open round `t`, from a
+  /// well-formed payload, whose ids lie in [1, devices] and are not yet
+  /// covered; returns how many it appended.
+  std::size_t accept_reports(std::uint32_t t, BytesView entries,
+                             std::size_t token_size);
+  /// Entries in `reports`.
+  std::size_t report_count(std::size_t token_size) const noexcept {
+    return report_codec(token_size).entry_count(reports);
+  }
   /// Raise open round `t`'s re-poll attempt to `attempt`.
   void note_repoll(std::uint32_t t, std::uint32_t attempt);
   /// Close open round `t`, raising rounds_done to `done`.

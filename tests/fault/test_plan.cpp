@@ -85,8 +85,8 @@ TEST(FaultPlan, EveryEventCarriesAFreshDraw) {
 
 /// parse(format(p)) must give p's events back: time, kind, device,
 /// peer, island (the text lists it ascending), the rate bit for bit,
-/// skew and proc-kill's downtime. The text form has no pre-drawn `draw`
-/// and no span `duration` of the paired builders.
+/// skew and the span `duration` (the paired builders' and proc-kill's
+/// downtime). The text form has no pre-drawn `draw`.
 void expect_text_round_trip(const FaultPlan& p) {
   const std::string text = p.format();
   const FaultPlan q = FaultPlan::parse(text);
@@ -106,9 +106,7 @@ void expect_text_round_trip(const FaultPlan& p) {
         << "event " << i << ": rate " << a.rate << " read back as "
         << b.rate;
     EXPECT_EQ(a.skew_ns, b.skew_ns) << "event " << i;
-    if (a.kind == FaultKind::kProcKill) {
-      EXPECT_EQ(a.duration, b.duration) << "event " << i;
-    }
+    EXPECT_EQ(a.duration, b.duration) << "event " << i;
   }
   EXPECT_EQ(q.format(), text);
 }
@@ -293,6 +291,33 @@ TEST(FaultPlan, ProcKillGrammarRoundTrip) {
   EXPECT_EQ(text.events()[0].duration, Duration::from_ms(150));
   EXPECT_EQ(text.events()[1].device, 1u);
   EXPECT_EQ(text.events()[1].duration, Duration::zero());
+}
+
+TEST(FaultPlan, SpanTextSetsOnlyItsEventsDuration) {
+  // Every kind whose paired builder sets a span takes it in the text as
+  // an optional last argument, as proc-kill takes its downtime; the
+  // plan gets no closing event from it.
+  const FaultPlan plan = FaultPlan::parse(
+      "@10ms crash 3 40ms\n@11ms sleep 4 30ms\n@12ms leave 5 1s\n"
+      "@13ms link-down 1 4 10ms\n@14ms partition 2,5-6 20ms\n"
+      "@15ms loss 0.25 15ms\n@16ms crash 7\n");
+  const Duration spans[] = {Duration::from_ms(40), Duration::from_ms(30),
+                            Duration::from_sec(1), Duration::from_ms(10),
+                            Duration::from_ms(20), Duration::from_ms(15),
+                            Duration::zero()};
+  ASSERT_EQ(plan.size(), std::size(spans));
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    EXPECT_EQ(plan.events()[i].duration, spans[i]) << i;
+  }
+  EXPECT_EQ(plan.events()[4].island, (std::vector<net::NodeId>{2, 5, 6}));
+  EXPECT_EQ(plan.events()[5].rate, 0.25);
+  EXPECT_EQ(FaultPlan::parse(plan.format()).format(), plan.format());
+  EXPECT_THROW((void)FaultPlan::parse("@10ms crash 3 -5ms"),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("@10ms reboot 3 5ms"),
+               std::invalid_argument);
+  EXPECT_THROW((void)FaultPlan::parse("@10ms crash 3 5ms 6ms"),
+               std::invalid_argument);
 }
 
 TEST(FaultPlan, ProcKillRejectsMalformedInput) {

@@ -2,22 +2,27 @@
 //
 // Seeded report sequences from common/rng — duplicate ids, late entries
 // at older, equal and later ticks, rebooted and unreachable entries,
-// ids 0 and N+1, forged and wrong-length tokens — are judged three ways:
-// by classify() on the whole sequence, by one Appraisal fed the same
-// sequence in random splits, and by a copy of the earlier two-pass
-// classify kept here as the reference oracle. All three must agree on
-// every count, status and id list.
+// ids 0 and N+1, forged, replayed and other devices' tokens — are
+// judged three ways: by classify() on the whole sequence, by one
+// Appraisal fed the sequence's encoding in random splits, and by the
+// reference oracle (reference_classify.hpp), the earlier two-pass
+// classify. All three must agree on every count, status and id list.
+// Mutated encodings of such sequences, fed straight to absorb(), must
+// change no status when the codec rejects them and otherwise give the
+// oracle's census of what decode_identify_ex reads from them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "../common/fuzz_mutate.hpp"
 #include "common/rng.hpp"
-#include "crypto/backend.hpp"
 #include "crypto/tally.hpp"
 #include "net/topology.hpp"
+#include "reference_classify.hpp"
+#include "sap/messages.hpp"
 #include "sap/verifier.hpp"
 #include "swarm/runtime.hpp"
 
@@ -37,92 +42,6 @@ Verifier make_verifier(crypto::HashAlg alg = crypto::HashAlg::kSha1) {
     v.set_expected_content(id, to_bytes("cfg-" + std::to_string(id)));
   }
   return v;
-}
-
-/// The two-pass classify the appraisal replaced: token-free verdicts
-/// first, then one verify batch for every token-bearing entry, applied
-/// in report order.
-Verifier::Classification reference_classify(
-    const Verifier& v, const std::vector<DeviceReport>& reports,
-    std::uint32_t chal) {
-  Verifier::Classification out;
-  out.enabled = true;
-  out.status.assign(v.device_count(), DeviceStatus::kUnreachable);
-  struct PendingToken {
-    std::size_t report_idx;
-    DeviceStatus on_match;
-  };
-  std::vector<DeviceStatus> verdict(reports.size());
-  std::vector<bool> has_verdict(reports.size(), false);
-  std::vector<PendingToken> pending;
-  std::vector<std::array<std::uint8_t, 4>> tick_bytes;
-  const auto le = [](std::uint32_t t) {
-    std::array<std::uint8_t, 4> b{};
-    store_u32le(b.data(), t);
-    return b;
-  };
-  for (std::size_t r = 0; r < reports.size(); ++r) {
-    const auto& report = reports[r];
-    if (report.id == 0 || report.id > v.device_count()) continue;
-    switch (report.status) {
-      case DeviceReportStatus::kEntryOk:
-        pending.push_back({r, DeviceStatus::kHealthy});
-        tick_bytes.push_back(le(chal));
-        break;
-      case DeviceReportStatus::kEntryLate:
-        if (report.tick >= chal) {
-          pending.push_back({r, DeviceStatus::kRebooted});
-          tick_bytes.push_back(le(report.tick));
-        } else {
-          verdict[r] = DeviceStatus::kUntrusted;
-          has_verdict[r] = true;
-        }
-        break;
-      case DeviceReportStatus::kEntryRebooted:
-        pending.push_back({r, DeviceStatus::kRebooted});
-        tick_bytes.push_back(le(chal));
-        break;
-      case DeviceReportStatus::kEntryUnreachable:
-        verdict[r] = DeviceStatus::kUnreachable;
-        has_verdict[r] = true;
-        break;
-    }
-  }
-  std::vector<crypto::VerifyJob> jobs(pending.size());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const auto& report = reports[pending[i].report_idx];
-    jobs[i] = {&v.device_mac(report.id), v.expected_content(report.id),
-               BytesView(tick_bytes[i].data(), 4), report.token};
-  }
-  std::vector<std::uint8_t> ok(jobs.size());
-  crypto::active_backend().verify_tokens_batch(jobs.data(), jobs.size(),
-                                               ok.data());
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    verdict[pending[i].report_idx] =
-        ok[i] ? pending[i].on_match : DeviceStatus::kUntrusted;
-    has_verdict[pending[i].report_idx] = true;
-  }
-  for (std::size_t r = 0; r < reports.size(); ++r) {
-    if (has_verdict[r]) out.status[reports[r].id - 1] = verdict[r];
-  }
-  for (net::NodeId id = 1; id <= v.device_count(); ++id) {
-    switch (out.status[id - 1]) {
-      case DeviceStatus::kHealthy: ++out.healthy; break;
-      case DeviceStatus::kUnreachable:
-        ++out.unreachable;
-        out.unreachable_ids.push_back(id);
-        break;
-      case DeviceStatus::kUntrusted:
-        ++out.untrusted;
-        out.untrusted_ids.push_back(id);
-        break;
-      case DeviceStatus::kRebooted:
-        ++out.rebooted;
-        out.rebooted_ids.push_back(id);
-        break;
-    }
-  }
-  return out;
 }
 
 /// One seeded report sequence under challenge `chal`.
@@ -155,9 +74,13 @@ std::vector<DeviceReport> random_reports(Rng& rng, const Verifier& v,
       case 0:
         rep.token = rng.next_bytes(token_size);  // forged
         break;
-      case 1:
-        rep.token = rng.next_bytes(rng.next_below(2 * token_size));
+      case 1: {
+        // Another device's valid token.
+        const auto other =
+            static_cast<net::NodeId>(1 + rng.next_below(kDevices));
+        rep.token = v.expected_token(other, rep.tick);
         break;
+      }
       case 2:
         // A valid token for the wrong challenge: a replay.
         rep.token = real ? v.expected_token(rep.id, chal + 7)
@@ -192,7 +115,9 @@ void expect_same(const Verifier::Classification& got,
 
 void check_splits_agree(crypto::HashAlg alg, std::uint64_t seed) {
   const Verifier v = make_verifier(alg);
-  Verifier::Appraisal appraisal(v);  // reused across every sequence
+  // Reused across every sequence.
+  Verifier::Appraisal appraisal(v, IdentifyFormat::kExtended);
+  const std::size_t entry = 9 + v.config().token_size();
   Rng rng(seed);
   std::uint32_t statuses_seen[4] = {};
   for (int s = 0; s < kSequences; ++s) {
@@ -200,6 +125,8 @@ void check_splits_agree(crypto::HashAlg alg, std::uint64_t seed) {
         "seed " + std::to_string(seed) + " sequence " + std::to_string(s);
     const auto chal = static_cast<std::uint32_t>(10 + rng.next_below(1000));
     const std::vector<DeviceReport> reports = random_reports(rng, v, chal);
+    const Bytes payload =
+        encode_identify_ex(reports, v.config().token_size());
 
     const Verifier::Classification want = reference_classify(v, reports, chal);
     expect_same(v.classify(reports, chal), want, where + " classify");
@@ -207,7 +134,7 @@ void check_splits_agree(crypto::HashAlg alg, std::uint64_t seed) {
     appraisal.begin(chal);
     for (std::size_t at = 0; at < reports.size();) {
       const std::size_t len = rng.next_below(reports.size() - at + 1);
-      appraisal.absorb(reports.data() + at, len);
+      appraisal.absorb(BytesView(payload).subspan(at * entry, len * entry));
       at += len;
     }
     expect_same(appraisal.finish(), want, where + " split");
@@ -226,24 +153,102 @@ TEST(Appraisal, AnySplitMatchesClassifyAndTheTwoPassOracle) {
   check_splits_agree(crypto::HashAlg::kSha256, 4);  // 32-byte tokens
 }
 
+TEST(Appraisal, ClassifyRefusesAWrongSizeToken) {
+  // classify() encodes its reports first, and the codec's writer takes
+  // only token_size-byte tokens.
+  const Verifier v = make_verifier();
+  const std::size_t ts = v.config().token_size();
+  const Bytes good = v.expected_token(1, 5);
+  for (const std::size_t size : {std::size_t{0}, ts - 1, ts + 1}) {
+    const std::vector<DeviceReport> reports = {{1, good},
+                                               {2, Bytes(size, 0x5a)}};
+    EXPECT_THROW((void)v.classify(reports, 5), std::invalid_argument)
+        << size;
+  }
+  EXPECT_EQ(v.classify({{1, good}}, 5).healthy, 1u);
+}
+
+TEST(Appraisal, MutatedEntryPayloadsAbsorbAsTheOracleOrNotAtAll) {
+  // Encoded sequences, mutated, straight into absorb() after a first
+  // payload: one the codec rejects leaves every status as that first
+  // payload left it; one it accepts gives the oracle's census of both
+  // payloads' entries as decode_identify_ex reads them.
+  const Verifier v = make_verifier();
+  const std::size_t ts = v.config().token_size();
+  const std::size_t entry = 9 + ts;
+  const std::uint32_t chal = 500;
+  Verifier::Appraisal appraisal(v, IdentifyFormat::kExtended);
+  Rng rng(77);
+  std::vector<Bytes> corpus;
+  for (int i = 0; i < 8; ++i) {
+    corpus.push_back(encode_identify_ex(random_reports(rng, v, chal), ts));
+  }
+  // The first entries' ids and ticks.
+  std::vector<std::size_t> fields;
+  for (std::size_t at = 0; at < 4 * entry; at += entry) {
+    fields.push_back(at);
+    fields.push_back(at + 5);
+  }
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    Rng mut(seed);
+    for (int it = 0; it < 400; ++it) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " iteration " + std::to_string(it);
+      const std::vector<DeviceReport> first = random_reports(mut, v, chal);
+      const Bytes payload = fuzz::mutate(
+          mut, corpus[mut.next_below(corpus.size())], corpus, fields);
+
+      appraisal.begin(chal);
+      appraisal.absorb(encode_identify_ex(first, ts));
+      const Verifier::Classification before = appraisal.finish();
+      appraisal.absorb(payload);
+      const auto decoded = decode_identify_ex(payload, ts);
+      EXPECT_EQ(decoded.has_value(),
+                IdentifyCodec(IdentifyFormat::kExtended, ts)
+                    .well_formed(payload))
+          << where;
+      if (!decoded.has_value()) {
+        ++rejected;
+        expect_same(appraisal.finish(), before, where + " rejected");
+        continue;
+      }
+      ++accepted;
+      std::vector<DeviceReport> both = first;
+      both.insert(both.end(), decoded->begin(), decoded->end());
+      expect_same(appraisal.finish(), reference_classify(v, both, chal),
+                  where + " accepted");
+    }
+  }
+  // The mutations reach both branches of the property.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
+}
+
 TEST(Appraisal, StaleLateEntryCostsNoCompression) {
   const Verifier v = make_verifier();
+  const std::size_t ts = v.config().token_size();
   const std::uint32_t chal = 40;
-  Verifier::Appraisal appraisal(v);
+  Verifier::Appraisal appraisal(v, IdentifyFormat::kExtended);
   appraisal.begin(chal);
 
   // A replayed pre-challenge token, valid at its own tick.
-  DeviceReport stale{3, v.expected_token(3, chal - 5),
-                     DeviceReportStatus::kEntryLate, chal - 5};
+  const Bytes stale = encode_identify_ex(
+      {{3, v.expected_token(3, chal - 5), DeviceReportStatus::kEntryLate,
+        chal - 5}},
+      ts);
   const std::uint64_t before = crypto::compression_calls_executed();
-  appraisal.absorb(&stale, 1);
+  appraisal.absorb(stale);
   EXPECT_EQ(crypto::compression_calls_executed() - before, 0u);
 
   // A late entry from after the challenge is the one that is computed.
-  DeviceReport later{4, v.expected_token(4, chal + 2),
-                     DeviceReportStatus::kEntryLate, chal + 2};
+  const Bytes later = encode_identify_ex(
+      {{4, v.expected_token(4, chal + 2), DeviceReportStatus::kEntryLate,
+        chal + 2}},
+      ts);
   const std::uint64_t mid = crypto::compression_calls_executed();
-  appraisal.absorb(&later, 1);
+  appraisal.absorb(later);
   EXPECT_GT(crypto::compression_calls_executed() - mid, 0u);
 
   const Verifier::Classification out = appraisal.finish();
@@ -254,7 +259,7 @@ TEST(Appraisal, StaleLateEntryCostsNoCompression) {
 
 TEST(Appraisal, BeginDoesTheWorkOfExpectedResult) {
   const Verifier v = make_verifier();
-  Verifier::Appraisal appraisal(v);
+  Verifier::Appraisal appraisal(v, IdentifyFormat::kExtended);
   (void)v.expected_result(1);  // derive and cache every device key first
   const std::uint64_t t0 = crypto::compression_calls_executed();
   const Bytes res_s = v.expected_result(77);
@@ -288,10 +293,10 @@ TEST(Appraisal, FirstBeginDerivesKeysLikeProvisioning) {
 
   const std::uint64_t t0 = crypto::compression_calls_executed();
   provisioned.provision(ids);
-  Verifier::Appraisal warm(provisioned);
+  Verifier::Appraisal warm(provisioned, IdentifyFormat::kExtended);
   warm.begin(chal);
   const std::uint64_t t1 = crypto::compression_calls_executed();
-  Verifier::Appraisal cold(fresh);
+  Verifier::Appraisal cold(fresh, IdentifyFormat::kExtended);
   cold.begin(chal);
   const std::uint64_t t2 = crypto::compression_calls_executed();
   EXPECT_LE(t2 - t1, t1 - t0);
@@ -307,7 +312,7 @@ TEST(Appraisal, FirstBeginDerivesKeysLikeProvisioning) {
     reports.push_back({id, provisioned.expected_token(id, chal),
                        DeviceReportStatus::kEntryOk, chal});
   }
-  cold.absorb(reports.data(), reports.size());
+  cold.absorb(encode_identify_ex(reports, fresh.config().token_size()));
   EXPECT_EQ(cold.finish().healthy, kMany);
 }
 

@@ -213,6 +213,30 @@ TEST(Heartbeat, MessagesToAStrayAddressAreDropped) {
   EXPECT_EQ(hb.forged_beats(), 0u);
 }
 
+TEST(Heartbeat, ReplayedBeatDoesNotMaskACapture) {
+  // Regression: the parent checked a beat's MAC but not its sequence
+  // number, so device 7's last beat, recorded before its capture and
+  // sent again to its parent, 3, refreshed 7's record and hid the
+  // capture.
+  auto hb = HeartbeatSimulation::balanced(fast_config(), 7);
+  Bytes beat_of_7;
+  hb.network().set_tamper_hook(
+      [&beat_of_7](const net::Message& m) -> net::TamperResult {
+        if (m.kind == 10 /*beat*/ && m.src == 7) beat_of_7 = m.payload;
+        return {};
+      });
+  hb.run_monitoring(sim::Duration::from_ms(200));
+  ASSERT_FALSE(beat_of_7.empty());
+  hb.capture_device(7);
+  hb.run_monitoring(sim::Duration::from_ms(800));
+  ASSERT_EQ(hb.tree().parent(7), 3u);
+  hb.network().send(7, 3, 10 /*beat*/, beat_of_7);
+  const auto report = hb.collect();
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report[0].device, 7u);
+  EXPECT_EQ(hb.forged_beats(), 1u);
+}
+
 TEST(Heartbeat, MonitoringCostIsLinearPerPeriod) {
   auto hb = HeartbeatSimulation::balanced(fast_config(), 50);
   hb.network().reset_accounting();

@@ -82,38 +82,44 @@ TEST(IdentifyCodec, RejectsMisalignedPayload) {
                std::invalid_argument);
 }
 
-TEST(IdentifyCodec, DecodeIntoUsedReportsOverwritesEveryField) {
-  // SAP's Vrf decodes each round's entries over the last round's reports,
-  // so every field of a reused report must come from the payload.
+TEST(IdentifyCodec, EntryReadsEveryFieldInPlace) {
+  // The appraisal, the journal and the daemon read entries where they
+  // lie: every field comes from the payload, and the token is a view
+  // into it.
   const IdentifyCodec extended(IdentifyFormat::kExtended, 20);
   const IdentifyCodec legacy(IdentifyFormat::kLegacy, 20);
-  std::vector<DeviceReport> reports = {
+  const std::vector<DeviceReport> reports = {
       {1, Bytes(20, 1), DeviceReportStatus::kEntryLate, 9},
       {2, Bytes(20, 2), DeviceReportStatus::kEntryRebooted, 8},
       {3, Bytes(20, 3), DeviceReportStatus::kEntryUnreachable, 0}};
-  std::vector<DeviceReport> out;
-  ASSERT_TRUE(extended.decode(extended.encode(reports), out));
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[1].status, DeviceReportStatus::kEntryRebooted);
-  EXPECT_EQ(out[1].tick, 8u);
-
-  const Bytes two = legacy.encode({{5, Bytes(20, 5)}, {6, Bytes(20, 6)}});
-  ASSERT_TRUE(legacy.decode(two, out));
-  ASSERT_EQ(out.size(), 2u);
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    EXPECT_EQ(out[i].id, 5 + i);
-    EXPECT_EQ(out[i].token, Bytes(20, static_cast<std::uint8_t>(5 + i)));
-    EXPECT_EQ(out[i].status, DeviceReportStatus::kEntryOk);
-    EXPECT_EQ(out[i].tick, 0u);
+  const Bytes payload = extended.encode(reports);
+  ASSERT_EQ(extended.entry_count(payload), 3u);
+  for (std::size_t i = 0; i < reports.size(); ++i) {
+    const IdentifyEntry e = extended.entry(payload, i);
+    EXPECT_EQ(e.id, reports[i].id);
+    EXPECT_EQ(e.status, reports[i].status);
+    EXPECT_EQ(e.tick, reports[i].tick);
+    EXPECT_EQ(Bytes(e.token.begin(), e.token.end()), reports[i].token);
+    EXPECT_EQ(e.token.data(), payload.data() + i * 29 + 9);
   }
 
-  // A payload the reader rejects leaves the reports as they were.
-  Bytes bad = extended.encode(reports);
-  bad[4] = 4;  // no status 4
-  EXPECT_FALSE(extended.decode(bad, out));
-  EXPECT_FALSE(extended.decode(Bytes(30, 0), out));
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].id, 5u);
+  const Bytes two = legacy.encode({{5, Bytes(20, 5)}, {6, Bytes(20, 6)}});
+  ASSERT_EQ(legacy.entry_count(two), 2u);
+  for (std::size_t i = 0; i < 2; ++i) {
+    const IdentifyEntry e = legacy.entry(two, i);
+    EXPECT_EQ(e.id, 5 + i);
+    EXPECT_EQ(Bytes(e.token.begin(), e.token.end()),
+              Bytes(20, static_cast<std::uint8_t>(5 + i)));
+    EXPECT_EQ(e.status, DeviceReportStatus::kEntryOk);
+    EXPECT_EQ(e.tick, 0u);
+  }
+
+  // The reader's rule decides what reaches entry(): no status 4.
+  Bytes bad = payload;
+  bad[4] = 4;
+  EXPECT_FALSE(extended.well_formed(bad));
+  EXPECT_FALSE(extended.decode(bad).has_value());
+  EXPECT_FALSE(extended.well_formed(Bytes(30, 0)));
 }
 
 TEST(CountCodec, RoundTrip) {

@@ -109,11 +109,11 @@ std::vector<net::NodeId> last_entry_bad(
   return bad;
 }
 
-/// The simulator's identify verdict on `reports`: open the appraisal,
-/// sweep the ids in two parts into its table, absorb, finish.
+/// The simulator's identify verdict on a legacy payload: open the
+/// appraisal, sweep the ids in two parts into its table, absorb, finish.
 Verifier::Classification appraise(const Verifier& v,
                                   Verifier::Appraisal& appraisal,
-                                  const std::vector<DeviceReport>& reports) {
+                                  BytesView payload) {
   std::vector<net::NodeId> low;
   std::vector<net::NodeId> high;
   for (net::NodeId id = 1; id <= kDevices; ++id) {
@@ -123,7 +123,7 @@ Verifier::Classification appraise(const Verifier& v,
   Bytes share(kTok, 0);
   v.sweep(high, kTick, share, appraisal.table());
   v.sweep(low, kTick, share, appraisal.table());
-  appraisal.absorb(reports.data(), reports.size());
+  appraisal.absorb(payload);
   return appraisal.finish();
 }
 
@@ -191,7 +191,7 @@ TEST(SapMessagesFuzz, EncodersRoundTrip) {
 
 TEST(SapMessagesFuzz, MutatedIdentifyReportsAppraiseAsTheLegacyRule) {
   const Verifier v = make_verifier();
-  Verifier::Appraisal appraisal(v);
+  Verifier::Appraisal appraisal(v, IdentifyFormat::kLegacy);
   std::vector<Bytes> corpus;
   for (const auto& list : identify_lists(v)) {
     corpus.push_back(encode_identify(list, kTok));
@@ -218,7 +218,7 @@ TEST(SapMessagesFuzz, MutatedIdentifyReportsAppraiseAsTheLegacyRule) {
       EXPECT_EQ(encode_identify(*reports, kTok), payload) << at;
       const LegacyOutcome legacy = legacy_identify(v, *reports, kTick);
       const Verifier::Classification census =
-          appraise(v, appraisal, *reports);
+          appraise(v, appraisal, payload);
       EXPECT_EQ(census.untrusted_ids, last_entry_bad(*reports, legacy)) << at;
       EXPECT_EQ(census.unreachable_ids, legacy.missing) << at;
       EXPECT_EQ(census.rebooted, 0u) << at;

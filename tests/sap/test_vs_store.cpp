@@ -3,8 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
+#include <limits>
+#include <optional>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
+#include "../common/fuzz_mutate.hpp"
+#include "common/rng.hpp"
 #include "sap/swarm.hpp"
 
 namespace cra::sap {
@@ -50,27 +57,103 @@ TEST(VsStore, RestartedVerifierStillVerifiesTheFleet) {
 }
 
 TEST(VsStore, RejectsMalformedDumps) {
-  EXPECT_THROW(vs_from_string("garbage", crypto::HashAlg::kSha1),
+  EXPECT_THROW(vs_from_string("garbage", crypto::HashAlg::kSha1, 1),
                std::invalid_argument);
   EXPECT_THROW(vs_from_string("cra-vs 2\nalg sha1\ndevices 1\n",
-                              crypto::HashAlg::kSha1),
+                              crypto::HashAlg::kSha1, 1),
                std::invalid_argument);
   EXPECT_THROW(
       vs_from_string("cra-vs 1\nalg sha256\ndevices 1\ncfg 1 aa\n",
-                     crypto::HashAlg::kSha1),  // alg mismatch
+                     crypto::HashAlg::kSha1, 1),  // alg mismatch
       std::invalid_argument);
   EXPECT_THROW(
       vs_from_string("cra-vs 1\nalg sha1\ndevices 2\ncfg 1 aa\ncfg 1 bb\n",
-                     crypto::HashAlg::kSha1),  // duplicate id
+                     crypto::HashAlg::kSha1, 2),  // duplicate id
       std::invalid_argument);
   EXPECT_THROW(
       vs_from_string("cra-vs 1\nalg sha1\ndevices 1\ncfg 9 aa\n",
-                     crypto::HashAlg::kSha1),  // id out of range
+                     crypto::HashAlg::kSha1, 1),  // id out of range
       std::invalid_argument);
   EXPECT_THROW(
       vs_from_string("cra-vs 1\nalg sha1\ndevices 1\ncfg 1 aa\n",
                      crypto::HashAlg::kSha1, /*expect_devices=*/7),
       std::invalid_argument);
+  // A header count the caller did not ask for is refused before it
+  // sizes anything: this one would ask for about 100 GB.
+  EXPECT_THROW(
+      vs_from_string("cra-vs 1\nalg sha1\ndevices 4294967295\ncfg 1 aa\n",
+                     crypto::HashAlg::kSha1, 1),
+      std::invalid_argument);
+}
+
+/// The contents of a parse, or nullopt when vs_from_string refuses it.
+std::optional<std::vector<Bytes>> try_parse(const std::string& text,
+                                            std::uint32_t devices) {
+  try {
+    return vs_from_string(text, crypto::HashAlg::kSha1, devices);
+  } catch (const std::invalid_argument&) {
+    return std::nullopt;
+  }
+}
+
+TEST(VsStore, MutatedDumpsParseCanonicallyOrNotAtAll) {
+  // Seeded mutations of vs_to_string dumps: bit flips, truncations,
+  // splices, and header counts edited up to 2^32 - 1, which the
+  // expected count refuses before any allocation. Under ASan (the
+  // sanitize CI job) an over-read fails the run. A dump that parses,
+  // loaded into a verifier and dumped again, parses to the same
+  // contents.
+  const std::uint32_t sizes[] = {1, 5, 12};
+  Rng rng(2026);
+  std::vector<std::string> dumps;
+  std::vector<Bytes> corpus;
+  for (const std::uint32_t n : sizes) {
+    Verifier v(SapConfig{}, n, to_bytes("vs-fuzz-master"));
+    for (net::NodeId id = 1; id <= n; ++id) {
+      v.set_expected_content(id, rng.next_bytes(1 + rng.next_below(40)));
+    }
+    dumps.push_back(vs_to_string(v));
+    corpus.push_back(to_bytes(dumps.back()));
+  }
+  const char* const counts[] = {"0",          "1",          "4",
+                                "13",         "4294967295", "4294967296",
+                                "-1",         "99999999999"};
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    Rng mut(seed);
+    for (int it = 0; it < 1000; ++it) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " iteration " + std::to_string(it);
+      const std::size_t pick = mut.next_below(std::size(sizes));
+      const std::uint32_t n = sizes[pick];
+      std::string text;
+      if (mut.next_below(4) == 0) {
+        text = dumps[pick];
+        const std::size_t at = text.find("devices ") + 8;
+        text.replace(at, text.find('\n', at) - at,
+                     counts[mut.next_below(std::size(counts))]);
+      } else {
+        const Bytes b = fuzz::mutate(mut, corpus[pick], corpus, {});
+        text.assign(b.begin(), b.end());
+      }
+      const auto contents = try_parse(text, n);
+      if (!contents.has_value()) {
+        ++rejected;
+        continue;
+      }
+      ++accepted;
+      ASSERT_EQ(contents->size(), n) << where;
+      Verifier v(SapConfig{}, n, to_bytes("vs-fuzz-master"));
+      for (net::NodeId id = 1; id <= n; ++id) {
+        v.set_expected_content(id, (*contents)[id - 1]);
+      }
+      EXPECT_EQ(try_parse(vs_to_string(v), n), contents) << where;
+    }
+  }
+  // The mutations reach both branches of the property.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 100u);
 }
 
 TEST(VsStore, FileErrorsSurface) {

@@ -1,22 +1,24 @@
 // Seeded-mutation fuzzing of the wire's inbound decoders: the verifier
 // daemon's, then the agent's.
 //
-// A datagram reaches the daemon's round through decode_frame, then
-// decode_identify_ex (kTokens) or decode_hello (kHello), then
-// VerifierState::accept_reports and the round's Appraisal — the path
-// handle_tokens and handle_hello take. The seed corpus holds an agent's
-// token frames, a frame of hand-built entries (late at older, equal and
-// later ticks, rebooted, unreachable, ids 0 and N+1), hello frames in
-// both forms, and a token frame one entry past the encoder's size cap;
-// fuzz::mutate (tests/common/fuzz_mutate.hpp) edits them with fixed
-// seeds. Under ASan (the sanitize CI job) an over-read fails the run.
+// A datagram reaches the daemon's round through decode_frame, then the
+// identify codec's well_formed (kTokens) or decode_hello (kHello), then
+// VerifierState::accept_reports and the round's Appraisal of the
+// appended entries — the path handle_tokens and handle_hello take. The
+// seed corpus holds an agent's token frames, a frame of hand-built
+// entries (late at older, equal and later ticks, rebooted, unreachable,
+// ids 0 and N+1), hello frames in both forms, and a token frame one
+// entry past the encoder's size cap; fuzz::mutate
+// (tests/common/fuzz_mutate.hpp) edits them with fixed seeds. Under
+// ASan (the sanitize CI job) an over-read fails the run.
 // Properties:
 //   * a datagram or payload that decodes re-encodes to its own bytes,
 //     so decode(encode(x)) == x;
 //   * only ids in [1, N] are accepted, each once, and no other device
 //     gets a verdict;
 //   * absorbing each frame's accepted entries on arrival gives the
-//     Classification that classify() gives on all of them.
+//     Classification that the reference oracle (reference_classify.hpp)
+//     gives on all of them, decoded.
 //
 // A chal frame reaches the agent's answer through decode_frame, then
 // decode_chal, decode_want_ranges and AgentCore::token_payloads, the
@@ -35,6 +37,7 @@
 #include <vector>
 
 #include "../common/fuzz_mutate.hpp"
+#include "../sap/reference_classify.hpp"
 #include "common/rng.hpp"
 #include "sap/messages.hpp"
 #include "sap/verifier.hpp"
@@ -177,14 +180,15 @@ std::size_t deliver(const Bytes& datagram, VerifierState& st,
   const Bytes payload(frame->payload.begin(), frame->payload.end());
   switch (frame->header.kind) {
     case FrameKind::kTokens: {
-      auto reports = sap::decode_identify_ex(payload, kTok);
+      const auto reports = sap::decode_identify_ex(payload, kTok);
+      EXPECT_EQ(reports.has_value(),
+                VerifierState::report_codec(kTok).well_formed(payload))
+          << at;
       if (!reports.has_value()) return 0;
       EXPECT_EQ(sap::encode_identify_ex(*reports, kTok), payload) << at;
       if (frame->header.tick != st.tick) return 0;  // a stale frame
-      const std::size_t added =
-          st.accept_reports(st.tick, reports->data(), reports->size());
-      appraisal.absorb(st.reports.data() + (st.reports.size() - added),
-                       added);
+      const std::size_t added = st.accept_reports(st.tick, payload, kTok);
+      appraisal.absorb(BytesView(st.reports).last(added * (9 + kTok)));
       return added;
     }
     case FrameKind::kHello: {
@@ -216,7 +220,7 @@ TEST(FrameFuzz, MutatedFramesDecodeCanonicallyAndAppraiseAsClassify) {
               i + 1 < corpus.frames.size())
         << "seed frame " << i;
   }
-  sap::Verifier::Appraisal appraisal(v);
+  sap::Verifier::Appraisal appraisal(v, sap::IdentifyFormat::kExtended);
   std::size_t accepted = 0;
   std::uint32_t verdicts_seen[4] = {};
   for (const std::uint64_t seed : kSeeds) {
@@ -236,8 +240,10 @@ TEST(FrameFuzz, MutatedFramesDecodeCanonicallyAndAppraiseAsClassify) {
                             st, appraisal, at);
       }
 
+      const auto reports = sap::decode_identify_ex(st.reports, kTok);
+      ASSERT_TRUE(reports.has_value()) << at;
       std::vector<bool> heard(kDevices + 1, false);
-      for (const sap::DeviceReport& rep : st.reports) {
+      for (const sap::DeviceReport& rep : *reports) {
         ASSERT_GE(rep.id, 1u) << at;
         ASSERT_LE(rep.id, kDevices) << at;
         EXPECT_FALSE(heard[rep.id]) << at << " id " << rep.id;
@@ -254,7 +260,7 @@ TEST(FrameFuzz, MutatedFramesDecodeCanonicallyAndAppraiseAsClassify) {
         }
         ++verdicts_seen[static_cast<int>(got.status[id - 1])];
       }
-      expect_same(got, v.classify(st.reports, kTick), at);
+      expect_same(got, sap::reference_classify(v, *reports, kTick), at);
     }
   }
   // The mutations must leave the decoders real work, not only rejections.

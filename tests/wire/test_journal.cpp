@@ -237,7 +237,7 @@ TEST_F(JournalTest, VerifierStateEncodeDecodeDigest) {
   EXPECT_TRUE(st.round_open);
   EXPECT_EQ(st.repoll_attempt, 1u);
   EXPECT_EQ(st.agents.size(), 2u);
-  EXPECT_EQ(st.reports.size(), 5u);
+  EXPECT_EQ(st.report_count(kTok), 5u);
 
   const Bytes enc = st.encode(kTok);
   const auto back = VerifierState::decode(enc, kTok);
@@ -260,7 +260,7 @@ TEST_F(JournalTest, SnapshotWhoseBitmapDisagreesWithItsReportsIsRejected) {
   // re-polled and would close the round unreachable.
   const VerifierState st = replay_stream(sample_stream());
   ASSERT_TRUE(st.round_open);
-  ASSERT_EQ(st.reports.size(), 5u);  // ids 1..5 of 8
+  ASSERT_EQ(st.report_count(kTok), 5u);  // ids 1..5 of 8
   const Bytes enc = st.encode(kTok);
   ASSERT_TRUE(VerifierState::decode(enc, kTok).has_value());
 
@@ -301,7 +301,7 @@ TEST_F(JournalTest, ReportWithUndefinedStatusIsRejected) {
   EXPECT_EQ(st.have[0], 0);  // the whole record, as a frame
   EXPECT_EQ(st.have[1], 0);
   st.apply(VerifierState::kReports, ok, kTok);
-  EXPECT_EQ(st.reports.size(), 2u);
+  EXPECT_EQ(st.report_count(kTok), 2u);
   EXPECT_EQ(st.have[1], 1);
 
   // The snapshot of that state, with device 2's entry edited to 7.
@@ -347,12 +347,14 @@ TEST_F(JournalTest, ReportRecordAndSnapshotBytesAreKnownAnswers) {
   ASSERT_TRUE(st.start_round(4));
   st.apply(VerifierState::kReports, from_hex(record_hex), kTok);
   st.note_repoll(4, 2);
-  ASSERT_EQ(st.reports.size(), reps.size());
+  const auto accepted = sap::decode_identify_ex(st.reports, kTok);
+  ASSERT_TRUE(accepted.has_value());
+  ASSERT_EQ(accepted->size(), reps.size());
   for (std::size_t i = 0; i < reps.size(); ++i) {
-    EXPECT_EQ(st.reports[i].id, reps[i].id) << i;
-    EXPECT_EQ(st.reports[i].status, reps[i].status) << i;
-    EXPECT_EQ(st.reports[i].tick, reps[i].tick) << i;
-    EXPECT_EQ(st.reports[i].token, reps[i].token) << i;
+    EXPECT_EQ((*accepted)[i].id, reps[i].id) << i;
+    EXPECT_EQ((*accepted)[i].status, reps[i].status) << i;
+    EXPECT_EQ((*accepted)[i].tick, reps[i].tick) << i;
+    EXPECT_EQ((*accepted)[i].token, reps[i].token) << i;
   }
   const Bytes snapshot = st.encode(kTok);
   EXPECT_EQ(to_hex(snapshot), snapshot_hex);
@@ -363,14 +365,16 @@ TEST_F(JournalTest, ReportRecordAndSnapshotBytesAreKnownAnswers) {
   EXPECT_EQ(back->digest(kTok), st.digest(kTok));
   EXPECT_EQ(back->have, st.have);
   EXPECT_EQ(back->repoll_attempt, 2u);
-  ASSERT_EQ(back->reports.size(), reps.size());
+  const auto sorted = sap::decode_identify_ex(back->reports, kTok);
+  ASSERT_TRUE(sorted.has_value());
+  ASSERT_EQ(sorted->size(), reps.size());
   const std::size_t by_id[] = {1, 3, 0, 2};  // ids 2, 3, 5, 6
   for (std::size_t i = 0; i < reps.size(); ++i) {
     const sap::DeviceReport& want = reps[by_id[i]];
-    EXPECT_EQ(back->reports[i].id, want.id) << i;
-    EXPECT_EQ(back->reports[i].status, want.status) << i;
-    EXPECT_EQ(back->reports[i].tick, want.tick) << i;
-    EXPECT_EQ(back->reports[i].token, want.token) << i;
+    EXPECT_EQ((*sorted)[i].id, want.id) << i;
+    EXPECT_EQ((*sorted)[i].status, want.status) << i;
+    EXPECT_EQ((*sorted)[i].tick, want.tick) << i;
+    EXPECT_EQ((*sorted)[i].token, want.token) << i;
   }
 }
 
