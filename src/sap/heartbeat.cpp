@@ -1,6 +1,7 @@
 #include "sap/heartbeat.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "crypto/chacha20.hpp"
 #include "crypto/ct.hpp"
@@ -23,7 +24,7 @@ HeartbeatSimulation::HeartbeatSimulation(HeartbeatConfig config,
       tree_(std::move(tree)),
       rt_(tree_, sim::SimConfig{}, config.link,
           [this](const net::Message& m) { on_message(m); }, {}),
-      devices_(tree_.device_count()),
+      devices_(tree_.device_count() + 1),
       last_seen_(tree_.device_count() + 1, rt_.now()) {  // alive at start
   Bytes master = crypto::SecureRandom(seed ^ 0x6265'6174'6b65'79ULL).bytes(32);
   const crypto::Hkdf kdf(master);
@@ -55,8 +56,11 @@ bool HeartbeatSimulation::is_captured(net::NodeId id) const {
 
 void HeartbeatSimulation::schedule_beat(net::NodeId id) {
   rt_.sched(id).schedule_after(config_.period, [this, id] {
-    if (rt_.sched(id).now() > monitor_until_) return;  // monitoring window over
     Dev& d = dev(id);
+    if (rt_.sched(id).now() > monitor_until_) {  // monitoring window over
+      d.beating = false;
+      return;
+    }
     if (!d.captured) {
       Bytes beat;
       append_u32le(beat, id);
@@ -73,7 +77,10 @@ void HeartbeatSimulation::schedule_beat(net::NodeId id) {
 
 void HeartbeatSimulation::run_monitoring(sim::Duration duration) {
   monitor_until_ = rt_.now() + duration;
+  // A chain still pending from the last call carries on in phase.
   for (net::NodeId id = 1; id <= device_count(); ++id) {
+    if (dev(id).beating) continue;
+    dev(id).beating = true;
     schedule_beat(id);
   }
   rt_.run_until(monitor_until_);
@@ -99,7 +106,7 @@ void HeartbeatSimulation::on_message(const net::Message& msg) {
 void HeartbeatSimulation::handle_beat(net::NodeId parent,
                                       const net::Message& msg) {
   // A captured relay drops everything passing through it.
-  if (parent != 0 && dev(parent).captured) return;
+  if (dev(parent).captured) return;
   if (msg.payload.size() != config_.beat_size()) return;
   const std::uint32_t child = read_u32le(msg.payload, 0);
   if (child == 0 || child > device_count()) return;
@@ -124,16 +131,6 @@ void HeartbeatSimulation::handle_beat(net::NodeId parent,
   last_seen_[child] = rt_.sched(parent).now();
 }
 
-void HeartbeatSimulation::absence_entries(net::NodeId id,
-                                          std::vector<AbsenceReport>* out) {
-  for (net::NodeId child : tree_.children(id)) {
-    const sim::Duration gap = rt_.sched(id).now() - last_seen_[child];
-    if (gap > config_.absence_threshold) {
-      out->push_back({child, gap});
-    }
-  }
-}
-
 Bytes HeartbeatSimulation::encode_log(
     const std::vector<AbsenceReport>& entries) const {
   Bytes out;
@@ -145,16 +142,15 @@ Bytes HeartbeatSimulation::encode_log(
   return out;
 }
 
-bool HeartbeatSimulation::decode_log(BytesView payload,
+void HeartbeatSimulation::decode_log(BytesView payload,
                                      std::vector<AbsenceReport>* out) const {
-  if (payload.size() % 8 != 0) return false;
+  if (payload.size() % 8 != 0) return;  // malformed: adds nothing
   for (std::size_t off = 0; off < payload.size(); off += 8) {
     AbsenceReport e;
     e.device = read_u32le(payload, off);
     e.gap = sim::Duration::from_ms(read_u32le(payload, off + 4));
     out->push_back(e);
   }
-  return true;
 }
 
 void HeartbeatSimulation::handle_collect(net::NodeId id) {
@@ -163,37 +159,25 @@ void HeartbeatSimulation::handle_collect(net::NodeId id) {
   d.collecting = true;
   d.gathered.clear();
   d.waiting = 0;
+  // A child silent past the threshold is reported here: captured (or
+  // silent), it cannot answer the sweep, so it is not asked. Every other
+  // child is asked once and waited for once.
   for (net::NodeId child : tree_.children(id)) {
-    rt_.net_of(id).send(id, child, kCollectMsg, Bytes{});
-    ++d.waiting;
-  }
-  absence_entries(id, &d.gathered);
-  // A captured (or silent) child cannot answer the collect sweep; its
-  // own gap entry above covers it. Wait only for children that are
-  // *not* already flagged absent.
-  for (const AbsenceReport& e : d.gathered) {
-    if (d.waiting > 0) --d.waiting;
-    (void)e;
+    const sim::Duration gap = rt_.sched(id).now() - last_seen_[child];
+    if (gap > config_.absence_threshold) {
+      d.gathered.push_back({child, gap});
+    } else {
+      rt_.net_of(id).send(id, child, kCollectMsg, Bytes{});
+      ++d.waiting;
+    }
   }
   if (d.waiting == 0) forward_log(id);
 }
 
 void HeartbeatSimulation::handle_log(net::NodeId id, const net::Message& msg) {
-  if (id == 0) {
-    std::vector<AbsenceReport> entries;
-    if (decode_log(msg.payload, &entries)) {
-      root_gathered_.insert(root_gathered_.end(), entries.begin(),
-                            entries.end());
-    }
-    if (root_waiting_ > 0) --root_waiting_;
-    return;
-  }
   Dev& d = dev(id);
   if (!d.collecting || d.captured) return;
-  std::vector<AbsenceReport> entries;
-  if (decode_log(msg.payload, &entries)) {
-    d.gathered.insert(d.gathered.end(), entries.begin(), entries.end());
-  }
+  decode_log(msg.payload, &d.gathered);
   if (d.waiting > 0) --d.waiting;
   if (d.waiting == 0) forward_log(id);
 }
@@ -201,33 +185,25 @@ void HeartbeatSimulation::handle_log(net::NodeId id, const net::Message& msg) {
 void HeartbeatSimulation::forward_log(net::NodeId id) {
   Dev& d = dev(id);
   d.collecting = false;
+  if (id == 0) return;  // Vrf keeps the sweep's log
   rt_.net_of(id).send(id, tree_.parent(id), kLogMsg, encode_log(d.gathered));
 }
 
 std::vector<AbsenceReport> HeartbeatSimulation::collect() {
   // The sweep's instruments add to the monitoring plane's.
   const auto window = rt_.open_window();
-  root_gathered_.clear();
-  root_waiting_ = 0;
-
-  // Vrf-side absence view of its direct children.
-  std::vector<AbsenceReport> vrf_entries;
-  for (net::NodeId child : tree_.children(0)) {
-    const sim::Duration gap = rt_.now() - last_seen_[child];
-    if (gap > config_.absence_threshold) {
-      root_gathered_.push_back({child, gap});
-    } else {
-      rt_.net_of(0).send(0, child, kCollectMsg, Bytes{});
-      ++root_waiting_;
-    }
-  }
+  // A sweep left waiting on a child captured after its last beat holds
+  // nobody: every node starts this one afresh.
+  for (Dev& d : devices_) d.collecting = false;
+  handle_collect(0);
   rt_.run_window();  // the sweep drains (tree depth x small messages)
 
-  std::sort(root_gathered_.begin(), root_gathered_.end(),
+  std::vector<AbsenceReport> report = std::move(dev(0).gathered);
+  std::sort(report.begin(), report.end(),
             [](const AbsenceReport& a, const AbsenceReport& b) {
               return a.device < b.device;
             });
-  return root_gathered_;
+  return report;
 }
 
 }  // namespace cra::sap

@@ -81,12 +81,15 @@ class HeartbeatSimulation {
   void release_device(net::NodeId id);
   bool is_captured(net::NodeId id) const;
 
-  /// Run the monitoring plane for `duration` of simulated time.
+  /// Run the monitoring plane for `duration` of simulated time. A call
+  /// right after another continues its beats, so slicing a span into
+  /// several calls sends the beats one call would.
   void run_monitoring(sim::Duration duration);
 
   /// Collection sweep: flood a request down, aggregate per-parent
-  /// absence logs up. Returns every device whose observed gap exceeded
-  /// the threshold at sweep time, sorted by id.
+  /// absence logs up, with Vrf as node 0 of the sweep. Returns every
+  /// device whose observed gap exceeded the threshold at sweep time,
+  /// sorted by id.
   std::vector<AbsenceReport> collect();
 
   /// Heartbeats rejected as forgeries: a bad MAC, or a replay whose
@@ -94,47 +97,45 @@ class HeartbeatSimulation {
   std::uint64_t forged_beats() const noexcept { return forged_; }
 
  private:
+  // One node's state, device or Vrf (node 0, which only collects).
   struct Dev {
     // Midstate cache over the pairwise key with the parent; beats are
     // emitted every period per device, so the cached pads pay off
     // immediately.
     crypto::PrecomputedMac beat_mac;
     bool captured = false;
+    // A beat is pending: run_monitoring() starts no second chain.
+    bool beating = false;
     std::uint32_t seq = 0;
     // Parent-side: the highest beat sequence number the parent accepted
     // from this device; a beat at or below it is a replay.
     std::uint32_t heard_seq = 0;
-    // Collection state.
+    // Collection state: `waiting` counts the children asked for a log.
     bool collecting = false;
     std::uint32_t waiting = 0;
     std::vector<AbsenceReport> gathered;
   };
 
-  Dev& dev(net::NodeId id) { return devices_[id - 1]; }
-  const Dev& dev(net::NodeId id) const { return devices_[id - 1]; }
+  Dev& dev(net::NodeId id) { return devices_[id]; }
+  const Dev& dev(net::NodeId id) const { return devices_[id]; }
 
   void schedule_beat(net::NodeId id);
   void on_message(const net::Message& msg);
   void handle_beat(net::NodeId parent, const net::Message& msg);
   void handle_collect(net::NodeId id);
   void handle_log(net::NodeId id, const net::Message& msg);
-  void absence_entries(net::NodeId id, std::vector<AbsenceReport>* out);
   void forward_log(net::NodeId id);
   Bytes encode_log(const std::vector<AbsenceReport>& entries) const;
-  bool decode_log(BytesView payload,
+  void decode_log(BytesView payload,
                   std::vector<AbsenceReport>* out) const;
 
   HeartbeatConfig config_;
   net::Tree tree_;
   swarm::SwarmRuntime rt_;  // one shard
-  std::vector<Dev> devices_;
+  std::vector<Dev> devices_;  // by node id; 0 is Vrf
   std::vector<sim::SimTime> last_seen_;  // indexed by child id
   std::uint64_t forged_ = 0;
   sim::SimTime monitor_until_;
-
-  // Collection bookkeeping (one sweep at a time: the runtime's window).
-  std::uint32_t root_waiting_ = 0;
-  std::vector<AbsenceReport> root_gathered_;
 };
 
 }  // namespace cra::sap

@@ -49,13 +49,24 @@ std::vector<Bytes> vs_from_string(const std::string& text,
     throw std::invalid_argument("vs_from_string: device count mismatch");
   }
 
+  // Each cfg line is one unit, `cfg <id> <hex>`, whose hex is empty for
+  // content that was never set.
+  std::string line, extra;
+  std::getline(is, line);  // the rest of the devices line
+  if (std::istringstream(line) >> extra) {
+    throw std::invalid_argument("vs_from_string: malformed device count");
+  }
   std::vector<Bytes> contents(devices);
   std::vector<bool> seen(devices + 1, false);
   for (std::uint32_t i = 0; i < devices; ++i) {
+    if (!std::getline(is, line)) {
+      throw std::invalid_argument("vs_from_string: missing cfg line");
+    }
+    std::istringstream fields(line);
     std::uint32_t id = 0;
     std::string hex;
-    if (!(is >> key >> id >> hex) || key != "cfg" || id == 0 ||
-        id > devices) {
+    if (!(fields >> key >> id) || key != "cfg" || id == 0 || id > devices ||
+        ((fields >> hex) && (fields >> extra))) {
       throw std::invalid_argument("vs_from_string: malformed cfg line");
     }
     if (seen[id]) {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "crypto/backend.hpp"
 #include "crypto/chacha20.hpp"
 #include "obs/trace.hpp"
 #include "crypto/ct.hpp"
@@ -62,15 +61,13 @@ SedaSimulation::SedaSimulation(const obs::Span& /*setup*/, SedaConfig config,
   vrf.static_pk = crypto::x25519_base(vrf.static_sk);
   // Provisioning-time pre-shared keys for the (parent(id), id) edge, on
   // the worker of id's shard; run_join() replaces them with X25519-agreed
-  // ones. Both halves start equal, so the device copies the parent-side
-  // midstates.
+  // ones. Both halves start equal, so one table serves both ends.
   rt_.for_each_shard([&](std::uint32_t s) {
     obs::Span span("seda.provision");
     master_.device_keys(rt_.entities_of(s, 1),
                         crypto::digest_size(config_.alg), "seda-edge-key",
                         [this](net::NodeId id, BytesView key) {
                           mac_at_parent_[id].init(config_.alg, key);
-                          dev(id).mac_to_parent = mac_at_parent_[id];
                         });
   });
 }
@@ -177,11 +174,13 @@ Bytes SedaSimulation::report_payload(net::NodeId id, std::uint32_t total,
                                      std::uint32_t passed) const {
   // MACed with the CHILD's half of the uplink key: only if join derived
   // the same secret on both ends does the parent accept.
+  const crypto::PrecomputedMac& key =
+      mac_at_child_.empty() ? mac_at_parent_[id] : mac_at_child_[id];
   Bytes body;
   append_u32le(body, total);
   append_u32le(body, passed);
   crypto::MacBuf mac;
-  devices_[id].mac_to_parent.mac_into(body, round_nonce_, mac);
+  key.mac_into(body, round_nonce_, mac);
   body.insert(body.end(), mac.bytes.begin(),
               mac.bytes.begin() + config_.report_mac_size);
   return body;
@@ -190,6 +189,8 @@ Bytes SedaSimulation::report_payload(net::NodeId id, std::uint32_t total,
 SedaJoinReport SedaSimulation::run_join() {
   obs::Span join_span("seda.join");
   const auto window = rt_.begin_window();
+  // Each end agrees its own half from here on.
+  if (mac_at_child_.empty()) mac_at_child_ = mac_at_parent_;
   join_acks_done_ = 0;
   const sim::SimTime start = current_time();
   // Vrf invites its children, carrying its public key; invites cascade.
@@ -217,8 +218,9 @@ SedaJoinReport SedaSimulation::run_join() {
 void SedaSimulation::corrupt_join_key(net::NodeId child) {
   // The parent's half becomes a fixed all-zero key, which the child's
   // half (derived by HKDF) does not match.
-  mac_at_parent_.at(child).init(config_.alg,
-                                Bytes(crypto::digest_size(config_.alg), 0));
+  crypto::PrecomputedMac& parent_half = mac_at_parent_.at(child);
+  if (mac_at_child_.empty()) mac_at_child_ = mac_at_parent_;
+  parent_half.init(config_.alg, Bytes(crypto::digest_size(config_.alg), 0));
 }
 
 void SedaSimulation::handle_join_invite(net::NodeId id,
@@ -238,7 +240,7 @@ void SedaSimulation::handle_join_invite(net::NodeId id,
       sim::cycles_to_time(config_.dh_cycles, config_.device_hz);
   rt_.sched(id).schedule_after(dh, [this, id] {
     Dev& dd = dev(id);
-    init_pairwise_mac(dd.mac_to_parent, config_.alg,
+    init_pairwise_mac(mac_at_child_[id], config_.alg,
                       crypto::x25519(dd.static_sk, dd.parent_pk));
     dd.joined = true;
     // Ack upward with our public key so the parent can derive its half.
@@ -284,7 +286,6 @@ SedaRoundReport SedaSimulation::run_round() {
       d.total = 0;
       d.passed = 0;
       d.got_children.clear();
-      d.pending.clear();
       d.deadline = sim::EventHandle();
     }
   });
@@ -418,84 +419,49 @@ void SedaSimulation::handle_report(net::NodeId id, const net::Message& msg) {
     return;  // the child is counted already
   }
   // Hop-by-hop verification: the parent authenticates every child report
-  // with the pairwise key before aggregating. The MAC check costs
-  // simulated CPU time per report; the host-side computation is queued
-  // so overlapping checks at one parent resolve as a single backend
-  // batch when the first one completes (SEDA aggregation hot path). A
-  // child is counted only once one of its reports passes, so a forged
-  // report from its address cannot take its place.
-  d.pending.push_back({child, Bytes(msg.payload.begin(), msg.payload.end()),
-                       /*checked=*/false, /*ok=*/false});
+  // with the pairwise key before aggregating, in the report's own event
+  // once its modelled MAC time has run. A child is counted only once one
+  // of its reports passes, so a forged report from its address cannot
+  // take its place.
   if (id == 0) {
     // Vrf is not a constrained device: it checks the report at once.
-    finish_report_check(id, child);
+    check_report(id, child, msg.payload);
     return;
   }
   const sim::Duration verify =
       mac_time(config_, config_.report_size() + config_.nonce_size);
   rt_.sched(id).schedule_after(
-      verify, [this, id, child] { finish_report_check(id, child); });
+      verify, [this, id, child, payload = msg.payload] {
+        check_report(id, child, payload);
+      });
 }
 
-void SedaSimulation::verify_pending_batch(net::NodeId id) {
+void SedaSimulation::check_report(net::NodeId id, net::NodeId child,
+                                  BytesView payload) {
   Dev& d = dev(id);
-  // Wrong-sized payloads fail without a MAC computation (zero
-  // compressions).
-  std::vector<Dev::PendingReport*> todo;
-  todo.reserve(d.pending.size());
-  for (auto& p : d.pending) {
-    if (p.checked) continue;
-    if (p.payload.size() != config_.report_size()) {
-      p.checked = true;
-      p.ok = false;
-      continue;
-    }
-    todo.push_back(&p);
+  if (d.sent) return;
+  // A wrong-size payload fails without a MAC computation.
+  bool ok = payload.size() == config_.report_size();
+  if (ok) {
+    crypto::MacBuf mac;
+    mac_at_parent_[child].mac_into(payload.first(8), round_nonce_, mac);
+    ok = crypto::ct_equal(
+        payload.subspan(8),
+        BytesView(mac.bytes.data(), config_.report_mac_size));
   }
-  if (todo.empty()) return;
-  std::vector<crypto::MacJob> jobs(todo.size());
-  std::vector<crypto::MacBuf> outs(todo.size());
-  for (std::size_t i = 0; i < todo.size(); ++i) {
-    jobs[i] = {&mac_at_parent_[todo[i]->child],
-               BytesView(todo[i]->payload.data(), 8), round_nonce_};
-  }
-  crypto::active_backend().hmac_batch(jobs.data(), jobs.size(), outs.data());
-  for (std::size_t i = 0; i < todo.size(); ++i) {
-    todo[i]->checked = true;
-    todo[i]->ok = crypto::ct_equal(
-        BytesView(todo[i]->payload.data() + 8, config_.report_mac_size),
-        BytesView(outs[i].bytes.data(), config_.report_mac_size));
-  }
-}
-
-void SedaSimulation::finish_report_check(net::NodeId id, net::NodeId child) {
-  Dev& dd = dev(id);
-  if (dd.sent) return;
-  // Every check takes the same modelled time, so a child's checks finish
-  // in the order its reports arrived: this one is its oldest pending.
-  const auto it =
-      std::find_if(dd.pending.begin(), dd.pending.end(),
-                   [child](const Dev::PendingReport& p) {
-                     return p.child == child;
-                   });
-  if (it == dd.pending.end()) return;
-  if (!it->checked) verify_pending_batch(id);
-  const bool ok = it->ok;
-  const Bytes payload = std::move(it->payload);
-  dd.pending.erase(it);
   if (!ok) {
     // Forged or tampered: drop it, and keep waiting for the child.
     stats(id).mac_failures->inc();
     return;
   }
-  if (std::find(dd.got_children.begin(), dd.got_children.end(), child) !=
-      dd.got_children.end()) {
+  if (std::find(d.got_children.begin(), d.got_children.end(), child) !=
+      d.got_children.end()) {
     return;  // an earlier report of this child passed already
   }
-  dd.got_children.push_back(child);
-  dd.total += read_u32le(payload, 0);
-  dd.passed += read_u32le(payload, 4);
-  if (dd.waiting > 0) --dd.waiting;
+  d.got_children.push_back(child);
+  d.total += read_u32le(payload, 0);
+  d.passed += read_u32le(payload, 4);
+  if (d.waiting > 0) --d.waiting;
   try_forward(id);
 }
 

@@ -191,9 +191,6 @@ class SedaSimulation {
 
   // One node's state, device or Vrf (node 0).
   struct Dev {
-    // Midstate cache over this device's half of the uplink key; rebuilt
-    // whenever join replaces the key.
-    crypto::PrecomputedMac mac_to_parent;
     // X25519 static keypair: a device's is derived at its first invite,
     // Vrf's at construction.
     Bytes static_sk;
@@ -212,18 +209,6 @@ class SedaSimulation {
     std::uint32_t passed = 0;
     std::vector<net::NodeId> got_children;
     sim::EventHandle deadline;
-    // Child reports whose modelled MAC-verify time is still running.
-    // When the first verify completes, every queued entry is checked in
-    // one crypto-backend batch (the simulated cost stays per-report; only
-    // the host-side computation is batched). Device state is
-    // shard-confined, so the list needs no synchronization.
-    struct PendingReport {
-      net::NodeId child = 0;
-      Bytes payload;
-      bool checked = false;
-      bool ok = false;
-    };
-    std::vector<PendingReport> pending;
   };
 
   Dev& dev(net::NodeId id) { return devices_[id]; }
@@ -252,8 +237,7 @@ class SedaSimulation {
   void handle_request(net::NodeId id, const net::Message& msg);
   void self_attested(net::NodeId id);
   void handle_report(net::NodeId id, const net::Message& msg);
-  void verify_pending_batch(net::NodeId id);
-  void finish_report_check(net::NodeId id, net::NodeId child);
+  void check_report(net::NodeId id, net::NodeId child, BytesView payload);
   void try_forward(net::NodeId id);
   void flush(net::NodeId id);
   void send_report(net::NodeId id);
@@ -266,8 +250,12 @@ class SedaSimulation {
   Bytes round_nonce_;
   std::vector<Dev> devices_;  // by node id; 0 is Vrf
   /// Midstate caches over the parent-side half of each child's uplink
-  /// key (index: child id).
+  /// key (index: child id). Both ends MAC through it until run_join() or
+  /// corrupt_join_key() lets the halves differ.
   std::vector<crypto::PrecomputedMac> mac_at_parent_;
+  /// The child-side halves, copied from mac_at_parent_ by the first
+  /// run_join() or corrupt_join_key(); empty until then.
+  std::vector<crypto::PrecomputedMac> mac_at_child_;
   std::uint32_t join_acks_done_ = 0;
 
   sim::SimTime t_resp_;  // written only by node 0's shard

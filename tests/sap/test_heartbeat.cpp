@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "sap/swarm.hpp"
 
@@ -235,6 +237,51 @@ TEST(Heartbeat, ReplayedBeatDoesNotMaskACapture) {
   ASSERT_EQ(report.size(), 1u);
   EXPECT_EQ(report[0].device, 7u);
   EXPECT_EQ(hb.forged_beats(), 1u);
+}
+
+TEST(Heartbeat, ReleasedDeviceDoesNotHideACapturedCousin) {
+  // Regression: node 1 asked its absent child 3 for a log, counted 3
+  // once as absent and again when the released 3 answered, and
+  // forwarded before 4's log, which carries 9.
+  auto hb = HeartbeatSimulation::balanced(fast_config(), 14);
+  hb.capture_device(3);
+  hb.capture_device(9);
+  hb.run_monitoring(sim::Duration::from_sec(1.0));
+  hb.release_device(3);
+  const auto report = hb.collect();
+  ASSERT_EQ(report.size(), 2u);
+  EXPECT_EQ(report[0].device, 3u);
+  EXPECT_EQ(report[1].device, 9u);
+}
+
+TEST(Heartbeat, SweepStalledByAFreshCaptureDoesNotStallTheNext) {
+  // 3 is captured right after a beat, so the sweep asks it and waits
+  // in vain at 1. The next sweep, once 3's gap shows, must still reach
+  // 1 and learn of 3.
+  auto hb = HeartbeatSimulation::balanced(fast_config(), 14);
+  hb.run_monitoring(sim::Duration::from_ms(300));
+  hb.capture_device(3);
+  EXPECT_TRUE(hb.collect().empty());
+  hb.run_monitoring(sim::Duration::from_ms(500));
+  const auto report = hb.collect();
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report[0].device, 3u);
+}
+
+TEST(Heartbeat, SlicedMonitoringSendsTheBeatsOfOneCall) {
+  // Regression: each run_monitoring() call started a beat chain beside
+  // the one still pending from the last call, so 1,600 ms sent 224
+  // beats in one call, 364 as 600 + 1,000 ms and 560 as 4 x 400 ms.
+  const std::vector<std::vector<std::int64_t>> slicings = {
+      {1600}, {600, 1000}, {400, 400, 400, 400}};
+  for (const auto& slices : slicings) {
+    auto hb = HeartbeatSimulation::balanced(HeartbeatConfig{}, 14);
+    for (const std::int64_t ms : slices) {
+      hb.run_monitoring(sim::Duration::from_ms(ms));
+    }
+    EXPECT_EQ(hb.network().messages_sent(), 16u * 14u)
+        << slices.size() << " slices";
+  }
 }
 
 TEST(Heartbeat, MonitoringCostIsLinearPerPeriod) {

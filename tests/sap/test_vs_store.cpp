@@ -37,6 +37,21 @@ TEST(VsStore, RoundTripThroughString) {
   }
 }
 
+TEST(VsStore, UnsetContentRoundTrips) {
+  // Regression: content that was never set dumped as `cfg 1 ` with no
+  // hex, and the parser then read the next line's `cfg` as its hex.
+  Verifier v(SapConfig{}, 3, to_bytes("vs-unset-master"));
+  v.set_expected_content(2, to_bytes("firmware"));
+  const std::string dump = vs_to_string(v);
+  const auto contents = vs_from_string(dump, crypto::HashAlg::kSha1, 3);
+  ASSERT_EQ(contents.size(), 3u);
+  for (net::NodeId id = 1; id <= 3; ++id) {
+    EXPECT_EQ(contents[id - 1], v.expected_content(id)) << id;
+  }
+  EXPECT_TRUE(contents[0].empty());
+  EXPECT_TRUE(contents[2].empty());
+}
+
 TEST(VsStore, RestartedVerifierStillVerifiesTheFleet) {
   // The operational scenario: the verifier service restarts; VS comes
   // back from disk, keys come back from the key service (the master

@@ -86,6 +86,31 @@ TEST(Seda, ForgedReportDoesNotTakeTheChildsPlace) {
   }
 }
 
+TEST(Seda, ReplayedReportDoesNotTakeTheChildsPlace) {
+  // A child's genuine report from the last round, sent again ahead of
+  // its report of this one, fails the check under this round's nonce:
+  // at Vrf (1 -> 0) and at an inner device (7 -> 3).
+  for (const auto& [src, dst] :
+       {std::pair<net::NodeId, net::NodeId>{1, 0}, {7, 3}}) {
+    SCOPED_TRACE(testing::Message() << src << "->" << dst);
+    auto sim = SedaSimulation::balanced(small_config(), 14);
+    Bytes recorded;
+    sim.network().set_tamper_hook(
+        [&recorded, src = src](const net::Message& m) -> net::TamperResult {
+          if (m.kind == 2 /*report*/ && m.src == src) recorded = m.payload;
+          return {};
+        });
+    ASSERT_TRUE(sim.run_round().verified);
+    ASSERT_EQ(recorded.size(), small_config().report_size());
+    sim.advance_time(sim::Duration::from_ms(10));
+    sim.network().send(src, dst, 2 /*report*/, recorded);
+    const SedaRoundReport r = sim.run_round();
+    EXPECT_TRUE(r.verified);
+    EXPECT_EQ(r.total, 14u);
+    EXPECT_EQ(r.mac_failures, 1u);
+  }
+}
+
 TEST(Seda, ReportFromANonChildIsDropped) {
   // Only a child reports to a node, under its own uplink key: a
   // full-size report from a grandchild (7 -> 1), from a sibling's child

@@ -2,6 +2,9 @@
 // accounting.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <utility>
+
 #include "seda/seda.hpp"
 
 namespace cra::seda {
@@ -50,6 +53,29 @@ TEST(SedaEdge, ForgedCountInflationRejected) {
   EXPECT_FALSE(r.verified);
   EXPECT_GE(r.mac_failures, 1u);
   EXPECT_LT(r.total, 200u);
+}
+
+TEST(SedaEdge, WrongSizeReportFailsBeforeItsMac) {
+  // A report cut short or padded out fails on its size alone, before a
+  // MAC or a compare reads past it (the sanitize CI job runs this
+  // under ASan); leaf 7's subtree of one is lost.
+  for (const std::size_t size : {0u, 7u, 10u, 19u, 21u, 64u}) {
+    SCOPED_TRACE(testing::Message() << "size " << size);
+    auto sim = SedaSimulation::balanced(fast(), 14);
+    sim.network().set_tamper_hook(
+        [size](const net::Message& m) -> net::TamperResult {
+          if (m.kind == 2 && m.src == 7) {
+            Bytes resized = m.payload;
+            resized.resize(size, 0x5a);
+            return {net::TamperAction::kDeliverModified, std::move(resized)};
+          }
+          return {};
+        });
+    const SedaRoundReport r = sim.run_round();
+    EXPECT_FALSE(r.verified);
+    EXPECT_EQ(r.total, 13u);
+    EXPECT_EQ(r.mac_failures, 1u);
+  }
 }
 
 TEST(SedaEdge, DroppedReportShrinksTotals) {

@@ -56,6 +56,19 @@ TEST(SedaJoin, CorruptedKeyHalfBreaksThatUplink) {
   EXPECT_EQ(r.total, 11u);
 }
 
+TEST(SedaJoin, CorruptedKeyHalfBreaksThatUplinkWithoutAJoin) {
+  // Until a join, both ends of an edge MAC through one pre-shared table;
+  // corrupting the parent's half must still leave the child MACing with
+  // the pre-shared key. Re-keying the shared table instead would make
+  // both ends agree on the corrupt key and the round verify.
+  auto sim = SedaSimulation::balanced(fast(), 14);
+  sim.corrupt_join_key(3);
+  const SedaRoundReport r = sim.run_round();
+  EXPECT_FALSE(r.verified);
+  EXPECT_EQ(r.total, 11u);
+  EXPECT_EQ(r.mac_failures, 1u);
+}
+
 // SEDA's join-ack message kind on the wire (child -> parent, carrying
 // the child's 32-byte public key).
 constexpr std::uint32_t kJoinAck = 4;
