@@ -7,9 +7,12 @@
 // instruction can execute on an SSE2-only machine.
 //
 // Batching strategy: jobs are grouped by padded block count (equal-length
-// messages share a group), full groups of `lanes` jobs run through a
-// kernel, and every remainder — partial groups, odd lengths, batches
-// smaller than the lane width — falls back to the scalar reference path.
+// messages share a group; a batch already in ascending length order, as
+// every one-length batch is, is not sorted), full groups of `lanes` jobs
+// run through a kernel, and every remainder — partial groups, odd
+// lengths, batches smaller than the lane width — falls back to the
+// scalar reference path. An HMAC group is one kernel call: the kernel
+// builds each lane's outer block from its inner digest in registers.
 // Digests are bit-identical to scalar either way, and the compression
 // tally is charged one logical compression per lane-block so
 // BENCH_perf.json counters cannot distinguish backends.
@@ -37,14 +40,12 @@ constexpr std::uint32_t kSha256Iv[8] = {0x6a09e667u, 0xbb67ae85u, 0x3c6ef372u,
                                         0xa54ff53au, 0x510e527fu, 0x9b05688cu,
                                         0x1f83d9abu, 0x5be0cd19u};
 
-using KernelFn = void (*)(std::uint32_t*, const std::uint8_t* const*,
-                          std::size_t) noexcept;
-
 struct HashDesc {
   std::size_t words;        // chaining-value words (5 or 8)
   std::size_t digest_size;  // bytes
   const std::uint32_t* iv;
-  KernelFn kernel;
+  mb::HashKernel kernel;
+  mb::HmacKernel hmac;
   std::size_t lanes;
 };
 
@@ -110,6 +111,8 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>>& order_scratch() {
 
 /// Stable job order grouped by padded tail length, so equal-length
 /// messages become kernel groups. Returns (nblocks, job index) pairs.
+/// Only a batch whose lengths are out of order is sorted: stable_sort
+/// allocates on every call, and every batch of one length is in order.
 template <typename LenOf>
 std::vector<std::pair<std::uint32_t, std::uint32_t>>& group_jobs(
     std::size_t n, std::size_t absorbed, const LenOf& len_of) {
@@ -121,29 +124,30 @@ std::vector<std::pair<std::uint32_t, std::uint32_t>>& group_jobs(
         static_cast<std::uint32_t>(tail_blocks(absorbed, len_of(i))),
         static_cast<std::uint32_t>(i));
   }
-  std::stable_sort(order.begin(), order.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first < b.first;
-                   });
+  const auto by_blocks = [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  };
+  if (!std::is_sorted(order.begin(), order.end(), by_blocks)) {
+    std::stable_sort(order.begin(), order.end(), by_blocks);
+  }
   return order;
 }
 
 class SimdBackend final : public Backend {
  public:
   SimdBackend() noexcept {
-    std::size_t lanes = 4;
-    KernelFn sha1_kernel = &mb::sha1_x4_sse2;
-    KernelFn sha256_kernel = &mb::sha256_x4_sse2;
+    sha1_ = HashDesc{5, Sha1::kDigestSize, kSha1Iv, &mb::sha1_x4_sse2,
+                     &mb::sha1_hmac_x4_sse2, 4};
+    sha256_ = HashDesc{8, Sha256::kDigestSize, kSha256Iv, &mb::sha256_x4_sse2,
+                       &mb::sha256_hmac_x4_sse2, 4};
 #if defined(CRA_HAVE_SHA_MB_AVX2)
     if (mb::cpu_supports_avx2()) {
-      lanes = 8;
-      sha1_kernel = &mb::sha1_x8_avx2;
-      sha256_kernel = &mb::sha256_x8_avx2;
+      sha1_ = HashDesc{5, Sha1::kDigestSize, kSha1Iv, &mb::sha1_x8_avx2,
+                       &mb::sha1_hmac_x8_avx2, 8};
+      sha256_ = HashDesc{8, Sha256::kDigestSize, kSha256Iv,
+                         &mb::sha256_x8_avx2, &mb::sha256_hmac_x8_avx2, 8};
     }
 #endif
-    sha1_ = HashDesc{5, Sha1::kDigestSize, kSha1Iv, sha1_kernel, lanes};
-    sha256_ = HashDesc{8, Sha256::kDigestSize, kSha256Iv, sha256_kernel,
-                       lanes};
   }
 
   const char* name() const noexcept override { return "simd"; }
@@ -209,42 +213,27 @@ class SimdBackend final : public Backend {
                   std::size_t nblocks, MacBuf* out) const {
     const std::size_t stream_len = nblocks * kBlock;
     auto& scratch = stream_scratch();
-    scratch.resize(d.lanes * (stream_len + kBlock));
-    std::uint8_t* inner_streams = scratch.data();
-    // The outer stage is always exactly one block: digest || pad.
-    std::uint8_t* outer_blocks = scratch.data() + d.lanes * stream_len;
+    scratch.resize(d.lanes * stream_len);
 
-    std::uint32_t states[8 * kMaxLanes];
+    std::uint32_t inner[8 * kMaxLanes];
+    std::uint32_t outer[8 * kMaxLanes];
     const std::uint8_t* blocks[kMaxLanes];
     for (std::size_t l = 0; l < d.lanes; ++l) {
       const MacJob& job = jobs[order[l].second];
-      std::uint8_t* stream = inner_streams + l * stream_len;
+      std::uint8_t* stream = scratch.data() + l * stream_len;
       fill_stream(stream, stream_len, kBlock, job.prefix, job.suffix);
       blocks[l] = stream;
-      load_lane_state(states, d.lanes, l, inner_words(alg, job), d.words);
+      load_lane_state(inner, d.lanes, l, inner_words(alg, job), d.words);
+      load_lane_state(outer, d.lanes, l, outer_words(alg, job), d.words);
     }
-    d.kernel(states, blocks, nblocks);
-    detail::tls_compression_calls += d.lanes * nblocks;
-
-    // Inner digests become the single-block outer messages.
-    for (std::size_t l = 0; l < d.lanes; ++l) {
-      std::uint8_t digest[32];
-      store_lane_digest(digest, states, d.lanes, l, d.words);
-      std::uint8_t* block = outer_blocks + l * kBlock;
-      fill_stream(block, kBlock, kBlock, BytesView(digest, d.digest_size),
-                  {});
-      blocks[l] = block;
-      load_lane_state(states, d.lanes, l,
-                      outer_words(alg, jobs[order[l].second]), d.words);
-    }
-    d.kernel(states, blocks, 1);
-    detail::tls_compression_calls += d.lanes;
+    std::uint32_t digests[8 * kMaxLanes];
+    d.hmac(inner, outer, blocks, nblocks, digests);
+    detail::tls_compression_calls += d.lanes * (nblocks + 1);
 
     for (std::size_t l = 0; l < d.lanes; ++l) {
       MacBuf& dst = out[order[l].second];
-      std::uint8_t digest[32];
-      store_lane_digest(digest, states, d.lanes, l, d.words);
-      dst.assign(digest, d.digest_size);
+      store_lane_digest(dst.bytes.data(), digests, d.lanes, l, d.words);
+      dst.len = d.digest_size;
     }
   }
 

@@ -29,43 +29,83 @@ void Sha1::wipe() noexcept {
   reset();
 }
 
+namespace {
+
+// The round functions of the four 20-step groups (FIPS 180-4 4.1.1),
+// Ch and Maj in their two-operation forms.
+std::uint32_t ch(std::uint32_t b, std::uint32_t c, std::uint32_t d) noexcept {
+  return d ^ (b & (c ^ d));
+}
+std::uint32_t parity(std::uint32_t b, std::uint32_t c,
+                     std::uint32_t d) noexcept {
+  return b ^ c ^ d;
+}
+std::uint32_t maj(std::uint32_t b, std::uint32_t c, std::uint32_t d) noexcept {
+  return (b & c) | (d & (b | c));
+}
+
+using RoundFn = std::uint32_t (*)(std::uint32_t, std::uint32_t,
+                                  std::uint32_t) noexcept;
+
+/// Schedule word t. The schedule rolls over 16 words: from step 16 on,
+/// word t replaces word t - 16 in the slot they share.
+template <int T>
+std::uint32_t word(std::uint32_t (&w)[16]) noexcept {
+  if constexpr (T >= 16) {
+    w[T % 16] = std::rotl(
+        w[(T - 3) % 16] ^ w[(T - 8) % 16] ^ w[(T - 14) % 16] ^ w[T % 16], 1);
+  }
+  return w[T % 16];
+}
+
+/// One step. Instead of shifting a..e down, the caller renames them:
+/// the new a is written over e, and b becomes the new c in place.
+template <RoundFn F, std::uint32_t K>
+void step(std::uint32_t a, std::uint32_t& b, std::uint32_t c, std::uint32_t d,
+          std::uint32_t& e, std::uint32_t w) noexcept {
+  e += std::rotl(a, 5) + F(b, c, d) + K + w;
+  b = std::rotl(b, 30);
+}
+
+/// Steps T..T+4; after five renamings the names are back in place.
+template <RoundFn F, std::uint32_t K, int T>
+void five(std::uint32_t (&w)[16], std::uint32_t& a, std::uint32_t& b,
+          std::uint32_t& c, std::uint32_t& d, std::uint32_t& e) noexcept {
+  step<F, K>(a, b, c, d, e, word<T>(w));
+  step<F, K>(e, a, b, c, d, word<T + 1>(w));
+  step<F, K>(d, e, a, b, c, word<T + 2>(w));
+  step<F, K>(c, d, e, a, b, word<T + 3>(w));
+  step<F, K>(b, c, d, e, a, word<T + 4>(w));
+}
+
+/// Steps T..T+19, one group with its round function and constant.
+template <RoundFn F, std::uint32_t K, int T>
+void group(std::uint32_t (&w)[16], std::uint32_t& a, std::uint32_t& b,
+           std::uint32_t& c, std::uint32_t& d, std::uint32_t& e) noexcept {
+  five<F, K, T>(w, a, b, c, d, e);
+  five<F, K, T + 5>(w, a, b, c, d, e);
+  five<F, K, T + 10>(w, a, b, c, d, e);
+  five<F, K, T + 15>(w, a, b, c, d, e);
+}
+
+}  // namespace
+
 void Sha1::process_block(const std::uint8_t* block) noexcept {
   ++detail::tls_compression_calls;
-  std::uint32_t w[80];
+  std::uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
            (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
            (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
            static_cast<std::uint32_t>(block[4 * i + 3]);
   }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = std::rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
 
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3],
                 e = state_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5a827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ed9eba1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8f1bbcdcu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xca62c1d6u;
-    }
-    const std::uint32_t temp = std::rotl(a, 5) + f + e + k + w[i];
-    e = d;
-    d = c;
-    c = std::rotl(b, 30);
-    b = a;
-    a = temp;
-  }
+  group<ch, 0x5a827999u, 0>(w, a, b, c, d, e);
+  group<parity, 0x6ed9eba1u, 20>(w, a, b, c, d, e);
+  group<maj, 0x8f1bbcdcu, 40>(w, a, b, c, d, e);
+  group<parity, 0xca62c1d6u, 60>(w, a, b, c, d, e);
   state_[0] += a;
   state_[1] += b;
   state_[2] += c;

@@ -26,6 +26,7 @@ struct Avx2V {
   static Reg add(Reg a, Reg b) noexcept { return _mm256_add_epi32(a, b); }
   static Reg xor_(Reg a, Reg b) noexcept { return _mm256_xor_si256(a, b); }
   static Reg and_(Reg a, Reg b) noexcept { return _mm256_and_si256(a, b); }
+  static Reg or_(Reg a, Reg b) noexcept { return _mm256_or_si256(a, b); }
   static Reg andnot(Reg a, Reg b) noexcept {
     return _mm256_andnot_si256(a, b);
   }
@@ -33,8 +34,7 @@ struct Avx2V {
 
   template <int N>
   static Reg rotr(Reg a) noexcept {
-    return _mm256_or_si256(_mm256_srli_epi32(a, N),
-                           _mm256_slli_epi32(a, 32 - N));
+    return or_(_mm256_srli_epi32(a, N), _mm256_slli_epi32(a, 32 - N));
   }
 
   static Reg broadcast(std::uint32_t v) noexcept {
@@ -73,12 +73,27 @@ struct Avx2V {
 
 void sha1_x8_avx2(std::uint32_t* states, const std::uint8_t* const* blocks,
                   std::size_t nblocks) noexcept {
-  detail::sha1_multiway<Avx2V>(states, blocks, nblocks);
+  detail::hash_multiway<detail::Sha1Lanes<Avx2V>>(states, blocks, nblocks);
 }
 
 void sha256_x8_avx2(std::uint32_t* states, const std::uint8_t* const* blocks,
                     std::size_t nblocks) noexcept {
-  detail::sha256_multiway<Avx2V>(states, blocks, nblocks);
+  detail::hash_multiway<detail::Sha256Lanes<Avx2V>>(states, blocks, nblocks);
+}
+
+void sha1_hmac_x8_avx2(const std::uint32_t* inner, const std::uint32_t* outer,
+                       const std::uint8_t* const* blocks, std::size_t nblocks,
+                       std::uint32_t* out) noexcept {
+  detail::hmac_multiway<detail::Sha1Lanes<Avx2V>>(inner, outer, blocks, nblocks,
+                                               out);
+}
+
+void sha256_hmac_x8_avx2(const std::uint32_t* inner,
+                         const std::uint32_t* outer,
+                         const std::uint8_t* const* blocks,
+                         std::size_t nblocks, std::uint32_t* out) noexcept {
+  detail::hmac_multiway<detail::Sha256Lanes<Avx2V>>(inner, outer, blocks,
+                                                 nblocks, out);
 }
 
 }  // namespace cra::crypto::mb

@@ -16,8 +16,17 @@
 //   Reg shr(Reg, int)               — lane-wise logical right shift
 //   template <int N> Reg rotr(Reg)  — lane-wise rotate right
 //   Reg broadcast(uint32)           — all lanes = constant
+//   Reg load_state(p) / store_state(p, Reg) — kLanes words at p
 //   Reg load_word(blocks, blk, w)   — big-endian word w of block blk,
 //                                     gathered across all lanes
+//
+// Sha1Lanes<V> and Sha256Lanes<V> bind one hash to V: its chaining
+// words and one compression of a block's 16 message words. Over them,
+// hash_multiway runs each lane's blocks from its chaining value, and
+// hmac_multiway runs a resumed HMAC: the inner blocks from the inner
+// midstates, then the one outer block from the outer midstates. The
+// outer block is the inner digest padded, so its message words are the
+// inner state registers themselves and never leave the registers.
 #pragma once
 
 #include <cstddef>
@@ -38,18 +47,16 @@ inline constexpr std::uint32_t kSha256K[64] = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
-template <class V>
-void sha256_multiway(std::uint32_t* states, const std::uint8_t* const* blocks,
-                     std::size_t nblocks) noexcept {
+template <class Ops>
+struct Sha256Lanes {
+  using V = Ops;
   using Reg = typename V::Reg;
-  constexpr int L = V::kLanes;
+  static constexpr int kWords = 8;
+  static constexpr int kSchedule = 64;
 
-  Reg s[8];
-  for (int w = 0; w < 8; ++w) s[w] = V::load_state(states + w * L);
-
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    Reg msg[64];
-    for (int t = 0; t < 16; ++t) msg[t] = V::load_word(blocks, blk, t);
+  /// One compression of the message words in msg[0..15] into s; the
+  /// rest of msg is the schedule it expands.
+  static void compress(Reg (&s)[kWords], Reg (&msg)[kSchedule]) noexcept {
     for (int t = 16; t < 64; ++t) {
       const Reg w15 = msg[t - 15];
       const Reg w2 = msg[t - 2];
@@ -75,8 +82,7 @@ void sha256_multiway(std::uint32_t* states, const std::uint8_t* const* blocks,
       const Reg s0 = V::xor_(V::xor_(V::template rotr<2>(a),
                                      V::template rotr<13>(a)),
                              V::template rotr<22>(a));
-      const Reg maj = V::xor_(V::xor_(V::and_(a, b), V::and_(a, c)),
-                              V::and_(b, c));
+      const Reg maj = V::or_(V::and_(a, b), V::and_(c, V::or_(a, b)));
       const Reg t2 = V::add(s0, maj);
       h = g;
       g = f;
@@ -96,22 +102,19 @@ void sha256_multiway(std::uint32_t* states, const std::uint8_t* const* blocks,
     s[6] = V::add(s[6], g);
     s[7] = V::add(s[7], h);
   }
+};
 
-  for (int w = 0; w < 8; ++w) V::store_state(states + w * L, s[w]);
-}
-
-template <class V>
-void sha1_multiway(std::uint32_t* states, const std::uint8_t* const* blocks,
-                   std::size_t nblocks) noexcept {
+template <class Ops>
+struct Sha1Lanes {
+  using V = Ops;
   using Reg = typename V::Reg;
-  constexpr int L = V::kLanes;
+  static constexpr int kWords = 5;
+  static constexpr int kSchedule = 80;
 
-  Reg s[5];
-  for (int w = 0; w < 5; ++w) s[w] = V::load_state(states + w * L);
-
-  for (std::size_t blk = 0; blk < nblocks; ++blk) {
-    Reg msg[80];
-    for (int t = 0; t < 16; ++t) msg[t] = V::load_word(blocks, blk, t);
+  /// One compression of the message words in msg[0..15] into s; the
+  /// rest of msg is the schedule it expands. Each 20-step group runs
+  /// with its round function and constant fixed.
+  static void compress(Reg (&s)[kWords], Reg (&msg)[kSchedule]) noexcept {
     for (int t = 16; t < 80; ++t) {
       const Reg x = V::xor_(V::xor_(msg[t - 3], msg[t - 8]),
                             V::xor_(msg[t - 14], msg[t - 16]));
@@ -119,37 +122,85 @@ void sha1_multiway(std::uint32_t* states, const std::uint8_t* const* blocks,
     }
 
     Reg a = s[0], b = s[1], c = s[2], d = s[3], e = s[4];
-    for (int t = 0; t < 80; ++t) {
-      Reg f, k;
-      if (t < 20) {
-        f = V::xor_(V::and_(b, c), V::andnot(b, d));
-        k = V::broadcast(0x5a827999u);
-      } else if (t < 40) {
-        f = V::xor_(V::xor_(b, c), d);
-        k = V::broadcast(0x6ed9eba1u);
-      } else if (t < 60) {
-        f = V::xor_(V::xor_(V::and_(b, c), V::and_(b, d)), V::and_(c, d));
-        k = V::broadcast(0x8f1bbcdcu);
-      } else {
-        f = V::xor_(V::xor_(b, c), d);
-        k = V::broadcast(0xca62c1d6u);
+    const auto group = [&](int from, std::uint32_t k, auto f) {
+      const Reg kk = V::broadcast(k);
+      for (int t = from; t < from + 20; ++t) {
+        const Reg tmp = V::add(V::add(V::template rotr<27>(a), f(b, c, d)),
+                               V::add(V::add(e, kk), msg[t]));  // rotl 5
+        e = d;
+        d = c;
+        c = V::template rotr<2>(b);  // rotl 30
+        b = a;
+        a = tmp;
       }
-      const Reg tmp = V::add(V::add(V::template rotr<27>(a), f),  // rotl 5
-                             V::add(V::add(e, k), msg[t]));
-      e = d;
-      d = c;
-      c = V::template rotr<2>(b);  // rotl 30
-      b = a;
-      a = tmp;
-    }
+    };
+    const auto parity = [](Reg x, Reg y, Reg z) {
+      return V::xor_(V::xor_(x, y), z);
+    };
+    group(0, 0x5a827999u, [](Reg x, Reg y, Reg z) {  // Ch
+      return V::xor_(z, V::and_(x, V::xor_(y, z)));
+    });
+    group(20, 0x6ed9eba1u, parity);
+    group(40, 0x8f1bbcdcu, [](Reg x, Reg y, Reg z) {  // Maj
+      return V::or_(V::and_(x, y), V::and_(z, V::or_(x, y)));
+    });
+    group(60, 0xca62c1d6u, parity);
     s[0] = V::add(s[0], a);
     s[1] = V::add(s[1], b);
     s[2] = V::add(s[2], c);
     s[3] = V::add(s[3], d);
     s[4] = V::add(s[4], e);
   }
+};
 
-  for (int w = 0; w < 5; ++w) V::store_state(states + w * L, s[w]);
+/// Each lane's `nblocks` blocks from blocks[l], compressed into s.
+template <class H>
+void absorb(typename H::Reg (&s)[H::kWords], const std::uint8_t* const* blocks,
+            std::size_t nblocks) noexcept {
+  typename H::Reg msg[H::kSchedule];
+  for (std::size_t blk = 0; blk < nblocks; ++blk) {
+    for (int t = 0; t < 16; ++t) msg[t] = H::V::load_word(blocks, blk, t);
+    H::compress(s, msg);
+  }
+}
+
+/// Lane l hashes its own `nblocks` blocks from blocks[l], starting at
+/// and leaving its chaining value in the word-major `states`.
+template <class H>
+void hash_multiway(std::uint32_t* states, const std::uint8_t* const* blocks,
+                   std::size_t nblocks) noexcept {
+  using V = typename H::V;
+  constexpr int L = V::kLanes;
+  typename H::Reg s[H::kWords];
+  for (int w = 0; w < H::kWords; ++w) s[w] = V::load_state(states + w * L);
+  absorb<H>(s, blocks, nblocks);
+  for (int w = 0; w < H::kWords; ++w) V::store_state(states + w * L, s[w]);
+}
+
+/// Lane l's resumed HMAC: its `nblocks` padded inner blocks from
+/// blocks[l] on the inner midstate, then one outer block on the outer
+/// midstate, whose digest words go to `out`. All three state arrays
+/// are word-major.
+template <class H>
+void hmac_multiway(const std::uint32_t* inner, const std::uint32_t* outer,
+                   const std::uint8_t* const* blocks, std::size_t nblocks,
+                   std::uint32_t* out) noexcept {
+  using V = typename H::V;
+  constexpr int L = V::kLanes;
+  typename H::Reg s[H::kWords];
+  for (int w = 0; w < H::kWords; ++w) s[w] = V::load_state(inner + w * L);
+  absorb<H>(s, blocks, nblocks);
+
+  // The outer message is the inner digest after the one opad block: the
+  // inner state words, the 0x80 pad byte, zeros, and the bit length.
+  typename H::Reg msg[H::kSchedule];
+  for (int w = 0; w < H::kWords; ++w) msg[w] = s[w];
+  msg[H::kWords] = V::broadcast(0x80000000u);
+  for (int w = H::kWords + 1; w < 15; ++w) msg[w] = V::broadcast(0);
+  msg[15] = V::broadcast((64 + 4 * H::kWords) * 8);
+  for (int w = 0; w < H::kWords; ++w) s[w] = V::load_state(outer + w * L);
+  H::compress(s, msg);
+  for (int w = 0; w < H::kWords; ++w) V::store_state(out + w * L, s[w]);
 }
 
 }  // namespace cra::crypto::mb::detail

@@ -23,12 +23,13 @@ struct Sse2V {
   static Reg add(Reg a, Reg b) noexcept { return _mm_add_epi32(a, b); }
   static Reg xor_(Reg a, Reg b) noexcept { return _mm_xor_si128(a, b); }
   static Reg and_(Reg a, Reg b) noexcept { return _mm_and_si128(a, b); }
+  static Reg or_(Reg a, Reg b) noexcept { return _mm_or_si128(a, b); }
   static Reg andnot(Reg a, Reg b) noexcept { return _mm_andnot_si128(a, b); }
   static Reg shr(Reg a, int n) noexcept { return _mm_srli_epi32(a, n); }
 
   template <int N>
   static Reg rotr(Reg a) noexcept {
-    return _mm_or_si128(_mm_srli_epi32(a, N), _mm_slli_epi32(a, 32 - N));
+    return or_(_mm_srli_epi32(a, N), _mm_slli_epi32(a, 32 - N));
   }
 
   static Reg broadcast(std::uint32_t v) noexcept {
@@ -63,12 +64,27 @@ struct Sse2V {
 
 void sha1_x4_sse2(std::uint32_t* states, const std::uint8_t* const* blocks,
                   std::size_t nblocks) noexcept {
-  detail::sha1_multiway<Sse2V>(states, blocks, nblocks);
+  detail::hash_multiway<detail::Sha1Lanes<Sse2V>>(states, blocks, nblocks);
 }
 
 void sha256_x4_sse2(std::uint32_t* states, const std::uint8_t* const* blocks,
                     std::size_t nblocks) noexcept {
-  detail::sha256_multiway<Sse2V>(states, blocks, nblocks);
+  detail::hash_multiway<detail::Sha256Lanes<Sse2V>>(states, blocks, nblocks);
+}
+
+void sha1_hmac_x4_sse2(const std::uint32_t* inner, const std::uint32_t* outer,
+                       const std::uint8_t* const* blocks, std::size_t nblocks,
+                       std::uint32_t* out) noexcept {
+  detail::hmac_multiway<detail::Sha1Lanes<Sse2V>>(inner, outer, blocks, nblocks,
+                                               out);
+}
+
+void sha256_hmac_x4_sse2(const std::uint32_t* inner,
+                         const std::uint32_t* outer,
+                         const std::uint8_t* const* blocks,
+                         std::size_t nblocks, std::uint32_t* out) noexcept {
+  detail::hmac_multiway<detail::Sha256Lanes<Sse2V>>(inner, outer, blocks,
+                                                 nblocks, out);
 }
 
 }  // namespace cra::crypto::mb

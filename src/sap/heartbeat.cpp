@@ -25,7 +25,13 @@ HeartbeatSimulation::HeartbeatSimulation(HeartbeatConfig config,
       rt_(tree_, sim::SimConfig{}, config.link,
           [this](const net::Message& m) { on_message(m); }, {}),
       devices_(tree_.device_count() + 1),
-      last_seen_(tree_.device_count() + 1, rt_.now()) {  // alive at start
+      last_seen_(tree_.device_count() + 1, rt_.now()),  // alive at start
+      subtree_size_(tree_.size(), 1) {
+  // Parents precede their children, so a reverse pass sees every child
+  // before its parent.
+  for (net::NodeId id = device_count(); id >= 1; --id) {
+    subtree_size_[tree_.parent(id)] += subtree_size_[id];
+  }
   Bytes master = crypto::SecureRandom(seed ^ 0x6265'6174'6b65'79ULL).bytes(32);
   const crypto::Hkdf kdf(master);
   crypto::secure_wipe(master);
@@ -161,7 +167,9 @@ void HeartbeatSimulation::handle_collect(net::NodeId id) {
   d.waiting = 0;
   // A child silent past the threshold is reported here: captured (or
   // silent), it cannot answer the sweep, so it is not asked. Every other
-  // child is asked once and waited for once.
+  // child is asked once and waited for once, until the deadline of the
+  // largest subtree asked.
+  std::uint32_t asked_size = 0;
   for (net::NodeId child : tree_.children(id)) {
     const sim::Duration gap = rt_.sched(id).now() - last_seen_[child];
     if (gap > config_.absence_threshold) {
@@ -169,9 +177,30 @@ void HeartbeatSimulation::handle_collect(net::NodeId id) {
     } else {
       rt_.net_of(id).send(id, child, kCollectMsg, Bytes{});
       ++d.waiting;
+      asked_size = std::max(asked_size, subtree_size_[child]);
     }
   }
-  if (d.waiting == 0) forward_log(id);
+  if (d.waiting == 0) {
+    forward_log(id);
+    return;
+  }
+  d.deadline = rt_.sched(id).schedule_after(sweep_deadline(id, asked_size),
+                                            [this, id] { forward_log(id); });
+}
+
+sim::Duration HeartbeatSimulation::sweep_deadline(
+    net::NodeId id, std::uint32_t asked_size) const {
+  // A child's log holds at most one 8-byte entry per device below it,
+  // and its own deadline spans one level fewer than its parent's. So
+  // allowing each level below `id` a collect's link delay down and the
+  // largest asked log's up, every answering child's log arrives in
+  // time. Links are contention-free (LinkParams' default): no send
+  // waits for a radio.
+  const net::Network& net = rt_.network();
+  const sim::Duration level =
+      net.link_delay(0) + net.link_delay(8 * std::size_t{asked_size});
+  return level *
+         static_cast<std::int64_t>(tree_.max_depth() - tree_.depth(id));
 }
 
 void HeartbeatSimulation::handle_log(net::NodeId id, const net::Message& msg) {
@@ -184,7 +213,8 @@ void HeartbeatSimulation::handle_log(net::NodeId id, const net::Message& msg) {
 
 void HeartbeatSimulation::forward_log(net::NodeId id) {
   Dev& d = dev(id);
-  d.collecting = false;
+  d.collecting = false;  // a log that comes later is ignored
+  rt_.sched(id).cancel(d.deadline);
   if (id == 0) return;  // Vrf keeps the sweep's log
   rt_.net_of(id).send(id, tree_.parent(id), kLogMsg, encode_log(d.gathered));
 }
@@ -192,9 +222,6 @@ void HeartbeatSimulation::forward_log(net::NodeId id) {
 std::vector<AbsenceReport> HeartbeatSimulation::collect() {
   // The sweep's instruments add to the monitoring plane's.
   const auto window = rt_.open_window();
-  // A sweep left waiting on a child captured after its last beat holds
-  // nobody: every node starts this one afresh.
-  for (Dev& d : devices_) d.collecting = false;
   handle_collect(0);
   rt_.run_window();  // the sweep drains (tree depth x small messages)
 

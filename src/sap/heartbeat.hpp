@@ -87,9 +87,11 @@ class HeartbeatSimulation {
   void run_monitoring(sim::Duration duration);
 
   /// Collection sweep: flood a request down, aggregate per-parent
-  /// absence logs up, with Vrf as node 0 of the sweep. Returns every
-  /// device whose observed gap exceeded the threshold at sweep time,
-  /// sorted by id.
+  /// absence logs up, with Vrf as node 0 of the sweep. A node that asked
+  /// its children forwards what it gathered once every answer is in or
+  /// its deadline passes, whichever comes first: a child captured after
+  /// its last beat never answers. Returns every device whose observed
+  /// gap exceeded the threshold at sweep time, sorted by id.
   std::vector<AbsenceReport> collect();
 
   /// Heartbeats rejected as forgeries: a bad MAC, or a replay whose
@@ -110,9 +112,11 @@ class HeartbeatSimulation {
     // Parent-side: the highest beat sequence number the parent accepted
     // from this device; a beat at or below it is a replay.
     std::uint32_t heard_seq = 0;
-    // Collection state: `waiting` counts the children asked for a log.
+    // Collection state: `waiting` counts the children asked for a log,
+    // and `deadline` is the timer that forwards without the missing ones.
     bool collecting = false;
     std::uint32_t waiting = 0;
+    sim::EventHandle deadline;
     std::vector<AbsenceReport> gathered;
   };
 
@@ -125,6 +129,7 @@ class HeartbeatSimulation {
   void handle_collect(net::NodeId id);
   void handle_log(net::NodeId id, const net::Message& msg);
   void forward_log(net::NodeId id);
+  sim::Duration sweep_deadline(net::NodeId id, std::uint32_t asked_size) const;
   Bytes encode_log(const std::vector<AbsenceReport>& entries) const;
   void decode_log(BytesView payload,
                   std::vector<AbsenceReport>* out) const;
@@ -134,6 +139,9 @@ class HeartbeatSimulation {
   swarm::SwarmRuntime rt_;  // one shard
   std::vector<Dev> devices_;  // by node id; 0 is Vrf
   std::vector<sim::SimTime> last_seen_;  // indexed by child id
+  // Devices in each node's subtree, itself included: they bound the
+  // size of the log it sends up, so they size the sweep's deadlines.
+  std::vector<std::uint32_t> subtree_size_;
   std::uint64_t forged_ = 0;
   sim::SimTime monitor_until_;
 };

@@ -17,6 +17,7 @@
 #include "common/bytes.hpp"
 #include "common/rng.hpp"
 #include "crypto/mac_cache.hpp"
+#include "crypto/sha_mb.hpp"
 #include "crypto/tally.hpp"
 #include "vectors.hpp"
 
@@ -297,6 +298,108 @@ TEST_F(BackendTest, RuntimeDispatchForcedScalarIdenticalTokens) {
   EXPECT_FALSE(set_active_backend("no-such-backend"));
   EXPECT_STREQ(active_backend().name(), "scalar");  // unchanged on failure
 }
+
+#if defined(__x86_64__) || defined(_M_X64)
+/// The padded stream of `msg` after `absorbed` bytes: msg || 0x80 ||
+/// zeros || the 64-bit big-endian bit length of absorbed + msg.
+Bytes padded(BytesView msg, std::size_t absorbed) {
+  Bytes out(msg.begin(), msg.end());
+  out.push_back(0x80);
+  while (out.size() % 64 != 56) out.push_back(0);
+  const std::uint64_t bits = (absorbed + msg.size()) * 8;
+  for (int i = 7; i >= 0; --i) {
+    out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+  return out;
+}
+
+/// Digest bytes of lane l from word-major kernel state.
+Bytes lane_digest(const std::uint32_t* words, std::size_t lanes,
+                  std::size_t l, std::size_t nwords) {
+  Bytes out;
+  for (std::size_t w = 0; w < nwords; ++w) {
+    const std::uint32_t v = words[w * lanes + l];
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      out.push_back(static_cast<std::uint8_t>(v >> shift));
+    }
+  }
+  return out;
+}
+
+template <typename Words>
+void load_lane(std::uint32_t* words, std::size_t lanes, std::size_t l,
+               const Words& state) {
+  for (std::size_t w = 0; w < state.size(); ++w) {
+    words[w * lanes + l] = state[w];
+  }
+}
+
+TEST_F(BackendTest, Sse2KernelsMatchTheScalarReference) {
+  // The SIMD backend runs the 8-lane AVX2 kernels wherever AVX2 is
+  // present, so the 4-lane SSE2 kernels it falls back to are called
+  // directly here: a resumed HMAC of one and two inner blocks per lane,
+  // and a plain hash from the IV.
+  constexpr std::size_t kLanes = 4;
+  Rng rng(4);
+  for (const HashAlg alg : {HashAlg::kSha1, HashAlg::kSha256}) {
+    const bool sha1 = alg == HashAlg::kSha1;
+    const std::size_t nwords = sha1 ? 5 : 8;
+    for (const std::size_t len : {24u, 100u}) {
+      std::vector<PrecomputedMac> macs(kLanes);
+      std::vector<Bytes> msgs(kLanes), streams(kLanes);
+      std::uint32_t inner[8 * kLanes], outer[8 * kLanes], out[8 * kLanes];
+      const std::uint8_t* blocks[kLanes];
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        macs[l].init(alg, random_bytes(rng, 20));
+        msgs[l] = random_bytes(rng, len);
+        streams[l] = padded(msgs[l], 64);
+        blocks[l] = streams[l].data();
+        if (sha1) {
+          load_lane(inner, kLanes, l, macs[l].sha1().inner_midstate());
+          load_lane(outer, kLanes, l, macs[l].sha1().outer_midstate());
+        } else {
+          load_lane(inner, kLanes, l, macs[l].sha256().inner_midstate());
+          load_lane(outer, kLanes, l, macs[l].sha256().outer_midstate());
+        }
+      }
+      const std::size_t nblocks = streams[0].size() / 64;
+      (sha1 ? mb::sha1_hmac_x4_sse2 : mb::sha256_hmac_x4_sse2)(
+          inner, outer, blocks, nblocks, out);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        EXPECT_EQ(to_hex(lane_digest(out, kLanes, l, nwords)),
+                  to_hex(macs[l].mac(msgs[l])))
+            << (sha1 ? "sha1" : "sha256") << " len " << len << " lane " << l;
+      }
+
+      // The hash kernel from each lane's IV over the same messages.
+      std::uint32_t states[8 * kLanes];
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        streams[l] = padded(msgs[l], 0);
+        blocks[l] = streams[l].data();
+        if (sha1) {
+          load_lane(states, kLanes, l, Sha1().midstate());
+        } else {
+          load_lane(states, kLanes, l, Sha256().midstate());
+        }
+      }
+      (sha1 ? mb::sha1_x4_sse2 : mb::sha256_x4_sse2)(
+          states, blocks, streams[0].size() / 64);
+      for (std::size_t l = 0; l < kLanes; ++l) {
+        const Bytes got = lane_digest(states, kLanes, l, nwords);
+        if (sha1) {
+          const auto want = Sha1::digest(msgs[l]);
+          EXPECT_EQ(to_hex(got), to_hex(BytesView(want.data(), want.size())))
+              << "sha1 hash len " << len << " lane " << l;
+        } else {
+          const auto want = Sha256::digest(msgs[l]);
+          EXPECT_EQ(to_hex(got), to_hex(BytesView(want.data(), want.size())))
+              << "sha256 hash len " << len << " lane " << l;
+        }
+      }
+    }
+  }
+}
+#endif  // x86-64
 
 }  // namespace
 }  // namespace cra::crypto

@@ -6,6 +6,8 @@
 #include <string>
 
 #include "common/bytes.hpp"
+#include "common/rng.hpp"
+#include "reference_sha1.hpp"
 #include "vectors.hpp"
 
 namespace cra::crypto {
@@ -78,6 +80,24 @@ TEST(Sha1, CompressionCallCount) {
   EXPECT_EQ(Sha1::compression_calls(120), 3u);
   // The paper's PMEM: 50 KB + 9 pad bytes => 801 blocks.
   EXPECT_EQ(Sha1::compression_calls(50 * 1024), 801u);
+}
+
+TEST(Sha1, CompressionMatchesTheReferenceLoop) {
+  // Seeded chaining values and blocks: one block of update() on a hash
+  // resumed at the chaining value runs one compression, which must
+  // leave the chaining value the reference loop does.
+  Rng rng(0x5348'4131'6f72'61ULL);
+  for (int i = 0; i < 10000; ++i) {
+    Sha1::State state;
+    for (auto& word : state) word = static_cast<std::uint32_t>(rng.next());
+    const Bytes block = rng.next_bytes(Sha1::kBlockSize);
+
+    Sha1 h = Sha1::resume(state, Sha1::kBlockSize);
+    h.update(block);
+    Sha1::State want = state;
+    reference_sha1_compress(want, block.data());
+    ASSERT_EQ(h.midstate(), want) << "pair " << i;
+  }
 }
 
 }  // namespace

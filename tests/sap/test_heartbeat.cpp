@@ -268,6 +268,64 @@ TEST(Heartbeat, SweepStalledByAFreshCaptureDoesNotStallTheNext) {
   EXPECT_EQ(report[0].device, 3u);
 }
 
+TEST(Heartbeat, FreshCaptureDoesNotHideAnAbsentCousin) {
+  // 9 is long gone, and its parent 4 reports it to 1. 3 is captured
+  // right after a beat, so 1 asks it and gets no answer. Before the
+  // sweep had a deadline, 1 waited for 3 forever and never forwarded
+  // 4's log: collect() returned [].
+  auto hb = HeartbeatSimulation::balanced(fast_config(), 14);
+  hb.capture_device(9);
+  hb.run_monitoring(sim::Duration::from_ms(500));
+  hb.capture_device(3);
+  const auto report = hb.collect();
+  ASSERT_EQ(report.size(), 1u);
+  EXPECT_EQ(report[0].device, 9u);
+}
+
+// The 512 leaves of a full binary tree of 1,022 devices are 511..1022;
+// every other one is captured long before the sweep.
+std::vector<net::NodeId> capture_every_other_leaf(HeartbeatSimulation& hb) {
+  std::vector<net::NodeId> captured;
+  for (net::NodeId leaf = 511; leaf <= 1022; leaf += 2) {
+    hb.capture_device(leaf);
+    captured.push_back(leaf);
+  }
+  return captured;
+}
+
+std::vector<net::NodeId> devices_of(const std::vector<AbsenceReport>& r) {
+  std::vector<net::NodeId> ids;
+  for (const AbsenceReport& e : r) ids.push_back(e.device);
+  return ids;
+}
+
+TEST(Heartbeat, LongLogsArriveBeforeTheirParentsDeadlines) {
+  // A log carries an 8-byte entry per absence below it, so its link
+  // delay grows with the subtree: node 1's log of 128 entries takes
+  // about 34 ms to cross one 250 kbps link. Every node answers, so
+  // every absence must reach Vrf.
+  auto hb = HeartbeatSimulation::balanced(fast_config(), 1022);
+  ASSERT_EQ(hb.tree().max_depth(), 9u);
+  const std::vector<net::NodeId> captured = capture_every_other_leaf(hb);
+  hb.run_monitoring(sim::Duration::from_ms(500));
+  EXPECT_EQ(devices_of(hb.collect()), captured);
+}
+
+TEST(Heartbeat, AStalledBranchKeepsItsSiblingsLongLogs) {
+  // 3 is captured right after a beat, so 1 asks it and forwards on its
+  // deadline. The absences below 3 (leaves 511..638) go dark with it;
+  // 4's log of 64 entries must still reach 1 in time, and 2's log of
+  // 128 reach Vrf.
+  auto hb = HeartbeatSimulation::balanced(fast_config(), 1022);
+  std::vector<net::NodeId> expected;
+  for (net::NodeId leaf : capture_every_other_leaf(hb)) {
+    if (leaf > 638) expected.push_back(leaf);
+  }
+  hb.run_monitoring(sim::Duration::from_ms(500));
+  hb.capture_device(3);
+  EXPECT_EQ(devices_of(hb.collect()), expected);
+}
+
 TEST(Heartbeat, SlicedMonitoringSendsTheBeatsOfOneCall) {
   // Regression: each run_monitoring() call started a beat chain beside
   // the one still pending from the last call, so 1,600 ms sent 224
